@@ -31,12 +31,17 @@
 #include "common/math_util.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "core/engine.hpp"
+#include "core/metrics.hpp"
+#include "fault/fault_plan.hpp"
 #include "timeseries/arima.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/trace_generator.hpp"
 
 namespace bench = sheriff::bench;
 namespace common = sheriff::common;
+namespace core = sheriff::core;
+namespace fault = sheriff::fault;
 namespace topo = sheriff::topo;
 namespace ts = sheriff::ts;
 namespace wl = sheriff::wl;
@@ -175,4 +180,60 @@ TEST(GoldenFigures, Fig11FatTreeCostSmallInstance) {
   os << "\nworst sheriff/optimal cost ratio: " << common::format_fixed(worst_ratio, 3)
      << "\n";
   expect_matches_golden("fig11_fattree_cost_small.txt", os.str());
+}
+
+// Both migration protocols on a faulted 4-pod Fat-Tree, 60 rounds: a shim
+// crash (neighbor takeover), a permanent host loss (orphan recovery), link
+// flaps and 15% REQUEST/ACK loss. Pins the full metrics CSV of each run —
+// alert tallies, reroutes, where takeover and orphan demands land, and the
+// serialized-FCFS path that no figure bench exercises.
+TEST(GoldenFigures, ProtocolsUnderFaultsSmallInstance) {
+  topo::FatTreeOptions topt;
+  topt.pods = 4;
+  topt.hosts_per_rack = 3;
+  topt.tor_agg_gbps = 1.0;
+  const auto topology = topo::build_fat_tree(topt);
+  wl::DeploymentOptions deploy;
+  deploy.seed = 23;
+  deploy.vms_per_host = 2.5;
+  deploy.placement = wl::PlacementPolicy::kSkewed;
+
+  constexpr std::size_t kRounds = 60;
+  fault::FaultOptions fopt;
+  fopt.seed = 17;
+  fopt.message_drop_probability = 0.15;
+  fault::FaultPlan plan(fopt);
+  plan.fail_link(7, 2, 15);
+  plan.fail_link(23, 20, 30);
+  plan.fail_link(41, 30, 58);
+  plan.fail_host(topology.rack(1).hosts[0], 30);
+  plan.fail_shim(0, 15, 45);
+
+  std::ostringstream os;
+  os << "protocols under faults: " << topology.name() << " (" << topology.host_count()
+     << " hosts, " << topology.rack_count() << " racks), " << kRounds
+     << " rounds, deploy seed 23, fault seed 17, 15% message loss\n";
+  for (const auto protocol :
+       {core::MigrationProtocol::kMessagePassing, core::MigrationProtocol::kSerializedFcfs}) {
+    core::EngineConfig config;
+    config.protocol = protocol;
+    config.fault_plan = &plan;
+    core::DistributedEngine engine(topology, deploy, config);
+    const std::vector<core::RoundMetrics> rounds = engine.run(kRounds);
+    const core::RunSummary summary = core::summarize(rounds);
+    // The pin is only meaningful if every fault path actually fired.
+    EXPECT_GT(summary.total_migrations, 0u);
+    EXPECT_GT(summary.total_reroutes, 0u);
+    EXPECT_GT(summary.total_recovery_migrations, 0u);
+    EXPECT_GT(summary.rounds_with_failures, 0u);
+    if (protocol == core::MigrationProtocol::kMessagePassing) {
+      EXPECT_GT(summary.total_protocol_drops, 0u);
+    }
+    os << "\n== "
+       << (protocol == core::MigrationProtocol::kMessagePassing ? "message-passing"
+                                                                 : "serialized FCFS")
+       << " ==\n";
+    core::write_metrics_csv(os, rounds);
+  }
+  expect_matches_golden("protocols_faulted_small.txt", os.str());
 }

@@ -1,9 +1,9 @@
-// Ablation: the distributed propose/decide/apply protocol vs a globally
-// serialized act phase. Both implement Alg. 3/4 semantics; the protocol
-// additionally exposes the real-world same-round reservation races between
-// delegates (Sec. V-B's "they need to communicate between each other to
-// avoid conflictions") and resolves them with at most a one-iteration
-// retry penalty.
+// Ablation: the distributed propose/decide/apply protocol vs serialized
+// FCFS scheduling of the same committed demands. Both implement Alg. 3/4
+// semantics; the protocol additionally exposes the real-world same-round
+// reservation races between delegates (Sec. V-B's "they need to
+// communicate between each other to avoid conflictions") and resolves
+// them with at most a one-iteration retry penalty.
 
 #include <iostream>
 
@@ -52,7 +52,7 @@ ModeTotals run(const sheriff::topo::Topology& topology, sheriff::core::Migration
 int main() {
   using namespace sheriff;
   bench::print_figure_header(
-      "Ablation G", "message-passing protocol vs globally serialized act phase",
+      "Ablation G", "message-passing protocol vs serialized FCFS scheduling",
       "the distributed REQUEST/ACK round should reach the same balance with "
       "comparable cost, paying only rare same-round conflicts for its parallelism");
 

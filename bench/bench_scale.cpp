@@ -179,14 +179,6 @@ int main(int argc, char** argv) {
               << "  decision:  " << r.decision_ratio << "x (Eq.(1) kernel "
               << r.naive.phases.manage_decision_ns / 1e6 << " ms -> "
               << r.optimized.phases.manage_decision_ns / 1e6 << " ms)\n";
-    if (s.shard_ablation) {
-      const core::PhaseProfile& ph = r.optimized.phases;
-      std::uint64_t propose_total = 0;
-      for (std::uint64_t ns : ph.manage_shard_propose_ns) propose_total += ns;
-      std::cout << "  shards:    " << ph.manage_shard_propose_ns.size()
-                << " x propose (total " << propose_total / 1e6 << " ms), commit "
-                << ph.manage_commit_ns / 1e6 << " ms\n";
-    }
     std::cout << std::defaultfloat << std::setprecision(6);
     results.push_back(std::move(r));
   }

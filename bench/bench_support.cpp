@@ -239,15 +239,9 @@ std::vector<ScaleScenario> make_scale_scenarios() {
   ft.pods = 16;
   scenarios.push_back(
       {"fat_tree_k16_kmedian", topo::build_fat_tree(ft), 12, core::ManagerMode::kKMedian});
-  // Regional-sharding ablation on the largest fabric: every cache stays on
-  // in both legs; only the manage phase differs (legacy interleaved sweep
-  // vs 8 contiguous rack shards with the per-rack flow index and the
-  // ordered claim commit). The gated manage_ratio is therefore the
-  // algorithmic win of sharding alone, even on a single-core runner. The
-  // workload is shaped so congestion sits at the agg–core layer: one hot
-  // core/agg switch alerts dozens of racks at once, so the legacy sweep
-  // pays an O(flows) F-set scan plus a reroute pass per alerted shim,
-  // while the sharded commit coalesces the duplicate claims into one.
+  // The largest fabric, shaped so congestion sits at the agg–core layer:
+  // one hot core/agg switch alerts dozens of racks at once, so the
+  // FLOWREROUTE claims and their ordered commit carry the manage phase.
   ScaleScenario k32;
   k32.name = "fat_tree_k32";
   ft.pods = 32;
@@ -257,7 +251,6 @@ std::vector<ScaleScenario> make_scale_scenarios() {
   ft.agg_core_gbps = 1.0;
   k32.topology = topo::build_fat_tree(ft);
   k32.rounds = 4;
-  k32.shard_ablation = true;
   k32.deploy.placement = wl::PlacementPolicy::kUniform;
   k32.deploy.hot_vm_fraction = 0.0;  // alerts come from the fabric, not hot VMs
   k32.deploy.dependency_degree = 2.0;
@@ -277,21 +270,16 @@ core::EngineConfig scale_engine_config(const ScaleScenario& scenario, bool optim
   core::EngineConfig config;
   config.sheriff.cost.computing_cost = 100.0;  // Sec. VI-B settings
   config.mode = scenario.mode;
-  const bool caches = scenario.shard_ablation || optimized;
-  config.incremental_fair_share = caches;
-  config.route_cache = caches;
-  config.retain_cost_trees = caches;
-  config.partner_rooted_costs = caches;
-  config.shared_leaf_cost_trees = caches;
-  config.fast_kmedian = caches;
-  config.cost_surface = caches;
-  config.cost_pruning = caches;
-  config.prewarm_cost_rows = caches;
-  config.parallel_workload = caches;
-  if (scenario.shard_ablation) {
-    config.sharded_manage = optimized;
-    config.manage_shards = scenario.manage_shards;
-  }
+  config.incremental_fair_share = optimized;
+  config.route_cache = optimized;
+  config.retain_cost_trees = optimized;
+  config.partner_rooted_costs = optimized;
+  config.shared_leaf_cost_trees = optimized;
+  config.fast_kmedian = optimized;
+  config.cost_surface = optimized;
+  config.cost_pruning = optimized;
+  config.prewarm_cost_rows = optimized;
+  config.parallel_workload = optimized;
   config.flow_demand_scale_gbps = scenario.flow_demand_scale_gbps;
   config.sheriff.reroute_fraction = scenario.reroute_fraction;
   config.sheriff.max_matching_rounds = scenario.max_matching_rounds;

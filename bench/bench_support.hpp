@@ -73,11 +73,6 @@ struct ScaleScenario {
   topo::Topology topology;
   std::size_t rounds = 0;
   core::ManagerMode mode = core::ManagerMode::kSheriff;
-  /// Sharded-manage ablation: both bench_scale legs run with every cache
-  /// on, and only the manage phase differs — naive = the legacy
-  /// interleaved select() sweep, optimized = regional shards.
-  bool shard_ablation = false;
-  std::size_t manage_shards = 8;
   wl::DeploymentOptions deploy = bench_deployment_options(2015);
   /// Per-scenario workload knobs (engine/Sheriff defaults when untouched).
   double flow_demand_scale_gbps = 0.4;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
@@ -31,7 +30,7 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
       solver_(topo),
       cost_model_(topo, deployment_, config.sheriff.cost) {
   router_.set_cache_enabled(config_.route_cache);
-  if (config_.parallel_fair_share) solver_.set_thread_pool(&worker_pool());
+  solver_.set_thread_pool(&worker_pool());
   cost_model_.set_tree_cache_retained(config_.retain_cost_trees);
   cost_model_.set_partner_rooted(config_.partner_rooted_costs);
   cost_model_.set_shared_leaf_trees(config_.shared_leaf_cost_trees);
@@ -75,6 +74,7 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     predictors_.push_back(make_predictor());
   }
   predicted_.resize(deployment_.vm_count());
+  rack_flows_.resize(topo.rack_count());
   tor_utilization_predictors_.resize(topo.rack_count());
   tor_queue_predictors_.resize(topo.rack_count());
   if (config_.fault_plan != nullptr) {
@@ -99,7 +99,7 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     const std::size_t requested = config_.manage_shards != 0
                                       ? config_.manage_shards
                                       : std::min<std::size_t>(8, topo.rack_count());
-    shard_plan_ = ManageShardPlan(topo.rack_count(), config_.sharded_manage ? requested : 1);
+    shard_plan_ = ManageShardPlan(topo.rack_count(), requested);
     profile_.manage_shard_propose_ns.assign(shard_plan_.shard_count(), 0);
     shard_stats_.demands_by_rack.assign(topo.rack_count(), 0);
   }
@@ -186,15 +186,21 @@ std::vector<wl::VmId> DistributedEngine::collect_orphans() const {
     const auto& stranded = deployment_.vms_on_host(h);
     orphans.insert(orphans.end(), stranded.begin(), stranded.end());
   }
+  std::sort(orphans.begin(), orphans.end());
   return orphans;
 }
 
 void DistributedEngine::apply_fault_events(RoundMetrics& metrics) {
+  // Apply this round's due events, propagate the new liveness to the
+  // router, and tear down routes over dead elements.
+  if (injector_ == nullptr) return;
+  PhaseTimer timer(profile_.fault_ns);
   const fault::InjectionReport report = injector_->advance(metrics.round);
   if (report.fabric_changed) {
     router_.refresh_liveness();
-    // Tear down routes crossing a changed element; step 1 re-routes them
-    // over the surviving fabric (or counts them as unroutable).
+    // Tear down routes crossing a changed element; advance_workload
+    // re-routes them over the surviving fabric (or counts them as
+    // unroutable).
     const topo::LivenessMask& mask = injector_->liveness();
     for (net::Flow& flow : flows_) {
       if (!flow.routed()) continue;
@@ -242,35 +248,8 @@ void DistributedEngine::build_flows() {
   router_.route_all(flows_);
 }
 
-void DistributedEngine::update_flow_demands() {
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    const double trf = deployment_.vm(flow_owner_[f]).profile[wl::Feature::kTraffic];
-    const double demand = config_.flow_demand_scale_gbps * trf;
-    // Skip-write unchanged demands: the incremental fair-share solver's
-    // dirty detection is value-based, so an equal store would be re-marked
-    // clean anyway — but leaving the field untouched keeps this loop
-    // honest about churn and lets the solver report reused_flows.
-    if (flows_[f].demand_gbps != demand) flows_[f].demand_gbps = demand;
-  }
-}
-
 common::ThreadPool& DistributedEngine::worker_pool() const {
   return config_.pool != nullptr ? *config_.pool : common::default_pool();
-}
-
-void DistributedEngine::observe_and_predict() {
-  auto& pool = worker_pool();
-  const auto work = [&](std::size_t i) {
-    predictors_[i]->observe(deployment_.vm(static_cast<wl::VmId>(i)).profile);
-    predicted_[i] = predictors_[i]->ready()
-                        ? predictors_[i]->predict(config_.sheriff.prediction_horizon)
-                        : deployment_.vm(static_cast<wl::VmId>(i)).profile;
-  };
-  if (config_.parallel_collect && deployment_.vm_count() > 256) {
-    common::parallel_for(pool, deployment_.vm_count(), work);
-  } else {
-    for (std::size_t i = 0; i < deployment_.vm_count(); ++i) work(i);
-  }
 }
 
 std::vector<wl::VmId> DistributedEngine::alerted_vms() const {
@@ -286,119 +265,152 @@ RoundMetrics DistributedEngine::run_round() {
   RoundMetrics metrics;
   metrics.round = round_++;
   if (hub_ != nullptr) hub_->trace().set_round(static_cast<std::uint32_t>(metrics.round));
+  apply_fault_events(metrics);
+  advance_workload(metrics);
+  const net::FairShareResult& shares = solve_network(metrics);
+  const std::vector<topo::NodeId> congested = update_queues(shares, metrics);
+  const std::vector<ShimCollectResult> collected =
+      predict_and_collect(shares, congested, metrics);
+  const MigrationPlan plan = manage(collected, shares, metrics);
+  metrics.workload_stddev_after = deployment_.workload_stddev();
+  if (hub_ != nullptr) publish_round(metrics, plan);
+  ++profile_.rounds;
+  return metrics;
+}
 
-  // 0. Fault schedule: apply this round's due events, propagate the new
-  //    liveness to the router, and tear down routes over dead elements.
+void DistributedEngine::advance_workload(RoundMetrics& metrics) {
+  // Workloads evolve; flows track the new traffic levels and any migrated
+  // endpoints.
+  PhaseTimer timer(profile_.workload_ns);
+  deployment_.advance(config_.parallel_workload ? &worker_pool() : nullptr);
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    net::Flow& flow = flows_[f];
+    const topo::NodeId src = deployment_.vm(flow_owner_[f]).host;
+    const topo::NodeId dst = deployment_.vm(flow_peer_[f]).host;
+    if (flow.src_host != src || flow.dst_host != dst) {
+      flow.src_host = src;
+      flow.dst_host = dst;
+      flow.path.clear();
+    }
+    const double trf = deployment_.vm(flow_owner_[f]).profile[wl::Feature::kTraffic];
+    const double demand = config_.flow_demand_scale_gbps * trf;
+    // Skip-write unchanged demands: the incremental fair-share solver's
+    // dirty detection is value-based, so an equal store would be re-marked
+    // clean anyway — but leaving the field untouched keeps this loop
+    // honest about churn and lets the solver report reused_flows.
+    if (flow.demand_gbps != demand) flow.demand_gbps = demand;
+  }
+  for (net::Flow& flow : flows_) {
+    if (!flow.routed()) router_.route(flow);
+  }
   if (injector_ != nullptr) {
-    PhaseTimer timer(profile_.fault_ns);
-    apply_fault_events(metrics);
-  }
-
-  // 1. Workloads evolve; flows track the new traffic levels and any
-  //    migrated endpoints.
-  {
-    PhaseTimer timer(profile_.workload_ns);
-    deployment_.advance(config_.parallel_workload ? &worker_pool() : nullptr);
-    for (std::size_t f = 0; f < flows_.size(); ++f) {
-      net::Flow& flow = flows_[f];
-      const topo::NodeId src = deployment_.vm(flow_owner_[f]).host;
-      const topo::NodeId dst = deployment_.vm(flow_peer_[f]).host;
-      if (flow.src_host != src || flow.dst_host != dst) {
-        flow.src_host = src;
-        flow.dst_host = dst;
-        flow.path.clear();
-      }
-    }
-    update_flow_demands();
-    for (net::Flow& flow : flows_) {
-      if (!flow.routed()) router_.route(flow);
-    }
-    if (injector_ != nullptr) {
-      for (const net::Flow& flow : flows_) {
-        if (flow.src_host != flow.dst_host && !flow.routed()) ++metrics.unroutable_flows;
-      }
+    for (const net::Flow& flow : flows_) {
+      if (flow.src_host != flow.dst_host && !flow.routed()) ++metrics.unroutable_flows;
     }
   }
+}
 
-  // 2. Network state: fair share + queue/QCN update, then the end-host
-  //    reaction point adjusts rate limits for the next period. The
-  //    incremental solver re-waterfills only the components touched since
-  //    last round; the from-scratch call is the bench baseline.
+const net::FairShareResult& DistributedEngine::solve_network(const RoundMetrics& metrics) {
+  // The incremental solver re-waterfills only the components touched since
+  // last round; the from-scratch call is the bench baseline.
   const topo::LivenessMask* liveness =
       injector_ != nullptr ? &injector_->liveness() : nullptr;
-  const net::FairShareResult* shares_ptr;
+  const net::FairShareResult* shares = &naive_shares_;
   {
     PhaseTimer timer(profile_.fair_share_ns);
     if (config_.incremental_fair_share) {
-      shares_ptr = &solver_.solve(flows_, liveness);
+      shares = &solver_.solve(flows_, liveness);
       profile_.fair_share_build_ns = solver_.timings().build_ns;
       profile_.fair_share_fill_ns = solver_.timings().fill_ns;
     } else {
       naive_shares_ = net::max_min_fair_share(*topo_, flows_, liveness);
-      shares_ptr = &naive_shares_;
     }
   }
-  const net::FairShareResult& shares = *shares_ptr;
   // Network-state invariants are checked here, while flows' paths and rate
-  // limits are exactly what the allocation saw: the QCN update below moves
-  // rate limits, and management reroutes change paths mid-round.
+  // limits are exactly what the allocation saw: the QCN update moves rate
+  // limits, and management reroutes change paths mid-round.
   if (hub_ != nullptr && hub_->auditor() != nullptr) {
     obs::InvariantAuditor::RoundInputs inputs;
     inputs.round = static_cast<std::uint32_t>(metrics.round);
     inputs.deployment = &deployment_;
     inputs.flows = flows_;
-    inputs.shares = shares_ptr;
+    inputs.shares = shares;
     inputs.solver = config_.incremental_fair_share ? &solver_ : nullptr;
     inputs.liveness = liveness;
     hub_->auditor()->audit_network(inputs);
   }
-  std::vector<topo::NodeId> congested;
-  {
-    PhaseTimer timer(profile_.queue_ns);
-    queues_.update(shares, flows_, 1.0, config_.parallel_collect ? &worker_pool() : nullptr);
-    // QoS is measured against the demands the allocator actually saw: the
-    // QCN reaction point below tightens rate limits for the *next* period,
-    // and a freshly lowered limit would read as allocated/demand > 1.
-    const auto qos = net::compute_qos_stats(flows_);
-    metrics.flow_satisfaction = qos.mean_satisfaction;
-    metrics.flow_fairness = qos.jain_fairness;
-    if (config_.qcn_rate_control) {
-      rate_controller_.update(flows_, queues_);
-      metrics.rate_limited_flows = rate_controller_.tracked_flows();
-    }
-    congested = queues_.congested_switches();
-    metrics.congested_switches = congested.size();
-    for (double u : shares.link_utilization) {
-      metrics.max_link_utilization = std::max(metrics.max_link_utilization, u);
-    }
-  }
+  return *shares;
+}
 
-  // 3. Prediction + alert collection (parallel across racks).
-  std::optional<PhaseTimer> predict_timer(std::in_place, profile_.predict_ns);
-  observe_and_predict();
+std::vector<topo::NodeId> DistributedEngine::update_queues(const net::FairShareResult& shares,
+                                                           RoundMetrics& metrics) {
+  // Switch queues + QCN feedback, then the end-host reaction point adjusts
+  // rate limits for the next period.
+  PhaseTimer timer(profile_.queue_ns);
+  queues_.update(shares, flows_, 1.0, config_.parallel_collect ? &worker_pool() : nullptr);
+  // QoS is measured against the demands the allocator actually saw: the
+  // QCN reaction point below tightens rate limits for the *next* period,
+  // and a freshly lowered limit would read as allocated/demand > 1.
+  const auto qos = net::compute_qos_stats(flows_);
+  metrics.flow_satisfaction = qos.mean_satisfaction;
+  metrics.flow_fairness = qos.jain_fairness;
+  if (config_.qcn_rate_control) {
+    rate_controller_.update(flows_, queues_);
+    metrics.rate_limited_flows = rate_controller_.tracked_flows();
+  }
+  std::vector<topo::NodeId> congested = queues_.congested_switches();
+  metrics.congested_switches = congested.size();
+  for (double u : shares.link_utilization) {
+    metrics.max_link_utilization = std::max(metrics.max_link_utilization, u);
+  }
+  return congested;
+}
+
+std::vector<ShimCollectResult> DistributedEngine::predict_and_collect(
+    const net::FairShareResult& shares, std::span<const topo::NodeId> congested,
+    RoundMetrics& metrics) {
+  PhaseTimer timer(profile_.predict_ns);
+  // Every VM's predictor observes the new sample and forecasts T ahead.
+  const auto predict = [&](std::size_t i) {
+    predictors_[i]->observe(deployment_.vm(static_cast<wl::VmId>(i)).profile);
+    predicted_[i] = predictors_[i]->ready()
+                        ? predictors_[i]->predict(config_.sheriff.prediction_horizon)
+                        : deployment_.vm(static_cast<wl::VmId>(i)).profile;
+  };
+  if (config_.parallel_collect && deployment_.vm_count() > 256) {
+    common::parallel_for(worker_pool(), deployment_.vm_count(), predict);
+  } else {
+    for (std::size_t i = 0; i < deployment_.vm_count(); ++i) predict(i);
+  }
   metrics.workload_stddev_before = deployment_.workload_stddev();
   metrics.workload_mean = deployment_.workload_mean();
 
-  // Pre-filter congestion feedback per rack: scan flows once, not per shim.
-  std::vector<std::vector<topo::NodeId>> rack_hot(topo_->rack_count());
-  if (!congested.empty()) {
-    for (std::size_t f = 0; f < flows_.size(); ++f) {
-      if (!flows_[f].routed()) continue;
-      const topo::RackId owner_rack = topo_->node(flows_[f].src_host).rack;
-      for (topo::NodeId sw : congested) {
-        if (!flows_[f].transits(sw)) continue;
-        auto& list = rack_hot[owner_rack];
-        if (std::find(list.begin(), list.end(), sw) == list.end()) list.push_back(sw);
-      }
-    }
+  // Per-rack flow index, built serially once per round: it pre-filters the
+  // congestion feedback per rack below, and scopes each shim's switch-alert
+  // F-set scan in propose() to its own flows — in an order independent of
+  // the shard count.
+  for (std::vector<std::size_t>& own : rack_flows_) own.clear();
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    rack_flows_[topo_->node(deployment_.vm(flow_owner_[f]).host).rack].push_back(f);
   }
 
   // Per-rack ToR signal prediction (Sec. IV-A): feed this round's uplink
   // utilization and queue length into the scalar predictors, then hand the
   // shims their T-ahead extrapolations.
-  const double fleet_mean = deployment_.workload_mean();
+  const double fleet_mean = metrics.workload_mean;
+  std::vector<std::vector<topo::NodeId>> rack_hot(topo_->rack_count());
   std::vector<ShimController::Observation> observations(shims_.size());
   for (topo::RackId r = 0; r < topo_->rack_count(); ++r) {
+    // Congested outer switches that some flow of this rack transits.
+    std::vector<topo::NodeId>& hot = rack_hot[r];
+    for (std::size_t f : rack_flows_[r]) {
+      if (!flows_[f].routed()) continue;
+      for (topo::NodeId sw : congested) {
+        if (flows_[f].transits(sw) && std::find(hot.begin(), hot.end(), sw) == hot.end()) {
+          hot.push_back(sw);
+        }
+      }
+    }
     const topo::NodeId tor = topo_->rack(r).tor;
     double utilization = 0.0;
     for (topo::LinkId l : topo_->links_of(tor)) {
@@ -411,7 +423,7 @@ RoundMetrics DistributedEngine::run_round() {
 
     auto& obs = observations[r];
     obs.shares = &shares;
-    obs.hot_switches = rack_hot[r];
+    obs.hot_switches = hot;
     obs.fleet_mean_load_percent = fleet_mean;
     obs.tor_queue_equilibrium = queues_.config().equilibrium_queue;
     if (tor_utilization_predictors_[r].ready()) {
@@ -423,303 +435,186 @@ RoundMetrics DistributedEngine::run_round() {
   }
 
   std::vector<ShimCollectResult> collected(shims_.size());
-  {
-    const auto work = [&](std::size_t s) {
-      collected[s] = shims_[s].collect(deployment_, predicted_, observations[s]);
-    };
-    if (config_.parallel_collect && shims_.size() > 8) {
-      common::parallel_for(worker_pool(), shims_.size(), work);
-    } else {
-      for (std::size_t s = 0; s < shims_.size(); ++s) work(s);
-    }
+  const auto work = [&](std::size_t s) {
+    collected[s] = shims_[s].collect(deployment_, predicted_, observations[s]);
+  };
+  if (config_.parallel_collect && shims_.size() > 8) {
+    common::parallel_for(worker_pool(), shims_.size(), work);
+  } else {
+    for (std::size_t s = 0; s < shims_.size(); ++s) work(s);
   }
-  predict_timer.reset();
-  std::optional<PhaseTimer> manage_timer(std::in_place, profile_.manage_ns);
+  return collected;
+}
 
-  // 4. Management actions. VMs stranded on dead or cut-off hosts are
-  //    re-placed through the same machinery as alert-driven migrations (a
-  //    control-plane restart from shared storage, so a severed source does
-  //    not block it); `orphans` stays sorted for the recovery accounting.
-  std::vector<wl::VmId> orphans = collect_orphans();
-  std::sort(orphans.begin(), orphans.end());
+MigrationPlan DistributedEngine::manage(std::span<const ShimCollectResult> collected,
+                                        const net::FairShareResult& shares,
+                                        RoundMetrics& metrics) {
+  PhaseTimer timer(profile_.manage_ns);
+  // VMs stranded on dead or cut-off hosts are re-placed through the same
+  // machinery as alert-driven migrations (a control-plane restart from
+  // shared storage, so a severed source does not block it).
+  const std::vector<wl::VmId> orphans = collect_orphans();
   metrics.orphaned_vms = orphans.size();
-  const auto count_recoveries = [&](const MigrationPlan& plan) {
-    if (orphans.empty()) return;
-    for (const MigrationMove& move : plan.moves) {
-      if (std::binary_search(orphans.begin(), orphans.end(), move.vm)) {
-        ++metrics.recovery_migrations;
+  cost_model_.set_bandwidth_state(&shares);
+  MigrationPlan plan = config_.mode == ManagerMode::kSheriff
+                           ? manage_regional(collected, orphans, metrics)
+                           : manage_global(collected, orphans, metrics);
+  cost_model_.set_bandwidth_state(nullptr);
+  account(plan, orphans, metrics);
+  return plan;
+}
+
+MigrationPlan DistributedEngine::manage_regional(std::span<const ShimCollectResult> collected,
+                                                 std::span<const wl::VmId> orphans,
+                                                 RoundMetrics& metrics) {
+  std::vector<ShimProposal> proposals = propose_shards(collected);
+  std::vector<MigrationDemand> demands;
+  {
+    PhaseTimer timer(profile_.manage_commit_ns);
+    demands = commit_proposals(proposals, metrics);
+  }
+  // Recovery demands follow: orphans grouped by the rack of their stranded
+  // host, each group issued by the rack's managing shim. A rack whose shim
+  // is down is handled by its takeover neighbor, so its demands are placed
+  // in the neighbor's region.
+  std::vector<std::vector<wl::VmId>> orphans_by_rack(orphans.empty() ? 0 : shims_.size());
+  for (wl::VmId vm : orphans) {
+    orphans_by_rack[topo_->node(deployment_.vm(vm).host).rack].push_back(vm);
+  }
+  for (std::size_t r = 0; r < orphans_by_rack.size(); ++r) {
+    const topo::RackId mgr = managing_rack(static_cast<topo::RackId>(r));
+    if (orphans_by_rack[r].empty() || mgr == topo::kInvalidRack) continue;
+    demands.push_back({mgr, std::move(orphans_by_rack[r]), {}});
+  }
+
+  // Decide. A demand's receivers are its shim's underloaded region hosts
+  // as the deployment stands when that demand is placed.
+  if (config_.protocol == MigrationProtocol::kSerializedFcfs) {
+    // One broker, demands scheduled strictly one after another.
+    mig::AdmissionBroker broker(deployment_);
+    MigrationPlan plan;
+    PhaseTimer timer(profile_.manage_decision_ns);
+    for (MigrationDemand& demand : demands) {
+      VmMigrationScheduler scheduler(deployment_, cost_model_, broker,
+                                     config_.sheriff.max_matching_rounds);
+      plan.merge(scheduler.migrate(std::move(demand.vms),
+                                   shims_[demand.shim].migration_targets(deployment_)));
+    }
+    return plan;
+  }
+  for (MigrationDemand& demand : demands) {
+    demand.region_targets = shims_[demand.shim].migration_targets(deployment_);
+  }
+  DistributedMigrationProtocol protocol(
+      deployment_, cost_model_, config_.sheriff,
+      config_.parallel_collect ? &worker_pool() : nullptr, channel_.get(),
+      config_.fault_plan != nullptr ? config_.fault_plan->options().max_protocol_retries : 0,
+      hub_ != nullptr ? &hub_->trace() : nullptr);
+  ProtocolResult outcome;
+  {
+    PhaseTimer timer(profile_.manage_decision_ns);
+    outcome = protocol.run(std::move(demands));
+  }
+  metrics.protocol_conflicts = outcome.conflicts;
+  metrics.protocol_iterations = outcome.iterations;
+  metrics.protocol_drops = outcome.drops;
+  metrics.protocol_retries = outcome.retries;
+  return std::move(outcome.plan);
+}
+
+MigrationPlan DistributedEngine::manage_global(std::span<const ShimCollectResult> collected,
+                                               std::span<const wl::VmId> orphans,
+                                               RoundMetrics& metrics) {
+  // Centralized baselines (kCentralized, kKMedian): the same per-rack
+  // alert collection feeds one manager with the global view; host alerts
+  // of every rack are gathered through PRIORITY's single-VM rule applied
+  // per host, ToR/switch alerts per rack. A rack whose shim died
+  // unreplaced reports nothing — monitoring is lost too.
+  std::vector<wl::VmId> global_set;
+  for (std::size_t s = 0; s < shims_.size(); ++s) {
+    if (injector_ != nullptr && takeover_[s] == topo::kInvalidRack) continue;
+    for (const Alert& alert : collected[s].alerts) {
+      metrics.host_alerts += alert.source == AlertSource::kHost ? 1 : 0;
+      metrics.tor_alerts += alert.source == AlertSource::kLocalTor ? 1 : 0;
+      metrics.switch_alerts += alert.source == AlertSource::kOuterSwitch ? 1 : 0;
+    }
+    // The global manager migrates every VM whose own ALERT fired.
+    for (std::size_t i = 0; i < collected[s].rack_vms.size(); ++i) {
+      if (collected[s].vm_alert_values[i] > 0.0 &&
+          !deployment_.vm(collected[s].rack_vms[i]).delay_sensitive) {
+        global_set.push_back(collected[s].rack_vms[i]);
       }
     }
-  };
-  // Orphans grouped by the rack of their stranded host; each group becomes
-  // a recovery demand issued by the rack's managing shim.
-  std::vector<std::vector<wl::VmId>> orphans_by_rack;
-  if (!orphans.empty()) {
-    orphans_by_rack.resize(topo_->rack_count());
-    for (wl::VmId vm : orphans) {
-      orphans_by_rack[topo_->node(deployment_.vm(vm).host).rack].push_back(vm);
-    }
   }
+  // Orphans are re-placed unconditionally (their host is gone, so even
+  // delay-sensitive VMs must restart elsewhere). collect() skipped their
+  // hosts, so no VM appears twice.
+  global_set.insert(global_set.end(), orphans.begin(), orphans.end());
+  if (config_.mode == ManagerMode::kKMedian) {
+    // Sec. V-A: planner row upkeep + the k-median solve are the
+    // manage_kmedian sub-phase; matching/scheduling is manage_schedule.
+    {
+      PhaseTimer timer(profile_.manage_kmedian_ns);
+      // Row upkeep mutates the planner, so it only applies to an owned
+      // one. A borrowed (substrate) planner is maskless by contract —
+      // refresh() on it would be a no-op anyway — and rebuild() never
+      // borrows (the ctor falls back to an owned planner when
+      // fast_kmedian is off).
+      if (kmedian_planner_ != nullptr) {
+        if (config_.fast_kmedian) {
+          kmedian_planner_->refresh();
+        } else {
+          kmedian_planner_->rebuild();
+        }
+      }
+    }
+    const KMedianMigrationManager::Stats& stats = kmedian_manager_->stats();
+    const std::uint64_t kmedian_before = stats.kmedian_ns;
+    const std::uint64_t schedule_before = stats.schedule_ns;
+    MigrationPlan plan;
+    {
+      PhaseTimer timer(profile_.manage_decision_ns);
+      plan = kmedian_manager_->migrate(std::move(global_set));
+    }
+    profile_.manage_kmedian_ns += stats.kmedian_ns - kmedian_before;
+    profile_.manage_schedule_ns += stats.schedule_ns - schedule_before;
+    return plan;
+  }
+  CentralizedManager manager(deployment_, cost_model_, config_.sheriff);
+  if (injector_ != nullptr) manager.set_liveness(&injector_->liveness());
+  PhaseTimer timer(profile_.manage_decision_ns);
+  return manager.migrate(std::move(global_set));
+}
 
-  // Committed moves become MigrationCompleted trace events, and (with the
-  // auditor on) the round's move list for the management-side checks.
-  std::vector<obs::AuditedMove> audited_moves;
-  const auto observe_plan = [&](const MigrationPlan& plan) {
-    if (hub_ == nullptr) return;
-    for (const MigrationMove& move : plan.moves) {
+void DistributedEngine::account(const MigrationPlan& plan, std::span<const wl::VmId> orphans,
+                                RoundMetrics& metrics) {
+  metrics.migrations = plan.moves.size();
+  metrics.migration_requests = plan.requests;
+  metrics.migration_rejects = plan.rejects;
+  metrics.migration_cost = plan.total_cost;
+  metrics.search_space = plan.search_space;
+  metrics.migration_seconds = plan.total_duration_seconds;
+  metrics.migration_downtime_seconds = plan.total_downtime_seconds;
+  for (const MigrationMove& move : plan.moves) {
+    if (std::binary_search(orphans.begin(), orphans.end(), move.vm)) {
+      ++metrics.recovery_migrations;
+    }
+    if (hub_ != nullptr) {
       hub_->trace().emit(obs::EventTrace::kEngine, obs::EventType::kMigrationCompleted,
                          move.vm, move.to, move.cost);
-      if (hub_->auditor() != nullptr) {
-        audited_moves.push_back({move.vm, move.from, move.to, move.cost,
-                                 move.duration_seconds, move.downtime_seconds});
-      }
     }
-  };
-
-  cost_model_.set_bandwidth_state(&shares);
-  if (config_.mode == ManagerMode::kSheriff) {
-    const auto account_plan = [&](const MigrationPlan& plan) {
-      metrics.migrations += plan.moves.size();
-      metrics.migration_requests += plan.requests;
-      metrics.migration_rejects += plan.rejects;
-      metrics.migration_cost += plan.total_cost;
-      metrics.search_space += plan.search_space;
-      metrics.migration_seconds += plan.total_duration_seconds;
-      metrics.migration_downtime_seconds += plan.total_downtime_seconds;
-      observe_plan(plan);
-    };
-    if (config_.protocol == MigrationProtocol::kMessagePassing) {
-      // Alert dispatch per shim, then one distributed propose/decide/apply
-      // run. A rack whose shim is down is handled by its takeover neighbor:
-      // the demand is attributed to the neighbor and placed in *its* region.
-      std::vector<MigrationDemand> demands;
-      if (config_.sharded_manage) {
-        // Sharded two-phase sweep (DESIGN.md §11): parallel pure propose
-        // per shard, serial commit ordered by shim id.
-        std::vector<ShimProposal> proposals = propose_shards(collected);
-        PhaseTimer commit_timer(profile_.manage_commit_ns);
-        commit_proposals(proposals, metrics, [&](topo::RackId mgr, std::vector<wl::VmId> set) {
-          demands.push_back(
-              {shims_[mgr].rack(), std::move(set), shims_[mgr].migration_targets(deployment_)});
-        });
-      } else {
-        // Legacy interleaved sweep (serial: reroutes touch the shared flow
-        // table between alert dispatches) — the bench baseline leg.
-        for (std::size_t s = 0; s < shims_.size(); ++s) {
-          const topo::RackId mgr = managing_rack(static_cast<topo::RackId>(s));
-          if (mgr == topo::kInvalidRack) continue;  // unmanaged until a shim recovers
-          auto selection = shims_[s].select(collected[s], deployment_, predicted_, rerouter_,
-                                            flows_, flow_owner_);
-          metrics.host_alerts += selection.host_alerts;
-          metrics.tor_alerts += selection.tor_alerts;
-          metrics.switch_alerts += selection.switch_alerts;
-          metrics.reroutes += selection.reroutes.rerouted;
-          if (!selection.migration_set.empty()) {
-            demands.push_back({shims_[mgr].rack(), std::move(selection.migration_set),
-                               shims_[mgr].migration_targets(deployment_)});
-          }
-        }
-      }
-      for (std::size_t r = 0; r < orphans_by_rack.size(); ++r) {
-        if (orphans_by_rack[r].empty()) continue;
-        const topo::RackId mgr = managing_rack(static_cast<topo::RackId>(r));
-        if (mgr == topo::kInvalidRack) continue;
-        demands.push_back({shims_[mgr].rack(), std::move(orphans_by_rack[r]),
-                           shims_[mgr].migration_targets(deployment_)});
-      }
-      DistributedMigrationProtocol protocol(
-          deployment_, cost_model_, config_.sheriff,
-          config_.parallel_collect ? &worker_pool() : nullptr, channel_.get(),
-          config_.fault_plan != nullptr ? config_.fault_plan->options().max_protocol_retries
-                                        : 0,
-          hub_ != nullptr ? &hub_->trace() : nullptr);
-      ProtocolResult outcome;
-      {
-        PhaseTimer decision_timer(profile_.manage_decision_ns);
-        outcome = protocol.run(std::move(demands));
-      }
-      account_plan(outcome.plan);
-      count_recoveries(outcome.plan);
-      metrics.protocol_conflicts += outcome.conflicts;
-      metrics.protocol_iterations = outcome.iterations;
-      metrics.protocol_drops = outcome.drops;
-      metrics.protocol_retries = outcome.retries;
-    } else if (config_.sharded_manage) {
-      // Sharded two-phase sweep, FCFS flavor: the same parallel propose,
-      // with each committed migration set scheduled immediately through the
-      // shared admission broker — still strictly ordered by shim id.
-      mig::AdmissionBroker broker(deployment_);
-      std::vector<ShimProposal> proposals = propose_shards(collected);
-      {
-        PhaseTimer commit_timer(profile_.manage_commit_ns);
-        commit_proposals(proposals, metrics, [&](topo::RackId mgr, std::vector<wl::VmId> set) {
-          VmMigrationScheduler scheduler(deployment_, cost_model_, broker,
-                                         config_.sheriff.max_matching_rounds);
-          // Decision time nests inside manage_commit_ns on this path (the
-          // scheduler runs in the serial commit pass).
-          PhaseTimer decision_timer(profile_.manage_decision_ns);
-          account_plan(
-              scheduler.migrate(std::move(set), shims_[mgr].migration_targets(deployment_)));
-        });
-      }
-      for (std::size_t r = 0; r < orphans_by_rack.size(); ++r) {
-        if (orphans_by_rack[r].empty()) continue;
-        const topo::RackId mgr = managing_rack(static_cast<topo::RackId>(r));
-        if (mgr == topo::kInvalidRack) continue;
-        VmMigrationScheduler scheduler(deployment_, cost_model_, broker,
-                                       config_.sheriff.max_matching_rounds);
-        MigrationPlan plan;
-        {
-          PhaseTimer decision_timer(profile_.manage_decision_ns);
-          plan = scheduler.migrate(std::move(orphans_by_rack[r]),
-                                   shims_[mgr].migration_targets(deployment_));
-        }
-        account_plan(plan);
-        count_recoveries(plan);
-      }
-    } else {
-      mig::AdmissionBroker broker(deployment_);
-      for (std::size_t s = 0; s < shims_.size(); ++s) {
-        const topo::RackId mgr = managing_rack(static_cast<topo::RackId>(s));
-        if (mgr == topo::kInvalidRack) continue;
-        if (mgr == static_cast<topo::RackId>(s)) {
-          const auto result = shims_[s].act(collected[s], deployment_, predicted_, cost_model_,
-                                            broker, rerouter_, flows_, flow_owner_);
-          metrics.host_alerts += result.host_alerts;
-          metrics.tor_alerts += result.tor_alerts;
-          metrics.switch_alerts += result.switch_alerts;
-          metrics.reroutes += result.reroutes.rerouted;
-          account_plan(result.plan);
-        } else {
-          // Takeover: the neighbor shim runs the rack's selection and
-          // schedules the moves into its own region.
-          auto selection = shims_[s].select(collected[s], deployment_, predicted_, rerouter_,
-                                            flows_, flow_owner_);
-          metrics.host_alerts += selection.host_alerts;
-          metrics.tor_alerts += selection.tor_alerts;
-          metrics.switch_alerts += selection.switch_alerts;
-          metrics.reroutes += selection.reroutes.rerouted;
-          if (!selection.migration_set.empty()) {
-            VmMigrationScheduler scheduler(deployment_, cost_model_, broker,
-                                           config_.sheriff.max_matching_rounds);
-            PhaseTimer decision_timer(profile_.manage_decision_ns);
-            account_plan(scheduler.migrate(std::move(selection.migration_set),
-                                           shims_[mgr].migration_targets(deployment_)));
-          }
-        }
-      }
-      for (std::size_t r = 0; r < orphans_by_rack.size(); ++r) {
-        if (orphans_by_rack[r].empty()) continue;
-        const topo::RackId mgr = managing_rack(static_cast<topo::RackId>(r));
-        if (mgr == topo::kInvalidRack) continue;
-        VmMigrationScheduler scheduler(deployment_, cost_model_, broker,
-                                       config_.sheriff.max_matching_rounds);
-        MigrationPlan plan;
-        {
-          PhaseTimer decision_timer(profile_.manage_decision_ns);
-          plan = scheduler.migrate(std::move(orphans_by_rack[r]),
-                                   shims_[mgr].migration_targets(deployment_));
-        }
-        account_plan(plan);
-        count_recoveries(plan);
-      }
-    }
-  } else {
-    // Centralized baselines (kCentralized, kKMedian): the same per-rack
-    // alert collection feeds one manager with the global view; host alerts
-    // of every rack are gathered through PRIORITY's single-VM rule applied
-    // per host, ToR/switch alerts per rack. A rack whose shim died
-    // unreplaced reports nothing — monitoring is lost too.
-    std::vector<wl::VmId> global_set;
-    for (std::size_t s = 0; s < shims_.size(); ++s) {
-      if (injector_ != nullptr && takeover_[s] == topo::kInvalidRack) continue;
-      for (const Alert& alert : collected[s].alerts) {
-        metrics.host_alerts += alert.source == AlertSource::kHost ? 1 : 0;
-        metrics.tor_alerts += alert.source == AlertSource::kLocalTor ? 1 : 0;
-        metrics.switch_alerts += alert.source == AlertSource::kOuterSwitch ? 1 : 0;
-      }
-      // The global manager migrates every VM whose own ALERT fired.
-      for (std::size_t i = 0; i < collected[s].rack_vms.size(); ++i) {
-        if (collected[s].vm_alert_values[i] > 0.0 &&
-            !deployment_.vm(collected[s].rack_vms[i]).delay_sensitive) {
-          global_set.push_back(collected[s].rack_vms[i]);
-        }
-      }
-    }
-    // Orphans are re-placed unconditionally (their host is gone, so even
-    // delay-sensitive VMs must restart elsewhere). collect() skipped their
-    // hosts, so no VM appears twice.
-    global_set.insert(global_set.end(), orphans.begin(), orphans.end());
-    MigrationPlan plan;
-    if (config_.mode == ManagerMode::kKMedian) {
-      // Sec. V-A: planner row upkeep + the k-median solve are the
-      // manage_kmedian sub-phase; matching/scheduling is manage_schedule.
-      {
-        PhaseTimer timer(profile_.manage_kmedian_ns);
-        // Row upkeep mutates the planner, so it only applies to an owned
-        // one. A borrowed (substrate) planner is maskless by contract —
-        // refresh() on it would be a no-op anyway — and rebuild() never
-        // borrows (the ctor falls back to an owned planner when
-        // fast_kmedian is off).
-        if (kmedian_planner_ != nullptr) {
-          if (config_.fast_kmedian) {
-            kmedian_planner_->refresh();
-          } else {
-            kmedian_planner_->rebuild();
-          }
-        }
-      }
-      const KMedianMigrationManager::Stats& stats = kmedian_manager_->stats();
-      const std::uint64_t kmedian_before = stats.kmedian_ns;
-      const std::uint64_t schedule_before = stats.schedule_ns;
-      {
-        PhaseTimer decision_timer(profile_.manage_decision_ns);
-        plan = kmedian_manager_->migrate(std::move(global_set));
-      }
-      profile_.manage_kmedian_ns += stats.kmedian_ns - kmedian_before;
-      profile_.manage_schedule_ns += stats.schedule_ns - schedule_before;
-    } else {
-      CentralizedManager manager(deployment_, cost_model_, config_.sheriff);
-      if (injector_ != nullptr) manager.set_liveness(&injector_->liveness());
-      PhaseTimer decision_timer(profile_.manage_decision_ns);
-      plan = manager.migrate(std::move(global_set));
-    }
-    count_recoveries(plan);
-    observe_plan(plan);
-    metrics.migrations += plan.moves.size();
-    metrics.migration_requests += plan.requests;
-    metrics.migration_rejects += plan.rejects;
-    metrics.migration_cost += plan.total_cost;
-    metrics.search_space += plan.search_space;
-    metrics.migration_seconds += plan.total_duration_seconds;
-    metrics.migration_downtime_seconds += plan.total_downtime_seconds;
   }
-  cost_model_.set_bandwidth_state(nullptr);
-  manage_timer.reset();
-
-  metrics.workload_stddev_after = deployment_.workload_stddev();
-  if (hub_ != nullptr) publish_round(metrics, audited_moves);
-  ++profile_.rounds;
-  return metrics;
 }
 
 std::vector<ShimProposal> DistributedEngine::propose_shards(
     std::span<const ShimCollectResult> collected) {
-  // Per-rack flow index: the indices of the flows owned by each rack's
-  // VMs, ascending — each shim's switch-alert F-set scan becomes O(own
-  // flows) instead of O(all flows). Built serially so the index order (and
-  // therefore every F-set) is independent of the shard count.
-  std::vector<std::vector<std::size_t>> rack_flows(topo_->rack_count());
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    rack_flows[topo_->node(deployment_.vm(flow_owner_[f]).host).rack].push_back(f);
-  }
   std::vector<ShimProposal> proposals(shims_.size());
   const auto propose_shard = [&](std::size_t shard) {
     PhaseTimer timer(profile_.manage_shard_propose_ns[shard]);
     for (topo::RackId s : shard_plan_.racks_of(shard)) {
       if (managing_rack(s) == topo::kInvalidRack) continue;
       proposals[s] = shims_[s].propose(collected[s], deployment_, predicted_, flows_,
-                                       flow_owner_, rack_flows[s]);
+                                       flow_owner_, rack_flows_[s]);
     }
   };
   // propose() is pure (no flow mutation, no trace emission, no tallies), so
@@ -734,10 +629,9 @@ std::vector<ShimProposal> DistributedEngine::propose_shards(
   return proposals;
 }
 
-void DistributedEngine::commit_proposals(
-    std::span<ShimProposal> proposals, RoundMetrics& metrics,
-    const std::function<void(topo::RackId, std::vector<wl::VmId>)>& schedule) {
-  // Serial apply, totally ordered by shim id: the one place the sharded
+std::vector<MigrationDemand> DistributedEngine::commit_proposals(
+    std::span<ShimProposal> proposals, RoundMetrics& metrics) {
+  // Serial apply, totally ordered by shim id: the one place the regional
   // sweep touches shared state, so the outcome is the same for every shard
   // count. Both claim kinds commit first-claimant-wins — each hot switch
   // is rerouted once per round, and each VM migrates at most once per
@@ -746,6 +640,7 @@ void DistributedEngine::commit_proposals(
   // resolved as shard conflicts instead of re-applied.
   std::vector<bool> switch_claimed(topo_->node_count(), false);
   std::vector<bool> vm_claimed(deployment_.vm_count(), false);
+  std::vector<MigrationDemand> demands;
   for (std::size_t s = 0; s < proposals.size(); ++s) {
     const topo::RackId mgr = managing_rack(static_cast<topo::RackId>(s));
     if (mgr == topo::kInvalidRack) continue;
@@ -779,13 +674,13 @@ void DistributedEngine::commit_proposals(
     }
     if (migration_set.empty()) continue;
     ++shard_stats_.demands_by_rack[mgr];
-    schedule(mgr, std::move(migration_set));
+    demands.push_back({mgr, std::move(migration_set), {}});
   }
   ++shard_stats_.sharded_rounds;
+  return demands;
 }
 
-void DistributedEngine::publish_round(const RoundMetrics& metrics,
-                                      std::span<const obs::AuditedMove> moves) {
+void DistributedEngine::publish_round(const RoundMetrics& metrics, const MigrationPlan& plan) {
   obs::MetricRegistry& registry = hub_->registry();
   registry.gauge("engine.rounds").set(static_cast<double>(round_));
   registry.counter("engine.migrations").add(metrics.migrations);
@@ -845,6 +740,12 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics,
   for (const ShimController& shim : shims_) shim.publish_metrics(registry);
 
   if (hub_->auditor() != nullptr) {
+    std::vector<obs::AuditedMove> moves;
+    moves.reserve(plan.moves.size());
+    for (const MigrationMove& move : plan.moves) {
+      moves.push_back({move.vm, move.from, move.to, move.cost, move.duration_seconds,
+                       move.downtime_seconds});
+    }
     obs::InvariantAuditor::RoundInputs inputs;
     inputs.round = static_cast<std::uint32_t>(metrics.round);
     inputs.deployment = &deployment_;
@@ -865,7 +766,7 @@ std::vector<RoundMetrics> DistributedEngine::run(std::size_t rounds) {
 namespace {
 // Section schema versions. Bump a section's version whenever its payload
 // layout changes; load_state rejects skew loudly via expect_section.
-constexpr std::uint32_t kMetaVersion = 2;
+constexpr std::uint32_t kMetaVersion = 3;
 constexpr std::uint32_t kDeploymentVersion = 1;
 constexpr std::uint32_t kFlowVersion = 1;
 constexpr std::uint32_t kFaultVersion = 1;
@@ -914,13 +815,11 @@ void DistributedEngine::save_state(snapshot::Writer& writer) const {
   writer.put_u8(static_cast<std::uint8_t>(config_.protocol));
   writer.put_u8(static_cast<std::uint8_t>(config_.predictor));
   writer.put_bool(config_.incremental_fair_share);
-  // sharded_manage is semantics-bearing (legacy interleaved sweep vs
-  // two-phase commit), so it fingerprints; manage_shards does not — the
-  // shard count never changes results, exactly like the pool size.
-  // cost_surface / cost_pruning / prewarm_cost_rows / parallel_workload
-  // are results-identical accelerations (bitwise-equal selections and
-  // traces) and are likewise excluded.
-  writer.put_bool(config_.sharded_manage);
+  // manage_shards does not fingerprint — the shard count never changes
+  // results, exactly like the pool size. cost_surface / cost_pruning /
+  // prewarm_cost_rows / parallel_workload are results-identical
+  // accelerations (bitwise-equal selections and traces) and are likewise
+  // excluded.
   writer.put_bool(injector_ != nullptr);
   writer.put_bool(channel_ != nullptr);
   writer.put_bool(kmedian_manager_ != nullptr);
@@ -1075,8 +974,7 @@ void DistributedEngine::load_state(snapshot::Reader& reader) {
   check_load(reader.get_u8() == static_cast<std::uint8_t>(config_.mode) &&
                       reader.get_u8() == static_cast<std::uint8_t>(config_.protocol) &&
                       reader.get_u8() == static_cast<std::uint8_t>(config_.predictor) &&
-                      reader.get_bool() == config_.incremental_fair_share &&
-                      reader.get_bool() == config_.sharded_manage,
+                      reader.get_bool() == config_.incremental_fair_share,
                   "checkpoint was taken under a different engine configuration");
   check_load(reader.get_bool() == (injector_ != nullptr) &&
                       reader.get_bool() == (channel_ != nullptr) &&

@@ -8,16 +8,18 @@
 //   3. Every VM's predictor observes the new sample; shims *collect*
 //      alerts from the T-ahead predictions — in parallel, one task per
 //      rack, since collection is read-only.
-//   4. Shims *act* (Alg. 1): FLOWREROUTE + VMMIGRATION through the FCFS
-//      admission broker; actions are serialized across shims, which is
-//      exactly the message-passing semantics of Alg. 3/4.
+//   4. Shims *propose* (Alg. 1) against the round snapshot in parallel
+//      rack shards; one serial *commit* ordered by shim id applies the
+//      FLOWREROUTE claims and gathers the migration demands; the *decide*
+//      step places them (VMMIGRATION, Alg. 3/4) — by default as one
+//      message-passing REQUEST/ACK round.
 //
-// The same engine can run in centralized mode, where one manager with the
-// global view processes the union of all alerts against all hosts — the
-// baseline of Fig. 11–14.
+// run_round() is exactly that sequence of phase methods, each owning its
+// PhaseProfile clock. The same engine can run in centralized mode, where
+// one manager with the global view processes the union of all alerts
+// against all hosts — the baseline of Fig. 11–14.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -58,7 +60,8 @@ enum class ManagerMode : std::uint8_t {
 enum class MigrationProtocol : std::uint8_t {
   kMessagePassing,  ///< propose/decide/apply rounds with per-rack delegates
                     ///< (the paper's distributed REQUEST/ACK; default)
-  kSerializedFcfs,  ///< shims act one after another through one broker
+  kSerializedFcfs,  ///< committed demands scheduled one by one through one
+                    ///< FCFS admission broker (the Ablation G comparison)
 };
 
 enum class PredictorKind : std::uint8_t {
@@ -82,11 +85,6 @@ struct EngineConfig {
   //     order / path tie-breaks may differ, so each mode is deterministic
   //     but the modes are not bit-identical to each other. ----------------
   bool incremental_fair_share = true;  ///< stateful FairShareSolver vs from-scratch waterfill
-  /// Water-fill dirty sharing-graph components on the worker pool. Like
-  /// the pool size, this never changes results — each component writes
-  /// only its own slice of the allocation and every summation order is
-  /// canonical — so it is excluded from the checkpoint fingerprint.
-  bool parallel_fair_share = true;
   bool route_cache = true;             ///< Router shortest-path-tree + resolved-path caches
   bool retain_cost_trees = true;       ///< keep cost-model Dijkstra trees across rounds
   /// Dependency-span distances rooted at the partners instead of every
@@ -123,28 +121,23 @@ struct EngineConfig {
   /// counter-seeded RNG streams, so the sweep is bit-identical at any pool
   /// size — excluded from the checkpoint fingerprint like manage_shards.
   bool parallel_workload = true;
-  /// Regional sharding of the manage phase (kSheriff mode, DESIGN.md §11):
-  /// shims are grouped into deterministic contiguous rack shards, each
-  /// shard's alert dispatch + reroute/migration planning runs as one
-  /// parallel *propose* task against an immutable round snapshot, and all
-  /// claims are committed in one serial *apply* pass ordered by shim id
-  /// (duplicate reroute claims on one switch resolve to the lowest shim
-  /// id; the rest count as RoundMetrics::shard_conflicts). Results are
-  /// byte-identical for ANY shard count — tests pin 1/2/8. false = the
-  /// legacy interleaved serial sweep (the bench_scale baseline).
-  bool sharded_manage = true;
-  /// Shard count for the sharded manage phase; 0 = auto (min(8, racks)).
-  /// Clamped to [1, rack_count]. Like the pool size, this never changes
-  /// results, so it is deliberately excluded from the checkpoint
-  /// fingerprint.
+  /// Shard count of the kSheriff manage phase (DESIGN.md §11): shims are
+  /// grouped into deterministic contiguous rack shards, each shard's
+  /// alert dispatch runs as one parallel *propose* task against an
+  /// immutable round snapshot, and all claims are committed in one serial
+  /// pass ordered by shim id (duplicate claims resolve to the lowest shim
+  /// id; the rest count as RoundMetrics::shard_conflicts). 0 = auto
+  /// (min(8, racks)); clamped to [1, rack_count]. Results are
+  /// byte-identical for ANY shard count — tests pin 1/2/8 — so, like the
+  /// pool size, it is excluded from the checkpoint fingerprint.
   std::size_t manage_shards = 0;
   std::size_t kmedian_destination_racks = 4;  ///< k medians per plan (kKMedian mode)
   std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size (kKMedian mode)
   std::size_t kmedian_max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
-  /// Worker pool for the parallel sweeps (predictor observe, switch queue
-  /// update, shim collect, protocol propose). nullptr = the process-wide
-  /// default pool. Sweeps are bit-identical for any pool size — tests pin
-  /// pools of size 1/2/8 to prove it.
+  /// Worker pool for the parallel sweeps (predictor observe, fair-share
+  /// fill, switch queues, shim collect and propose, the protocol).
+  /// nullptr = the process-wide default pool. Sweeps are bit-identical for
+  /// any pool size — tests pin pools of size 1/2/8 to prove it.
   common::ThreadPool* pool = nullptr;
   /// Optional timed fault schedule (link/switch/host/shim failures, lossy
   /// protocol messaging). Must outlive the engine. An empty plan (or
@@ -181,10 +174,10 @@ struct RoundMetrics {
   double flow_fairness = 1.0;              ///< Jain's index over allocated rates
   std::size_t protocol_conflicts = 0;      ///< same-round reservation races resolved
   std::size_t protocol_iterations = 0;     ///< propose/decide/apply rounds used
-  /// Cross-shard claims resolved by the ordered commit of the sharded
-  /// manage phase (duplicate reroute claims on one hot switch dropped in
-  /// favor of the lowest shim id). Deterministic and shard-count
-  /// invariant; 0 on the legacy sweep.
+  /// Duplicate claims resolved by the ordered commit of the manage phase
+  /// (a second reroute claim on one hot switch, or a second migration
+  /// claim on one VM, dropped in favor of the lowest shim id).
+  /// Deterministic and shard-count invariant; 0 outside kSheriff mode.
   std::size_t shard_conflicts = 0;
   double migration_seconds = 0.0;          ///< summed live-migration wall time
   double migration_downtime_seconds = 0.0; ///< summed stop&copy suspensions
@@ -217,21 +210,19 @@ struct PhaseProfile {
   /// k-median solve, and the matching/scheduling of the chosen moves.
   std::uint64_t manage_kmedian_ns = 0;
   std::uint64_t manage_schedule_ns = 0;
-  /// Sharded-manage sub-phases of manage_ns: wall time of each shard's
+  /// kSheriff-mode sub-phases of manage_ns: wall time of each shard's
   /// parallel propose task (indexed by shard, summed over rounds) and of
-  /// the serial ordered commit. Empty/zero on the legacy sweep.
+  /// the serial ordered commit. Zero in the centralized modes.
   std::vector<std::uint64_t> manage_shard_propose_ns;
   std::uint64_t manage_commit_ns = 0;
-  /// Migration decision kernel inside manage_ns: protocol matching runs,
-  /// scheduler/manager migrate calls — the Eq. (1) evaluation load, as
-  /// opposed to the kmedian solve and the sharded commit bookkeeping.
-  /// (On the sharded-FCFS path the scheduler runs inside the commit pass,
-  /// so there decision time is also part of manage_commit_ns.)
+  /// Migration decision kernel inside manage_ns: the protocol run, the
+  /// FCFS scheduler runs or the centralized manager's migrate call — the
+  /// Eq. (1) evaluation load, disjoint from propose and commit.
   std::uint64_t manage_decision_ns = 0;
   std::size_t rounds = 0;
 };
 
-/// Cumulative bookkeeping of the sharded manage phase. Every field is a
+/// Cumulative bookkeeping of the kSheriff manage phase. Every field is a
 /// deterministic function of the run (and invariant to the shard count —
 /// the ordered commit resolves claims identically however the propose
 /// work was grouped), so the whole struct travels in checkpoints (section
@@ -292,7 +283,7 @@ class DistributedEngine {
     return solver_;
   }
   /// The manage-phase shard partition (resolved from EngineConfig::
-  /// manage_shards at construction; a 1-shard plan when sharding is off).
+  /// manage_shards at construction).
   [[nodiscard]] const ManageShardPlan& shard_plan() const noexcept { return shard_plan_; }
   [[nodiscard]] const ManageShardStats& shard_stats() const noexcept { return shard_stats_; }
 
@@ -332,34 +323,51 @@ class DistributedEngine {
 
  private:
   void build_flows();
-  void update_flow_demands();
-  void observe_and_predict();
   /// The pool the parallel sweeps run on (config override or the default).
   [[nodiscard]] common::ThreadPool& worker_pool() const;
   [[nodiscard]] std::unique_ptr<ProfilePredictor> make_predictor() const;
-  void apply_fault_events(RoundMetrics& metrics);
   void recompute_takeovers();
-  /// Round-boundary observability: publishes subsystem metrics into the
-  /// hub's registry and runs the management-side audit. hub_ must be set.
-  void publish_round(const RoundMetrics& metrics, std::span<const obs::AuditedMove> moves);
   /// True when the host is up and has at least one usable link.
   [[nodiscard]] bool host_attached(topo::NodeId host) const;
-  /// VMs stranded on dead or cut-off hosts, grouped for recovery.
+  /// VMs stranded on dead or cut-off hosts, ascending by id.
   [[nodiscard]] std::vector<wl::VmId> collect_orphans() const;
-  /// Propose phase of the sharded manage sweep (DESIGN.md §11): every
-  /// shard's shims run Alg. 1 as a pure propose() against the manage-entry
-  /// round state, in parallel across shards. Returned vector is indexed by
-  /// rack id; racks with no live manager keep an empty proposal.
+
+  // The phases of run_round(), in order; each owns its PhaseProfile clock.
+  void apply_fault_events(RoundMetrics& metrics);  ///< no-op on a pristine fabric
+  void advance_workload(RoundMetrics& metrics);    ///< traces, flow demands, routing
+  [[nodiscard]] const net::FairShareResult& solve_network(const RoundMetrics& metrics);
+  [[nodiscard]] std::vector<topo::NodeId> update_queues(const net::FairShareResult& shares,
+                                                        RoundMetrics& metrics);
+  /// Also rebuilds rack_flows_; returns each rack's alerts.
+  [[nodiscard]] std::vector<ShimCollectResult> predict_and_collect(
+      const net::FairShareResult& shares, std::span<const topo::NodeId> congested,
+      RoundMetrics& metrics);
+  /// Orphan recovery + manage_regional or manage_global; returns the
+  /// round's committed moves.
+  MigrationPlan manage(std::span<const ShimCollectResult> collected,
+                       const net::FairShareResult& shares, RoundMetrics& metrics);
+  /// kSheriff: propose → ordered commit → decide (DESIGN.md §11).
+  MigrationPlan manage_regional(std::span<const ShimCollectResult> collected,
+                                std::span<const wl::VmId> orphans, RoundMetrics& metrics);
+  /// kCentralized / kKMedian: one manager over the union of all alerts.
+  MigrationPlan manage_global(std::span<const ShimCollectResult> collected,
+                              std::span<const wl::VmId> orphans, RoundMetrics& metrics);
+  /// Plan tallies and recovered orphans into the metrics; one trace event
+  /// per committed move.
+  void account(const MigrationPlan& plan, std::span<const wl::VmId> orphans,
+               RoundMetrics& metrics);
+  /// Publishes subsystem metrics into the hub's registry and runs the
+  /// management-side audit. hub_ must be set.
+  void publish_round(const RoundMetrics& metrics, const MigrationPlan& plan);
+  /// Propose: each shard's shims run propose() in parallel against the
+  /// manage-entry state. Indexed by rack id; unmanaged racks stay empty.
   [[nodiscard]] std::vector<ShimProposal> propose_shards(
       std::span<const ShimCollectResult> collected);
-  /// Commit phase: one serial pass ordered by shim id. Reroute claims
-  /// commit first-claimant-wins (cross-shard duplicates become
-  /// RoundMetrics::shard_conflicts); each non-empty migration set is handed
-  /// to `schedule` (a demand push under kMessagePassing, an FCFS scheduler
-  /// run under kSerializedFcfs).
-  void commit_proposals(
-      std::span<ShimProposal> proposals, RoundMetrics& metrics,
-      const std::function<void(topo::RackId, std::vector<wl::VmId>)>& schedule);
+  /// Commit: one serial pass in shim-id order, first claimant wins (losers
+  /// become RoundMetrics::shard_conflicts). Applies the reroutes; returns
+  /// the migration demands with region_targets left to the decide step.
+  [[nodiscard]] std::vector<MigrationDemand> commit_proposals(std::span<ShimProposal> proposals,
+                                                              RoundMetrics& metrics);
 
   const topo::Topology* topo_;
   EngineConfig config_;
@@ -375,6 +383,9 @@ class DistributedEngine {
   std::vector<net::Flow> flows_;
   std::vector<wl::VmId> flow_owner_;  ///< source VM of each flow
   std::vector<wl::VmId> flow_peer_;   ///< destination VM of each flow
+  /// Per-round rack flow index: the flows owned by each rack's VMs,
+  /// ascending (rebuilt by predict_and_collect, read by propose).
+  std::vector<std::vector<std::size_t>> rack_flows_;
   std::vector<std::unique_ptr<ProfilePredictor>> predictors_;  ///< by VmId
   std::vector<wl::WorkloadProfile> predicted_;                 ///< by VmId
   std::vector<HoltScalar> tor_utilization_predictors_;         ///< by RackId

@@ -127,15 +127,17 @@ ShimCollectResult ShimController::collect(const wl::Deployment& deployment,
   return out;
 }
 
-ShimSelection ShimController::select(const ShimCollectResult& collected,
+ShimProposal ShimController::propose(const ShimCollectResult& collected,
                                      const wl::Deployment& deployment,
                                      std::span<const wl::WorkloadProfile> predicted,
-                                     const net::FlowRerouter& rerouter,
-                                     std::span<net::Flow> flows,
-                                     std::span<const wl::VmId> flow_owner) const {
-  ShimSelection result;
-  std::vector<wl::VmId>& migration_set = result.migration_set;  // M_v of Alg. 1
-  bool tor_alerted = false;             // ALERT_TOR accumulator
+                                     std::span<const net::Flow> flows,
+                                     std::span<const wl::VmId> flow_owner,
+                                     std::span<const std::size_t> rack_flow_index) const {
+  // Alg. 1's alert dispatch against an immutable round snapshot: every
+  // F-set sees the flow table as it stood when the manage phase began, and
+  // reroutes are recorded as claims for the engine's ordered commit.
+  ShimProposal result;
+  bool tor_alerted = false;  // ALERT_TOR accumulator
   const auto alert_of = [&](wl::VmId id) {
     const auto it = std::find(collected.rack_vms.begin(), collected.rack_vms.end(), id);
     return it == collected.rack_vms.end()
@@ -143,21 +145,22 @@ ShimSelection ShimController::select(const ShimCollectResult& collected,
                : collected.vm_alert_values[static_cast<std::size_t>(
                      it - collected.rack_vms.begin())];
   };
+  // F for a switch alert: local VMs with flows through the hot switch s_j.
+  const auto flows_through = [&](topo::NodeId hot) {
+    std::vector<wl::VmId> f_set;
+    for (std::size_t f : rack_flow_index) {
+      const wl::VmId owner = flow_owner[f];
+      if (!flows[f].transits(hot)) continue;
+      if (std::find(f_set.begin(), f_set.end(), owner) == f_set.end()) f_set.push_back(owner);
+    }
+    return f_set;
+  };
 
   for (const Alert& alert : collected.alerts) {
     switch (alert.source) {
       case AlertSource::kOuterSwitch: {
         ++result.switch_alerts;
-        // F: local VMs with flows through the hot switch s_j.
-        std::vector<wl::VmId> f_set;
-        for (std::size_t f = 0; f < flows.size(); ++f) {
-          const wl::VmId owner = flow_owner[f];
-          if (topo_->node(deployment.vm(owner).host).rack != rack_) continue;
-          if (!flows[f].transits(alert.node)) continue;
-          if (std::find(f_set.begin(), f_set.end(), owner) == f_set.end()) {
-            f_set.push_back(owner);
-          }
-        }
+        const std::vector<wl::VmId> f_set = flows_through(alert.node);
         std::vector<double> values;
         values.reserve(f_set.size());
         for (wl::VmId id : f_set) values.push_back(alert_of(id));
@@ -168,18 +171,10 @@ ShimSelection ShimController::select(const ShimCollectResult& collected,
         // The selected VMs form M'_i: their conflicting flows are rerouted
         // around the hot switch (cheaper than migrating them).
         if (config_.reroute_first && !picked.selected.empty()) {
-          const auto report =
-              rerouter.reroute_around(flows, alert.node, config_.reroute_fraction);
-          result.reroutes.candidates += report.candidates;
-          result.reroutes.rerouted += report.rerouted;
-          if (trace_ != nullptr && report.rerouted > 0) {
-            trace_->emit(rack_, obs::EventType::kRerouteChosen, alert.node, 0,
-                         static_cast<double>(report.rerouted));
-          }
-          pending_reroutes_ += report.rerouted;
+          result.reroute_claims.push_back(alert.node);
         } else {
-          migration_set.insert(migration_set.end(), picked.selected.begin(),
-                               picked.selected.end());
+          result.migration_set.insert(result.migration_set.end(), picked.selected.begin(),
+                                      picked.selected.end());
         }
         break;
       }
@@ -205,108 +200,6 @@ ShimSelection ShimController::select(const ShimCollectResult& collected,
         }
         const auto picked =
             priority_select(deployment, f_set, values, PriorityMode::kSingle, 0);
-        migration_set.insert(migration_set.end(), picked.selected.begin(),
-                             picked.selected.end());
-        break;
-      }
-    }
-  }
-
-  if (tor_alerted) {
-    // F: every VM in the rack; budget β · ToR capacity.
-    std::vector<double> values;
-    values.reserve(collected.rack_vms.size());
-    for (wl::VmId id : collected.rack_vms) values.push_back(alert_of(id));
-    const int budget =
-        static_cast<int>(std::floor(config_.beta * config_.tor_capacity_units));
-    const auto picked = priority_select(deployment, collected.rack_vms, values,
-                                        PriorityMode::kBeta, budget);
-    migration_set.insert(migration_set.end(), picked.selected.begin(), picked.selected.end());
-  }
-
-  return result;
-}
-
-ShimProposal ShimController::propose(const ShimCollectResult& collected,
-                                     const wl::Deployment& deployment,
-                                     std::span<const wl::WorkloadProfile> predicted,
-                                     std::span<const net::Flow> flows,
-                                     std::span<const wl::VmId> flow_owner,
-                                     std::span<const std::size_t> rack_flow_index) const {
-  // The same Alg. 1 dispatch as select(), evaluated against an immutable
-  // round snapshot: every F-set sees the flow table as it stood when the
-  // manage phase began (select() interleaves reroutes between alerts, so
-  // later F-sets see earlier path changes — the one semantic difference
-  // between the legacy sweep and the sharded two-phase commit).
-  ShimProposal result;
-  bool tor_alerted = false;
-  const auto alert_of = [&](wl::VmId id) {
-    const auto it = std::find(collected.rack_vms.begin(), collected.rack_vms.end(), id);
-    return it == collected.rack_vms.end()
-               ? 0.0
-               : collected.vm_alert_values[static_cast<std::size_t>(
-                     it - collected.rack_vms.begin())];
-  };
-  // F for a switch alert: local VMs with flows through the hot switch. The
-  // per-rack index (when provided) visits the same flows in the same
-  // ascending order as the full-table scan, so the F-set is identical.
-  const auto flows_through = [&](topo::NodeId hot) {
-    std::vector<wl::VmId> f_set;
-    const auto consider = [&](std::size_t f) {
-      const wl::VmId owner = flow_owner[f];
-      if (topo_->node(deployment.vm(owner).host).rack != rack_) return;
-      if (!flows[f].transits(hot)) return;
-      if (std::find(f_set.begin(), f_set.end(), owner) == f_set.end()) {
-        f_set.push_back(owner);
-      }
-    };
-    if (rack_flow_index.empty()) {
-      for (std::size_t f = 0; f < flows.size(); ++f) consider(f);
-    } else {
-      for (std::size_t f : rack_flow_index) consider(f);
-    }
-    return f_set;
-  };
-
-  for (const Alert& alert : collected.alerts) {
-    switch (alert.source) {
-      case AlertSource::kOuterSwitch: {
-        ++result.switch_alerts;
-        const std::vector<wl::VmId> f_set = flows_through(alert.node);
-        std::vector<double> values;
-        values.reserve(f_set.size());
-        for (wl::VmId id : f_set) values.push_back(alert_of(id));
-        const int budget = static_cast<int>(
-            std::floor(config_.alpha * config_.switch_capacity_units));
-        const auto picked =
-            priority_select(deployment, f_set, values, PriorityMode::kAlpha, budget);
-        if (config_.reroute_first && !picked.selected.empty()) {
-          result.reroute_claims.push_back(alert.node);
-        } else {
-          result.migration_set.insert(result.migration_set.end(), picked.selected.begin(),
-                                      picked.selected.end());
-        }
-        break;
-      }
-      case AlertSource::kLocalTor: {
-        ++result.tor_alerts;
-        tor_alerted = true;
-        break;
-      }
-      case AlertSource::kHost: {
-        ++result.host_alerts;
-        std::vector<wl::VmId> f_set(deployment.vms_on_host(alert.node).begin(),
-                                    deployment.vms_on_host(alert.node).end());
-        std::vector<double> values;
-        values.reserve(f_set.size());
-        for (wl::VmId id : f_set) {
-          const double alert_value = alert_of(id);
-          values.push_back(alert_value > 0.0
-                               ? alert_value
-                               : 0.5 * predicted[id][wl::Feature::kCpu]);
-        }
-        const auto picked =
-            priority_select(deployment, f_set, values, PriorityMode::kSingle, 0);
         result.migration_set.insert(result.migration_set.end(), picked.selected.begin(),
                                     picked.selected.end());
         break;
@@ -315,6 +208,7 @@ ShimProposal ShimController::propose(const ShimCollectResult& collected,
   }
 
   if (tor_alerted) {
+    // F: every VM in the rack; budget β · ToR capacity.
     std::vector<double> values;
     values.reserve(collected.rack_vms.size());
     for (wl::VmId id : collected.rack_vms) values.push_back(alert_of(id));
@@ -363,29 +257,6 @@ std::vector<topo::NodeId> ShimController::migration_targets(
   if (targets.empty()) targets = region;
   return targets;
 }
-
-ShimActResult ShimController::act(const ShimCollectResult& collected,
-                                  wl::Deployment& deployment,
-                                  std::span<const wl::WorkloadProfile> predicted,
-                                  mig::MigrationCostModel& cost_model,
-                                  mig::AdmissionBroker& broker,
-                                  const net::FlowRerouter& rerouter, std::span<net::Flow> flows,
-                                  std::span<const wl::VmId> flow_owner) const {
-  auto selection = select(collected, deployment, predicted, rerouter, flows, flow_owner);
-  ShimActResult result;
-  result.reroutes = selection.reroutes;
-  result.host_alerts = selection.host_alerts;
-  result.tor_alerts = selection.tor_alerts;
-  result.switch_alerts = selection.switch_alerts;
-  if (!selection.migration_set.empty()) {
-    VmMigrationScheduler scheduler(deployment, cost_model, broker,
-                                   config_.max_matching_rounds);
-    result.plan = scheduler.migrate(std::move(selection.migration_set),
-                                    migration_targets(deployment));
-  }
-  return result;
-}
-
 
 void ShimController::save_state(snapshot::Writer& writer) const {
   writer.put_u64(pending_alerts_);

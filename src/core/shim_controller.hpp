@@ -7,19 +7,20 @@
 //   feedback from outer switches, producing the round's Alert set (the
 //   input of Alg. 1).
 //
-//   act() — Alg. 1 proper: partition alerts by type, build the candidate
-//   sets F, select VMs with PRIORITY (Alg. 2), reroute flows around hot
-//   outer switches (FLOWREROUTE first — it is cheaper than migration), and
-//   drive VMMIGRATION (Alg. 3) against the one-hop neighbor region. act()
-//   mutates the shared deployment via the admission broker, so the engine
-//   serializes it across shims (FCFS) while collect() runs in parallel.
+//   propose() — Alg. 1 proper, without side effects: partition alerts by
+//   type, build the candidate sets F, select VMs with PRIORITY (Alg. 2),
+//   and record FLOWREROUTE claims on hot outer switches (rerouting first —
+//   it is cheaper than migration) next to the migration set M_v. The
+//   engine runs propose() in parallel, then commits the claims serially in
+//   shim-id order (apply_reroute()) and hands the committed migration sets
+//   to VMMIGRATION (Alg. 3) against each shim's one-hop region
+//   (migration_targets()).
 
 #include <span>
 #include <vector>
 
 #include "core/alert.hpp"
 #include "core/config.hpp"
-#include "core/vm_migration.hpp"
 #include "net/queueing.hpp"
 #include "net/reroute.hpp"
 #include "obs/registry.hpp"
@@ -35,26 +36,6 @@ struct ShimCollectResult {
   /// ALERT value of every VM in this rack (parallel to `rack_vms`).
   std::vector<wl::VmId> rack_vms;
   std::vector<double> vm_alert_values;
-};
-
-/// The outcome of Alg. 1's alert dispatch before any migration is
-/// scheduled: which VMs to move (M_v), what was rerouted, and the alert
-/// tallies. Feeds either the serialized scheduler (act()) or the
-/// message-passing protocol (DistributedMigrationProtocol).
-struct ShimSelection {
-  std::vector<wl::VmId> migration_set;
-  net::RerouteReport reroutes;
-  std::size_t host_alerts = 0;
-  std::size_t tor_alerts = 0;
-  std::size_t switch_alerts = 0;
-};
-
-struct ShimActResult {
-  MigrationPlan plan;
-  net::RerouteReport reroutes;
-  std::size_t host_alerts = 0;
-  std::size_t tor_alerts = 0;
-  std::size_t switch_alerts = 0;
 };
 
 /// Alg. 1's alert dispatch *without* side effects: the migration set M_v
@@ -120,24 +101,14 @@ class ShimController {
                                           std::span<const wl::WorkloadProfile> predicted,
                                           const Observation& observation) const;
 
-  /// Alg. 1's alert dispatch: builds the candidate sets F, runs PRIORITY
-  /// (Alg. 2), reroutes around hot outer switches (FLOWREROUTE first), and
-  /// returns the migration set M_v — without scheduling it. `predicted`
-  /// ranks VMs for the host-alert single-VM selection when no VM crossed
-  /// the ALERT threshold outright. Mutates `flows` (reroutes).
-  ShimSelection select(const ShimCollectResult& collected, const wl::Deployment& deployment,
-                       std::span<const wl::WorkloadProfile> predicted,
-                       const net::FlowRerouter& rerouter, std::span<net::Flow> flows,
-                       std::span<const wl::VmId> flow_owner) const;
-
-  /// The pure half of select(): the same alert dispatch evaluated against
-  /// an immutable view of the round state. Reroutes become claims instead
-  /// of flow mutations, nothing is traced, and no tallies move — safe to
-  /// run concurrently with other shims' propose() over the same flow
-  /// table. `rack_flow_index` lists the indices of the flows owned by this
-  /// rack's VMs, ascending (the engine builds it once per round so the
-  /// switch-alert F-set scan is O(own flows), not O(all flows)); pass an
-  /// empty span to fall back to the full-table scan.
+  /// Alg. 1's alert dispatch against an immutable view of the round state:
+  /// builds the candidate sets F, runs PRIORITY (Alg. 2), and returns the
+  /// migration set M_v plus the reroute claims. Nothing shared is mutated,
+  /// nothing is traced, and no tallies move — safe to run concurrently with
+  /// other shims' propose() over the same flow table. `predicted` ranks VMs
+  /// for the host-alert single-VM selection when no VM crossed the ALERT
+  /// threshold outright. `rack_flow_index` lists the indices of the flows
+  /// owned by this rack's VMs, ascending (built by the engine once per round).
   [[nodiscard]] ShimProposal propose(const ShimCollectResult& collected,
                                      const wl::Deployment& deployment,
                                      std::span<const wl::WorkloadProfile> predicted,
@@ -150,15 +121,6 @@ class ShimController {
   /// (mutates the shared flow table) — the engine orders these by shim id.
   net::RerouteReport apply_reroute(topo::NodeId hot_switch, const net::FlowRerouter& rerouter,
                                    std::span<net::Flow> flows) const;
-
-  /// select() + the serialized Alg. 3 scheduler against this shim's region
-  /// (the one-shot convenience used by tests and the sweep benches; the
-  /// engine's default path is the message-passing protocol).
-  ShimActResult act(const ShimCollectResult& collected, wl::Deployment& deployment,
-                    std::span<const wl::WorkloadProfile> predicted,
-                    mig::MigrationCostModel& cost_model, mig::AdmissionBroker& broker,
-                    const net::FlowRerouter& rerouter, std::span<net::Flow> flows,
-                    std::span<const wl::VmId> flow_owner) const;
 
   /// Migration receivers within the region: underloaded hosts first, the
   /// whole region as fallback.
@@ -185,8 +147,9 @@ class ShimController {
   const topo::LivenessMask* liveness_ = nullptr;
   SheriffConfig config_;
   obs::EventTrace* trace_ = nullptr;
-  // Round tallies for publish_metrics. Mutable because collect()/select()
-  // are logically const; safe because at most one thread works on a shim.
+  // Round tallies for publish_metrics. Mutable because collect() and
+  // apply_reroute() are logically const; safe because at most one thread
+  // works on a shim.
   mutable std::size_t pending_alerts_ = 0;
   mutable std::size_t pending_reroutes_ = 0;
 };

@@ -1,8 +1,7 @@
 // Lockdown for the flat water-filling kernel (DESIGN.md §13): component
 // decomposition and partial-churn reuse, pool-size invariance of the
 // parallel component fill (solver-level bitwise equality AND engine-level
-// metrics-CSV + checkpoint-byte equality), the parallel_fair_share config
-// flag being a pure throughput knob, and the fair_share.components /
+// metrics-CSV + checkpoint-byte equality), and the fair_share.components /
 // fair_share.arena_bytes gauges.
 
 #include <gtest/gtest.h>
@@ -218,8 +217,9 @@ std::string metrics_csv(const std::vector<core::RoundMetrics>& rounds) {
   return os.str();
 }
 
-/// Runs R rounds at pool sizes 1/2/8 with the parallel fair-share fill on
-/// and requires the metrics CSV and every checkpoint byte to be identical.
+/// Runs R rounds at pool sizes 1/2/8 (the engine always hands the solver
+/// its pool) and requires the metrics CSV and every checkpoint byte to be
+/// identical.
 void expect_pool_size_invariance(const topo::Topology& topology, bool faulted) {
   const std::size_t rounds_n = 120;
   fault::FaultPlan plan = faulted ? kernel_fault_plan(topology, rounds_n) : fault::FaultPlan{};
@@ -230,7 +230,6 @@ void expect_pool_size_invariance(const topo::Topology& topology, bool faulted) {
     core::EngineConfig config;
     config.observe = true;
     config.pool = &pool;
-    config.parallel_fair_share = true;
     if (faulted) config.fault_plan = &plan;
     core::DistributedEngine engine(topology, kernel_deployment(), config);
     std::vector<core::RoundMetrics> rounds;
@@ -261,35 +260,6 @@ TEST(FairShareKernel, FatTreeFaultedEngineIsPoolSizeInvariant) {
 
 TEST(FairShareKernel, BCubeFaultedEngineIsPoolSizeInvariant) {
   expect_pool_size_invariance(small_bcube(), true);
-}
-
-// parallel_fair_share is a throughput knob: flipping it off must not move
-// a byte of the metrics CSV, and the checkpoint fingerprint deliberately
-// excludes it, so a checkpoint from either setting matches the other.
-TEST(FairShareKernel, ParallelFlagDoesNotChangeResults) {
-  const auto topology = small_fat_tree();
-  const std::size_t rounds_n = 80;
-  std::string reference_csv;
-  std::vector<std::uint8_t> reference_checkpoint;
-  for (const bool parallel : {false, true}) {
-    sc::ThreadPool pool(4);
-    core::EngineConfig config;
-    config.observe = true;
-    config.pool = &pool;
-    config.parallel_fair_share = parallel;
-    core::DistributedEngine engine(topology, kernel_deployment(), config);
-    std::vector<core::RoundMetrics> rounds;
-    for (std::size_t r = 0; r < rounds_n; ++r) rounds.push_back(engine.run_round());
-    const std::string csv = metrics_csv(rounds);
-    const std::vector<std::uint8_t> checkpoint = core::Checkpoint::serialize(engine);
-    if (!parallel) {
-      reference_csv = csv;
-      reference_checkpoint = checkpoint;
-    } else {
-      EXPECT_EQ(csv, reference_csv);
-      EXPECT_EQ(checkpoint == reference_checkpoint, true);
-    }
-  }
 }
 
 // --- observability -----------------------------------------------------------

@@ -217,7 +217,7 @@ TEST(ManageSharding, SerializedFcfsProtocolIsShardCountInvariant) {
   expect_shard_count_invariance(small_fat_tree(), sharding_deployment(), opt);
 }
 
-// --- bookkeeping and the legacy sweep ---------------------------------------
+// --- bookkeeping and the checkpoint fingerprint ------------------------------
 
 TEST(ManageSharding, ShardStatsCloseAndRoundTripThroughCheckpoints) {
   const topo::Topology topology = small_fat_tree();
@@ -253,26 +253,10 @@ TEST(ManageSharding, ShardStatsCloseAndRoundTripThroughCheckpoints) {
   EXPECT_EQ(resumed.shard_stats().demands_by_rack, stats.demands_by_rack);
 }
 
-TEST(ManageSharding, LegacySweepStillRunsAndNeverReportsShardConflicts) {
-  const topo::Topology topology = small_fat_tree();
-  core::EngineConfig config;
-  config.parallel_collect = false;
-  config.sharded_manage = false;  // the pre-sharding interleaved select() sweep
-  core::DistributedEngine engine(topology, sharding_deployment(), config);
-  EXPECT_EQ(engine.shard_plan().shard_count(), 1u);
-  std::size_t alerts = 0;
-  for (std::size_t r = 0; r < 40; ++r) {
-    const core::RoundMetrics m = engine.run_round();
-    EXPECT_EQ(m.shard_conflicts, 0u);
-    alerts += m.host_alerts + m.tor_alerts + m.switch_alerts;
-  }
-  EXPECT_GT(alerts, 0u);
-  EXPECT_EQ(engine.shard_stats().sharded_rounds, 0u);
-}
-
-TEST(ManageSharding, CheckpointFingerprintSeparatesShardedFromLegacy) {
-  // sharded_manage changes semantics, so it fingerprints; manage_shards is
-  // a throughput knob, so a checkpoint loads across different shard counts.
+TEST(ManageSharding, CheckpointLoadsAcrossShardCountsButNotProtocols) {
+  // manage_shards is a throughput knob, so a checkpoint loads across
+  // different shard counts; the migration protocol changes results, so it
+  // fingerprints.
   const topo::Topology topology = small_fat_tree();
   core::EngineConfig sharded;
   sharded.manage_shards = 2;
@@ -285,8 +269,8 @@ TEST(ManageSharding, CheckpointFingerprintSeparatesShardedFromLegacy) {
   core::DistributedEngine compatible(topology, sharding_deployment(), other_shards);
   EXPECT_NO_THROW(core::Checkpoint::deserialize(compatible, bytes));
 
-  core::EngineConfig legacy = sharded;
-  legacy.sharded_manage = false;
-  core::DistributedEngine mismatched(topology, sharding_deployment(), legacy);
+  core::EngineConfig fcfs = sharded;
+  fcfs.protocol = core::MigrationProtocol::kSerializedFcfs;
+  core::DistributedEngine mismatched(topology, sharding_deployment(), fcfs);
   EXPECT_THROW(core::Checkpoint::deserialize(mismatched, bytes), snap::SnapshotError);
 }

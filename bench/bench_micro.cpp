@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the algorithmic kernels Sheriff
-// leans on: Floyd–Warshall, Dijkstra, Hungarian matching, max–min fair
-// share, k-median local search, the knapsack, ARIMA/NARNET fitting, and
-// the Eq. (1) migration decision kernel (surface build / per-candidate
-// eval / bound-pruned sweep).
+// leans on: Floyd–Warshall, Dijkstra, the router's blocked route (hop-level
+// BFS plus ECMP walk), Hungarian matching, max–min fair share, k-median
+// local search, the knapsack, ARIMA/NARNET fitting, and the Eq. (1)
+// migration decision kernel (surface build / per-candidate eval /
+// bound-pruned sweep).
 
 #include <benchmark/benchmark.h>
 
@@ -66,6 +67,52 @@ void BM_DijkstraFatTree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraFatTree)->Arg(8)->Arg(16)->Arg(24);
+
+// FLOWREROUTE's query: route a cross-pod flow around a core switch its
+// unblocked route transits. Second arg: 0 = cold (caches off, so every
+// query runs the hop-level BFS plus the ECMP walk), 1 = warm (the level
+// array is cached; flow ids past the router's 2^20-flow path-cache range
+// keep the resolved path uncached, so every query still walks).
+void BM_RouterBlockedRoute(benchmark::State& state) {
+  topo::FatTreeOptions options;
+  options.pods = static_cast<int>(state.range(0));
+  const auto t = topo::build_fat_tree(options);
+  net::Router router(t);
+  router.set_cache_enabled(state.range(1) != 0);
+  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
+  struct Probe {
+    net::Flow flow;
+    topo::NodeId hot = topo::kInvalidNode;
+  };
+  std::vector<Probe> probes;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    Probe p;
+    p.flow.id = (1u << 20) + i;
+    p.flow.src_host = hosts[(i * 7) % (hosts.size() / 2)];
+    p.flow.dst_host = hosts[hosts.size() - 1 - (i * 5) % (hosts.size() / 2)];
+    router.route(p.flow);
+    for (const topo::NodeId n : p.flow.path) {
+      if (t.node(n).kind == topo::NodeKind::kCoreSwitch) p.hot = n;
+    }
+    probes.push_back(p);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    Probe& p = probes[next++ % probes.size()];
+    const topo::NodeId blocked[] = {p.hot};
+    benchmark::DoNotOptimize(router.route(p.flow, blocked));
+    benchmark::DoNotOptimize(p.flow.path.data());
+  }
+  const auto& stats = router.cache_stats();
+  state.counters["tree_hits"] = static_cast<double>(stats.tree_hits);
+  state.counters["path_hits"] = static_cast<double>(stats.path_hits);
+}
+BENCHMARK(BM_RouterBlockedRoute)
+    ->ArgNames({"k", "warm"})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({32, 0})
+    ->Args({32, 1});
 
 void BM_HungarianMatching(benchmark::State& state) {
   common::Pcg32 rng(2);

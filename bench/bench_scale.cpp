@@ -1,7 +1,7 @@
 // Scale bench for the per-round hot path: run the engine naive (from-scratch
-// fair share, one Dijkstra per routing query, cost-model trees discarded
+// fair share, one hop-level BFS per routing query, cost-model trees discarded
 // every round — the pre-optimization behavior) and optimized (incremental
-// FairShareSolver, router tree/path caches, retained + partner-rooted +
+// FairShareSolver, router level/path caches, retained + partner-rooted +
 // leaf-shared cost trees, fast k-median, per-round cost surface with
 // bound-guarded pruning, parallel workload advance) on the evaluation
 // fabrics, and report rounds/sec, per-phase wall time, and the speedup.

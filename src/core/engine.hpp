@@ -85,7 +85,7 @@ struct EngineConfig {
   //     order / path tie-breaks may differ, so each mode is deterministic
   //     but the modes are not bit-identical to each other. ----------------
   bool incremental_fair_share = true;  ///< stateful FairShareSolver vs from-scratch waterfill
-  bool route_cache = true;             ///< Router shortest-path-tree + resolved-path caches
+  bool route_cache = true;             ///< Router level-array + resolved-path caches
   bool retain_cost_trees = true;       ///< keep cost-model Dijkstra trees across rounds
   /// Dependency-span distances rooted at the partners instead of every
   /// candidate destination (one Dijkstra tree per partner, not per host).

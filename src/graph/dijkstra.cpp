@@ -82,49 +82,6 @@ void dijkstra_into(const Graph& g, Vertex source, const std::vector<bool>& block
 
   constexpr double kTieTolerance = 1e-12;
 
-  // Level-synchronous fast path for uniform-weight graphs (every DCN
-  // fabric's hop-distance graph). It replays the heap loop's exact
-  // relaxation sequence, so distances, parent sets, and parent order are
-  // all bit-identical to the general path below:
-  //  - the heap orders (distance, vertex) lexicographically, and under one
-  //    shared weight w every vertex at hop level d carries the same
-  //    distance S_d (the same d-fold left sum of w), so pops proceed level
-  //    by level, ascending vertex id within a level — which is precisely a
-  //    BFS frontier sorted ascending;
-  //  - ties never re-push, and strict improvements happen only on first
-  //    discovery, so the heap holds no duplicates to replicate;
-  //  - consecutive levels are separated by ~w > the tie tolerance (guarded
-  //    below, with vertex_count bounding the level index so the running
-  //    sum always strictly grows), so the tolerance branches fire exactly
-  //    as they do in the heap loop.
-  if (g.uniform_weights() && g.edge_count() > 0 && g.uniform_weight() > 1e-9 &&
-      n < (std::size_t{1} << 26)) {
-    tree.distance[source] = 0.0;
-    std::vector<Vertex> frontier{source};
-    std::vector<Vertex> next;
-    while (!frontier.empty()) {
-      for (const Vertex u : frontier) {
-        const double d = tree.distance[u];
-        for (const Edge& e : g.neighbors(u)) {
-          if (is_blocked(e.to)) continue;
-          const double candidate = d + e.weight;
-          if (candidate + kTieTolerance < tree.distance[e.to]) {
-            tree.distance[e.to] = candidate;
-            tree.parents[e.to].assign(1, u);
-            next.push_back(e.to);
-          } else if (std::abs(candidate - tree.distance[e.to]) <= kTieTolerance) {
-            auto& ps = tree.parents[e.to];
-            if (std::find(ps.begin(), ps.end(), u) == ps.end()) ps.push_back(u);
-          }
-        }
-      }
-      std::sort(next.begin(), next.end());
-      frontier.swap(next);
-      next.clear();
-    }
-    return;
-  }
-
   using Item = std::pair<double, Vertex>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
   tree.distance[source] = 0.0;

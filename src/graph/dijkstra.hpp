@@ -1,7 +1,8 @@
 #pragma once
-// Single-source shortest paths. The flow router uses Dijkstra (with ECMP
-// tie tracking) instead of all-pairs Floyd–Warshall when it only needs the
-// paths out of one host.
+// Single-source shortest paths on weighted graphs, with ECMP tie tracking:
+// the cost model's distance rows and the k-median planner's per-ToR sweep
+// need only the paths out of one node, not all-pairs Floyd–Warshall.
+// Hop-count routing uses graph/hop_levels.hpp instead.
 
 #include <vector>
 
@@ -27,8 +28,9 @@ struct ShortestPathTree {
 /// empty meaning nothing is blocked.
 ShortestPathTree dijkstra(const Graph& g, Vertex source, const std::vector<bool>& blocked = {});
 
-/// Same, writing into `out` so repeated runs (the router's cache-miss path)
-/// reuse the tree's allocations instead of rebuilding them per call.
+/// Same, writing into `out` so repeated runs (the k-median planner's
+/// per-ToR sweep) reuse the tree's allocations instead of rebuilding them
+/// per call.
 void dijkstra_into(const Graph& g, Vertex source, const std::vector<bool>& blocked,
                    ShortestPathTree& out);
 

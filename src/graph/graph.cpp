@@ -14,11 +14,6 @@ void Graph::add_edge(Vertex u, Vertex v, double weight) {
   SHERIFF_REQUIRE(u != v, "self loops are not allowed");
   adjacency_[u].push_back({v, weight});
   adjacency_[v].push_back({u, weight});
-  if (edge_count_ == 0) {
-    uniform_weight_ = weight;
-  } else if (weight != uniform_weight_) {
-    weights_uniform_ = false;
-  }
   ++edge_count_;
   total_weight_ += weight;
 }

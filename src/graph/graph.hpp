@@ -47,15 +47,6 @@ class Graph {
   /// Sum of all edge weights (each undirected edge counted once).
   [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
 
-  /// True while every edge carries the same weight (trivially true when
-  /// empty). All the DCN fabrics' hop-distance graphs are uniform, which
-  /// lets shortest-path construction take a level-synchronous fast path.
-  [[nodiscard]] bool uniform_weights() const noexcept { return weights_uniform_; }
-
-  /// The weight shared by every edge; meaningful only when
-  /// uniform_weights() and edge_count() > 0.
-  [[nodiscard]] double uniform_weight() const noexcept { return uniform_weight_; }
-
   /// Number of connected components (weights ignored).
   [[nodiscard]] std::size_t component_count() const;
 
@@ -63,8 +54,6 @@ class Graph {
   std::vector<std::vector<Edge>> adjacency_;
   std::size_t edge_count_ = 0;
   double total_weight_ = 0.0;
-  double uniform_weight_ = 0.0;
-  bool weights_uniform_ = true;
 };
 
 /// Dense symmetric distance matrix, the output shape of all-pairs shortest

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/require.hpp"
 
@@ -37,11 +38,12 @@ RerouteReport FlowRerouter::reroute_around(std::span<Flow> flows, topo::NodeId h
   const topo::NodeId blocked[] = {hot_switch};
   for (std::size_t i = 0; i < candidates.size() && report.rerouted < quota; ++i) {
     Flow& flow = flows[candidates[i]];
-    const std::vector<topo::NodeId> saved_path = flow.path;
+    // Set the old path aside (route() starts from an empty path anyway).
+    std::vector<topo::NodeId> saved_path = std::move(flow.path);
     if (router_->route(flow, blocked)) {
       ++report.rerouted;
     } else {
-      flow.path = saved_path;  // no alternative: keep the old path
+      flow.path = std::move(saved_path);  // no alternative: keep the old path
     }
   }
   return report;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/require.hpp"
-#include "graph/dijkstra.hpp"
 #include "obs/registry.hpp"
 
 namespace sheriff::net {
@@ -20,9 +19,9 @@ std::uint32_t mix(std::uint32_t x) noexcept {
   return x;
 }
 
-/// Bound on cached shortest-path trees before a wholesale clear: enough
-/// for every host of the biggest bench fabrics plus reroute variants,
-/// small enough to bound memory on degenerate query streams.
+/// Bound on cached level arrays before a wholesale clear: enough for
+/// every rack of the biggest bench fabrics plus reroute variants, small
+/// enough to bound memory on degenerate query streams.
 constexpr std::size_t kMaxCachedTrees = 4096;
 /// Flow ids above this skip the path cache (keeps the id-indexed table
 /// dense; engine flow tables are far below it).
@@ -31,51 +30,15 @@ constexpr std::size_t kMaxPathCacheFlows = 1u << 20;
 /// through at most a handful of hot switches per flow.
 constexpr std::size_t kMaxBlockedEntriesPerFlow = 4;
 
-/// Walk back from dst, hashing over tight parents: ECMP. Hash depends on
-/// flow id and depth so consecutive flows take different spines. Returns
-/// false (path untouched) when dst is unreachable in the tree.
-bool walk_ecmp(const graph::ShortestPathTree& tree, Flow& flow, std::size_t node_count) {
-  if (tree.distance[flow.dst_host] == graph::kInfiniteDistance) return false;
-  std::vector<topo::NodeId> reverse_path{flow.dst_host};
-  topo::NodeId cur = flow.dst_host;
-  std::uint32_t salt = mix(flow.id * 0x9e3779b9U + 1U);
-  while (cur != flow.src_host) {
-    const auto& parents = tree.parents[cur];
-    SHERIFF_REQUIRE(!parents.empty(), "broken shortest path tree");
-    salt = mix(salt + static_cast<std::uint32_t>(reverse_path.size()));
-    cur = parents[salt % parents.size()];
-    reverse_path.push_back(cur);
-    SHERIFF_REQUIRE(reverse_path.size() <= node_count, "routing loop detected");
-  }
-  flow.path.assign(reverse_path.rbegin(), reverse_path.rend());
-  return true;
-}
-
-/// walk_ecmp on a tree rooted at a single-homed source's sole neighbor
-/// `via` instead of the source itself. With unit hop weights every vertex
-/// v != src satisfies d_src(v) = 1 + d_via(v) *exactly* (integers in FP),
-/// so the tight-predecessor sets, the parent-list build order (the heap
-/// ties on (distance, vertex)), and the salt sequence along the shared
-/// segment are identical to the src-rooted tree's; the src-rooted walk's
-/// final via→src step draws a salt but has exactly one parent, so the
-/// deterministic append below reproduces it bit for bit.
-bool walk_ecmp_via(const graph::ShortestPathTree& tree, Flow& flow, topo::NodeId via,
-                   std::size_t node_count) {
-  if (tree.distance[flow.dst_host] == graph::kInfiniteDistance) return false;
-  std::vector<topo::NodeId> reverse_path{flow.dst_host};
-  topo::NodeId cur = flow.dst_host;
-  std::uint32_t salt = mix(flow.id * 0x9e3779b9U + 1U);
-  while (cur != via) {
-    const auto& parents = tree.parents[cur];
-    SHERIFF_REQUIRE(!parents.empty(), "broken shortest path tree");
-    salt = mix(salt + static_cast<std::uint32_t>(reverse_path.size()));
-    cur = parents[salt % parents.size()];
-    reverse_path.push_back(cur);
-    SHERIFF_REQUIRE(reverse_path.size() <= node_count, "routing loop detected");
-  }
-  reverse_path.push_back(flow.src_host);
-  flow.path.assign(reverse_path.rbegin(), reverse_path.rend());
-  return true;
+/// `blocked` in ascending order, the form both caches key on: the caller's
+/// span itself when it already is sorted (every 0- or 1-node FLOWREROUTE
+/// probe), else a sorted copy held in `storage`.
+std::span<const topo::NodeId> sorted_blocked(std::span<const topo::NodeId> blocked,
+                                             std::vector<topo::NodeId>& storage) {
+  if (std::is_sorted(blocked.begin(), blocked.end())) return blocked;
+  storage.assign(blocked.begin(), blocked.end());
+  std::sort(storage.begin(), storage.end());
+  return storage;
 }
 
 }  // namespace
@@ -86,7 +49,7 @@ bool Flow::transits(topo::NodeId node) const noexcept {
 }
 
 Router::Router(const topo::Topology& topo)
-    : topo_(&topo), hop_graph_(topo.wired_graph(topo::EdgeWeight::kHops)) {}
+    : topo_(&topo), hops_(topo.wired_graph(topo::EdgeWeight::kHops)) {}
 
 void Router::apply_liveness(const topo::LivenessMask* liveness) {
   liveness_ = liveness;
@@ -115,12 +78,12 @@ void Router::clear_caches() const {
 void Router::rebuild() {
   clear_caches();
   if (liveness_ == nullptr || liveness_->all_up()) {
-    hop_graph_ = topo_->wired_graph(topo::EdgeWeight::kHops);
+    hops_ = graph::HopGraph(topo_->wired_graph(topo::EdgeWeight::kHops));
     component_.clear();
     liveness_version_ = liveness_ != nullptr ? liveness_->version() : 0;
     return;
   }
-  hop_graph_ = topo_->wired_graph(topo::EdgeWeight::kHops, *liveness_);
+  hops_ = graph::HopGraph(topo_->wired_graph(topo::EdgeWeight::kHops, *liveness_));
   liveness_version_ = liveness_->version();
   // Label live components by BFS so reachable() is an O(1) compare.
   component_.assign(topo_->node_count(), 0);
@@ -134,10 +97,10 @@ void Router::rebuild() {
     while (!frontier.empty()) {
       const topo::NodeId cur = frontier.back();
       frontier.pop_back();
-      for (const auto& edge : hop_graph_.neighbors(cur)) {
-        if (component_[edge.to] == 0) {
-          component_[edge.to] = next_label;
-          frontier.push_back(edge.to);
+      for (const topo::NodeId next : hops_.neighbors(cur)) {
+        if (component_[next] == 0) {
+          component_[next] = next_label;
+          frontier.push_back(next);
         }
       }
     }
@@ -154,18 +117,21 @@ bool Router::reachable(topo::NodeId a, topo::NodeId b) const {
   return component_[a] == component_[b];
 }
 
-const graph::ShortestPathTree& Router::tree_for(topo::NodeId src,
-                                                std::span<const topo::NodeId> blocked) const {
-  std::vector<topo::NodeId> key(blocked.begin(), blocked.end());
-  std::sort(key.begin(), key.end());
+std::span<const graph::HopLevel> Router::levels_for(topo::NodeId root,
+                                                    std::span<const topo::NodeId> blocked,
+                                                    std::vector<graph::HopLevel>& storage) const {
+  if (!cache_enabled_) {
+    graph::hop_levels_into(hops_, root, blocked, storage);
+    return storage;
+  }
   {
     std::scoped_lock lock(cache_mutex_);
-    const auto it = tree_cache_.find(src);
+    const auto it = tree_cache_.find(root);
     if (it != tree_cache_.end()) {
       for (const TreeSlot& slot : it->second) {
-        if (slot.blocked == key) {
+        if (std::ranges::equal(slot.blocked, blocked)) {
           ++cache_stats_.tree_hits;
-          return *slot.tree;
+          return slot.levels;
         }
       }
     }
@@ -173,14 +139,9 @@ const graph::ShortestPathTree& Router::tree_for(topo::NodeId src,
   }
 
   // Compute outside the lock (two threads may race on the same key; the
-  // loser's duplicate is kept too — harmless, both trees are identical).
-  std::vector<bool> blocked_mask;
-  if (!blocked.empty()) {
-    blocked_mask.assign(topo_->node_count(), false);
-    for (topo::NodeId b : blocked) blocked_mask[b] = true;
-  }
-  auto tree = std::make_unique<graph::ShortestPathTree>();
-  graph::dijkstra_into(hop_graph_, src, blocked_mask, *tree);
+  // loser's duplicate is kept too — harmless, both arrays are identical).
+  TreeSlot fresh{{blocked.begin(), blocked.end()}, {}};
+  graph::hop_levels_into(hops_, root, blocked, fresh.levels);
 
   std::scoped_lock lock(cache_mutex_);
   if (tree_cache_entries_ >= kMaxCachedTrees) {
@@ -188,10 +149,47 @@ const graph::ShortestPathTree& Router::tree_for(topo::NodeId src,
     tree_cache_.clear();
     tree_cache_entries_ = 0;
   }
-  auto& slots = tree_cache_[src];
-  slots.push_back(TreeSlot{std::move(key), std::move(tree)});
+  auto& slots = tree_cache_[root];
+  slots.push_back(std::move(fresh));
   ++tree_cache_entries_;
-  return *slots.back().tree;
+  return slots.back().levels;
+}
+
+// The ECMP walk goes back from the destination, hashing over the tight
+// parents the levels imply; the hash depends on the flow id and the depth,
+// so consecutive flows take different spines. Tight parents come in
+// ascending order (HopGraph rows are sorted), the order the heap Dijkstra
+// lists them in, so the salt picks the parent a walk over Dijkstra's
+// parent lists would (tests/test_net.cpp pins the router to that oracle).
+//
+// A single-homed source walks its sole neighbor's levels instead of its
+// own (route() picks the root). With unit hop weights every vertex v other
+// than the source satisfies d_src(v) = 1 + d_root(v), so the tight-parent
+// sets and the salt sequence along the shared segment equal those of the
+// source-rooted walk, whose final root→source step draws a salt but has
+// exactly one parent; appending the source reproduces it bit for bit.
+bool Router::walk_ecmp(std::span<const graph::HopLevel> levels, topo::NodeId root,
+                       Flow& flow) const {
+  const graph::HopLevel dst_level = levels[flow.dst_host];
+  if (dst_level == graph::kUnreachedLevel) return false;
+  // Root to destination is dst_level + 1 nodes; filled back to front.
+  const std::size_t length = dst_level + 1U + (root != flow.src_host ? 1U : 0U);
+  flow.path.resize(length);
+  flow.path[length - 1] = flow.dst_host;
+  topo::NodeId cur = flow.dst_host;
+  std::size_t walked = 1;  // nodes on the path so far, destination included
+  std::uint32_t salt = mix(flow.id * 0x9e3779b9U + 1U);
+  while (cur != root) {
+    const std::size_t parents = graph::tight_parent_count(hops_, levels, cur);
+    SHERIFF_REQUIRE(parents > 0, "broken shortest path tree");
+    salt = mix(salt + static_cast<std::uint32_t>(walked));
+    cur = graph::tight_parent(hops_, levels, cur, salt % parents);
+    ++walked;
+    SHERIFF_REQUIRE(walked <= dst_level + 1U, "routing loop detected");
+    flow.path[length - walked] = cur;
+  }
+  flow.path.front() = flow.src_host;
+  return true;
 }
 
 bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
@@ -203,6 +201,8 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   for (topo::NodeId b : blocked) {
     SHERIFF_REQUIRE(b != flow.src_host && b != flow.dst_host, "cannot block a flow endpoint");
   }
+  std::vector<topo::NodeId> key_storage;
+  const std::span<const topo::NodeId> key = sorted_blocked(blocked, key_storage);
 
   // Resolved-path cache: the ECMP walk is a pure function of (flow id,
   // src, dst, blocked set) on a fixed live fabric, so a repeat query —
@@ -210,21 +210,19 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   // and probes that found no path under the blocks — can return the
   // stored outcome outright. A hit is indistinguishable from a recompute.
   const bool path_cacheable = cache_enabled_ && flow.id < kMaxPathCacheFlows;
-  std::vector<topo::NodeId> blocked_key(blocked.begin(), blocked.end());
-  std::sort(blocked_key.begin(), blocked_key.end());
   if (path_cacheable) {
     std::scoped_lock lock(cache_mutex_);
     if (flow.id < path_cache_.size()) {
       const FlowPathSlot& slot = path_cache_[flow.id];
       const PathEntry* found = nullptr;
-      if (blocked_key.empty()) {
+      if (key.empty()) {
         if (slot.plain.src == flow.src_host && slot.plain.dst == flow.dst_host) {
           found = &slot.plain;
         }
       } else {
         for (const PathEntry& entry : slot.blocked) {
           if (entry.src == flow.src_host && entry.dst == flow.dst_host &&
-              entry.blocked == blocked_key) {
+              std::ranges::equal(entry.blocked, key)) {
             found = &entry;
             break;
           }
@@ -239,34 +237,20 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
     ++cache_stats_.path_misses;
   }
 
+  // Single-homed sources (every fat-tree host) are rooted at their sole
+  // neighbor, so the level cache holds one array per source rack instead
+  // of one per querying host (see walk_ecmp).
+  const auto leaf = hops_.neighbors(flow.src_host);
+  const topo::NodeId root = leaf.size() == 1 ? leaf[0] : flow.src_host;
   bool ok;
-  if (cache_enabled_) {
-    // Single-homed sources (every fat-tree host) share their neighbor
-    // ToR's tree: the walk is bit-identical (see walk_ecmp_via) and the
-    // tree cache shrinks from one tree per querying host to one per ToR —
-    // the dominant Dijkstra load of the routing phase.
-    const auto leaf = hop_graph_.neighbors(flow.src_host);
-    if (leaf.size() == 1) {
-      const topo::NodeId via = leaf[0].to;
-      if (std::find(blocked.begin(), blocked.end(), via) != blocked.end()) {
-        ok = false;  // the source's only egress is blocked: no path exists
-      } else if (flow.dst_host == via) {
-        flow.path.assign({flow.src_host, via});
-        ok = true;
-      } else {
-        ok = walk_ecmp_via(tree_for(via, blocked), flow, via, topo_->node_count());
-      }
-    } else {
-      ok = walk_ecmp(tree_for(flow.src_host, blocked), flow, topo_->node_count());
-    }
+  if (root != flow.src_host && std::find(key.begin(), key.end(), root) != key.end()) {
+    ok = false;  // the source's only egress is blocked: no path exists
+  } else if (flow.dst_host == root) {
+    flow.path.assign({flow.src_host, root});
+    ok = true;
   } else {
-    std::vector<bool> blocked_mask;
-    if (!blocked.empty()) {
-      blocked_mask.assign(topo_->node_count(), false);
-      for (topo::NodeId b : blocked) blocked_mask[b] = true;
-    }
-    const auto tree = graph::dijkstra(hop_graph_, flow.src_host, blocked_mask);
-    ok = walk_ecmp(tree, flow, topo_->node_count());
+    std::vector<graph::HopLevel> storage;
+    ok = walk_ecmp(levels_for(root, key, storage), root, flow);
   }
 
   if (path_cacheable) {
@@ -274,15 +258,18 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
     if (path_cache_.size() <= flow.id) path_cache_.resize(flow.id + 1);
     FlowPathSlot& slot = path_cache_[flow.id];
     PathEntry* entry;
-    if (blocked_key.empty()) {
+    if (key.empty()) {
       entry = &slot.plain;
     } else {
-      // Small FIFO per flow: reroutes probe at most a few hot switches.
+      // Small FIFO per flow: reroutes probe at most a few hot switches. A
+      // full FIFO recycles its oldest entry's buffers for the new one.
       if (slot.blocked.size() >= kMaxBlockedEntriesPerFlow) {
-        slot.blocked.erase(slot.blocked.begin());
+        std::rotate(slot.blocked.begin(), slot.blocked.begin() + 1, slot.blocked.end());
+        entry = &slot.blocked.back();
+      } else {
+        entry = &slot.blocked.emplace_back();
       }
-      entry = &slot.blocked.emplace_back();
-      entry->blocked = std::move(blocked_key);
+      entry->blocked.assign(key.begin(), key.end());
     }
     entry->src = flow.src_host;
     entry->dst = flow.dst_host;
@@ -301,9 +288,8 @@ std::size_t Router::route_all(std::span<Flow> flows) const {
 }
 
 std::size_t Router::shortest_path_count(topo::NodeId src, topo::NodeId dst) const {
-  if (cache_enabled_) return tree_for(src, {}).path_count(dst);
-  const auto tree = graph::dijkstra(hop_graph_, src);
-  return tree.path_count(dst);
+  std::vector<graph::HopLevel> storage;
+  return graph::hop_path_count(hops_, levels_for(src, {}, storage), dst);
 }
 
 void Router::publish_metrics(obs::MetricRegistry& registry) const {

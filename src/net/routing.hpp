@@ -1,8 +1,15 @@
 #pragma once
-// Shortest-path routing with ECMP spreading. Paths are computed on the
-// hop-weighted wired graph; among equal-cost parents the router picks
+// Shortest-path routing with ECMP spreading. Paths are shortest in hops on
+// the wired graph; among equal-cost parents the router picks
 // deterministically by a per-flow hash, which spreads flows over the
 // fabric the way ECMP hashing does.
+//
+// The router holds the live fabric once, as a graph::HopGraph (CSR rows
+// sorted ascending, parallel links collapsed). A shortest-path tree is a
+// BFS hop-level array over it, one byte per node: the ECMP walk derives
+// each step's tight parents on the fly — the neighbors one level closer to
+// the root, in ascending order, which is the parent order Dijkstra's heap
+// loop records — so no per-node parent lists are built or stored.
 //
 // The router optionally carries a topo::LivenessMask: dead links/nodes are
 // dropped from the hop graph and a per-node component labelling is
@@ -13,24 +20,23 @@
 // Caching: routing queries repeat heavily — route_all shares sources
 // across flows, FLOWREROUTE blocks the same hot switch for many flows, and
 // migrations re-route a handful of flows per round on an unchanged fabric.
-// The router therefore keeps (a) a shortest-path-tree cache keyed on
-// (source, blocked set) and (b) a resolved-path cache keyed on the flow
-// id, its endpoints, AND the sorted blocked set (the ECMP walk is a pure
+// The router therefore keeps (a) a level-array cache keyed on (root,
+// sorted blocked set) and (b) a resolved-path cache keyed on the flow id,
+// its endpoints, AND the sorted blocked set (the ECMP walk is a pure
 // function of those on a fixed live fabric) — blocked reroute probes are
 // the queries that actually repeat round over round, and failed probes
 // (no path under the blocks) are cached too. Both caches are dropped
 // whenever the liveness version moves, so every entry is implicitly keyed
-// on the liveness epoch. Disable via set_cache_enabled to get the naive
-// one-Dijkstra-per-query behavior (the bench baseline).
+// on the liveness epoch. set_cache_enabled(false) runs the same BFS and
+// walk for every query without storing anything (the bench baseline).
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
+#include "graph/hop_levels.hpp"
 #include "net/flow.hpp"
 #include "topology/liveness.hpp"
 #include "topology/topology.hpp"
@@ -78,7 +84,7 @@ class Router {
   /// Number of distinct shortest paths between two hosts (diagnostics).
   [[nodiscard]] std::size_t shortest_path_count(topo::NodeId src, topo::NodeId dst) const;
 
-  /// Toggles the tree/path caches (enabled by default); disabling clears
+  /// Toggles the level/path caches (enabled by default); disabling clears
   /// them, giving the naive recompute-every-query behavior.
   void set_cache_enabled(bool enabled);
   [[nodiscard]] bool cache_enabled() const noexcept { return cache_enabled_; }
@@ -90,22 +96,29 @@ class Router {
  private:
   void rebuild();
   void clear_caches() const;
-  /// The shortest-path tree out of `src` under `blocked`, cached. The
-  /// reference stays valid until the next liveness change (values are
-  /// stable unique_ptrs, so concurrent readers survive rehashes).
-  const graph::ShortestPathTree& tree_for(topo::NodeId src,
-                                          std::span<const topo::NodeId> blocked) const;
+  /// The hop levels out of `root` under the sorted `blocked` set. With the
+  /// cache on this views the cached array, valid until the cache is next
+  /// cleared (liveness change or overflow; slot moves keep the array's
+  /// buffer, so rehashes do not invalidate it); with it off the levels are
+  /// computed into `storage`.
+  std::span<const graph::HopLevel> levels_for(topo::NodeId root,
+                                              std::span<const topo::NodeId> blocked,
+                                              std::vector<graph::HopLevel>& storage) const;
+  /// Fills flow.path by walking back from the destination to `root`,
+  /// hashing over each step's tight parents (ECMP); see routing.cpp.
+  /// Returns false (path untouched) when the destination is unreached.
+  bool walk_ecmp(std::span<const graph::HopLevel> levels, topo::NodeId root, Flow& flow) const;
 
   const topo::Topology* topo_;
   const topo::LivenessMask* liveness_ = nullptr;
   std::uint64_t liveness_version_ = 0;
-  graph::Graph hop_graph_;
+  graph::HopGraph hops_;  ///< the live hop graph
   std::vector<std::uint32_t> component_;  ///< live-graph component label per node
 
   // --- caches (logically const; guarded for concurrent route() calls) ------
   struct TreeSlot {
-    std::vector<topo::NodeId> blocked;  ///< sorted blocked set this tree was built under
-    std::unique_ptr<graph::ShortestPathTree> tree;
+    std::vector<topo::NodeId> blocked;  ///< sorted blocked set the levels were built under
+    std::vector<graph::HopLevel> levels;
   };
   struct PathEntry {
     topo::NodeId src = topo::kInvalidNode;

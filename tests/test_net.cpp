@@ -6,19 +6,26 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "graph/dijkstra.hpp"
 #include "net/fair_share.hpp"
 #include "net/flow.hpp"
 #include "net/flow_stats.hpp"
 #include "net/queueing.hpp"
 #include "net/reroute.hpp"
 #include "net/routing.hpp"
+#include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
+#include "topology/liveness.hpp"
+#include "topology/three_tier.hpp"
 
 namespace topo = sheriff::topo;
 namespace net = sheriff::net;
+namespace graph = sheriff::graph;
 namespace sc = sheriff::common;
 
 namespace {
@@ -145,13 +152,149 @@ TEST(Routing, PathCacheServesBlockedProbes) {
   EXPECT_EQ(router.cache_stats().path_hits, hits_before + 1);
 
   // A probe with every egress blocked fails — and the failure itself is
-  // cached, so the repeat doesn't recompute a doomed Dijkstra.
+  // cached, so the repeat doesn't recompute a doomed search.
   auto local = make_flow(10, t.rack(0).hosts[0], t.rack(0).hosts[1], 1.0);
   const std::vector<topo::NodeId> wall{t.rack(0).tor};
   EXPECT_FALSE(router.route(local, wall));
   const std::size_t hits_mid = router.cache_stats().path_hits;
   EXPECT_FALSE(router.route(local, wall));
   EXPECT_EQ(router.cache_stats().path_hits, hits_mid + 1);
+}
+
+// --- Router vs a Dijkstra parent-list oracle -------------------------------
+// The router keeps BFS hop levels and derives each ECMP step's parents from
+// them. Its routes must equal an independent reference: a heap-loop
+// graph::dijkstra tree rooted at the source, with explicit parent lists,
+// walked by the same salt-indexed ECMP walk (written out below). Derived
+// parents taken in any order but ascending change the salt's picks and
+// fail here.
+
+namespace {
+
+std::uint32_t oracle_mix(std::uint32_t x) {
+  x ^= x >> 16;
+  x *= 0x7feb352dU;
+  x ^= x >> 15;
+  x *= 0x846ca68bU;
+  x ^= x >> 16;
+  return x;
+}
+
+bool oracle_route(const graph::Graph& live_hops, net::Flow& flow,
+                  const std::vector<topo::NodeId>& blocked) {
+  flow.path.clear();
+  if (flow.src_host == flow.dst_host) return false;
+  std::vector<bool> mask;
+  if (!blocked.empty()) {
+    mask.assign(live_hops.vertex_count(), false);
+    for (const topo::NodeId b : blocked) mask[b] = true;
+  }
+  const auto tree = graph::dijkstra(live_hops, flow.src_host, mask);
+  if (tree.distance[flow.dst_host] == graph::kInfiniteDistance) return false;
+  std::vector<topo::NodeId> reverse_path{flow.dst_host};
+  topo::NodeId cur = flow.dst_host;
+  std::uint32_t salt = oracle_mix(flow.id * 0x9e3779b9U + 1U);
+  while (cur != flow.src_host) {
+    const auto& parents = tree.parents[cur];
+    if (parents.empty()) return false;
+    salt = oracle_mix(salt + static_cast<std::uint32_t>(reverse_path.size()));
+    cur = parents[salt % parents.size()];
+    reverse_path.push_back(cur);
+  }
+  flow.path.assign(reverse_path.rbegin(), reverse_path.rend());
+  return true;
+}
+
+/// Routes `pairs` under every blocked set through the router and the
+/// oracle, twice each (the repeat exercises the path cache), and checks
+/// shortest_path_count against the oracle tree's path_count.
+void expect_router_matches_oracle(const topo::Topology& t, const topo::LivenessMask* mask,
+                                  bool cache, std::uint64_t seed, const std::string& label) {
+  net::Router router(t);
+  router.apply_liveness(mask);
+  router.set_cache_enabled(cache);
+  const graph::Graph live_hops = mask == nullptr
+                                     ? t.wired_graph(topo::EdgeWeight::kHops)
+                                     : t.wired_graph(topo::EdgeWeight::kHops, *mask);
+  sc::Pcg32 rng(seed, 11);
+  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
+  std::vector<topo::NodeId> switches;
+  for (const auto& node : t.nodes()) {
+    if (topo::is_switch(node.kind)) switches.push_back(node.id);
+  }
+  const auto pick = [&](const std::vector<topo::NodeId>& from) {
+    return from[rng.next_below(static_cast<std::uint32_t>(from.size()))];
+  };
+  std::vector<std::pair<topo::NodeId, topo::NodeId>> pairs;
+  for (int i = 0; i < 120; ++i) pairs.emplace_back(pick(hosts), pick(hosts));
+
+  // Blocked sets of 0, 1 and 2 switches; the pair is listed descending so
+  // the router's sorted-key path runs too.
+  const topo::NodeId a = pick(switches);
+  topo::NodeId b = pick(switches);
+  while (b == a) b = pick(switches);
+  const std::vector<std::vector<topo::NodeId>> blocked_sets{
+      {}, {pick(switches)}, {std::max(a, b), std::min(a, b)}};
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t s = 0; s < blocked_sets.size(); ++s) {
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const auto [src, dst] = pairs[i];
+        net::Flow got = make_flow(static_cast<net::FlowId>(i), src, dst, 1.0);
+        net::Flow want = got;
+        const bool got_ok = router.route(got, blocked_sets[s]);
+        const bool want_ok = oracle_route(live_hops, want, blocked_sets[s]);
+        ASSERT_EQ(got_ok, want_ok) << label << " pass " << pass << " set " << s << " flow " << i;
+        ASSERT_EQ(got.path, want.path)
+            << label << " pass " << pass << " set " << s << " flow " << i;
+      }
+    }
+  }
+  for (const auto& [src, dst] : pairs) {
+    EXPECT_EQ(router.shortest_path_count(src, dst),
+              graph::dijkstra(live_hops, src).path_count(dst))
+        << label << " " << src << "->" << dst;
+  }
+}
+
+}  // namespace
+
+TEST(Routing, MatchesDijkstraOracleOnEveryFabric) {
+  topo::FatTreeOptions ft8;
+  ft8.pods = 8;
+  topo::BCubeOptions bcube;
+  bcube.ports = 4;
+  bcube.levels = 1;
+  const std::vector<std::pair<std::string, topo::Topology>> fabrics{
+      {"fat_tree_k4", small_fat_tree()},
+      {"fat_tree_k8", topo::build_fat_tree(ft8)},
+      {"bcube_4_1", topo::build_bcube(bcube)},
+      {"three_tier", topo::build_three_tier(topo::ThreeTierOptions{})}};
+  std::uint64_t seed = 1;
+  for (const auto& [name, t] : fabrics) {
+    // Faulted: two switches and three links down, drawn per fabric.
+    topo::LivenessMask faulted(t);
+    sc::Pcg32 rng(seed, 5);
+    std::vector<topo::NodeId> switches;
+    for (const auto& node : t.nodes()) {
+      if (topo::is_switch(node.kind)) switches.push_back(node.id);
+    }
+    for (int i = 0; i < 2; ++i) {
+      faulted.set_node(switches[rng.next_below(static_cast<std::uint32_t>(switches.size()))],
+                       false);
+    }
+    for (int i = 0; i < 3; ++i) {
+      faulted.set_link(
+          static_cast<topo::LinkId>(rng.next_below(static_cast<std::uint32_t>(t.link_count()))),
+          false);
+    }
+    for (const bool cache : {true, false}) {
+      const std::string label = name + (cache ? " cached" : " uncached");
+      expect_router_matches_oracle(t, nullptr, cache, seed, label + " pristine");
+      expect_router_matches_oracle(t, &faulted, cache, seed, label + " faulted");
+    }
+    ++seed;
+  }
 }
 
 TEST(FairShare, SingleFlowGetsMinOfDemandAndBottleneck) {

@@ -434,15 +434,20 @@ std::vector<ShimCollectResult> DistributedEngine::predict_and_collect(
     }
   }
 
+  // Each shim traces its alerts into its own ring; the deferred section
+  // stamps them in shim order, as the serial sweep does, so the trace (and
+  // the checkpoint that carries it) does not depend on the pool size.
   std::vector<ShimCollectResult> collected(shims_.size());
   const auto work = [&](std::size_t s) {
     collected[s] = shims_[s].collect(deployment_, predicted_, observations[s]);
   };
+  if (hub_ != nullptr) hub_->trace().begin_deferred();
   if (config_.parallel_collect && shims_.size() > 8) {
     common::parallel_for(worker_pool(), shims_.size(), work);
   } else {
     for (std::size_t s = 0; s < shims_.size(); ++s) work(s);
   }
+  if (hub_ != nullptr) hub_->trace().end_deferred();
   return collected;
 }
 

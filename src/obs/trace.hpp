@@ -12,6 +12,10 @@
 // serial). The only shared state is the sequence counter, a relaxed
 // atomic — so concurrent emits from different shims never contend on a
 // lock, and a merged snapshot can still be ordered totally by `seq`.
+// A parallel sweep that must trace deterministically brackets itself with
+// begin_deferred()/end_deferred(): records emitted in between are parked
+// unstamped and stamped at the end in ring order, so their `seq` does not
+// depend on thread scheduling.
 //
 // Rings are bounded: when a shim's ring is full the oldest record is
 // overwritten and `dropped()` counts it. Tracing therefore has a hard
@@ -75,21 +79,37 @@ class EventTrace {
             double value = 0.0) {
     Ring& ring = rings_[shim == kEngine ? rings_.size() - 1 : shim];
     TraceRecord record;
-    record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     record.round = round_;
     record.shim = shim;
     record.type = type;
     record.a = a;
     record.b = b;
     record.value = value;
-    if (ring.slots.size() < capacity_) {
-      ring.slots.push_back(record);
-    } else {
-      ring.slots[ring.head] = record;  // overwrite the oldest
-      ring.head = (ring.head + 1) % capacity_;
-      ++ring.dropped;
+    if (deferred_) {
+      ring.pending.push_back(record);
+      return;
     }
-    ++ring.emitted;
+    record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+    append(ring, record);
+  }
+
+  /// Opens a deferred section: until end_deferred(), emit() parks records
+  /// in their ring unstamped. Call from serial code, before the sweep.
+  void begin_deferred() noexcept { deferred_ = true; }
+
+  /// Closes the deferred section: stamps the parked records ring by ring
+  /// (shim 0 first, the engine ring last, each in emission order) and
+  /// appends them. That is the order a serial sweep over the shims in id
+  /// order emits them in. Call from serial code, after the sweep joined.
+  void end_deferred() {
+    deferred_ = false;
+    for (Ring& ring : rings_) {
+      for (TraceRecord& record : ring.pending) {
+        record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+        append(ring, record);
+      }
+      ring.pending.clear();
+    }
   }
 
   [[nodiscard]] std::size_t capacity_per_shim() const noexcept { return capacity_; }
@@ -121,6 +141,7 @@ class EventTrace {
   void clear() {
     for (Ring& r : rings_) {
       r.slots.clear();
+      r.pending.clear();
       r.head = 0;
       r.emitted = 0;
       r.dropped = 0;
@@ -163,16 +184,29 @@ class EventTrace {
 
  private:
   struct Ring {
-    std::vector<TraceRecord> slots;  ///< grows to capacity_, then wraps at head
-    std::size_t head = 0;            ///< next overwrite position once full
+    std::vector<TraceRecord> slots;    ///< grows to capacity_, then wraps at head
+    std::vector<TraceRecord> pending;  ///< parked by a deferred section
+    std::size_t head = 0;              ///< next overwrite position once full
     std::uint64_t emitted = 0;
     std::uint64_t dropped = 0;
   };
+
+  void append(Ring& ring, const TraceRecord& record) {
+    if (ring.slots.size() < capacity_) {
+      ring.slots.push_back(record);
+    } else {
+      ring.slots[ring.head] = record;  // overwrite the oldest
+      ring.head = (ring.head + 1) % capacity_;
+      ++ring.dropped;
+    }
+    ++ring.emitted;
+  }
 
   std::size_t capacity_;
   std::vector<Ring> rings_;  ///< one per shim + one engine ring (last)
   std::atomic<std::uint64_t> seq_{0};
   std::uint32_t round_ = 0;
+  bool deferred_ = false;
 };
 
 }  // namespace sheriff::obs

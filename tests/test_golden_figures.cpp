@@ -237,3 +237,55 @@ TEST(GoldenFigures, ProtocolsUnderFaultsSmallInstance) {
   }
   expect_matches_golden("protocols_faulted_small.txt", os.str());
 }
+
+// The Sec. V-A centralized k-median manage phase on an 8-pod Fat-Tree,
+// 60 rounds, at swap sizes p = 2 and 3 and at p = 2 under a tight
+// evaluation cap. Pins the full metrics CSV of each run: every migration
+// the Alg. 5 local search chooses, and its search_space (the solver's
+// evaluation count), so a change to the multi-swap scan's trajectory,
+// its counting or its cap shows here.
+TEST(GoldenFigures, KMedianManageSmallInstance) {
+  topo::FatTreeOptions topt;
+  topt.pods = 8;
+  topt.hosts_per_rack = 3;
+  const auto topology = topo::build_fat_tree(topt);
+  wl::DeploymentOptions deploy;
+  deploy.seed = 23;
+  deploy.vms_per_host = 2.5;
+  deploy.placement = wl::PlacementPolicy::kSkewed;
+
+  struct Run {
+    const char* name;
+    std::size_t swap_p;
+    std::size_t max_evaluations;
+  };
+  constexpr std::size_t kRounds = 60;
+  std::ostringstream os;
+  os << "k-median manage: " << topology.name() << " (" << topology.host_count() << " hosts, "
+     << topology.rack_count() << " racks), " << kRounds << " rounds, deploy seed 23\n";
+  std::vector<std::size_t> search_space;
+  for (const Run& run : {Run{"p=2", 2, 0}, Run{"p=3", 3, 0}, Run{"p=2, cap 1500", 2, 1500}}) {
+    core::EngineConfig config;
+    config.mode = core::ManagerMode::kKMedian;
+    config.kmedian_swap_p = run.swap_p;
+    config.kmedian_max_evaluations = run.max_evaluations;
+    config.observe = true;
+    core::DistributedEngine engine(topology, deploy, config);
+    const std::vector<core::RoundMetrics> rounds = engine.run(kRounds);
+    const core::RunSummary summary = core::summarize(rounds);
+    EXPECT_GT(summary.total_migrations, 0u) << run.name;
+    search_space.push_back(summary.total_search_space);
+    const auto* cap_hits = engine.observation_hub()->registry().find_counter("kmedian.cap_hits");
+    ASSERT_NE(cap_hits, nullptr);
+    if (run.max_evaluations != 0) {
+      EXPECT_GT(cap_hits->value(), 0u) << run.name;
+    } else {
+      EXPECT_EQ(cap_hits->value(), 0u) << run.name;
+    }
+    os << "\n== " << run.name << " ==\n";
+    core::write_metrics_csv(os, rounds);
+  }
+  // A larger swap size must scan a strictly larger neighbourhood.
+  EXPECT_GT(search_space[1], search_space[0]);
+  expect_matches_golden("kmedian_manage_small.txt", os.str());
+}

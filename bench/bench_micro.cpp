@@ -11,9 +11,11 @@
 
 #include "bench_support.hpp"
 #include "common/rng.hpp"
+#include "core/kmedian_planner.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/kmedian.hpp"
+#include "graph/kmedian_fast.hpp"
 #include "graph/knapsack.hpp"
 #include "graph/matching.hpp"
 #include "migration/cost_model.hpp"
@@ -214,6 +216,34 @@ void BM_KMedianLocalSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMedianLocalSearch)->Arg(1)->Arg(2);
+
+// The engine's kKMedian solve: fast_kmedian on the 128-rack metric T' of a
+// k=16 Fat-Tree, 4 medians, 40 seeded client racks. Arg = swap size p; at
+// p = 2 its multi_swap_scan certificate prices C(4,2)·C(124,2) candidates.
+void BM_FastKMedianRackGraph(benchmark::State& state) {
+  topo::FatTreeOptions options;
+  options.pods = 16;
+  const auto t = topo::build_fat_tree(options);
+  const core::KMedianPlanner planner(t);
+  graph::KMedianInstance instance;
+  instance.distance = &planner.rack_distances();
+  instance.k = 4;
+  for (std::size_t r = 0; r < t.rack_count(); ++r) instance.facilities.push_back(r);
+  std::vector<std::size_t> racks = instance.facilities;
+  common::Pcg32 rng(16);
+  rng.shuffle(racks);
+  instance.clients.assign(racks.begin(), racks.begin() + 40);
+  graph::FastKMedianOptions fast;
+  fast.p = static_cast<std::size_t>(state.range(0));
+  std::size_t evaluations = 0;
+  for (auto _ : state) {
+    const auto solution = graph::fast_kmedian(instance, fast);
+    evaluations = solution.evaluations;
+    benchmark::DoNotOptimize(solution.cost);
+  }
+  state.counters["evaluations"] = static_cast<double>(evaluations);
+}
+BENCHMARK(BM_FastKMedianRackGraph)->ArgName("p")->Arg(1)->Arg(2);
 
 void BM_Knapsack(benchmark::State& state) {
   common::Pcg32 rng(5);

@@ -235,42 +235,19 @@ SwapChoice delta_sweep(const KMedianInstance& instance, const KMedianState& stat
   return chosen;
 }
 
-/// The p ≥ 2 convergence check: the reference combinational first-improvement
-/// scan over swap sizes 2..p, seeded from the current (fast-p1) solution.
-/// Applies the first improving multi-swap via state.reset and returns true;
-/// returns false when no multi-swap improves (local optimality certificate).
-bool multi_swap_scan(const KMedianInstance& instance, KMedianState& state, KMedianSolution& sol,
-                     const FastKMedianOptions& options) {
-  const std::size_t max_swap = std::min(options.p, instance.k);
-  for (std::size_t swap = 2; swap <= max_swap; ++swap) {
-    const std::vector<std::size_t> outside = outside_facilities(instance, state);
-    if (outside.size() < swap) continue;
-    bool found = false;
-    detail::for_each_combination(
-        state.open().size(), swap, [&](const std::vector<std::size_t>& out_idx) {
-          return detail::for_each_combination(
-              outside.size(), swap, [&](const std::vector<std::size_t>& in_idx) {
-                if (instance.max_evaluations != 0 &&
-                    sol.evaluations >= instance.max_evaluations) {
-                  sol.hit_evaluation_cap = true;
-                  return false;
-                }
-                std::vector<std::size_t> candidate = state.open();
-                for (std::size_t i = 0; i < swap; ++i) candidate[out_idx[i]] = outside[in_idx[i]];
-                const double cost = kmedian_cost(instance, candidate);
-                ++sol.evaluations;
-                if (cost < state.cost() * (1.0 - options.min_relative_gain)) {
-                  state.reset(std::move(candidate));
-                  found = true;
-                  return false;
-                }
-                return true;
-              });
-        });
-    if (found) return true;
-    if (sol.hit_evaluation_cap) return false;
+/// Advances `idx`, a strictly increasing combination of [0, n), to its
+/// lexicographic successor (detail::for_each_combination's order). Returns
+/// the lowest position that changed, or kNone after the last combination.
+std::size_t next_combination(std::vector<std::size_t>& idx, std::size_t n) {
+  const std::size_t p = idx.size();
+  for (std::size_t i = p; i-- > 0;) {
+    if (idx[i] != i + n - p) {
+      ++idx[i];
+      for (std::size_t j = i + 1; j < p; ++j) idx[j] = idx[j - 1] + 1;
+      return i;
+    }
   }
-  return false;
+  return kNone;
 }
 
 bool all_distances_finite(const KMedianInstance& instance) {
@@ -283,6 +260,115 @@ bool all_distances_finite(const KMedianInstance& instance) {
 }
 
 }  // namespace
+
+bool multi_swap_scan(const KMedianInstance& instance, KMedianState& state, KMedianSolution& sol,
+                     const FastKMedianOptions& options) {
+  const std::size_t k = state.open().size();
+  const std::size_t max_swap = std::min(options.p, k);
+  const std::vector<std::size_t> outside = outside_facilities(instance, state);
+  const std::size_t n = outside.size();
+  if (max_swap < 2 || n < 2) return false;
+
+  // Facility-major rows, built once per scan: rows[g·|C| + ci] is client
+  // ci's distance to outside[g], open_rows[s·|C| + ci] to median slot s.
+  const std::size_t clients = instance.clients.size();
+  std::vector<double> rows(n * clients);
+  std::vector<double> open_rows(k * clients);
+  for (std::size_t ci = 0; ci < clients; ++ci) {
+    const std::size_t c = instance.clients[ci];
+    for (std::size_t g = 0; g < n; ++g) rows[g * clients + ci] = instance.distance->at(c, outside[g]);
+    for (std::size_t s = 0; s < k; ++s) {
+      open_rows[s * clients + ci] = instance.distance->at(c, state.open()[s]);
+    }
+  }
+  // prefix level 0 is the residual (per-client min over the kept medians);
+  // level d + 1 adds the opened facility at depth d. A candidate's cost is
+  // Σ_ci min(last level, its leaf row) summed in client order from 0.0:
+  // the same values kmedian_cost adds, in the same order, so it is bitwise
+  // that function's result for the candidate's median set.
+  std::vector<double> prefix(max_swap * clients);
+  std::vector<std::size_t> closed;
+  std::vector<std::size_t> opened;
+  const double threshold = state.cost() * (1.0 - options.min_relative_gain);
+  bool improved = false;
+  // Prices the leaf candidate `g` for the current closed/opened prefix in
+  // scan order; true ends the scan (cap reached or improvement applied).
+  const auto stop_at = [&](std::size_t g, double cost) {
+    if (instance.max_evaluations != 0 && sol.evaluations >= instance.max_evaluations) {
+      sol.hit_evaluation_cap = true;
+      return true;
+    }
+    ++sol.evaluations;
+    if (!(cost < threshold)) return false;
+    std::vector<std::size_t> medians = state.open();
+    for (std::size_t i = 0; i < opened.size(); ++i) medians[closed[i]] = outside[opened[i]];
+    medians[closed.back()] = outside[g];
+    state.reset(std::move(medians));
+    improved = true;
+    return true;
+  };
+
+  for (std::size_t swap = 2; swap <= max_swap; ++swap) {
+    if (n < swap) continue;
+    closed.resize(swap);
+    for (std::size_t i = 0; i < swap; ++i) closed[i] = i;
+    do {
+      double* residual = prefix.data();
+      std::fill(residual, residual + clients, kInf);
+      for (std::size_t s = 0, next = 0; s < k; ++s) {
+        if (next < swap && closed[next] == s) {
+          ++next;
+          continue;
+        }
+        const double* row = open_rows.data() + s * clients;
+        for (std::size_t ci = 0; ci < clients; ++ci) residual[ci] = std::min(residual[ci], row[ci]);
+      }
+      // All but the last opened facility form a combination of [0, n − 1);
+      // the last one ranges over the facilities after it.
+      opened.resize(swap - 1);
+      for (std::size_t i = 0; i + 1 < swap; ++i) opened[i] = i;
+      std::size_t changed = 0;
+      do {
+        for (std::size_t d = changed; d + 1 < swap; ++d) {
+          const double* below = prefix.data() + d * clients;
+          const double* row = rows.data() + opened[d] * clients;
+          double* level = prefix.data() + (d + 1) * clients;
+          for (std::size_t ci = 0; ci < clients; ++ci) level[ci] = std::min(below[ci], row[ci]);
+        }
+        const double* base = prefix.data() + (swap - 1) * clients;
+        std::size_t g = opened.back() + 1;
+        // Four leaf rows per pass: four independent client-order sums hide
+        // the latency of the serial add chain; they are then visited in
+        // scan order, so the extra sums past a stop are simply unused.
+        for (; g + 4 <= n; g += 4) {
+          const double* r = rows.data() + g * clients;
+          double s0 = 0.0;
+          double s1 = 0.0;
+          double s2 = 0.0;
+          double s3 = 0.0;
+          for (std::size_t ci = 0; ci < clients; ++ci) {
+            const double b = base[ci];
+            s0 += std::min(b, r[ci]);
+            s1 += std::min(b, r[clients + ci]);
+            s2 += std::min(b, r[2 * clients + ci]);
+            s3 += std::min(b, r[3 * clients + ci]);
+          }
+          if (stop_at(g, s0) || stop_at(g + 1, s1) || stop_at(g + 2, s2) || stop_at(g + 3, s3)) {
+            return improved;
+          }
+        }
+        for (; g < n; ++g) {
+          const double* r = rows.data() + g * clients;
+          double total = 0.0;
+          for (std::size_t ci = 0; ci < clients; ++ci) total += std::min(base[ci], r[ci]);
+          if (stop_at(g, total)) return improved;
+        }
+        changed = next_combination(opened, n - 1);
+      } while (changed != kNone);
+    } while (next_combination(closed, k) != kNone);
+  }
+  return false;
+}
 
 KMedianSolution fast_kmedian(const KMedianInstance& instance, const FastKMedianOptions& options) {
   detail::validate(instance);

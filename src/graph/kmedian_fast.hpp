@@ -18,11 +18,18 @@
 // with a fixed client accumulation order and shards merge in fixed order,
 // so the result is byte-identical for any pool size.
 //
-// Swap sizes p ≥ 2 fall back to the reference combinational scan seeded
-// from the fast p=1 local optimum: the 3 + 2/p analysis of Arya et al.
-// only needs that *no* swap of size ≤ p improves the final solution, so
-// running the p ≥ 2 scan as the convergence check (and resuming fast p=1
-// sweeps after any accepted multi-swap) preserves the approximation ratio.
+// Swap sizes p ≥ 2 run as a convergence check on the fast p=1 local
+// optimum: the 3 + 2/p analysis of Arya et al. only needs that *no* swap
+// of size ≤ p improves the final solution, so certifying that with
+// multi_swap_scan (and resuming fast p=1 sweeps after any accepted
+// multi-swap) preserves the approximation ratio. The check visits the
+// reference scan's candidates in the reference order but prices them with
+// a residual-min kernel instead of a from-scratch kmedian_cost each: per
+// closed-slot combination the per-client min over the kept medians, per
+// opened-facility depth a prefix min, and at the leaf one min(prefix, row)
+// per client, summed in client order — bitwise kmedian_cost's value, so
+// the accepted swap, the evaluation count and the cap stop are the
+// reference's.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,7 +56,7 @@ enum class SwapPolicy : std::uint8_t {
 };
 
 struct FastKMedianOptions {
-  std::size_t p = 1;                   ///< Alg. 5 swap size (≥2 uses the reference scan)
+  std::size_t p = 1;                   ///< Alg. 5 swap size (≥2 adds the multi_swap_scan check)
   double min_relative_gain = 1e-9;     ///< same improvement threshold as the reference
   SwapPolicy policy = SwapPolicy::kFirstImprovement;
   /// Worker pool for the parallel gain sweeps; nullptr = serial. Results
@@ -67,8 +74,8 @@ class KMedianState {
   /// `medians` are facility ids (positions in the distance matrix).
   KMedianState(const KMedianInstance& instance, std::vector<std::size_t> medians);
 
-  /// Rebuilds all bookkeeping for a new median set (used when the p ≥ 2
-  /// convergence check accepts a multi-swap).
+  /// Rebuilds all bookkeeping for a new median set (used when
+  /// multi_swap_scan accepts a multi-swap).
   void reset(std::vector<std::size_t> medians);
 
   [[nodiscard]] double cost() const noexcept { return cost_; }
@@ -106,14 +113,30 @@ class KMedianState {
   double cost_ = 0.0;
 };
 
+/// The p ≥ 2 convergence check, run from `state`: the reference solver's
+/// first-improvement scan over swap sizes 2..min(options.p, k) — closed
+/// median slots major, opened facilities (those outside `state`, in
+/// instance order) minor, both in detail::for_each_combination order —
+/// accepting the first candidate whose cost is < state.cost() ·
+/// (1 − options.min_relative_gain). Applies that multi-swap via
+/// state.reset and returns true. Returns false when no such swap improves
+/// (the local-optimality certificate) or when instance.max_evaluations
+/// stops the scan (sol.hit_evaluation_cap is then set). Counts every
+/// candidate it prices in sol.evaluations, checking the cap before each
+/// one, exactly as the reference does; each candidate's cost is bitwise
+/// kmedian_cost of its median set.
+bool multi_swap_scan(const KMedianInstance& instance, KMedianState& state, KMedianSolution& sol,
+                     const FastKMedianOptions& options);
+
 /// Delta-evaluated local search. For p = 1 with SwapPolicy::kFirstImprovement
 /// the accepted-swap trajectory — and therefore the final median set — is
 /// identical to local_search_kmedian(instance, 1); only the work to find
 /// each swap shrinks. Instances with an unreachable client/facility pair
 /// (possible on a partitioned fabric) fall back to the reference solver,
 /// whose ∞-cost comparisons handle them. Honors
-/// KMedianInstance::max_evaluations at sweep granularity: the fast path may
-/// overshoot the cap by at most one sweep (k·(|F|−k) candidates).
+/// KMedianInstance::max_evaluations at sweep granularity in the p = 1
+/// phase, which may overshoot the cap by at most one sweep (k·(|F|−k)
+/// candidates); multi_swap_scan stops exactly at it.
 KMedianSolution fast_kmedian(const KMedianInstance& instance,
                              const FastKMedianOptions& options = {});
 

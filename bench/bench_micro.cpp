@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the algorithmic kernels Sheriff
 // leans on: Floyd–Warshall, Dijkstra, the router's blocked route (hop-level
 // BFS plus ECMP walk), Hungarian matching, max–min fair share, k-median
-// local search, the knapsack, ARIMA/NARNET fitting, and the Eq. (1)
+// local search, the knapsack, ARIMA/NARNET fitting, the Eq. (1)
 // migration decision kernel (surface build / per-candidate eval /
-// bound-pruned sweep).
+// bound-pruned sweep), a cold distance-row build, and an engine's
+// checkpoint round trip.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +12,10 @@
 
 #include "bench_support.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "core/engine.hpp"
 #include "core/kmedian_planner.hpp"
+#include "fault/fault_plan.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/kmedian.hpp"
@@ -23,10 +27,12 @@
 #include "net/queueing.hpp"
 #include "net/rate_control.hpp"
 #include "net/routing.hpp"
+#include "snapshot/checkpoint.hpp"
 #include "timeseries/arima.hpp"
 #include "timeseries/holt_winters.hpp"
 #include "timeseries/narnet.hpp"
 #include "timeseries/simulate.hpp"
+#include "topology/distance_rows.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/deployment.hpp"
 #include "workload/trace_generator.hpp"
@@ -449,6 +455,58 @@ void BM_CostKernelPrunedSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostKernelPrunedSweep)->Arg(0)->Arg(1);
+
+// Cold build of a fabric's distance rows: a fresh row set and every
+// ToR-rooted row, which the first engine on a Topology pays at
+// construction. Arg = k; the shapes are perfbench's k=16 and k=32 fabrics.
+void BM_DistanceRowsBuild(benchmark::State& state) {
+  topo::FatTreeOptions options;
+  options.pods = static_cast<int>(state.range(0));
+  options.hosts_per_rack = options.pods == 32 ? 2 : 4;
+  options.tor_agg_gbps = 1.0;
+  const auto t = topo::build_fat_tree(options);
+  for (auto _ : state) {
+    const topo::DistanceRows rows(t);
+    rows.build_tor_rows();
+    benchmark::DoNotOptimize(rows.built_rows());
+  }
+  state.counters["rows"] = static_cast<double>(t.rack_count());
+}
+BENCHMARK(BM_DistanceRowsBuild)->ArgName("k")->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// One checkpoint round trip of a k=16 drill-shaped engine (link flaps, a
+// ToR outage, 10% message loss, observe + audit): serialize, construct a
+// fresh engine on the same Topology — its distance rows are already built
+// — and deserialize into it.
+void BM_EngineRestore(benchmark::State& state) {
+  topo::FatTreeOptions options;
+  options.pods = 16;
+  options.tor_agg_gbps = 1.0;
+  const auto t = topo::build_fat_tree(options);
+  fault::FaultOptions fault_options;
+  fault_options.seed = 1;
+  fault_options.message_drop_probability = 0.1;
+  auto plan = fault::FaultPlan::random_link_flaps(t, fault_options, 8, 1, 60, 3);
+  for (const auto& e : fault::FaultPlan::tor_outage(t, 3, 10, 20).events()) plan.add(e);
+  plan.set_options(fault_options);
+  common::ThreadPool pool(1);
+  core::EngineConfig config;
+  config.sheriff.cost.computing_cost = 100.0;
+  config.pool = &pool;
+  config.fault_plan = &plan;
+  config.observe = true;
+  config.audit = true;
+  const wl::DeploymentOptions deploy = bench::bench_deployment_options(1);
+  core::DistributedEngine engine(t, deploy, config);
+  (void)engine.run(25);
+  for (auto _ : state) {
+    std::vector<std::uint8_t> bytes = core::Checkpoint::serialize(engine);
+    core::DistributedEngine restored(t, deploy, config);
+    core::Checkpoint::deserialize(restored, std::move(bytes));
+    benchmark::DoNotOptimize(restored.rounds_run());
+  }
+}
+BENCHMARK(BM_EngineRestore)->Unit(benchmark::kMillisecond);
 
 void BM_FatTreeBuild(benchmark::State& state) {
   topo::FatTreeOptions options;

@@ -278,7 +278,6 @@ core::EngineConfig scale_engine_config(const ScaleScenario& scenario, bool optim
   config.fast_kmedian = optimized;
   config.cost_surface = optimized;
   config.cost_pruning = optimized;
-  config.prewarm_cost_rows = optimized;
   config.parallel_workload = optimized;
   config.flow_demand_scale_gbps = scenario.flow_demand_scale_gbps;
   config.sheriff.reroute_fraction = scenario.reroute_fraction;

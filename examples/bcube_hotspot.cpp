@@ -6,9 +6,9 @@
 //
 //   $ ./bcube_hotspot [ports] [rounds]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
 #include "topology/bcube.hpp"
@@ -65,8 +65,9 @@ ModeResult run_mode(const sheriff::topo::Topology& topology, bool prealert, int 
 
 int main(int argc, char** argv) {
   using namespace sheriff;
-  const int ports = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 40;
+  constexpr std::string_view kUsage = "[ports 2..16] [rounds 1..100000]";
+  const int ports = examples::positional(argc, argv, 1, 8, 2, 16, kUsage);
+  const int rounds = examples::positional(argc, argv, 2, 40, 1, 100000, kUsage);
 
   topo::BCubeOptions options;
   options.ports = ports;

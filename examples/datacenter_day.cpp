@@ -7,11 +7,11 @@
 // Passing a third argument writes every round's metrics as CSV (loads
 // directly into pandas/gnuplot).
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/ascii_plot.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
@@ -20,8 +20,10 @@
 
 int main(int argc, char** argv) {
   using namespace sheriff;
-  const int pods = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 288;
+  constexpr std::string_view kUsage = "[pods 2..32, even] [rounds 1..100000] [metrics.csv]";
+  const int pods = examples::positional(argc, argv, 1, 8, 2, 32, kUsage);
+  const int rounds = examples::positional(argc, argv, 2, 288, 1, 100000, kUsage);
+  if (pods % 2 != 0) examples::usage_error(argv[0], "a Fat-Tree needs an even pod count", kUsage);
 
   topo::FatTreeOptions topo_options;
   topo_options.pods = pods;

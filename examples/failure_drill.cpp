@@ -11,11 +11,12 @@
 // snapshot every N rounds, `--resume <path>` picks the drill back up from
 // one — the resumed run finishes byte-identical to an uninterrupted one.
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
@@ -26,8 +27,16 @@
 
 int main(int argc, char** argv) {
   using namespace sheriff;
-  const snapshot::CheckpointCli checkpoints = snapshot::parse_checkpoint_cli(argc, argv);
-  const int rounds = argc > 1 ? std::atoi(argv[1]) : 24;
+  constexpr std::string_view kUsage =
+      "[rounds 1..100000] [metrics.csv] [--checkpoint-every N] [--checkpoint-prefix P] "
+      "[--resume PATH]";
+  snapshot::CheckpointCli checkpoints;
+  try {
+    checkpoints = snapshot::parse_checkpoint_cli(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    examples::usage_error(argv[0], e.what(), kUsage);
+  }
+  const int rounds = examples::positional(argc, argv, 1, 24, 1, 100000, kUsage);
 
   topo::FatTreeOptions topo_options;
   topo_options.pods = 4;

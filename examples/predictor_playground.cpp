@@ -5,10 +5,12 @@
 //
 //   $ ./predictor_playground [seed]
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/ascii_plot.hpp"
 #include "common/math_util.hpp"
 #include "common/table.hpp"
@@ -21,7 +23,8 @@
 
 int main(int argc, char** argv) {
   using namespace sheriff;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
+  const std::uint64_t seed = examples::positional<std::uint64_t>(
+      argc, argv, 1, 5, 0, std::numeric_limits<std::uint64_t>::max(), "[seed]");
 
   // Two weeks of 30-minute samples; train on week 1, test on week 2.
   auto gen = wl::make_weekly_traffic_trace(seed);

@@ -19,11 +19,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/engine.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "topology/fat_tree.hpp"
@@ -58,8 +58,11 @@ std::uint64_t digest_round(const core::RoundMetrics& m, const core::DistributedE
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t rounds = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 64;
-  const std::size_t interval = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 8;
+  constexpr std::string_view kUsage = "[rounds 1..100000] [checkpoint-interval 1..100000]";
+  const std::size_t rounds =
+      examples::positional<std::size_t>(argc, argv, 1, 64, 1, 100000, kUsage);
+  const std::size_t interval =
+      examples::positional<std::size_t>(argc, argv, 2, 8, 1, 100000, kUsage);
 
   // Tight ToR–agg links plus a skewed placement: enough contention that
   // hot switches (and thus reroutes) actually occur mid-run.

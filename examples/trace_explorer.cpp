@@ -10,11 +10,11 @@
 //
 //   $ ./trace_explorer [rounds] [trace.jsonl]
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
+#include "cli_args.hpp"
 #include "core/engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/export.hpp"
@@ -23,7 +23,8 @@
 
 int main(int argc, char** argv) {
   using namespace sheriff;
-  const int rounds = argc > 1 ? std::atoi(argv[1]) : 20;
+  const int rounds = examples::positional(argc, argv, 1, 20, 1, 100000,
+                                          "[rounds 1..100000] [trace.jsonl]");
 
   topo::FatTreeOptions topo_options;
   topo_options.pods = 4;

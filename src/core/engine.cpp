@@ -13,16 +13,24 @@ namespace sheriff::core {
 
 using PhaseTimer = obs::ScopedTimer;
 
-DistributedEngine::DistributedEngine(const topo::Topology& topo,
-                                     const wl::DeploymentOptions& deployment_options,
-                                     EngineConfig config)
-    : DistributedEngine(topo, deployment_options, config, EngineSubstrate{}) {}
+namespace {
+
+/// The caller's config, rejected if inconsistent — before any state is
+/// built. SHERIFF_FORCE_AUDIT applies afterwards and is always consistent.
+EngineConfig checked_config(const EngineConfig& config) {
+  SHERIFF_REQUIRE(config.audit || !config.audit_fail_fast, "audit_fail_fast requires audit");
+  SHERIFF_REQUIRE(config.audit || !config.deep_fair_share_audit,
+                  "deep_fair_share_audit requires audit");
+  return config;
+}
+
+}  // namespace
 
 DistributedEngine::DistributedEngine(const topo::Topology& topo,
                                      const wl::DeploymentOptions& deployment_options,
-                                     EngineConfig config, const EngineSubstrate& substrate)
+                                     EngineConfig config)
     : topo_(&topo),
-      config_(config),
+      config_(checked_config(config)),
       deployment_(topo, deployment_options),
       router_(topo),
       rerouter_(router_),
@@ -36,17 +44,13 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
   cost_model_.set_shared_leaf_trees(config_.shared_leaf_cost_trees);
   cost_model_.set_surface_enabled(config_.cost_surface);
   cost_model_.set_pruning_enabled(config_.cost_pruning);
-  if (config_.retain_cost_trees && config_.prewarm_cost_rows) {
+  if (config_.retain_cost_trees) {
     // Startup, not round, time: the ToR-rooted distance rows (and their
-    // rack-prefix link memos) derive from the immutable pristine topology
-    // only, so build them all here — the first manage round's decision
-    // sweep then runs entirely against warm rows. Bit-identical to lazy
-    // construction; profiling showed the cold builds were ~75% of the
-    // first-round decision time on the k=24 fabric.
-    for (topo::RackId r = 0; r < topo.rack_count(); ++r) {
-      const topo::NodeId tor = topo.rack(r).tor;
-      if (tor != topo::kInvalidNode) (void)cost_model_.distance_tree(tor);
-    }
+    // rack link CSRs) derive from the immutable pristine topology only, so
+    // the first engine on a fabric builds them all here and every later
+    // one (a restore, a bisect probe, a fleet run) finds them built. The
+    // first manage round's decision sweep then runs against warm rows.
+    topo.distance_rows().build_tor_rows();
   }
   // SHERIFF_FORCE_AUDIT=1 (the CI sanitizer job sets it) turns the
   // invariant auditor on in fail-fast mode for every engine, so the whole
@@ -106,31 +110,14 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
   if (config_.mode == ManagerMode::kKMedian) {
     // The planner's ToR rows are computed once here and shared across
     // rounds; fast_kmedian=false reproduces the naive per-round rebuild in
-    // run_round (and solves with the reference scan, serially). A fleet
-    // substrate can lend its pre-built maskless planner instead, but only
-    // inside the envelope where this engine would never mutate one: the
-    // fast path (no per-round rebuild()) on a pristine fabric (no
-    // liveness-driven refresh()). The borrowed rows are identical to the
-    // ones an owned build would produce — the row sweep is pool-size
-    // invariant and the mask-free graph is the same — so borrowed and
-    // owned engines are byte-identical (tests/test_fleet.cpp pins it).
-    const bool borrow = substrate.kmedian_planner != nullptr && config_.fast_kmedian &&
-                        config_.fault_plan == nullptr;
-    if (borrow) {
-      SHERIFF_REQUIRE(
-          substrate.kmedian_planner->rack_distances().size() == topo.rack_count(),
-          "substrate k-median planner was built over a different topology");
-      kmedian_planner_view_ = substrate.kmedian_planner;
-    } else {
-      KMedianPlannerOptions planner_options;
-      planner_options.pool = config_.fast_kmedian ? &worker_pool() : nullptr;
-      planner_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
-      // Pristine fabrics share the cost model's distance rows (identical
-      // values, one source of truth); faulted ones need masked sweeps.
-      planner_options.shared_rows = injector_ == nullptr ? &cost_model_ : nullptr;
-      kmedian_planner_ = std::make_unique<KMedianPlanner>(topo, planner_options);
-      kmedian_planner_view_ = kmedian_planner_.get();
-    }
+    // run_round (and solves with the reference scan, serially).
+    KMedianPlannerOptions planner_options;
+    planner_options.pool = config_.fast_kmedian ? &worker_pool() : nullptr;
+    planner_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
+    // Pristine fabrics read the cost model's distance rows (identical
+    // values, one source of truth); faulted ones need masked sweeps.
+    planner_options.shared_rows = injector_ == nullptr ? &cost_model_ : nullptr;
+    kmedian_planner_ = std::make_unique<KMedianPlanner>(topo, planner_options);
     KMedianMigrationManager::Options manager_options;
     manager_options.destination_racks = config_.kmedian_destination_racks;
     manager_options.local_search_p = config_.kmedian_swap_p;
@@ -139,7 +126,7 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     manager_options.pool = config_.fast_kmedian ? &worker_pool() : nullptr;
     manager_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
     kmedian_manager_ = std::make_unique<KMedianMigrationManager>(
-        deployment_, cost_model_, *kmedian_planner_view_, manager_options);
+        deployment_, cost_model_, *kmedian_planner_, manager_options);
   }
   build_flows();
 }
@@ -560,17 +547,10 @@ MigrationPlan DistributedEngine::manage_global(std::span<const ShimCollectResult
     // manage_kmedian sub-phase; matching/scheduling is manage_schedule.
     {
       PhaseTimer timer(profile_.manage_kmedian_ns);
-      // Row upkeep mutates the planner, so it only applies to an owned
-      // one. A borrowed (substrate) planner is maskless by contract —
-      // refresh() on it would be a no-op anyway — and rebuild() never
-      // borrows (the ctor falls back to an owned planner when
-      // fast_kmedian is off).
-      if (kmedian_planner_ != nullptr) {
-        if (config_.fast_kmedian) {
-          kmedian_planner_->refresh();
-        } else {
-          kmedian_planner_->rebuild();
-        }
+      if (config_.fast_kmedian) {
+        kmedian_planner_->refresh();
+      } else {
+        kmedian_planner_->rebuild();
       }
     }
     const KMedianMigrationManager::Stats& stats = kmedian_manager_->stats();
@@ -723,9 +703,9 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics, const Migrati
         .add(stats.evaluations - published_kmedian_stats_.evaluations);
     registry.counter("kmedian.cap_hits").add(stats.cap_hits - published_kmedian_stats_.cap_hits);
     registry.counter("kmedian.planner_rebuilds")
-        .add(kmedian_planner_view_->rebuilds() - published_planner_rebuilds_);
+        .add(kmedian_planner_->rebuilds() - published_planner_rebuilds_);
     published_kmedian_stats_ = stats;
-    published_planner_rebuilds_ = kmedian_planner_view_->rebuilds();
+    published_planner_rebuilds_ = kmedian_planner_->rebuilds();
   }
   {
     // Per-round deltas of the decision-kernel counters. The pruning-
@@ -822,9 +802,8 @@ void DistributedEngine::save_state(snapshot::Writer& writer) const {
   writer.put_bool(config_.incremental_fair_share);
   // manage_shards does not fingerprint — the shard count never changes
   // results, exactly like the pool size. cost_surface / cost_pruning /
-  // prewarm_cost_rows / parallel_workload are results-identical
-  // accelerations (bitwise-equal selections and traces) and are likewise
-  // excluded.
+  // parallel_workload are results-identical accelerations (bitwise-equal
+  // selections and traces) and are likewise excluded.
   writer.put_bool(injector_ != nullptr);
   writer.put_bool(channel_ != nullptr);
   writer.put_bool(kmedian_manager_ != nullptr);
@@ -1145,7 +1124,7 @@ void DistributedEngine::load_state(snapshot::Reader& reader) {
   // the one registry counter that may run +1 ahead after a resume.)
   if (kmedian_manager_ != nullptr) {
     published_kmedian_stats_ = kmedian_manager_->stats();
-    published_planner_rebuilds_ = kmedian_planner_view_->rebuilds();
+    published_planner_rebuilds_ = kmedian_planner_->rebuilds();
   }
   // Same re-baseline for the decision-kernel counters (the cost model's
   // counters are process-local, never serialized).

@@ -86,7 +86,10 @@ struct EngineConfig {
   //     but the modes are not bit-identical to each other. ----------------
   bool incremental_fair_share = true;  ///< stateful FairShareSolver vs from-scratch waterfill
   bool route_cache = true;             ///< Router level-array + resolved-path caches
-  bool retain_cost_trees = true;       ///< keep cost-model Dijkstra trees across rounds
+  /// Cost model reads the topology's shared distance rows. Off, it keeps a
+  /// private row set that every round discards — only bench_scale's naive
+  /// leg turns it off.
+  bool retain_cost_trees = true;
   /// Dependency-span distances rooted at the partners instead of every
   /// candidate destination (one Dijkstra tree per partner, not per host).
   bool partner_rooted_costs = true;
@@ -109,14 +112,6 @@ struct EngineConfig {
   /// with it on or off — only the cost.evaluated/cost.pruned counter split
   /// moves). Excluded from the checkpoint fingerprint.
   bool cost_pruning = true;
-  /// Eagerly build the cost model's ToR-rooted distance rows at engine
-  /// construction instead of lazily inside the first manage round. The
-  /// rows depend only on the immutable pristine topology (like the
-  /// k-median planner's matrix, which is already built eagerly), so this
-  /// moves a one-time startup cost out of the decision path; the rows
-  /// themselves are bit-identical either way. Only meaningful with
-  /// retain_cost_trees. Excluded from the checkpoint fingerprint.
-  bool prewarm_cost_rows = true;
   /// Workload trace advance swept across the worker pool. Each VM owns its
   /// counter-seeded RNG streams, so the sweep is bit-identical at any pool
   /// size — excluded from the checkpoint fingerprint like manage_shards.
@@ -145,9 +140,12 @@ struct EngineConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   // --- observability (src/obs/): all off by default. With everything off
   //     the engine owns no ObservationHub and the per-round hot path takes
-  //     a handful of null checks — bench_scale bounds the overhead at 3%.
+  //     a handful of null checks; perfbench's trace.overhead_pct measures
+  //     what turning it on costs.
   bool observe = false;  ///< own an ObservationHub (event trace + metric registry)
   bool audit = false;    ///< run the InvariantAuditor each round (implies observe)
+  /// The two audit refinements below require `audit`: the constructor
+  /// rejects either one without it (RequirementError).
   bool audit_fail_fast = false;       ///< first violation throws RequirementError
   bool deep_fair_share_audit = false; ///< auditor re-solves from scratch (tests only)
   std::size_t trace_capacity_per_shim = 4096;
@@ -238,34 +236,14 @@ struct ManageShardStats {
   std::vector<std::uint64_t> demands_by_rack;  ///< migration demands issued per managing rack
 };
 
-/// Shared read-only substrate for fleets of engines over one topology
-/// (DESIGN.md §12). Everything here is *cold, immutable* input that is
-/// expensive to derive and identical for every run: borrowing it never
-/// changes a single output byte, it only skips redundant construction
-/// work. All pointers are borrowed and must outlive every engine built
-/// over the substrate.
-struct EngineSubstrate {
-  /// A maskless KMedianPlanner over the engine's topology whose ToR
-  /// distance rows every borrowing engine reuses instead of running its
-  /// own O(racks) Dijkstra sweep (kKMedian mode only; ignored otherwise).
-  /// Borrowed only when the engine would never mutate the planner — i.e.
-  /// fast_kmedian is on (no per-round rebuild()) and no fault plan is
-  /// bound (no liveness-driven refresh()); engines outside that envelope
-  /// silently build their own planner, so a substrate is always safe to
-  /// pass. plan() is const and data-race free, so concurrent fleet runs
-  /// may share one planner.
-  const KMedianPlanner* kmedian_planner = nullptr;
-};
-
 class DistributedEngine {
  public:
-  /// The topology must outlive the engine.
+  /// The topology must outlive the engine. Every engine on one topology
+  /// shares its distance rows (Topology::distance_rows()); the first one
+  /// builds every ToR row here, later ones find them built. Throws
+  /// RequirementError on an inconsistent config.
   DistributedEngine(const topo::Topology& topo, const wl::DeploymentOptions& deployment_options,
                     EngineConfig config);
-  /// Substrate-borrowing constructor: identical behavior, minus the cost
-  /// of rebuilding whatever the substrate already holds.
-  DistributedEngine(const topo::Topology& topo, const wl::DeploymentOptions& deployment_options,
-                    EngineConfig config, const EngineSubstrate& substrate);
 
   /// Runs one management round; returns its metrics.
   RoundMetrics run_round();
@@ -282,6 +260,7 @@ class DistributedEngine {
   [[nodiscard]] const net::FairShareSolver& fair_share_solver() const noexcept {
     return solver_;
   }
+  [[nodiscard]] const mig::MigrationCostModel& cost_model() const noexcept { return cost_model_; }
   /// The manage-phase shard partition (resolved from EngineConfig::
   /// manage_shards at construction).
   [[nodiscard]] const ManageShardPlan& shard_plan() const noexcept { return shard_plan_; }
@@ -311,9 +290,10 @@ class DistributedEngine {
   /// constructed engine over the *same* (topology, deployment options,
   /// config) — constructor-derived structure (VM population, dependency
   /// graph, flow table shape, shims) is validated via a fingerprint, not
-  /// serialized. Caches (router trees/paths, cost-model Dijkstra trees and
-  /// rack-prefix link memos, the per-round cost surface) resume cold: they
-  /// are rebuilt on demand and never change results.
+  /// serialized. Caches resume cold: the router's level arrays and paths
+  /// and the per-round cost surface are rebuilt on demand and never change
+  /// results. The distance rows belong to the topology, so a restore into
+  /// an engine on the same topology finds them warm.
   /// The fault injector is restored by replaying its plan up to the saved
   /// round (trace-detached), which reproduces the LivenessMask bit for bit
   /// including its version counter. After load_state, run_round() continues
@@ -392,11 +372,7 @@ class DistributedEngine {
   std::vector<HoltScalar> tor_queue_predictors_;               ///< by RackId
   std::unique_ptr<fault::FaultInjector> injector_;  ///< null = pristine fabric
   std::unique_ptr<fault::LossyChannel> channel_;    ///< null = reliable messaging
-  std::unique_ptr<KMedianPlanner> kmedian_planner_;          ///< kKMedian mode, owned (null when borrowed)
-  /// The planner actually consulted (owned or substrate-borrowed); null
-  /// outside kKMedian mode. Mutating calls (refresh/rebuild) only ever go
-  /// to kmedian_planner_ — a borrowed planner is strictly read-only.
-  const KMedianPlanner* kmedian_planner_view_ = nullptr;
+  std::unique_ptr<KMedianPlanner> kmedian_planner_;          ///< kKMedian mode only
   std::unique_ptr<KMedianMigrationManager> kmedian_manager_; ///< kKMedian mode only
   std::unique_ptr<obs::ObservationHub> hub_;        ///< null = observability off
   std::vector<topo::RackId> takeover_;              ///< managing rack per rack

@@ -44,15 +44,15 @@ void KMedianPlanner::rebuild() {
       }
     }
   } else if (mask == nullptr && options_.shared_rows != nullptr) {
-    // Shared rows: the cost model's distance cache holds the same per-ToR
-    // Dijkstra trees on the same unmasked distance graph — read them
-    // instead of sweeping again, so ToR distances have one source of
-    // truth. Masked rebuilds keep their own sweep (the shared rows are
-    // pristine by construction).
+    // Shared rows: the cost model's distance rows are the same per-ToR
+    // Dijkstra on the same unmasked distance graph — read them instead of
+    // sweeping again, so ToR distances have one source of truth. Masked
+    // rebuilds keep their own sweep (the shared rows are pristine by
+    // construction).
     for (topo::RackId r = 0; r < racks; ++r) {
-      const auto& tree = options_.shared_rows->distance_tree(topo_->rack(r).tor);
+      const auto& row = options_.shared_rows->distance_row(topo_->rack(r).tor);
       for (topo::RackId c = 0; c < racks; ++c) {
-        distances_.set(r, c, tree.distance[topo_->rack(c).tor]);
+        distances_.set(r, c, row.distance[topo_->rack(c).tor]);
       }
     }
   } else {

@@ -55,9 +55,9 @@ struct KMedianPlannerOptions {
   const topo::LivenessMask* liveness = nullptr;
   /// One source of truth for pristine ToR distances: when set (and no
   /// liveness mask is bound), the planner fills its matrix from the cost
-  /// model's cached distance rows — same unmasked distance graph, same
-  /// Dijkstra, identical values — instead of re-running its own sweep.
-  /// The model must outlive the planner.
+  /// model's distance rows — same unmasked distance graph, same Dijkstra,
+  /// identical values — instead of re-running its own sweep. The model
+  /// must outlive the planner.
   const mig::MigrationCostModel* shared_rows = nullptr;
 };
 

@@ -384,18 +384,6 @@ FleetReport run_sweep(const SweepGrid& grid, const FleetOptions& options) {
     }
   }
 
-  // Shared read-only substrate: one maskless k-median planner per distinct
-  // topology that at least one kKMedian scenario can borrow (the engine
-  // itself enforces the borrow envelope — fast path, no faults — so
-  // passing the substrate to every run of the topology is safe).
-  std::map<const topo::Topology*, std::unique_ptr<core::KMedianPlanner>> planners;
-  for (const ScenarioSpec& s : grid.scenarios) {
-    if (s.config.mode != core::ManagerMode::kKMedian) continue;
-    if (!planners.contains(s.topology)) {
-      planners.emplace(s.topology, std::make_unique<core::KMedianPlanner>(*s.topology));
-    }
-  }
-
   std::vector<std::uint64_t> pending;
   pending.reserve(run_count);
   for (std::size_t id = 0; id < run_count; ++id) {
@@ -451,13 +439,8 @@ FleetReport run_sweep(const SweepGrid& grid, const FleetOptions& options) {
       config.pool = &fleet_pool;
     }
 
-    core::EngineSubstrate substrate;
-    if (const auto it = planners.find(spec.topology); it != planners.end()) {
-      substrate.kmedian_planner = it->second.get();
-    }
-
     const obs::Stopwatch run_clock;
-    core::DistributedEngine engine(*spec.topology, deployment, config, substrate);
+    core::DistributedEngine engine(*spec.topology, deployment, config);
     const std::vector<core::RoundMetrics> rounds = engine.run(spec.rounds);
 
     RunRecord record = report.runs[id];  // identity fields already filled

@@ -4,9 +4,9 @@
 //
 //   * per-run deterministic seeding (the grid cell fully determines the
 //     run; nothing depends on scheduling),
-//   * a shared read-only substrate (the topology is borrowed by pointer,
-//     and kKMedian scenarios borrow one pre-built maskless KMedianPlanner
-//     per topology through core::EngineSubstrate),
+//   * shared read-only fabrics (the topology is borrowed by pointer, and
+//     every run on it reads its distance rows — Topology::distance_rows(),
+//     built by the first engine — instead of building its own),
 //   * per-run isolated obs registries merged into a MetricAggregate with
 //     cross-run p50/p95/p99 quantiles,
 //   * a JSONL result stream (one deterministic line per run, emitted in
@@ -54,8 +54,8 @@ std::vector<MetricSample> capture_metrics(const obs::MetricRegistry& registry);
 /// One row of the sweep grid: a named scenario executed once per seed.
 struct ScenarioSpec {
   std::string name;
-  /// Borrowed; must outlive the sweep. Scenarios may share one topology —
-  /// the fleet builds at most one k-median substrate per distinct pointer.
+  /// Borrowed; must outlive the sweep. Scenarios may share one topology,
+  /// and with it one set of distance rows.
   const topo::Topology* topology = nullptr;
   /// Per-run deployment; `seed` is overridden by the grid seed.
   wl::DeploymentOptions deployment;

@@ -1,7 +1,8 @@
 #pragma once
 // Single-source shortest paths on weighted graphs, with ECMP tie tracking:
-// the cost model's distance rows and the k-median planner's per-ToR sweep
-// need only the paths out of one node, not all-pairs Floyd–Warshall.
+// a fabric's distance rows (topology/distance_rows.hpp, compacted from one
+// run each) and the k-median planner's per-ToR sweep need only the paths
+// out of one node, not all-pairs Floyd–Warshall.
 // Hop-count routing uses graph/hop_levels.hpp instead.
 
 #include <vector>

@@ -12,9 +12,8 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
     : topo_(&topo),
       deployment_(&deployment),
       params_(params),
-      distance_graph_(topo.wired_graph(topo::EdgeWeight::kDistance)),
-      surface_(topo),
-      rows_(topo.node_count()) {
+      rows_(&topo.distance_rows()),
+      surface_(topo) {
   SHERIFF_REQUIRE(params.computing_cost >= 0.0, "C_r must be non-negative");
   SHERIFF_REQUIRE(params.request_gbps > 0.0, "requested bandwidth must be positive");
   // Static leaf tables: a single-homed node reaches the fabric only
@@ -26,15 +25,18 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
   rack_leaf_.assign(n, 0);
   leaf_link_.assign(n, 0);
   leaf_tor_.assign(n, topo::kInvalidNode);
+  leaf_distance_.assign(n, 0.0);
   for (topo::NodeId v = 0; v < n; ++v) {
-    const auto edges = distance_graph_.neighbors(v);
-    if (edges.size() != 1) continue;
+    const auto links = topo.links_of(v);
+    if (links.size() != 1) continue;
+    const topo::NodeId peer = topo.peer(links[0], v);
     single_homed_[v] = 1;
-    leaf_tor_[v] = edges[0].to;
-    leaf_link_[v] = topo.link_between(v, edges[0].to);
+    leaf_tor_[v] = peer;
+    leaf_link_[v] = links[0];
+    leaf_distance_[v] = topo.link(links[0]).distance_m;
     const auto& node = topo.node(v);
     rack_leaf_[v] = node.kind == topo::NodeKind::kHost && node.rack != topo::kInvalidRack &&
-                            topo.rack(node.rack).tor == edges[0].to
+                            topo.rack(node.rack).tor == peer
                         ? 1
                         : 0;
   }
@@ -47,17 +49,9 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
   }
 }
 
-MigrationCostModel::~MigrationCostModel() { clear_rows(); }
-
-void MigrationCostModel::clear_rows() const {
-  for (auto& slot : rows_) {
-    delete slot.exchange(nullptr, std::memory_order_acq_rel);
-  }
-}
-
 void MigrationCostModel::set_bandwidth_state(const net::FairShareResult* shares) {
   shares_ = shares;
-  if (!retain_trees_) clear_rows();
+  if (private_rows_ != nullptr) private_rows_->clear();
   if (surface_enabled_ && shares != nullptr) {
     surface_.build(shares, params_.management_reserve_fraction, params_.request_gbps,
                    params_.bandwidth_threshold_gbps);
@@ -68,21 +62,22 @@ void MigrationCostModel::set_bandwidth_state(const net::FairShareResult* shares)
 }
 
 void MigrationCostModel::begin_round() {
-  if (!retain_trees_) clear_rows();
+  if (private_rows_ != nullptr) private_rows_->clear();
 }
 
 void MigrationCostModel::set_tree_cache_retained(bool retain) {
-  retain_trees_ = retain;
-  if (!retain) clear_rows();
+  if (retain) {
+    rows_ = &topo_->distance_rows();
+    private_rows_.reset();
+  } else {
+    private_rows_ = std::make_unique<topo::DistanceRows>(*topo_);
+    rows_ = private_rows_.get();
+  }
 }
 
 void MigrationCostModel::set_surface_enabled(bool enabled) {
   if (surface_enabled_ == enabled) return;
   surface_enabled_ = enabled;
-  // Rack-keyed link memos exist only in surface mode; drop the rows so
-  // they rebuild in the right shape (serial-only toggle, like the other
-  // mode switches).
-  clear_rows();
   if (enabled && shares_ != nullptr) {
     surface_.build(shares_, params_.management_reserve_fraction, params_.request_gbps,
                    params_.bandwidth_threshold_gbps);
@@ -100,71 +95,18 @@ CostModelStats MigrationCostModel::stats() const noexcept {
   return out;
 }
 
-MigrationCostModel::Row* MigrationCostModel::build_row(topo::NodeId root) const {
-  auto* row = new Row;
-  row->tree = graph::dijkstra(distance_graph_, root);
-  if (surface_enabled_) {
-    // Destination-rack memo: the root→ToR link sequence along the tree's
-    // deterministic path, shared by every shim querying this root within
-    // (and across) rounds. link_between runs once per (root, rack) instead
-    // of once per (candidate, hop).
-    const std::size_t racks = topo_->rack_count();
-    row->rack_links.resize(racks);
-    row->rack_ok.assign(racks, 0);
-    for (topo::RackId r = 0; r < racks; ++r) {
-      const topo::NodeId tor = topo_->rack(r).tor;
-      if (tor == topo::kInvalidNode) continue;
-      if (row->tree.distance[tor] == graph::kInfiniteDistance) continue;
-      const auto path = row->tree.path_to(tor);
-      if (path.empty()) continue;
-      auto& links = row->rack_links[r];
-      links.reserve(path.size() - 1);
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        links.push_back(topo_->link_between(path[i], path[i + 1]));
-      }
-      row->rack_ok[r] = 1;
-    }
-  }
-  return row;
-}
-
-const MigrationCostModel::Row& MigrationCostModel::row_for(topo::NodeId root) const {
-  std::atomic<Row*>& slot = rows_[root];
-  Row* existing = slot.load(std::memory_order_acquire);
-  if (existing != nullptr) return *existing;
-  // Build outside any lock (two threads may race on the same root; the
-  // loser's identical, deterministic row is discarded — cheaper than
-  // serializing all Dijkstra runs, and the published row never mutates).
-  Row* built = build_row(root);
-  Row* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, built, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-    return *built;
-  }
-  delete built;
-  return *expected;
-}
-
-const graph::ShortestPathTree& MigrationCostModel::tree_for(topo::NodeId source) const {
-  return row_for(source).tree;
-}
-
-const graph::ShortestPathTree& MigrationCostModel::distance_tree(topo::NodeId root) const {
-  return row_for(root).tree;
-}
-
 double MigrationCostModel::host_distance(topo::NodeId from, topo::NodeId to) const {
   if (from == to) return 0.0;
   if (shared_leaf_trees_) {
     if (single_homed_[from] != 0) {
       // Single-homed: every path out of `from` crosses its one leaf edge,
-      // so the neighbor's (shared) tree answers the query.
-      const auto& leaf = distance_graph_.neighbors(from)[0];
-      if (to == leaf.to) return leaf.weight;
-      return leaf.weight + tree_for(leaf.to).distance[to];
+      // so the neighbor's (shared) row answers the query.
+      const topo::NodeId via = leaf_tor_[from];
+      if (to == via) return leaf_distance_[from];
+      return leaf_distance_[from] + rows_->row(via).distance[to];
     }
   }
-  return tree_for(from).distance[to];
+  return rows_->row(from).distance[to];
 }
 
 std::vector<topo::NodeId> MigrationCostModel::shortest_path(topo::NodeId from,
@@ -173,13 +115,13 @@ std::vector<topo::NodeId> MigrationCostModel::shortest_path(topo::NodeId from,
     if (single_homed_[from] != 0) {
       const topo::NodeId via = leaf_tor_[from];
       if (to == via) return {from, to};
-      auto path = tree_for(via).path_to(to);
+      auto path = rows_->row(via).path_to(to);
       if (path.empty()) return path;  // unreachable
       path.insert(path.begin(), from);
       return path;
     }
   }
-  return tree_for(from).path_to(to);
+  return rows_->row(from).path_to(to);
 }
 
 double MigrationCostModel::dependency_cost(wl::VmId vm_id, topo::NodeId vm_host,
@@ -231,16 +173,16 @@ void MigrationCostModel::surface_transmission(const wl::VirtualMachine& vm,
     const topo::NodeId root = leaf_tor_[src];
     if (!surface_.step(leaf_link_[src], cap, delta, eta, transmission)) return;
     if (destination != root) {
-      const Row& row = row_for(root);
+      const topo::DistanceRow& row = rows_->row(root);
       if (rack_leaf_[destination] != 0) {
         const topo::RackId rack = topo_->node(destination).rack;
-        if (row.rack_ok[rack] == 0) return;  // unreachable
-        for (const topo::LinkId l : row.rack_links[rack]) {
+        if (row.rack_reachable[rack] == 0) return;  // unreachable
+        for (const topo::LinkId l : row.links_to_rack(rack)) {
           if (!surface_.step(l, cap, delta, eta, transmission)) return;
         }
         if (!surface_.step(leaf_link_[destination], cap, delta, eta, transmission)) return;
       } else {
-        const auto path = row.tree.path_to(destination);
+        const auto path = row.path_to(destination);
         if (path.empty()) return;  // unreachable
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
           const topo::LinkId l = topo_->link_between(path[i], path[i + 1]);

@@ -16,21 +16,20 @@
 // term non-negative — as the assignment solvers require — while preserving
 // the paper's intent of penalizing moves away from communication partners.
 //
-// Hot path (DESIGN.md §14): distance trees live in a lock-free row cache
-// (one atomically published Row per root, replacing the historical
-// mutex + unordered_map), each Row carrying a destination-rack-keyed memo
-// of root→ToR link sequences; per-link bandwidth state is snapshotted once
-// per round into a CostSurface. Both are bit-transparent: every mode
-// produces the same CostBreakdown with the surface on or off.
+// Hot path (DESIGN.md §14): distances and paths come from the fabric's
+// shared flat row set (Topology::distance_rows()), each row carrying a
+// rack-keyed CSR of root→ToR link sequences; per-link bandwidth state is
+// snapshotted once per round into a CostSurface. Both are bit-transparent:
+// every mode produces the same CostBreakdown with the surface on or off.
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
-#include "graph/graph.hpp"
 #include "migration/cost_surface.hpp"
 #include "net/fair_share.hpp"
+#include "topology/distance_rows.hpp"
 #include "topology/topology.hpp"
 #include "workload/deployment.hpp"
 
@@ -83,16 +82,15 @@ struct CostModelStats {
 };
 
 /// Evaluates Eq. (1) for candidate moves on a fixed topology. Shortest
-/// (distance-weighted) trees are computed lazily per root and published
-/// into a lock-free row cache; call `begin_round()` when the network state
-/// changes. Concurrent cost()/total_cost() calls are safe (rows are
-/// immutable once published; a lost publication race discards the
-/// duplicate), which lets every shim evaluate its proposals in parallel.
+/// (distance-weighted) rows come from the topology's shared row set, built
+/// lazily per root; call `begin_round()` when the network state changes.
+/// Concurrent cost()/total_cost() calls are safe (rows are immutable once
+/// published; a lost publication race discards the duplicate), which lets
+/// every shim evaluate its proposals in parallel.
 class MigrationCostModel {
  public:
   MigrationCostModel(const topo::Topology& topo, const wl::Deployment& deployment,
                      CostParams params = {});
-  ~MigrationCostModel();
 
   MigrationCostModel(const MigrationCostModel&) = delete;
   MigrationCostModel& operator=(const MigrationCostModel&) = delete;
@@ -102,17 +100,16 @@ class MigrationCostModel {
   /// enabled this snapshots the per-link SoA arrays once for the round.
   void set_bandwidth_state(const net::FairShareResult* shares);
 
-  /// Invalidates the per-root row cache. With retention on (default) this
-  /// is a no-op: the trees are built on the immutable distance graph and
-  /// never depend on bandwidth state, so discarding them between rounds
-  /// only re-runs identical Dijkstras.
+  /// Invalidates the private row set when tree retention is off. With
+  /// retention on (default) this is a no-op: the rows are built on the
+  /// immutable distance graph and never depend on bandwidth state.
   void begin_round();
 
-  /// Toggles tree retention across bandwidth-state changes. Disabling
-  /// reproduces the historical clear-every-round behavior (the bench
-  /// baseline); it never changes results, only how often trees rebuild.
+  /// Toggles tree retention. On (default), the model reads the topology's
+  /// shared rows. Off, it builds a private row set and discards it at every
+  /// bandwidth-state change — bench_scale's naive baseline; it never
+  /// changes results, only how often rows rebuild.
   void set_tree_cache_retained(bool retain);
-  [[nodiscard]] bool tree_cache_retained() const noexcept { return retain_trees_; }
 
   /// Roots the dependency-span Dijkstra trees at the VMs' *partners*
   /// instead of the candidate destination. Distances on the undirected
@@ -135,11 +132,11 @@ class MigrationCostModel {
   void set_shared_leaf_trees(bool shared) noexcept { shared_leaf_trees_ = shared; }
   [[nodiscard]] bool shared_leaf_trees() const noexcept { return shared_leaf_trees_; }
 
-  /// Toggles the per-round CostSurface (flat SoA link state + rack-keyed
-  /// link-sequence memos). Bit-transparent: the flat kernel replays the
-  /// legacy kernel's FP ops in the legacy order, so every CostBreakdown is
-  /// identical with the surface on or off. Serial-only toggle (clears the
-  /// row cache so memos are rebuilt in the right shape).
+  /// Toggles the per-round CostSurface (flat SoA link state, priced along
+  /// the rows' rack-keyed link sequences). Bit-transparent: the flat
+  /// kernel replays the legacy kernel's FP ops in the legacy order, so
+  /// every CostBreakdown is identical with the surface on or off.
+  /// Serial-only toggle.
   void set_surface_enabled(bool enabled);
   [[nodiscard]] bool surface_enabled() const noexcept { return surface_enabled_; }
 
@@ -200,26 +197,16 @@ class MigrationCostModel {
   /// applied); 0 when unreachable. Feeds the live-migration timeline.
   [[nodiscard]] double path_bottleneck_bandwidth(wl::VmId vm, topo::NodeId destination) const;
 
-  /// Shared distance rows: the deterministic shortest-path tree rooted at
-  /// `root` on the immutable (unmasked) distance graph, built on demand
-  /// and cached. KMedianPlanner reuses these rows for its pristine-fabric
-  /// distance matrix so there is one source of truth for ToR distances.
-  [[nodiscard]] const graph::ShortestPathTree& distance_tree(topo::NodeId root) const;
+  /// The distance row rooted at `root` on the immutable (unmasked)
+  /// distance graph, built on demand: the topology's shared row, or the
+  /// private set's when tree retention is off. KMedianPlanner reads its
+  /// pristine-fabric distance matrix here so there is one source of truth
+  /// for ToR distances.
+  [[nodiscard]] const topo::DistanceRow& distance_row(topo::NodeId root) const {
+    return rows_->row(root);
+  }
 
  private:
-  /// One root's cache line: the Dijkstra tree plus (surface mode only) the
-  /// destination-rack-keyed memo of root→ToR link sequences along the
-  /// tree's deterministic paths. Immutable once published into rows_.
-  struct Row {
-    graph::ShortestPathTree tree;
-    std::vector<std::vector<topo::LinkId>> rack_links;
-    std::vector<std::uint8_t> rack_ok;
-  };
-
-  const Row& row_for(topo::NodeId root) const;
-  [[nodiscard]] Row* build_row(topo::NodeId root) const;
-  void clear_rows() const;
-  const graph::ShortestPathTree& tree_for(topo::NodeId source) const;
   /// One shortest distance path `from` → `to` (empty when unreachable),
   /// routed through the shared leaf tree when the mode is on.
   [[nodiscard]] std::vector<topo::NodeId> shortest_path(topo::NodeId from,
@@ -240,9 +227,11 @@ class MigrationCostModel {
   const topo::Topology* topo_;
   const wl::Deployment* deployment_;
   CostParams params_;
-  graph::Graph distance_graph_;
+  /// The rows read: the topology's shared set, or private_rows_.
+  const topo::DistanceRows* rows_;
+  /// Retention off only: rows discarded at every bandwidth-state change.
+  std::unique_ptr<topo::DistanceRows> private_rows_;
   const net::FairShareResult* shares_ = nullptr;
-  bool retain_trees_ = true;
   bool partner_rooted_ = false;
   bool shared_leaf_trees_ = false;
   bool surface_enabled_ = false;
@@ -254,10 +243,7 @@ class MigrationCostModel {
   std::vector<std::uint8_t> rack_leaf_;     ///< single-homed AND leaf peer == own rack's ToR
   std::vector<topo::LinkId> leaf_link_;     ///< the leaf link (valid iff single_homed_)
   std::vector<topo::NodeId> leaf_tor_;      ///< the leaf peer (valid iff single_homed_)
-  // Lock-free row cache: slot published once via CAS, then immutable; a
-  // losing builder deletes its duplicate (rows are deterministic, so the
-  // winner's copy is identical). Cleared only at serial points.
-  mutable std::vector<std::atomic<Row*>> rows_;
+  std::vector<double> leaf_distance_;       ///< the leaf link's D(e) (valid iff single_homed_)
   // Evaluation counters (relaxed: monotone totals, read at serial points).
   mutable std::atomic<std::uint64_t> evaluated_{0};
   mutable std::atomic<std::uint64_t> pruned_{0};

@@ -1,8 +1,10 @@
 #include "topology/topology.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/require.hpp"
+#include "topology/distance_rows.hpp"
 #include "topology/liveness.hpp"
 
 namespace sheriff::topo {
@@ -18,7 +20,46 @@ const char* to_string(NodeKind kind) noexcept {
   return "unknown";
 }
 
+Topology::RowSlot& Topology::RowSlot::operator=(const RowSlot&) noexcept {
+  reset();
+  return *this;
+}
+
+Topology::RowSlot& Topology::RowSlot::operator=(RowSlot&& other) noexcept {
+  reset();
+  other.reset();
+  return *this;
+}
+
+Topology::RowSlot::~RowSlot() { reset(); }
+
+void Topology::RowSlot::reset() noexcept {
+  delete rows_.exchange(nullptr, std::memory_order_acq_rel);
+}
+
+const DistanceRows& Topology::RowSlot::get(const Topology& topo) const {
+  if (const DistanceRows* rows = rows_.load(std::memory_order_acquire); rows != nullptr) {
+    return *rows;
+  }
+  // Published once by CAS, like the rows inside; a losing build is freed.
+  auto built = std::make_unique<DistanceRows>(topo);
+  DistanceRows* expected = nullptr;
+  if (rows_.compare_exchange_strong(expected, built.get(), std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    return *built.release();
+  }
+  return *expected;
+}
+
+const DistanceRows& Topology::distance_rows() const { return distance_rows_.get(*this); }
+
+void Topology::set_name(std::string name) {
+  distance_rows_.reset();
+  name_ = std::move(name);
+}
+
 NodeId Topology::add_node(NodeKind kind, RackId rack, std::int32_t pod, std::int32_t level) {
+  distance_rows_.reset();
   Node node;
   node.id = static_cast<NodeId>(nodes_.size());
   node.kind = kind;
@@ -31,6 +72,7 @@ NodeId Topology::add_node(NodeKind kind, RackId rack, std::int32_t pod, std::int
 }
 
 LinkId Topology::add_link(NodeId a, NodeId b, double capacity_gbps, double distance_m) {
+  distance_rows_.reset();
   SHERIFF_REQUIRE(a < nodes_.size() && b < nodes_.size(), "link endpoint out of range");
   SHERIFF_REQUIRE(a != b, "link cannot be a self-loop");
   SHERIFF_REQUIRE(capacity_gbps > 0.0, "link capacity must be positive");
@@ -48,6 +90,7 @@ LinkId Topology::add_link(NodeId a, NodeId b, double capacity_gbps, double dista
 }
 
 RackId Topology::add_rack() {
+  distance_rows_.reset();
   Rack rack;
   rack.id = static_cast<RackId>(racks_.size());
   racks_.push_back(rack);
@@ -55,12 +98,14 @@ RackId Topology::add_rack() {
 }
 
 void Topology::set_node_position(NodeId node, double x, double y) {
+  distance_rows_.reset();
   SHERIFF_REQUIRE(node < nodes_.size(), "node out of range");
   nodes_[node].x = x;
   nodes_[node].y = y;
 }
 
 void Topology::assign_host_to_rack(NodeId host, RackId rack) {
+  distance_rows_.reset();
   SHERIFF_REQUIRE(host < nodes_.size(), "host out of range");
   SHERIFF_REQUIRE(rack < racks_.size(), "rack out of range");
   SHERIFF_REQUIRE(nodes_[host].kind == NodeKind::kHost, "only hosts join rack host lists");
@@ -69,6 +114,7 @@ void Topology::assign_host_to_rack(NodeId host, RackId rack) {
 }
 
 void Topology::assign_tor_to_rack(NodeId tor, RackId rack) {
+  distance_rows_.reset();
   SHERIFF_REQUIRE(tor < nodes_.size(), "tor out of range");
   SHERIFF_REQUIRE(rack < racks_.size(), "rack out of range");
   SHERIFF_REQUIRE(is_switch(nodes_[tor].kind), "rack ToR must be a switch");
@@ -78,6 +124,7 @@ void Topology::assign_tor_to_rack(NodeId tor, RackId rack) {
 }
 
 void Topology::set_rack_position(RackId rack, double x, double y) {
+  distance_rows_.reset();
   SHERIFF_REQUIRE(rack < racks_.size(), "rack out of range");
   racks_[rack].x = x;
   racks_[rack].y = y;

@@ -3,6 +3,7 @@
 // bookkeeping. Builders (fat_tree.hpp, bcube.hpp) populate an instance;
 // the router, the migration cost model, and the shims all query it.
 
+#include <atomic>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 
 namespace sheriff::topo {
 
+class DistanceRows;
 class LivenessMask;
 
 /// Edge-weight convention when exporting to a graph::Graph.
@@ -26,6 +28,7 @@ class Topology {
   Topology() = default;
 
   // --- construction (used by the builders) -------------------------------
+  // Every mutator drops the distance-row set (see distance_rows()).
   NodeId add_node(NodeKind kind, RackId rack = kInvalidRack, std::int32_t pod = -1,
                   std::int32_t level = -1);
   LinkId add_link(NodeId a, NodeId b, double capacity_gbps, double distance_m);
@@ -34,7 +37,7 @@ class Topology {
   void assign_host_to_rack(NodeId host, RackId rack);
   void assign_tor_to_rack(NodeId tor, RackId rack);
   void set_rack_position(RackId rack, double x, double y);
-  void set_name(std::string name) { name_ = std::move(name); }
+  void set_name(std::string name);
 
   // --- queries ------------------------------------------------------------
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -78,12 +81,38 @@ class Topology {
   /// every rack has a ToR. Throws RequirementError with details if not.
   void validate() const;
 
+  /// The fabric's wired-distance rows (topology/distance_rows.hpp), built
+  /// lazily and shared by every engine, cost model and planner on this
+  /// topology. Thread-safe. A mutator drops the set (invalidating every
+  /// row reference taken from it); a copy or a move starts without one.
+  [[nodiscard]] const DistanceRows& distance_rows() const;
+
  private:
+  /// Owner of the lazily published row set. Rows describe the graph (and
+  /// the address) they were built from, so a copy or a move starts empty,
+  /// and a moved-from topology drops its set too.
+  class RowSlot {
+   public:
+    RowSlot() = default;
+    RowSlot(const RowSlot&) noexcept {}
+    RowSlot(RowSlot&& other) noexcept { other.reset(); }
+    RowSlot& operator=(const RowSlot&) noexcept;
+    RowSlot& operator=(RowSlot&& other) noexcept;
+    ~RowSlot();
+
+    [[nodiscard]] const DistanceRows& get(const Topology& topo) const;
+    void reset() noexcept;
+
+   private:
+    mutable std::atomic<DistanceRows*> rows_{nullptr};
+  };
+
   std::string name_;
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<Rack> racks_;
   std::vector<std::vector<LinkId>> incident_;
+  RowSlot distance_rows_;
 };
 
 }  // namespace sheriff::topo

@@ -279,7 +279,6 @@ struct DecisionLeg {
   bool cost_surface = false;
   bool cost_pruning = false;
   bool parallel_workload = false;
-  bool prewarm_cost_rows = false;
   std::size_t pool_threads = 1;
 };
 
@@ -298,7 +297,6 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
   config.cost_surface = leg.cost_surface;
   config.cost_pruning = leg.cost_pruning;
   config.parallel_workload = leg.parallel_workload;
-  config.prewarm_cost_rows = leg.prewarm_cost_rows;
   core::DistributedEngine engine(topology, surface_deployment(), config);
   std::vector<core::RoundMetrics> metrics;
   metrics.reserve(rounds);
@@ -337,7 +335,6 @@ void expect_decision_kernel_invariance(const topo::Topology& topology, bool faul
     leg.cost_surface = true;
     leg.cost_pruning = true;
     leg.parallel_workload = true;
-    leg.prewarm_cost_rows = true;
     leg.pool_threads = threads;
     const auto [csv, bytes] = run_decision_leg(topology, plan_ptr, leg, rounds);
     EXPECT_EQ(csv, reference_csv) << "metrics diverged at pool=" << threads;

@@ -1,8 +1,9 @@
 // Fleet runner (DESIGN.md §12): the headline guarantee — a sweep's per-run
 // outputs (metrics CSV bytes, checkpoint bytes, registry capture) are
 // byte-identical for ANY worker count and either pool-ownership policy,
-// and identical to direct serially-constructed engines that own their own
-// substrate — plus the crash/resume contract (a killed sweep resumed from
+// and identical to direct serially-constructed engines on cold copies of
+// the fabric that build their own distance rows — plus the crash/resume
+// contract (a killed sweep resumed from
 // its manifest reproduces the uninterrupted sweep's JSONL byte for byte)
 // and the cross-run quantile aggregation pinned against brute force.
 
@@ -67,8 +68,8 @@ fault::FaultPlan fleet_fault_plan(const topo::Topology& topology, std::size_t ro
 constexpr std::size_t kGridRounds = 12;
 
 /// The 32-run grid of the determinism pin: 4 scenarios (pristine sheriff,
-/// faulted sheriff, k-median — the substrate-borrowing mode — and the
-/// centralized baseline) × 8 seeds.
+/// faulted sheriff, k-median — whose planner reads the shared rows — and
+/// the centralized baseline) × 8 seeds.
 fleet::SweepGrid make_grid(const topo::Topology& topology, const fault::FaultPlan* plan) {
   fleet::SweepGrid grid;
   grid.seeds = {11, 12, 13, 14, 15, 16, 17, 18};
@@ -179,12 +180,18 @@ TEST(Fleet, WorkerCountAndPolicyInvarianceMatchesDirectEngines) {
     EXPECT_EQ(report.jsonl(), reference.jsonl());
   }
 
-  // Direct-engine parity: each grid cell run standalone — its own pool,
-  // its own (owned, never borrowed) k-median substrate — reproduces the
-  // fleet run byte for byte. This is what makes substrate borrowing an
+  // Every fleet run read the fabric's one row set.
+  EXPECT_GE(topology.distance_rows().built_rows(), topology.rack_count());
+
+  // Direct-engine parity: each grid cell run standalone — its own pool, on
+  // its own cold copy of the fabric, so it builds its own distance rows
+  // instead of reading the ones every fleet run shared — reproduces the
+  // fleet run byte for byte. This is what makes the shared rows an
   // optimization rather than a semantics change.
   sc::ThreadPool pool(2);
   for (std::size_t id = 0; id < grid.run_count(); ++id) {
+    const topo::Topology cold = topology;
+    ASSERT_EQ(cold.distance_rows().built_rows(), 0u);
     const fleet::ScenarioSpec& spec = grid.scenarios[id / grid.seeds.size()];
     wl::DeploymentOptions deploy = spec.deployment;
     deploy.seed = grid.seeds[id % grid.seeds.size()];
@@ -192,7 +199,7 @@ TEST(Fleet, WorkerCountAndPolicyInvarianceMatchesDirectEngines) {
     config.fault_plan = spec.fault_plan;
     config.observe = true;
     config.pool = &pool;
-    core::DistributedEngine engine(topology, deploy, config);
+    core::DistributedEngine engine(cold, deploy, config);
     const std::vector<core::RoundMetrics> rounds = engine.run(spec.rounds);
     std::ostringstream csv;
     core::write_metrics_csv(csv, rounds);

@@ -186,6 +186,22 @@ TEST(AuditorE2E, FailFastCleanRunDoesNotThrow) {
   });
 }
 
+TEST(AuditorE2E, AuditRefinementsWithoutAuditAreRejected) {
+  // Either refinement without `audit` would be silently ignored, so the
+  // engine refuses the config (SHERIFF_FORCE_AUDIT applies only after the
+  // caller's config passed).
+  core::EngineConfig fail_fast;
+  fail_fast.audit_fail_fast = true;
+  EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), fail_fast),
+               sc::RequirementError);
+  core::EngineConfig deep;
+  deep.deep_fair_share_audit = true;
+  EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), deep),
+               sc::RequirementError);
+  deep.audit = true;
+  EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), deep));
+}
+
 TEST(AuditorE2E, MetricsAndTraceAgreeWithRoundMetrics) {
   const auto plan = faulted_plan(fat_tree());
   auto config = audited_config();

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the algorithmic kernels Sheriff
 // leans on: Floyd–Warshall, Dijkstra, the router's blocked route (hop-level
-// BFS plus ECMP walk), Hungarian matching, max–min fair share, k-median
+// BFS plus ECMP walk), Hungarian matching, max–min fair share (the
+// reference and the per-round solver on engine flow tables), k-median
 // local search, the knapsack, ARIMA/NARNET fitting, the Eq. (1)
 // migration decision kernel (surface build / per-candidate eval /
 // bound-pruned sweep), a cold distance-row build, and an engine's
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <map>
 
 #include "bench_support.hpp"
 #include "common/rng.hpp"
@@ -160,41 +162,59 @@ void BM_MaxMinFairShare(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinFairShare)->Arg(128)->Arg(512)->Arg(2048);
 
-// The incremental solver under the engine's steady-state shape: each
-// iteration churns the demand of ~10% of the flows (a rotating subset)
-// and re-solves. Measures the event-driven water-fill kernel plus dirty
-// detection — compare against BM_MaxMinFairShare at the same flow count
-// for the from-scratch cost it replaces.
-void BM_IncrementalFairShareChurn(benchmark::State& state) {
-  topo::FatTreeOptions options;
-  options.pods = 8;
-  const auto t = topo::build_fat_tree(options);
-  const net::Router router(t);
-  common::Pcg32 rng(3);
-  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
+// One per-round canonical solve on an engine's own flow table (demands,
+// paths and QCN rate limits after its first round), with the solver's
+// path memo warm as in a round without reroutes:
+//   k=24 — ft24_regional's Sec. VI-B fabric and deployment: 4 hosts per
+//          rack, 1 Gbps ToR–agg links, 3 VMs per host, ~1.7k flows;
+//   k=32 — ft32_core_hotspot's table: 2 hosts per rack, 1 Gbps agg–core
+//          links under 10 Gbps elsewhere, 2 dependency edges per VM.
+// Compare BM_MaxMinFairShare for the from-scratch reference's cost.
+struct SolveTable {
+  topo::Topology topology;
   std::vector<net::Flow> flows;
-  for (net::FlowId id = 0; id < static_cast<net::FlowId>(state.range(0)); ++id) {
-    net::Flow f;
-    f.id = id;
-    f.src_host = rng.pick(hosts);
-    f.dst_host = rng.pick(hosts);
-    if (f.src_host == f.dst_host) continue;
-    f.demand_gbps = rng.uniform(0.05, 1.5);
-    flows.push_back(f);
+};
+
+const SolveTable& solve_table(int pods) {
+  static std::map<int, SolveTable> tables;
+  if (const auto it = tables.find(pods); it != tables.end()) return it->second;
+  topo::FatTreeOptions fabric;
+  fabric.pods = pods;
+  wl::DeploymentOptions deploy = bench::bench_deployment_options(1);
+  core::EngineConfig config;
+  config.sheriff.cost.computing_cost = 100.0;
+  if (pods == 32) {
+    fabric.hosts_per_rack = 2;
+    fabric.host_link_gbps = 10.0;
+    fabric.agg_core_gbps = 1.0;
+    deploy.placement = wl::PlacementPolicy::kUniform;
+    deploy.hot_vm_fraction = 0.0;
+    deploy.dependency_degree = 2.0;
+    config.flow_demand_scale_gbps = 2.0;
+    config.sheriff.reroute_fraction = 0.3;
+    config.sheriff.max_matching_rounds = 4;
+  } else {
+    fabric.tor_agg_gbps = 1.0;
   }
-  router.route_all(flows);
-  net::FairShareSolver solver(t);
-  solver.solve(flows);
-  std::size_t phase = 0;
-  for (auto _ : state) {
-    for (std::size_t f = phase; f < flows.size(); f += 10) {
-      flows[f].demand_gbps *= (phase % 2 == 0) ? 1.1 : 1.0 / 1.1;
-    }
-    phase = (phase + 1) % 10;
-    benchmark::DoNotOptimize(solver.solve(flows));
-  }
+  SolveTable& table = tables[pods];
+  table.topology = topo::build_fat_tree(fabric);
+  common::ThreadPool pool(1);
+  config.pool = &pool;
+  core::DistributedEngine engine(table.topology, deploy, config);
+  (void)engine.run_round();
+  table.flows.assign(engine.flows().begin(), engine.flows().end());
+  return table;
 }
-BENCHMARK(BM_IncrementalFairShareChurn)->Arg(128)->Arg(512)->Arg(2048);
+
+void BM_FairShareSolve(benchmark::State& state) {
+  const SolveTable& table = solve_table(static_cast<int>(state.range(0)));
+  std::vector<net::Flow> flows = table.flows;
+  net::FairShareSolver solver(table.topology);
+  (void)solver.solve(flows);
+  for (auto _ : state) benchmark::DoNotOptimize(solver.solve(flows));
+  state.counters["flows"] = static_cast<double>(flows.size());
+}
+BENCHMARK(BM_FairShareSolve)->ArgName("k")->Arg(24)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_KMedianLocalSearch(benchmark::State& state) {
   common::Pcg32 rng(4);

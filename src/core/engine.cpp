@@ -21,6 +21,13 @@ EngineConfig checked_config(const EngineConfig& config) {
   SHERIFF_REQUIRE(config.audit || !config.audit_fail_fast, "audit_fail_fast requires audit");
   SHERIFF_REQUIRE(config.audit || !config.deep_fair_share_audit,
                   "deep_fair_share_audit requires audit");
+  if (config.mode != ManagerMode::kKMedian) {
+    const EngineConfig defaults;
+    SHERIFF_REQUIRE(config.kmedian_destination_racks == defaults.kmedian_destination_racks &&
+                        config.kmedian_swap_p == defaults.kmedian_swap_p &&
+                        config.kmedian_max_evaluations == defaults.kmedian_max_evaluations,
+                    "kmedian_* settings require mode kKMedian");
+  }
   return config;
 }
 
@@ -280,12 +287,7 @@ void DistributedEngine::advance_workload(RoundMetrics& metrics) {
       flow.path.clear();
     }
     const double trf = deployment_.vm(flow_owner_[f]).profile[wl::Feature::kTraffic];
-    const double demand = config_.flow_demand_scale_gbps * trf;
-    // Skip-write unchanged demands: the incremental fair-share solver's
-    // dirty detection is value-based, so an equal store would be re-marked
-    // clean anyway — but leaving the field untouched keeps this loop
-    // honest about churn and lets the solver report reused_flows.
-    if (flow.demand_gbps != demand) flow.demand_gbps = demand;
+    flow.demand_gbps = config_.flow_demand_scale_gbps * trf;
   }
   for (net::Flow& flow : flows_) {
     if (!flow.routed()) router_.route(flow);
@@ -298,8 +300,8 @@ void DistributedEngine::advance_workload(RoundMetrics& metrics) {
 }
 
 const net::FairShareResult& DistributedEngine::solve_network(const RoundMetrics& metrics) {
-  // The incremental solver re-waterfills only the components touched since
-  // last round; the from-scratch call is the bench baseline.
+  // One canonical solve per round; the from-scratch reference is the bench
+  // baseline.
   const topo::LivenessMask* liveness =
       injector_ != nullptr ? &injector_->liveness() : nullptr;
   const net::FairShareResult* shares = &naive_shares_;
@@ -755,7 +757,7 @@ constexpr std::uint32_t kMetaVersion = 3;
 constexpr std::uint32_t kDeploymentVersion = 1;
 constexpr std::uint32_t kFlowVersion = 1;
 constexpr std::uint32_t kFaultVersion = 1;
-constexpr std::uint32_t kFairShareVersion = 2;
+constexpr std::uint32_t kFairShareVersion = 3;
 constexpr std::uint32_t kQueueVersion = 1;
 constexpr std::uint32_t kPredictVersion = 1;
 constexpr std::uint32_t kShimVersion = 1;
@@ -1014,7 +1016,7 @@ void DistributedEngine::load_state(snapshot::Reader& reader) {
   }
 
   reader.expect_section("FAIR", kFairShareVersion);
-  solver_.load_state(reader, injector_ != nullptr ? &injector_->liveness() : nullptr);
+  solver_.load_state(reader);
   reader.leave_section();
 
   reader.expect_section("QUEU", kQueueVersion);

@@ -84,7 +84,10 @@ struct EngineConfig {
   //     cost-rooting switches pick equal-cost trees whose FP summation
   //     order / path tie-breaks may differ, so each mode is deterministic
   //     but the modes are not bit-identical to each other. ----------------
-  bool incremental_fair_share = true;  ///< stateful FairShareSolver vs from-scratch waterfill
+  /// Allocate with net::FairShareSolver (one canonical solve per round) or,
+  /// off, with the from-scratch max_min_fair_share reference. Both give
+  /// max–min fair rates; only bench_scale's naive leg turns it off.
+  bool incremental_fair_share = true;
   bool route_cache = true;             ///< Router level-array + resolved-path caches
   /// Cost model reads the topology's shared distance rows. Off, it keeps a
   /// private row set that every round discards — only bench_scale's naive
@@ -126,8 +129,11 @@ struct EngineConfig {
   /// byte-identical for ANY shard count — tests pin 1/2/8 — so, like the
   /// pool size, it is excluded from the checkpoint fingerprint.
   std::size_t manage_shards = 0;
-  std::size_t kmedian_destination_racks = 4;  ///< k medians per plan (kKMedian mode)
-  std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size (kKMedian mode)
+  /// The three k-median settings below apply to kKMedian mode only: in
+  /// any other mode the constructor rejects a value away from its default
+  /// (RequirementError).
+  std::size_t kmedian_destination_racks = 4;  ///< k medians per plan
+  std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size
   std::size_t kmedian_max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
   /// Worker pool for the parallel sweeps (predictor observe, fair-share
   /// fill, switch queues, shim collect and propose, the protocol).
@@ -196,9 +202,9 @@ struct PhaseProfile {
   std::uint64_t fault_ns = 0;       ///< fault events + liveness propagation
   std::uint64_t workload_ns = 0;    ///< trace advance + demand updates + routing
   std::uint64_t fair_share_ns = 0;  ///< max–min allocation
-  /// Incremental-solver sub-phases of fair_share_ns (zero on the naive
-  /// from-scratch path): dirty detection + CSR/component upkeep vs the
-  /// water-filling kernel proper.
+  /// FairShareSolver sub-phases of fair_share_ns (zero on the naive
+  /// from-scratch path): link ids, incidence, components and reverse CSR
+  /// vs the demand sort, the water-filling kernel and the load sums.
   std::uint64_t fair_share_build_ns = 0;
   std::uint64_t fair_share_fill_ns = 0;
   std::uint64_t queue_ns = 0;       ///< switch queues + QCN rate control

@@ -1,7 +1,11 @@
 #include "net/fair_share.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
@@ -15,8 +19,10 @@ namespace {
 constexpr double kEps = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Dirty components below this many affected flows fill serially even with
-/// a pool attached: the parallel_for dispatch costs more than the fill.
+constexpr std::uint32_t kNoComp = 0xffffffffU;
+
+/// Solves with fewer participating flows fill serially even with a pool
+/// attached: the parallel_for dispatch costs more than the fill.
 constexpr std::size_t kParallelFillMinFlows = 256;
 }  // namespace
 
@@ -129,353 +135,50 @@ FairShareResult max_min_fair_share(const topo::Topology& topo, std::span<Flow> f
 
 // --- FairShareSolver --------------------------------------------------------
 
-FairShareSolver::FairShareSolver(const topo::Topology& topo) : topo_(&topo) {}
-
-void FairShareSolver::invalidate() { force_rebuild_ = true; }
-
-void FairShareSolver::reindex_flow(std::size_t f) {
-  const std::uint32_t old_count = flow_link_count_[f];
-  const auto& path = cached_path_[f];
-  const std::uint32_t new_count =
-      path.size() >= 2 ? static_cast<std::uint32_t>(path.size() - 1) : 0;
-  std::uint32_t start = flow_link_start_[f];
-  if (new_count > old_count) {
-    start = static_cast<std::uint32_t>(flow_links_.size());
-    flow_links_.resize(flow_links_.size() + new_count);
-    flow_link_start_[f] = start;
+FairShareSolver::FairShareSolver(const topo::Topology& topo) : topo_(&topo) {
+  link_state_.resize(topo.link_count());
+  for (topo::LinkId l = 0; l < link_state_.size(); ++l) {
+    link_state_[l].capacity = topo.link(l).capacity_gbps;
   }
-  for (std::uint32_t i = 0; i < new_count; ++i) {
-    flow_links_[start + i] =
-        static_cast<std::int32_t>(topo_->link_between(path[i], path[i + 1]));
-  }
-  flow_link_count_[f] = new_count;
-  live_link_refs_ += new_count;
-  live_link_refs_ -= old_count;
-  reverse_stale_ = true;
-  comps_stale_ = true;
-}
-
-void FairShareSolver::compact_incidence() {
-  // Rewrite the pool densely in ascending flow order (canonical layout —
-  // the same one load_state rebuilds, so compaction points never influence
-  // anything observable).
-  std::vector<std::int32_t> packed;
-  packed.reserve(live_link_refs_);
-  for (std::size_t f = 0; f < flow_link_start_.size(); ++f) {
-    const std::uint32_t start = static_cast<std::uint32_t>(packed.size());
-    const auto links = links_of(f);
-    packed.insert(packed.end(), links.begin(), links.end());
-    flow_link_start_[f] = start;
-  }
-  flow_links_ = std::move(packed);
-}
-
-void FairShareSolver::rebuild_reverse_csr() {
-  const std::size_t link_count = topo_->link_count();
-  link_flow_offset_.assign(link_count + 1, 0);
-  const std::size_t n = flow_link_count_.size();
-  for (std::size_t f = 0; f < n; ++f) {
-    for (std::int32_t l : links_of(f)) ++link_flow_offset_[static_cast<std::size_t>(l) + 1];
-  }
-  for (std::size_t l = 0; l < link_count; ++l) {
-    link_flow_offset_[l + 1] += link_flow_offset_[l];
-  }
-  link_flows_.resize(live_link_refs_);
-  std::vector<std::uint32_t> cursor(link_flow_offset_.begin(), link_flow_offset_.end() - 1);
-  for (std::size_t f = 0; f < n; ++f) {
-    for (std::int32_t l : links_of(f)) {
-      link_flows_[cursor[static_cast<std::size_t>(l)]++] = static_cast<std::uint32_t>(f);
-    }
-  }
-  reverse_stale_ = false;
-}
-
-void FairShareSolver::rebuild_components() {
-  const std::size_t n = flow_link_count_.size();
-  const std::size_t link_count = topo_->link_count();
-  flow_comp_.assign(n, kNoComp);
-  link_comp_.assign(link_count, kNoComp);
-  comp_count_ = 0;
-  std::vector<std::uint32_t> flow_counts;
-  std::vector<std::uint32_t> link_counts;
-  comp_edge_count_.clear();
-  // BFS from each unlabelled participating flow, in ascending flow order:
-  // component ids are a canonical function of (incidence, participation).
-  for (std::size_t f0 = 0; f0 < n; ++f0) {
-    if (!participates_[f0] || flow_comp_[f0] != kNoComp) continue;
-    const std::uint32_t c = comp_count_++;
-    std::uint32_t flows_in = 0;
-    std::uint32_t links_in = 0;
-    std::uint32_t edges_in = 0;
-    bfs_queue_.clear();
-    bfs_queue_.push_back(static_cast<std::uint32_t>(f0));
-    flow_comp_[f0] = c;
-    for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-      const std::uint32_t g = bfs_queue_[head];
-      ++flows_in;
-      edges_in += flow_link_count_[g];
-      for (std::int32_t sl : links_of(g)) {
-        const auto l = static_cast<std::size_t>(sl);
-        if (link_comp_[l] == c) continue;
-        link_comp_[l] = c;
-        ++links_in;
-        for (std::uint32_t h = link_flow_offset_[l]; h < link_flow_offset_[l + 1]; ++h) {
-          const std::uint32_t other = link_flows_[h];
-          if (participates_[other] && flow_comp_[other] == kNoComp) {
-            flow_comp_[other] = c;
-            bfs_queue_.push_back(other);
-          }
-        }
-      }
-    }
-    flow_counts.push_back(flows_in);
-    link_counts.push_back(links_in);
-    comp_edge_count_.push_back(edges_in);
-  }
-  // Links only non-participating flows cross got labelled too; strip them
-  // back to kNoComp? No — a link labelled c carries at least one
-  // participating flow of c by construction (labels spread only through
-  // links_of(participating member)), so every labelled link is real.
-  comp_flow_offset_.assign(comp_count_ + 1, 0);
-  comp_link_offset_.assign(comp_count_ + 1, 0);
-  for (std::uint32_t c = 0; c < comp_count_; ++c) {
-    comp_flow_offset_[c + 1] = comp_flow_offset_[c] + flow_counts[c];
-    comp_link_offset_[c + 1] = comp_link_offset_[c] + link_counts[c];
-  }
-  comp_flows_.resize(comp_flow_offset_[comp_count_]);
-  comp_links_.resize(comp_link_offset_[comp_count_]);
-  {
-    std::vector<std::uint32_t> cursor(comp_flow_offset_.begin(), comp_flow_offset_.end() - 1);
-    for (std::size_t f = 0; f < n; ++f) {
-      if (flow_comp_[f] != kNoComp) comp_flows_[cursor[flow_comp_[f]]++] = static_cast<std::uint32_t>(f);
-    }
-  }
-  {
-    std::vector<std::uint32_t> cursor(comp_link_offset_.begin(), comp_link_offset_.end() - 1);
-    for (std::size_t l = 0; l < link_count; ++l) {
-      if (link_comp_[l] != kNoComp) comp_links_[cursor[link_comp_[l]]++] = static_cast<topo::LinkId>(l);
-    }
-  }
-  comp_mark_.assign(comp_count_, 0);
-  comps_stale_ = false;
-}
-
-void FairShareSolver::refresh_liveness(const topo::LivenessMask* liveness) {
-  if (liveness == nullptr) {
-    if (!had_liveness_) return;  // bitmap is already all-usable
-    for (topo::LinkId l = 0; l < topo_->link_count(); ++l) {
-      if (!link_usable_[l]) {
-        link_usable_[l] = 1;
-        changed_links_.push_back(l);
-      }
-    }
-    had_liveness_ = false;
-    last_mask_ = nullptr;
-    return;
-  }
-  if (had_liveness_ && last_mask_ == liveness && liveness->version() == liveness_version_) {
-    return;
-  }
-  for (topo::LinkId l = 0; l < topo_->link_count(); ++l) {
-    const char usable = liveness->link_usable(*topo_, l) ? 1 : 0;
-    if (usable != link_usable_[l]) {
-      link_usable_[l] = usable;
-      changed_links_.push_back(l);
-    }
-  }
-  had_liveness_ = true;
-  last_mask_ = liveness;
-  liveness_version_ = liveness->version();
+  link_flow_count_.resize(topo.link_count());
+  link_parent_.resize(topo.link_count());
+  link_comp_.resize(topo.link_count());
 }
 
 const FairShareResult& FairShareSolver::solve(std::span<Flow> flows,
                                               const topo::LivenessMask* liveness) {
   if (liveness != nullptr && liveness->all_up()) liveness = nullptr;
   obs::Stopwatch phase_watch;
-  ++stats_.solves;
   const std::size_t n = flows.size();
-  const std::size_t link_count = topo_->link_count();
+  ++stats_.solves;
+  ++stats_.full_rebuilds;
+  stats_.dirty_flows += n;
+  stats_.affected_flows += n;
 
-  const bool full = force_rebuild_ || n != cached_demand_.size();
-  if (full) {
-    ++stats_.full_rebuilds;
-    force_rebuild_ = false;
-    cached_path_.assign(n, {});
-    cached_demand_.assign(n, 0.0);
-    participates_.assign(n, 0);
-    flow_link_start_.assign(n, 0);
-    flow_link_count_.assign(n, 0);
-    flow_links_.clear();
-    live_link_refs_ = 0;
-    result_.flow_rate.assign(n, 0.0);
-    result_.link_load_gbps.assign(link_count, 0.0);
-    result_.link_offered_gbps.assign(link_count, 0.0);
-    result_.link_utilization.assign(link_count, 0.0);
-    flow_mark_.assign(n, 0);
-    flow_frozen_.assign(n, 0);
-    link_mark_.assign(link_count, 0);
-    frozen_load_.assign(link_count, 0.0);
-    link_level_.assign(link_count, 0.0);
-    active_on_link_.assign(link_count, 0);
-    link_usable_.assign(link_count, 1);
-    had_liveness_ = false;
-    last_mask_ = nullptr;
-    comp_count_ = 0;
-    reverse_stale_ = true;
-    comps_stale_ = true;
-    epoch_ = 0;
-  }
-
-  ++epoch_;
-  dirty_flows_.clear();
-  touched_links_.clear();
-  changed_links_.clear();
-  dirty_comps_.clear();
-  orphan_links_.clear();
-
-  const auto mark_flow = [&](std::uint32_t f) {
-    if (flow_mark_[f] != epoch_) {
-      flow_mark_[f] = epoch_;
-      dirty_flows_.push_back(f);
-    }
-  };
-  const auto touch_link = [&](topo::LinkId l) {
-    if (link_mark_[l] != epoch_) {
-      link_mark_[l] = epoch_;
-      touched_links_.push_back(l);
-    }
-  };
-
-  refresh_liveness(liveness);
-  if (!full && !changed_links_.empty()) {
-    // Flows crossing a flipped link re-check participation; the reverse
-    // CSR still describes the pre-patch incidence here, which is exactly
-    // the incidence those flows had when the links went down/up. (It can
-    // only be stale right after load_state — rebuild before indexing it.)
-    if (reverse_stale_) rebuild_reverse_csr();
-    for (topo::LinkId l : changed_links_) {
-      touch_link(l);
-      for (std::uint32_t i = link_flow_offset_[l]; i < link_flow_offset_[l + 1]; ++i) {
-        mark_flow(link_flows_[i]);
-      }
-    }
-  }
-
-  // --- dirty detection: demand, rate-limit, and path edits ------------------
-  for (std::size_t f = 0; f < n; ++f) {
-    const Flow& flow = flows[f];
-    if (full) {
-      cached_path_[f] = flow.path;
-      flow_link_start_[f] = 0;
-      flow_link_count_[f] = 0;
-      reindex_flow(f);
-      cached_demand_[f] = flow.effective_demand();
-      mark_flow(static_cast<std::uint32_t>(f));
-      continue;
-    }
-    const bool path_changed = flow.path.size() != cached_path_[f].size() ||
-                              !std::equal(flow.path.begin(), flow.path.end(),
-                                          cached_path_[f].begin());
-    if (path_changed) {
-      mark_flow(static_cast<std::uint32_t>(f));
-      // The links the flow leaves lose its contribution: their components
-      // must refill too (only if the flow was actually counted on them).
-      if (participates_[f]) {
-        for (std::int32_t l : links_of(f)) touch_link(static_cast<topo::LinkId>(l));
-      }
-      cached_path_[f] = flow.path;
-      reindex_flow(f);
-    }
-    const double eff = flow.effective_demand();
-    if (eff != cached_demand_[f]) {
-      cached_demand_[f] = eff;
-      mark_flow(static_cast<std::uint32_t>(f));
-    }
-  }
-  stats_.dirty_flows += dirty_flows_.size();
-  if (flow_links_.size() > 2 * live_link_refs_ + 1024) compact_incidence();
-
-  // --- participation refresh (dirty flows only) -----------------------------
-  for (const std::uint32_t f : dirty_flows_) {
-    bool now = flows[f].routed() && cached_demand_[f] > 0.0;
-    if (now && had_liveness_) {
-      for (std::int32_t l : links_of(f)) {
-        if (!link_usable_[static_cast<std::size_t>(l)]) {
-          now = false;
-          break;
-        }
-      }
-    }
-    if (static_cast<bool>(participates_[f]) != now) comps_stale_ = true;
-    if (now || participates_[f]) {
-      for (std::int32_t l : links_of(f)) touch_link(static_cast<topo::LinkId>(l));
-    }
-    participates_[f] = now ? 1 : 0;
-  }
-
-  if (reverse_stale_) rebuild_reverse_csr();
-  if (comps_stale_) rebuild_components();
-
-  // --- closure: a dirty flow or touched link dirties its whole component ----
-  // (the transitive closure over shared links IS the connected component,
-  // so this is the exact closure, not an over-approximation).
-  const auto mark_comp = [&](std::uint32_t c) {
-    if (comp_mark_[c] != epoch_) {
-      comp_mark_[c] = epoch_;
-      dirty_comps_.push_back(c);
-    }
-  };
-  std::size_t affected = 0;
-  for (const std::uint32_t f : dirty_flows_) {
-    if (flow_comp_[f] != kNoComp) {
-      mark_comp(flow_comp_[f]);
-    } else {
-      ++affected;  // dirty non-participating flow: reset serially below
-    }
-  }
-  for (const topo::LinkId l : touched_links_) {
-    if (link_comp_[l] != kNoComp) {
-      mark_comp(link_comp_[l]);
-    } else {
-      orphan_links_.push_back(l);
-    }
-  }
-  for (const std::uint32_t c : dirty_comps_) {
-    affected += comp_flow_offset_[c + 1] - comp_flow_offset_[c];
-  }
-  stats_.affected_flows += affected;
-  stats_.reused_flows += n - affected;
+  build_incidence(flows, liveness);
+  label_components();
   timings_.build_ns += phase_watch.elapsed_ns();
 
-  // --- fill: reset orphans serially, water-fill dirty components ------------
   phase_watch.restart();
-  for (const std::uint32_t f : dirty_flows_) {
-    if (flow_comp_[f] == kNoComp) result_.flow_rate[f] = 0.0;
-  }
-  for (const topo::LinkId l : orphan_links_) {
-    result_.link_load_gbps[l] = 0.0;
-    result_.link_offered_gbps[l] = 0.0;
-    result_.link_utilization[l] = 0.0;
-  }
-  comp_sort_base_.resize(dirty_comps_.size());
-  comp_heap_base_.resize(dirty_comps_.size());
-  std::size_t sort_total = 0;
-  std::size_t heap_total = 0;
-  for (std::size_t di = 0; di < dirty_comps_.size(); ++di) {
-    const std::uint32_t c = dirty_comps_[di];
-    comp_sort_base_[di] = sort_total;
-    comp_heap_base_[di] = heap_total;
-    sort_total += comp_flow_offset_[c + 1] - comp_flow_offset_[c];
-    heap_total += (comp_link_offset_[c + 1] - comp_link_offset_[c]) + comp_edge_count_[c];
-  }
-  fill_order_.resize(sort_total);
-  heap_pool_.resize(heap_total);
-  const std::size_t refilled = sort_total;
-  if (pool_ != nullptr && dirty_comps_.size() > 1 && refilled >= kParallelFillMinFlows) {
-    common::parallel_for(*pool_, dirty_comps_.size(),
-                         [this](std::size_t di) { fill_component(di); });
+  sort_by_demand();
+  result_.flow_rate.assign(n, 0.0);
+  frozen_.assign(n, 0);
+  if (pool_ != nullptr && comp_count_ > 1 && participants_.size() >= kParallelFillMinFlows) {
+    common::parallel_for(*pool_, comp_count_, [this](std::size_t c) {
+      fill_component(static_cast<std::uint32_t>(c));
+    });
   } else {
-    for (std::size_t di = 0; di < dirty_comps_.size(); ++di) fill_component(di);
+    for (std::uint32_t c = 0; c < comp_count_; ++c) fill_component(c);
+  }
+  // Loads accumulate in ascending flow order after the fill, so they never
+  // depend on the order in which flows froze.
+  result_.link_load_gbps.assign(link_state_.size(), 0.0);
+  result_.link_utilization.assign(link_state_.size(), 0.0);
+  for (const std::uint32_t f : participants_) {
+    for (const topo::LinkId l : links_of(f)) result_.link_load_gbps[l] += result_.flow_rate[f];
+  }
+  for (const topo::LinkId l : active_links_) {
+    result_.link_utilization[l] = result_.link_load_gbps[l] / link_state_[l].capacity;
   }
   timings_.fill_ns += phase_watch.elapsed_ns();
 
@@ -483,164 +186,305 @@ const FairShareResult& FairShareSolver::solve(std::span<Flow> flows,
   return result_;
 }
 
-void FairShareSolver::fill_component(std::size_t di) {
-  const std::uint32_t c = dirty_comps_[di];
-  const std::span<const std::uint32_t> comp_flows{
-      comp_flows_.data() + comp_flow_offset_[c],
+void FairShareSolver::build_incidence(std::span<const Flow> flows,
+                                      const topo::LivenessMask* liveness) {
+  const std::size_t n = flows.size();
+  const std::size_t memo_flows = memo_.offset.empty() ? 0 : memo_.offset.size() - 1;
+  // Size the flat arrays once: the memo holds every path node, and the
+  // incidence has fewer entries than that.
+  next_memo_.offset.resize(n + 1);
+  std::uint32_t node_total = 0;
+  for (std::size_t f = 0; f < n; ++f) {
+    next_memo_.offset[f] = node_total;
+    node_total += static_cast<std::uint32_t>(flows[f].path.size());
+  }
+  next_memo_.offset[n] = node_total;
+  next_memo_.nodes.resize(node_total);
+  next_memo_.links.resize(node_total);
+  flow_link_offset_.resize(n + 1);
+  flow_links_.resize(node_total);
+  participants_.clear();
+  demand_.resize(n);
+  std::fill(link_flow_count_.begin(), link_flow_count_.end(), 0);
+  std::iota(link_parent_.begin(), link_parent_.end(), topo::LinkId{0});
+  std::fill(link_comp_.begin(), link_comp_.end(), kNoComp);
+  result_.link_offered_gbps.assign(link_state_.size(), 0.0);
+
+  std::uint32_t edges = 0;
+  for (std::size_t f = 0; f < n; ++f) {
+    const Flow& flow = flows[f];
+    flow_link_offset_[f] = edges;
+
+    // Link ids through the memo: link_between runs only when the path
+    // differs from the one this flow position had at the last solve.
+    const std::vector<topo::NodeId>& path = flow.path;
+    const std::uint32_t at = next_memo_.offset[f];
+    const std::size_t hops = path.size() >= 2 ? path.size() - 1 : 0;
+    topo::NodeId* nodes = next_memo_.nodes.data() + at;
+    topo::LinkId* links = next_memo_.links.data() + at;
+    bool hit = f < memo_flows && memo_.offset[f + 1] - memo_.offset[f] == path.size();
+    const topo::NodeId* memo_nodes = memo_.nodes.data() + (hit ? memo_.offset[f] : 0);
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      nodes[i] = path[i];
+      hit = hit && memo_nodes[i] == path[i];
+    }
+    if (hit) {
+      std::copy_n(memo_.links.begin() + memo_.offset[f], hops, links);
+    } else {
+      for (std::size_t i = 0; i < hops; ++i) links[i] = topo_->link_between(path[i], path[i + 1]);
+    }
+
+    // Participation: routed, positive effective demand, every link usable.
+    const double demand = flow.effective_demand();
+    demand_[f] = demand;
+    if (!flow.routed() || !(demand > 0.0)) continue;
+    if (liveness != nullptr &&
+        !std::all_of(links, links + hops,
+                     [&](topo::LinkId l) { return liveness->link_usable(*topo_, l); })) {
+      continue;
+    }
+
+    participants_.push_back(static_cast<std::uint32_t>(f));
+    std::copy_n(links, hops, flow_links_.begin() + edges);
+    edges += static_cast<std::uint32_t>(hops);
+    for (std::size_t i = 0; i < hops; ++i) {
+      ++link_flow_count_[links[i]];
+      result_.link_offered_gbps[links[i]] += demand;
+    }
+    // Union the flow's links: a flow glues every link it crosses into one
+    // component of the sharing graph.
+    const topo::LinkId root = find_link_root(links[0]);
+    for (std::size_t i = 1; i < hops; ++i) link_parent_[find_link_root(links[i])] = root;
+  }
+  flow_link_offset_[n] = edges;
+  flow_links_.resize(edges);
+  std::swap(memo_, next_memo_);
+}
+
+topo::LinkId FairShareSolver::find_link_root(topo::LinkId l) noexcept {
+  while (link_parent_[l] != l) {
+    link_parent_[l] = link_parent_[link_parent_[l]];  // path halving
+    l = link_parent_[l];
+  }
+  return l;
+}
+
+void FairShareSolver::label_components() {
+  const std::size_t link_count = link_state_.size();
+
+  // Component ids in order of each component's lowest flow id.
+  comp_count_ = 0;
+  flow_comp_.resize(demand_.size());
+  for (const std::uint32_t f : participants_) {
+    const topo::LinkId root = find_link_root(flow_links_[flow_link_offset_[f]]);
+    if (link_comp_[root] == kNoComp) link_comp_[root] = comp_count_++;
+    flow_comp_[f] = link_comp_[root];
+  }
+
+  // Component→flow and component→link CSRs (ascending ids within a
+  // component), each component's heap slice (|links| + Σ path lengths
+  // entries), and the canonical link→flow CSR.
+  comp_flow_offset_.assign(comp_count_ + 1, 0);
+  comp_link_offset_.assign(comp_count_ + 1, 0);
+  comp_heap_base_.assign(comp_count_ + 1, 0);
+  for (const std::uint32_t f : participants_) {
+    ++comp_flow_offset_[flow_comp_[f] + 1];
+    comp_heap_base_[flow_comp_[f] + 1] += flow_link_offset_[f + 1] - flow_link_offset_[f];
+  }
+  link_flow_offset_.resize(link_count + 1);
+  active_links_.resize(link_count);
+  std::uint32_t flow_refs = 0;
+  std::size_t active = 0;
+  for (topo::LinkId l = 0; l < link_count; ++l) {
+    link_flow_offset_[l] = flow_refs;
+    flow_refs += link_flow_count_[l];
+    active_links_[active] = l;
+    active += link_flow_count_[l] != 0 ? 1 : 0;
+  }
+  link_flow_offset_[link_count] = flow_refs;
+  active_links_.resize(active);
+  for (const std::uint32_t f : participants_) {
+    for (const topo::LinkId l : links_of(f)) link_comp_[l] = flow_comp_[f];
+  }
+  for (const topo::LinkId l : active_links_) ++comp_link_offset_[link_comp_[l] + 1];
+  for (std::uint32_t c = 0; c < comp_count_; ++c) {
+    comp_heap_base_[c + 1] += comp_link_offset_[c + 1];
+    comp_flow_offset_[c + 1] += comp_flow_offset_[c];
+    comp_link_offset_[c + 1] += comp_link_offset_[c];
+    comp_heap_base_[c + 1] += comp_heap_base_[c];
+  }
+  comp_links_.resize(active_links_.size());
+  cursor_.assign(comp_link_offset_.begin(), comp_link_offset_.end() - 1);
+  for (const topo::LinkId l : active_links_) comp_links_[cursor_[link_comp_[l]]++] = l;
+  link_flows_.resize(flow_links_.size());
+  cursor_.assign(link_flow_offset_.begin(), link_flow_offset_.end() - 1);
+  for (const std::uint32_t f : participants_) {
+    for (const topo::LinkId l : links_of(f)) link_flows_[cursor_[l]++] = f;
+  }
+  heap_level_.resize(comp_heap_base_[comp_count_]);
+  heap_link_.resize(comp_heap_base_[comp_count_]);
+}
+
+void FairShareSolver::sort_by_demand() {
+  // A stable LSD radix sort over the demands' IEEE-754 bits (positive
+  // doubles order like their bit patterns), fed in ascending flow order:
+  // exactly the (effective demand, flow id) order.
+  const std::size_t count = participants_.size();
+  sort_a_.resize(count);
+  sort_b_.resize(count);
+  std::array<std::array<std::uint32_t, 256>, 8> histogram{};
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t f = participants_[i];
+    const auto key = std::bit_cast<std::uint64_t>(demand_[f]);
+    sort_a_[i] = SortEntry{key, f};
+    for (std::size_t d = 0; d < 8; ++d) ++histogram[d][(key >> (8 * d)) & 0xffU];
+  }
+  SortEntry* from = sort_a_.data();
+  SortEntry* to = sort_b_.data();
+  for (std::size_t d = 0; d < 8 && count > 0; ++d) {
+    std::array<std::uint32_t, 256>& bucket = histogram[d];
+    const auto shift = static_cast<unsigned>(8 * d);
+    if (bucket[(from[0].key >> shift) & 0xffU] == count) continue;  // one digit value: no-op pass
+    std::uint32_t sum = 0;
+    for (std::uint32_t& b : bucket) sum += std::exchange(b, sum);
+    for (std::size_t i = 0; i < count; ++i) to[bucket[(from[i].key >> shift) & 0xffU]++] = from[i];
+    std::swap(from, to);
+  }
+  // A stable distribution keeps every component's slice in that order.
+  comp_order_.resize(count);
+  cursor_.assign(comp_flow_offset_.begin(), comp_flow_offset_.end() - 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    comp_order_[cursor_[flow_comp_[from[i].flow]]++] = from[i].flow;
+  }
+}
+
+void FairShareSolver::fill_component(std::uint32_t c) {
+  const std::span<const std::uint32_t> order{
+      comp_order_.data() + comp_flow_offset_[c],
       static_cast<std::size_t>(comp_flow_offset_[c + 1] - comp_flow_offset_[c])};
-  const std::span<const std::uint32_t> comp_links{
+  const std::span<const topo::LinkId> comp_links{
       comp_links_.data() + comp_link_offset_[c],
       static_cast<std::size_t>(comp_link_offset_[c + 1] - comp_link_offset_[c])};
-
-  // Reset the component's links and count active flows per link. Only this
-  // component's participating flows can contribute to these links, so a
-  // from-zero re-accumulation is exact.
-  for (const std::uint32_t l : comp_links) {
-    frozen_load_[l] = 0.0;
-    active_on_link_[l] = 0;
-    result_.link_offered_gbps[l] = 0.0;
-  }
-  for (const std::uint32_t f : comp_flows) {
-    result_.flow_rate[f] = 0.0;
-    for (std::int32_t sl : links_of(f)) {
-      const auto l = static_cast<std::size_t>(sl);
-      ++active_on_link_[l];
-      result_.link_offered_gbps[l] += cached_demand_[f];
-    }
-  }
-
-  // Demand order: the component's flows sorted by (effective demand, flow
-  // id) — the sequence of demand events the rising water level crosses.
-  std::uint32_t* order = fill_order_.data() + comp_sort_base_[di];
-  std::copy(comp_flows.begin(), comp_flows.end(), order);
-  std::sort(order, order + comp_flows.size(), [this](std::uint32_t a, std::uint32_t b) {
-    if (cached_demand_[a] != cached_demand_[b]) return cached_demand_[a] < cached_demand_[b];
-    return a < b;
-  });
+  LinkState* const link = link_state_.data();
 
   // Link-event min-heap with lazy invalidation: an entry is stale when the
-  // link re-pushed at a newer level (link_level_ mismatch) or drained of
-  // active flows. Capacity |links| + |edges|: one initial push per link,
-  // one re-push per (frozen flow × its links).
-  LinkEvent* heap = heap_pool_.data() + comp_heap_base_[di];
+  // link re-pushed at a newer level or drained of active flows. Capacity
+  // |links| + |edges|: one initial push per link, one re-push per (frozen
+  // flow × its links). Its exact push/pop sequence and comparisons are part
+  // of the result contract: they decide which of several links saturating
+  // at the same level pops first (DESIGN.md §13). A pop parks +inf in the
+  // slot past the last entry, so each sift-down step picks the smaller
+  // child without a branch — the child the two-sided test would pick.
+  double* heap_level = heap_level_.data() + comp_heap_base_[c];
+  topo::LinkId* heap_link = heap_link_.data() + comp_heap_base_[c];
   std::size_t heap_len = 0;
-  const auto heap_push = [&](double level, std::uint32_t link) {
+  const auto heap_push = [&](double level, topo::LinkId l) {
     std::size_t i = heap_len++;
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (heap[parent].level <= level) break;
-      heap[i] = heap[parent];
+      if (heap_level[parent] <= level) break;
+      heap_level[i] = heap_level[parent];
+      heap_link[i] = heap_link[parent];
       i = parent;
     }
-    heap[i] = LinkEvent{level, link};
+    heap_level[i] = level;
+    heap_link[i] = l;
   };
   const auto heap_pop = [&] {
-    const LinkEvent last = heap[--heap_len];
+    --heap_len;
+    const double last_level = heap_level[heap_len];
+    const topo::LinkId last_link = heap_link[heap_len];
+    heap_level[heap_len] = kInf;
     std::size_t i = 0;
     for (;;) {
       const std::size_t left = 2 * i + 1;
       if (left >= heap_len) break;
       const std::size_t child =
-          (left + 1 < heap_len && heap[left + 1].level < heap[left].level) ? left + 1 : left;
-      if (heap[child].level >= last.level) break;
-      heap[i] = heap[child];
+          left + static_cast<std::size_t>(heap_level[left + 1] < heap_level[left]);
+      if (heap_level[child] >= last_level) break;
+      heap_level[i] = heap_level[child];
+      heap_link[i] = heap_link[child];
       i = child;
     }
-    if (heap_len > 0) heap[i] = last;
+    if (heap_len > 0) {
+      heap_level[i] = last_level;
+      heap_link[i] = last_link;
+    }
   };
 
   double water = 0.0;
-  for (const std::uint32_t l : comp_links) {
-    const double level =
-        topo_->link(l).capacity_gbps / static_cast<double>(active_on_link_[l]);
-    link_level_[l] = level;
-    heap_push(level, l);
+  for (const topo::LinkId l : comp_links) {
+    LinkState& state = link[l];
+    state.frozen_load = 0.0;
+    state.active = link_flow_count_[l];
+    state.level = state.capacity / static_cast<double>(state.active);
+    heap_push(state.level, l);
   }
 
-  const auto freeze_flow = [&](std::uint32_t f, double rate) {
-    flow_frozen_[f] = epoch_;
-    result_.flow_rate[f] = rate;
-    for (std::int32_t sl : links_of(f)) {
-      const auto l = static_cast<std::size_t>(sl);
-      frozen_load_[l] += rate;
-      if (--active_on_link_[l] > 0) {
-        double level = (topo_->link(static_cast<topo::LinkId>(l)).capacity_gbps -
-                        frozen_load_[l]) /
-                       static_cast<double>(active_on_link_[l]);
-        if (level < water) level = water;  // mirrors the reference's max(inc, 0)
-        link_level_[l] = level;
-        heap_push(level, static_cast<std::uint32_t>(l));
-      }
-    }
-  };
-
-  std::size_t remaining = comp_flows.size();
+  std::size_t remaining = order.size();
   std::size_t si = 0;
   while (remaining > 0) {
-    while (si < comp_flows.size() && flow_frozen_[order[si]] == epoch_) ++si;
-    const double demand_event = si < comp_flows.size() ? cached_demand_[order[si]] : kInf;
-    while (heap_len > 0 && (active_on_link_[heap[0].link] == 0 ||
-                            heap[0].level != link_level_[heap[0].link])) {
+    while (si < order.size() && frozen_[order[si]] != 0) ++si;
+    const double demand_event = si < order.size() ? demand_[order[si]] : kInf;
+    while (heap_len > 0 &&
+           (link[heap_link[0]].active == 0 || heap_level[0] != link[heap_link[0]].level)) {
       heap_pop();
     }
-    const double link_event = heap_len > 0 ? heap[0].level : kInf;
+    const double link_event = heap_len > 0 ? heap_level[0] : kInf;
     SHERIFF_REQUIRE(demand_event < kInf || link_event < kInf,
                     "water-filling failed to make progress");
+    // The event freezes either the next flow in demand order at its demand
+    // or, when a link saturates first, every still-active flow crossing it
+    // at its saturation level, in canonical (ascending flow id) order.
+    // Demand events freeze first on a tie — either order yields the same
+    // rate, the reference freezes both kinds in the same pass.
+    std::span<const std::uint32_t> to_freeze;
+    double rate = 0.0;
     if (demand_event <= link_event) {
-      // Demand events freeze first on a tie — either order yields the same
-      // rate, the reference freezes both kinds in the same pass.
-      const std::uint32_t f = order[si++];
-      freeze_flow(f, demand_event);
-      --remaining;
-      water = demand_event;
+      to_freeze = order.subspan(si++, 1);
+      rate = demand_event;
     } else {
-      const std::uint32_t l = heap[0].link;
+      const topo::LinkId l = heap_link[0];
       heap_pop();
-      // Freeze every still-active flow crossing the saturated link at its
-      // saturation level, in canonical (ascending flow id) order.
-      for (std::uint32_t i = link_flow_offset_[l]; i < link_flow_offset_[l + 1]; ++i) {
-        const std::uint32_t g = link_flows_[i];
-        if (flow_comp_[g] == c && flow_frozen_[g] != epoch_) {
-          freeze_flow(g, link_event);
-          --remaining;
+      to_freeze = {link_flows_.data() + link_flow_offset_[l],
+                   static_cast<std::size_t>(link_flow_offset_[l + 1] - link_flow_offset_[l])};
+      rate = link_event;
+    }
+    for (const std::uint32_t f : to_freeze) {
+      if (frozen_[f] != 0) continue;
+      frozen_[f] = 1;
+      result_.flow_rate[f] = rate;
+      --remaining;
+      for (const topo::LinkId l : links_of(f)) {
+        LinkState& state = link[l];
+        state.frozen_load += rate;
+        if (--state.active > 0) {
+          double level =
+              (state.capacity - state.frozen_load) / static_cast<double>(state.active);
+          if (level < water) level = water;  // mirrors the reference's max(inc, 0)
+          state.level = level;
+          heap_push(level, l);
         }
       }
-      water = link_event;
     }
-  }
-
-  // Final accumulation in canonical ascending-flow order: link loads are a
-  // pure function of the component's current membership, never of the
-  // order flows were frozen (or of any historical path edits).
-  for (const std::uint32_t l : comp_links) result_.link_load_gbps[l] = 0.0;
-  for (const std::uint32_t f : comp_flows) {
-    for (std::int32_t sl : links_of(f)) {
-      result_.link_load_gbps[static_cast<std::size_t>(sl)] += result_.flow_rate[f];
-    }
-  }
-  for (const std::uint32_t l : comp_links) {
-    result_.link_utilization[l] = result_.link_load_gbps[l] / topo_->link(l).capacity_gbps;
+    water = rate;
   }
 }
 
 std::size_t FairShareSolver::arena_bytes() const noexcept {
-  // Logical sizes only (live element counts, not vector capacities): the
-  // value must be a pure function of the solver's current state so the
-  // gauge is identical across pool sizes and across a checkpoint resume.
-  const std::size_t n = cached_demand_.size();
-  const std::size_t links = link_usable_.size();
-  std::size_t bytes = 0;
-  bytes += live_link_refs_ * sizeof(std::int32_t);      // flow→link CSR pool
-  bytes += live_link_refs_ * sizeof(std::uint32_t);     // link→flow reverse CSR
-  bytes += n * (2 * sizeof(std::uint32_t));             // CSR start + count
-  bytes += n * (sizeof(std::uint32_t) * 3);             // comp label, dirty/frozen marks
-  bytes += n * (sizeof(double) + 2 * sizeof(char));     // demand + participation
-  bytes += links * (sizeof(std::uint32_t) * 3 + 1);     // offsets, comp, mark, usable
-  bytes += links * (2 * sizeof(double) + sizeof(std::uint32_t));  // fill SoA
-  bytes += static_cast<std::size_t>(comp_count_) * (5 * sizeof(std::uint32_t));
-  bytes += comp_flows_.size() * sizeof(std::uint32_t);
-  bytes += comp_links_.size() * sizeof(std::uint32_t);
-  return bytes;
+  // Logical sizes only (live element counts, not vector capacities): after
+  // a solve the value is a pure function of the flow table, so the gauge is
+  // identical across pool sizes and across a checkpoint resume. The memo's
+  // spare buffer holds no live data and is not counted.
+  const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
+  return bytes(link_state_) + bytes(memo_.offset) + bytes(memo_.nodes) + bytes(memo_.links) +
+         bytes(participants_) + bytes(flow_link_offset_) + bytes(flow_links_) + bytes(demand_) +
+         bytes(flow_comp_) + bytes(link_flow_count_) + bytes(link_parent_) + bytes(link_comp_) +
+         bytes(link_flow_offset_) + bytes(active_links_) +
+         bytes(link_flows_) + bytes(comp_flow_offset_) + bytes(comp_order_) +
+         bytes(comp_link_offset_) + bytes(comp_links_) + bytes(comp_heap_base_) +
+         bytes(cursor_) + bytes(frozen_) + bytes(heap_level_) + bytes(heap_link_) + bytes(sort_a_) +
+         bytes(sort_b_);
 }
 
 void FairShareSolver::save_state(snapshot::Writer& writer) const {
@@ -649,80 +493,17 @@ void FairShareSolver::save_state(snapshot::Writer& writer) const {
   writer.put_u64(stats_.dirty_flows);
   writer.put_u64(stats_.affected_flows);
   writer.put_u64(stats_.reused_flows);
-  writer.put_bool(force_rebuild_);
-  const std::size_t n = cached_demand_.size();
-  writer.put_u64(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    writer.put_u32v(cached_path_[f]);
-    writer.put_f64(cached_demand_[f]);
-    writer.put_u8(static_cast<std::uint8_t>(participates_[f]));
-  }
-  writer.put_u64(link_usable_.size());
-  for (char usable : link_usable_) writer.put_u8(static_cast<std::uint8_t>(usable));
-  writer.put_bool(had_liveness_);
-  writer.put_u64(liveness_version_);
-  writer.put_f64v(result_.flow_rate);
-  writer.put_f64v(result_.link_load_gbps);
-  writer.put_f64v(result_.link_offered_gbps);
-  writer.put_f64v(result_.link_utilization);
 }
 
-void FairShareSolver::load_state(snapshot::Reader& reader, const topo::LivenessMask* mask) {
+void FairShareSolver::load_state(snapshot::Reader& reader) {
   stats_.solves = reader.get_u64();
   stats_.full_rebuilds = reader.get_u64();
   stats_.dirty_flows = reader.get_u64();
   stats_.affected_flows = reader.get_u64();
   stats_.reused_flows = reader.get_u64();
-  force_rebuild_ = reader.get_bool();
-  const std::uint64_t n = reader.get_u64();
-  cached_path_.assign(n, {});
-  cached_demand_.assign(n, 0.0);
-  participates_.assign(n, 0);
-  flow_link_start_.assign(n, 0);
-  flow_link_count_.assign(n, 0);
-  flow_links_.clear();
-  live_link_refs_ = 0;
-  for (std::uint64_t f = 0; f < n; ++f) {
-    cached_path_[f] = reader.get_u32v();
-    cached_demand_[f] = reader.get_f64();
-    participates_[f] = static_cast<char>(reader.get_u8());
-  }
-  const std::uint64_t links = reader.get_u64();
-  SHERIFF_REQUIRE(links == topo_->link_count(),
-                  "checkpoint fair-share state does not match this topology");
-  link_usable_.assign(links, 1);
-  for (char& usable : link_usable_) usable = static_cast<char>(reader.get_u8());
-  had_liveness_ = reader.get_bool();
-  liveness_version_ = reader.get_u64();
-  last_mask_ = had_liveness_ ? mask : nullptr;
-  result_.flow_rate = reader.get_f64v();
-  result_.link_load_gbps = reader.get_f64v();
-  result_.link_offered_gbps = reader.get_f64v();
-  result_.link_utilization = reader.get_f64v();
-  // Rebuild the flow→link CSR from the serialized paths (dense, ascending
-  // flow order — the canonical layout). The reverse CSR, component labels
-  // and fill scratch resume cold: the next solve() rebuilds them, and
-  // because every summation order is canonical the rebuilt structures
-  // reproduce the uninterrupted run's outputs bit for bit.
-  for (std::uint64_t f = 0; f < n; ++f) reindex_flow(f);
-  reverse_stale_ = true;
-  comps_stale_ = true;
-  comp_count_ = 0;
-  // Epoch marks restart at zero: marks are only compared for equality with
-  // the current epoch, which solve() pre-increments, so no stale-mark hit
-  // is possible.
-  epoch_ = 0;
-  flow_mark_.assign(n, 0);
-  flow_frozen_.assign(n, 0);
-  link_mark_.assign(links, 0);
-  frozen_load_.assign(links, 0.0);
-  link_level_.assign(links, 0.0);
-  active_on_link_.assign(links, 0);
-  dirty_flows_.clear();
-  touched_links_.clear();
-  changed_links_.clear();
-  dirty_comps_.clear();
-  orphan_links_.clear();
+  // The memo resumes cold; the next solve() rebuilds it from the paths.
+  memo_ = PathMemo{};
+  next_memo_ = PathMemo{};
 }
 
 void FairShareSolver::publish_metrics(obs::MetricRegistry& registry) const {

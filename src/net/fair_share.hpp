@@ -11,17 +11,17 @@
 //     filling over the whole fabric. Simple, allocation-heavy,
 //     O(levels × fabric) per call. This is the bench baseline and the
 //     oracle every differential test compares against.
-//   * FairShareSolver — the incremental solver the engine's per-round hot
-//     path uses. It keeps a flat CSR flow↔link incidence and the previous
-//     allocation across calls, detects which flows changed (demand, path,
-//     rate limit, link liveness), maps the dirty set onto connected
-//     components of the flow–link sharing graph, and re-waterfills only
-//     the dirty components with an event-driven kernel that processes
-//     links in saturation order (no per-level fabric re-scan). Untouched
-//     components keep their previous rates. Components fill independently
-//     into component-owned slices, so the optional thread-pool mode is
-//     byte-identical to the serial fill for any pool size. See DESIGN.md
-//     §7 for the equivalence argument and §13 for the flat layout.
+//   * FairShareSolver — the solver the engine's per-round hot path uses.
+//     Every solve is canonical: one pass over the flow table in ascending
+//     flow order resolves link ids (through a path-keyed memo), builds a
+//     flat CSR incidence of the participating flows and labels the
+//     connected components of the flow–link sharing graph (union–find
+//     over links). Each component is then water-filled by an event-driven
+//     kernel that processes links in saturation order (no per-level
+//     fabric re-scan). Components fill into component-owned slices, so
+//     the optional thread-pool mode is byte-identical to the serial fill
+//     for any pool size. See DESIGN.md §7 for the equivalence argument and
+//     §13 for the flat layout and the kernel's determinism contract.
 
 #include <cstdint>
 #include <span>
@@ -60,56 +60,56 @@ struct FairShareResult {
 FairShareResult max_min_fair_share(const topo::Topology& topo, std::span<Flow> flows,
                                    const topo::LivenessMask* liveness = nullptr);
 
-/// Stateful incremental max–min solver. Call solve() once per round with
-/// the same flow table (flows are matched positionally: index i must mean
-/// the same flow across calls — append-only growth or a wholesale swap
-/// both trigger a safe full rebuild).
+/// Per-round max–min solver. Call solve() once per round with the flow
+/// table. Each call solves from the table and the liveness mask alone, so
+/// the allocation is a pure function of them — independent of earlier
+/// calls, of the thread-pool size, and of whether the solver was just
+/// restored from a checkpoint.
 ///
-/// The allocation it returns matches max_min_fair_share on the same inputs
-/// to floating-point noise (the differential test bounds it at 1e-9): a
+/// The allocation matches max_min_fair_share on the same inputs to
+/// floating-point noise (the differential test bounds it at 1e-9): a
 /// max–min allocation decomposes over connected components of the
-/// flow–link sharing graph, so components untouched by this round's
-/// changes provably keep their previous rates, and a dirty component's
-/// event-driven fill freezes flows at the same water levels the reference
-/// reaches by progressive increments.
-///
-/// Every floating-point summation the solver performs runs in a canonical
-/// order (ascending flow index within a component), so the allocation is a
-/// pure function of the current flow table + liveness — independent of the
-/// history of path edits, of the thread-pool size, and of whether the
-/// state was just restored from a checkpoint.
+/// flow–link sharing graph, and the event-driven fill freezes flows at the
+/// same water levels the reference reaches by progressive increments. Its
+/// bits are pinned too: sums run in ascending flow order and the link
+/// events in the binary heap's exact push/pop sequence (DESIGN.md §13).
 class FairShareSolver {
  public:
+  /// Cumulative counters. Every solve rebuilds everything and refills
+  /// every flow, so `full_rebuilds` equals `solves`, `dirty_flows` and
+  /// `affected_flows` each grow by the flow count, and `reused_flows`
+  /// stays 0.
   struct Stats {
     std::size_t solves = 0;
-    std::size_t full_rebuilds = 0;    ///< solves that refilled everything
-    std::size_t dirty_flows = 0;      ///< cumulative directly-changed flows
-    std::size_t affected_flows = 0;   ///< cumulative refilled flows (closure)
-    std::size_t reused_flows = 0;     ///< cumulative flows that kept their rate
+    std::size_t full_rebuilds = 0;
+    std::size_t dirty_flows = 0;
+    std::size_t affected_flows = 0;
+    std::size_t reused_flows = 0;
   };
 
-  /// Cumulative wall time split of solve(): `build` covers liveness
-  /// diffing, dirty detection, CSR patching and component labelling;
-  /// `fill` covers the water-filling kernel proper. Not serialized — a
-  /// resumed run restarts the clocks, like core::PhaseProfile.
+  /// Cumulative wall time split of solve(): `build` covers link-id
+  /// resolution, participation, the incidence, component labelling and
+  /// the reverse CSR; `fill` covers the demand sort, the water-filling
+  /// kernel and the final load accumulation. Not serialized — a resumed
+  /// run restarts the clocks, like core::PhaseProfile.
   struct Timings {
     std::uint64_t build_ns = 0;
     std::uint64_t fill_ns = 0;
   };
 
-  /// The topology must outlive the solver.
+  /// The topology must outlive the solver and must not change after it.
   explicit FairShareSolver(const topo::Topology& topo);
 
-  /// Attaches (or detaches, with nullptr) a worker pool: dirty components
-  /// then water-fill in parallel. Results are byte-identical for any pool
-  /// size — each component writes only its own slice of the result arrays
-  /// and every summation order is canonical — so this is a pure throughput
+  /// Attaches (or detaches, with nullptr) a worker pool: components then
+  /// water-fill in parallel. Results are byte-identical for any pool size
+  /// — each component writes only its own slice of the result arrays and
+  /// every summation order is canonical — so this is a pure throughput
   /// knob, deliberately excluded from the checkpoint fingerprint.
   void set_thread_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
 
-  /// Computes the allocation for `flows`, reusing the previous call's
-  /// state. Also writes each flow's allocated_gbps. The returned reference
-  /// stays valid (and is updated in place) until the next solve().
+  /// Computes the allocation for `flows` and writes each flow's
+  /// allocated_gbps. The returned reference stays valid (and is updated in
+  /// place) until the next solve().
   const FairShareResult& solve(std::span<Flow> flows,
                                const topo::LivenessMask* liveness = nullptr);
 
@@ -117,135 +117,108 @@ class FairShareSolver {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const Timings& timings() const noexcept { return timings_; }
 
-  /// Connected components of the flow–link sharing graph as of the last
-  /// structural rebuild (0 before the first solve).
+  /// Connected components of the flow–link sharing graph in the last
+  /// solve (0 before the first).
   [[nodiscard]] std::size_t component_count() const noexcept { return comp_count_; }
 
-  /// Logical bytes of the persistent arena: live CSR entries, component
-  /// tables and SoA scratch — sized from live element counts, not vector
-  /// capacities, so the value is a pure function of the current state
-  /// (deterministic across pool sizes and checkpoint resume).
+  /// Logical bytes of the solver's arrays: sized from live element counts,
+  /// not vector capacities, so after a solve the value is a pure function
+  /// of the flow table and the liveness mask (deterministic across pool
+  /// sizes and checkpoint resume).
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
   /// Publishes the cumulative Stats plus the component / arena gauges as
   /// `fair_share.*`.
   void publish_metrics(obs::MetricRegistry& registry) const;
 
-  /// Drops all cached state; the next solve() rebuilds from scratch.
-  void invalidate();
-
-  /// Checkpoint hooks. Serialized: stats, per-flow cached inputs (path,
-  /// effective demand, participation), the liveness snapshot, and the
-  /// previous allocation. Derived flat state — the CSR incidence, the
-  /// reverse link→flow CSR, component labels, and all water-fill scratch —
-  /// resumes cold and is rebuilt at the next solve(); since every
-  /// summation order is canonical, the rebuild cannot perturb a single
-  /// output byte (DESIGN.md §10 cold/warm table, §13). `mask` re-binds the
-  /// liveness diffing pointer to the mask the solver will be driven with
-  /// after resume (nullptr when the run has no fault plan).
+  /// Checkpoint hooks. Only the cumulative Stats are serialized (FAIR v3):
+  /// the next solve() depends on the flow table alone, so the link-id memo
+  /// and every per-solve array resume cold (DESIGN.md §10).
   void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader, const topo::LivenessMask* mask);
+  void load_state(snapshot::Reader& reader);
 
  private:
-  static constexpr std::uint32_t kNoComp = 0xffffffffU;
+  /// Node paths and their link ids, flat in flow order: slot f spans
+  /// [offset[f], offset[f + 1]) of `nodes`, and links[offset[f] + i] joins
+  /// nodes i and i + 1 (the slot's last link entry is unused).
+  struct PathMemo {
+    std::vector<std::uint32_t> offset;
+    std::vector<topo::NodeId> nodes;
+    std::vector<topo::LinkId> links;
+  };
 
-  /// Re-resolves flow f's path (from cached_path_[f]) into the CSR slot:
-  /// in place when the new link list fits the old slot, appended to the
-  /// pool tail otherwise. Marks the reverse CSR + components stale.
-  void reindex_flow(std::size_t f);
-  /// Rewrites the incidence pool densely in ascending flow order once the
-  /// dead gaps left by reindex_flow dominate.
-  void compact_incidence();
-  /// Rebuilds the canonical (ascending flow id) link→flow CSR by counting
-  /// sort over the live incidence entries.
-  void rebuild_reverse_csr();
-  /// Labels connected components over *participating* flows (BFS in
-  /// ascending flow order — canonical ids) and rebuilds the component→
-  /// flow / component→link CSRs.
-  void rebuild_components();
-  /// Refreshes the cached link-usable bitmap; appends every link whose
-  /// usability flipped to `changed_links_`.
-  void refresh_liveness(const topo::LivenessMask* liveness);
-  /// Event-driven water-fill of dirty component `dirty_comps_[di]`,
-  /// writing only that component's slices of result_ and the SoA scratch.
-  void fill_component(std::size_t di);
+  /// The ascending-flow pass: link ids through the memo, participation,
+  /// incidence, per-link active counts and offered sums, link union–find.
+  void build_incidence(std::span<const Flow> flows, const topo::LivenessMask* liveness);
+  /// Component ids (numbered by their lowest flow id), the component→flow
+  /// and component→link CSRs, and the canonical link→flow CSR.
+  void label_components();
+  /// Orders every component's flows by (effective demand, flow id).
+  void sort_by_demand();
+  /// Event-driven water-fill of component `c`, writing only its flows'
+  /// rates and its links' scratch.
+  void fill_component(std::uint32_t c);
+  /// Union–find root of an active link (path halving).
+  topo::LinkId find_link_root(topo::LinkId l) noexcept;
 
-  [[nodiscard]] std::span<const std::int32_t> links_of(std::size_t f) const noexcept {
-    return {flow_links_.data() + flow_link_start_[f], flow_link_count_[f]};
+  [[nodiscard]] std::span<const topo::LinkId> links_of(std::uint32_t f) const noexcept {
+    return {flow_links_.data() + flow_link_offset_[f],
+            flow_link_offset_[f + 1] - flow_link_offset_[f]};
   }
+
+  /// Per-link water-fill state. The kernel reads and writes these fields
+  /// together, so they share one 32-byte slot.
+  struct LinkState {
+    double capacity = 0.0;     ///< C(e), copied once from the topology
+    double frozen_load = 0.0;  ///< Σ rates of frozen flows on the link
+    double level = 0.0;        ///< latest pushed saturation level
+    std::uint32_t active = 0;  ///< participating flows not yet frozen
+  };
 
   const topo::Topology* topo_;
   common::ThreadPool* pool_ = nullptr;
   FairShareResult result_;
   Stats stats_;
   Timings timings_;
-  bool force_rebuild_ = true;
+  std::vector<LinkState> link_state_;
 
-  // Cached per-flow inputs (indexed like the input span) — the serialized
-  // warm state everything else is derived from.
-  std::vector<std::vector<topo::NodeId>> cached_path_;
-  std::vector<double> cached_demand_;   ///< effective demand at last solve
-  std::vector<char> participates_;      ///< counted in the last allocation
+  // The only state carried between solves (never serialized): the last
+  // solve's paths keyed by flow position, and the spare buffer the next
+  // solve writes into before the two swap.
+  PathMemo memo_;
+  PathMemo next_memo_;
 
-  // CSR flow→link incidence (raw: every routed flow, regardless of demand
-  // or liveness, so status flips stay discoverable). One int32 pool plus
-  // per-flow (start, count); reindex_flow patches slots in place.
-  std::vector<std::uint32_t> flow_link_start_;
-  std::vector<std::uint32_t> flow_link_count_;
-  std::vector<std::int32_t> flow_links_;
-  std::size_t live_link_refs_ = 0;  ///< Σ flow_link_count_ (pool minus dead gaps)
-
-  // Canonical reverse CSR link→flows + sharing-graph components; rebuilt
-  // lazily when stale.
-  bool reverse_stale_ = true;
-  bool comps_stale_ = true;
-  std::vector<std::uint32_t> link_flow_offset_;  ///< link_count + 1
+  // Per-solve flat state, rebuilt by every solve.
+  std::vector<std::uint32_t> participants_;      ///< ascending flow ids
+  std::vector<std::uint32_t> flow_link_offset_;  ///< flow count + 1; empty for idle flows
+  std::vector<topo::LinkId> flow_links_;
+  std::vector<double> demand_;                   ///< effective demand per flow
+  std::vector<std::uint32_t> flow_comp_;
+  std::vector<std::uint32_t> link_flow_count_;   ///< participating flows per link
+  std::vector<topo::LinkId> link_parent_;        ///< union–find over links
+  std::vector<std::uint32_t> link_comp_;
+  std::vector<topo::LinkId> active_links_;       ///< links with a participating flow, ascending
+  std::vector<std::uint32_t> link_flow_offset_;  ///< link count + 1
   std::vector<std::uint32_t> link_flows_;        ///< ascending flow id per link
   std::uint32_t comp_count_ = 0;
-  std::vector<std::uint32_t> flow_comp_;  ///< kNoComp for non-participating flows
-  std::vector<std::uint32_t> link_comp_;  ///< kNoComp when no participating flow crosses
   std::vector<std::uint32_t> comp_flow_offset_;
-  std::vector<std::uint32_t> comp_flows_;  ///< ascending flow id within a component
+  std::vector<std::uint32_t> comp_order_;        ///< per component: (demand, flow id) order
   std::vector<std::uint32_t> comp_link_offset_;
-  std::vector<std::uint32_t> comp_links_;
-  std::vector<std::uint32_t> comp_edge_count_;  ///< Σ member path lengths
+  std::vector<topo::LinkId> comp_links_;         ///< per component: ascending link id
+  std::vector<std::size_t> comp_heap_base_;      ///< comp count + 1, into the heap arrays
+  std::vector<std::uint32_t> cursor_;            ///< counting-sort placement scratch
 
-  // Liveness snapshot for diffing.
-  std::vector<char> link_usable_;
-  const topo::LivenessMask* last_mask_ = nullptr;
-  std::uint64_t liveness_version_ = 0;
-  bool had_liveness_ = false;
-
-  // Solve scratch (epoch-marked to avoid per-solve clears).
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> flow_mark_;  ///< epoch when flow became dirty
-  std::vector<std::uint32_t> link_mark_;  ///< epoch when link became touched
-  std::vector<std::uint32_t> comp_mark_;  ///< epoch when component became dirty
-  std::vector<std::uint32_t> dirty_flows_;
-  std::vector<topo::LinkId> touched_links_;
-  std::vector<topo::LinkId> changed_links_;
-  std::vector<std::uint32_t> dirty_comps_;
-  std::vector<topo::LinkId> orphan_links_;  ///< touched, no participating flow left
-  std::vector<std::uint32_t> bfs_queue_;
-
-  // Water-fill SoA scratch: per-link / per-flow entries owned by the
-  // component being filled (components are link- and flow-disjoint, so the
-  // parallel fill writes disjoint entries).
-  std::vector<double> frozen_load_;          ///< Σ rates of frozen flows on the link
-  std::vector<double> link_level_;           ///< latest pushed saturation level
-  std::vector<std::uint32_t> active_on_link_;
-  std::vector<std::uint32_t> flow_frozen_;   ///< epoch when the flow froze
-
-  // Per-dirty-component slices (prefix-summed each solve): the demand-
-  // sorted flow order and the link-event heap storage.
-  struct LinkEvent {
-    double level;
-    std::uint32_t link;
+  // Water-fill scratch. Components are link- and flow-disjoint, so the
+  // parallel fill writes disjoint entries.
+  std::vector<std::uint8_t> frozen_;
+  std::vector<double> heap_level_;  ///< event heap, one slice per component
+  std::vector<topo::LinkId> heap_link_;
+  struct SortEntry {
+    std::uint64_t key;  ///< the demand's IEEE-754 bits
+    std::uint32_t flow;
   };
-  std::vector<std::uint32_t> fill_order_;
-  std::vector<LinkEvent> heap_pool_;
-  std::vector<std::size_t> comp_sort_base_;
-  std::vector<std::size_t> comp_heap_base_;
+  std::vector<SortEntry> sort_a_;
+  std::vector<SortEntry> sort_b_;
 };
 
 }  // namespace sheriff::net

@@ -252,10 +252,10 @@ void InvariantAuditor::check_migration_model() {
   }
 }
 
-// Check 6: the incremental solver's cumulative dirty-set accounting closes
-// over the audited interval: every solve partitions the flow table into
-// affected (refilled) + reused flows, dirties are a subset of the
-// affected closure, and full rebuilds are a subset of solves.
+// Check 6: the solver's cumulative accounting closes over the audited
+// interval: every solve partitions the flow table into affected (refilled)
+// + reused flows, dirties are a subset of the affected flows, and full
+// rebuilds are a subset of solves.
 void InvariantAuditor::check_solver_bookkeeping(const RoundInputs& in) {
   const net::FairShareSolver::Stats& stats = in.solver->stats();
   if (have_solver_stats_) {
@@ -266,7 +266,7 @@ void InvariantAuditor::check_solver_bookkeeping(const RoundInputs& in) {
     const std::size_t reused = delta(stats.reused_flows, last_solver_stats_.reused_flows);
     const std::size_t rebuilds = delta(stats.full_rebuilds, last_solver_stats_.full_rebuilds);
     if (solves == 0) {
-      report(6, 0.0, "incremental solver was not invoked between audited rounds");
+      report(6, 0.0, "fair-share solver was not invoked between audited rounds");
     }
     if (dirty > affected) {
       report(6, static_cast<double>(dirty - affected),
@@ -288,7 +288,7 @@ void InvariantAuditor::check_solver_bookkeeping(const RoundInputs& in) {
   have_solver_stats_ = true;
 }
 
-// Check 7 (opt-in): the incremental allocation equals the from-scratch
+// Check 7 (opt-in): the solver's allocation equals the from-scratch
 // reference on a private copy of the flow table.
 void InvariantAuditor::check_deep_fair_share(const RoundInputs& in) {
   const topo::Topology& topo = in.deployment->topology();
@@ -299,7 +299,7 @@ void InvariantAuditor::check_deep_fair_share(const RoundInputs& in) {
     const double want = reference.flow_rate[f];
     if (std::abs(got - want) > 1e-6 * (1.0 + std::abs(want))) {
       report(7, std::abs(got - want),
-             "flow " + std::to_string(f) + " incremental rate " + std::to_string(got) +
+             "flow " + std::to_string(f) + " solver rate " + std::to_string(got) +
                  " diverges from the from-scratch reference " + std::to_string(want));
     }
   }

@@ -22,10 +22,11 @@
 //   5 live-migration model  — six-stage total time is non-negative and
 //                             monotone in the dirty-page rate (one-time
 //                             property probe of simulate_live_migration)
-//   6 solver bookkeeping    — the incremental FairShareSolver's dirty-set
-//                             accounting closes: one solve per round,
-//                             dirty <= affected, affected + reused == flow
-//                             count, rebuilds <= solves
+//   6 solver bookkeeping    — the FairShareSolver's cumulative accounting
+//                             closes: one solve per round, dirty <=
+//                             affected, affected + reused == flow count,
+//                             rebuilds <= solves, and the result covers
+//                             the flow table
 //   7 deep fair-share equivalence (opt-in) — re-solve from scratch and
 //                             compare rates at 1e-6
 //   8 shard-commit exclusivity/headroom — the round's committed moves are

@@ -2,7 +2,7 @@
 // Metric registry: named counters, gauges, and fixed-bucket histograms
 // that the engine and its subsystems publish into each round. Names follow
 // the `subsystem.metric` convention (e.g. "router.tree_hits",
-// "fair_share.reused_flows", "engine.migrations") — see DESIGN.md §8 for
+// "fair_share.components", "engine.migrations") — see DESIGN.md §8 for
 // the catalogue.
 //
 // Lookup returns stable references (metrics live in deques), so hot call

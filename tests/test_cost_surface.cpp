@@ -4,14 +4,14 @@
 // (bound <= exact cost, always), and bound-guarded pruning must never
 // change a selection — locked by a 50-seed pruned-vs-exhaustive
 // differential on both reference fabrics plus engine-level CSV/checkpoint
-// byte parity across pool sizes, pristine and faulted. Also the
-// update_flow_demands skip-write: a constant-demand round must leave the
-// incremental fair-share solver's flows untouched (reused_flows > 0).
+// byte parity across pool sizes, pristine and faulted.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -282,11 +282,32 @@ struct DecisionLeg {
   std::size_t pool_threads = 1;
 };
 
-/// Runs one engine leg and returns (metrics CSV, checkpoint bytes).
-/// observe=false on purpose: the registry serializes into the OBSR
-/// checkpoint section and the evaluated/pruned counter *split* legally
-/// differs between prune-on and prune-off runs — the parity claim is
-/// about simulation state, which the counters are not part of.
+/// The checkpoint bytes before the OBSR section, which the engine writes
+/// last. OBSR carries the metric registry, and the registry's
+/// cost.evaluated/cost.pruned *split* legally differs between prune-on and
+/// prune-off runs — the parity claim is about simulation state, which the
+/// counters are not part of. The legs run with observe off, but
+/// SHERIFF_FORCE_AUDIT=1 gives every engine a hub, hence the cut. The walk
+/// follows the section frames (u32 magic | tag | u32 version | u64 length
+/// | u32 crc | payload): a byte flipped before OBSR either stays inside the
+/// prefix or moves where the prefix ends, so a comparison still fails.
+std::vector<std::uint8_t> bytes_before_obsr(const std::vector<std::uint8_t>& bytes) {
+  constexpr std::size_t kPreamble = 8;
+  constexpr std::size_t kHeader = 24;
+  std::size_t at = kPreamble;
+  while (at + kHeader <= bytes.size() && std::memcmp(bytes.data() + at + 4, "OBSR", 4) != 0) {
+    std::uint64_t length = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      length |= std::uint64_t{bytes[at + 12 + i]} << (8 * i);
+    }
+    if (length > bytes.size() - at - kHeader) return bytes;  // corrupt frame
+    at += kHeader + static_cast<std::size_t>(length);
+  }
+  return {bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(std::min(at, bytes.size()))};
+}
+
+/// Runs one engine leg and returns (metrics CSV, checkpoint bytes before
+/// OBSR).
 std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
     const topo::Topology& topology, const fault::FaultPlan* plan, const DecisionLeg& leg,
     std::size_t rounds) {
@@ -306,7 +327,7 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
     actions += metrics.back().migrations + metrics.back().reroutes;
   }
   EXPECT_GT(actions, 0u);  // the comparison must not be vacuous
-  return {metrics_csv(metrics), core::Checkpoint::serialize(engine)};
+  return {metrics_csv(metrics), bytes_before_obsr(core::Checkpoint::serialize(engine))};
 }
 
 /// The headline differential: naive kernel (surface off, pruning off,
@@ -360,6 +381,45 @@ TEST(CostSurface, BCubeFaultedDecisionKernelIsConfigInvariant) {
   expect_decision_kernel_invariance(small_bcube(), true);
 }
 
+// The decision-kernel parity tests compare checkpoints only up to OBSR:
+// a flipped byte anywhere in an earlier section — frame header or payload
+// — must still change the compared bytes, and a flip inside OBSR must not.
+TEST(CostSurface, CheckpointPrefixCatchesFlipsBeforeObsr) {
+  const topo::Topology topology = small_fat_tree();
+  core::EngineConfig config;
+  config.observe = true;
+  core::DistributedEngine engine(topology, surface_deployment(), config);
+  for (std::size_t r = 0; r < 4; ++r) (void)engine.run_round();
+  const std::vector<std::uint8_t> bytes = core::Checkpoint::serialize(engine);
+  const std::vector<std::uint8_t> prefix = bytes_before_obsr(bytes);
+  ASSERT_LT(prefix.size(), bytes.size());
+  ASSERT_EQ(std::memcmp(bytes.data() + prefix.size() + 4, "OBSR", 4), 0);
+
+  const auto flipped_prefix = [&bytes](std::size_t at) {
+    std::vector<std::uint8_t> copy = bytes;
+    copy[at] ^= 0x01U;
+    return bytes_before_obsr(copy);
+  };
+  std::size_t flips = 0;
+  for (std::size_t section = 8; section < prefix.size();) {
+    std::uint64_t length = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      length |= std::uint64_t{bytes[section + 12 + i]} << (8 * i);
+    }
+    const std::size_t end = section + 24 + static_cast<std::size_t>(length);
+    // Every header byte, then payload bytes at a stride ending on the last.
+    for (std::size_t at = section; at < end; at = at < section + 24 ? at + 1 : at + 61) {
+      EXPECT_NE(flipped_prefix(at), prefix) << "flip at byte " << at;
+      ++flips;
+    }
+    EXPECT_NE(flipped_prefix(end - 1), prefix) << "flip at byte " << end - 1;
+    section = end;
+  }
+  EXPECT_GT(flips, 24u * 9);  // every section before OBSR was visited
+  EXPECT_EQ(flipped_prefix(prefix.size() + 30), prefix);
+  EXPECT_EQ(flipped_prefix(bytes.size() - 1), prefix);
+}
+
 TEST(CostSurface, CheckpointLoadsAcrossKernelConfigs) {
   // cost_surface / cost_pruning / parallel_workload are results-identical
   // accelerations, so they are excluded from the checkpoint fingerprint —
@@ -376,20 +436,4 @@ TEST(CostSurface, CheckpointLoadsAcrossKernelConfigs) {
   naive.parallel_workload = false;
   core::DistributedEngine resumed(topology, surface_deployment(), naive);
   EXPECT_NO_THROW(core::Checkpoint::deserialize(resumed, bytes));
-}
-
-// --- update_flow_demands skip-write -----------------------------------------
-
-TEST(CostSurface, ConstantDemandRoundReusesFlowsInFairShareSolver) {
-  // With the per-edge demand scale at 0 every flow's demand is 0 every
-  // round; the skip-write in update_flow_demands must leave the flows
-  // untouched so the incremental solver's value-based dirty detection
-  // reuses them instead of re-filling their components.
-  const topo::Topology topology = small_fat_tree();
-  core::EngineConfig config;
-  config.flow_demand_scale_gbps = 0.0;
-  config.incremental_fair_share = true;
-  core::DistributedEngine engine(topology, surface_deployment(), config);
-  for (std::size_t r = 0; r < 3; ++r) (void)engine.run_round();
-  EXPECT_GT(engine.fair_share_solver().stats().reused_flows, 0u);
 }

@@ -1,12 +1,13 @@
-// Differential harness for the incremental fair-share solver: drive a
-// FairShareSolver through long random perturbation sequences (demand
+// Differential harness for the per-round fair-share solver: drive one
+// long-lived FairShareSolver through random perturbation sequences (demand
 // changes, rate-limit toggles, link/switch liveness flips, reroutes,
 // endpoint migrations, flow-table growth) and check after every step that
 // it matches the from-scratch reference on every flow rate and link load
-// to 1e-9. This is the lockdown for the dirty-set algorithm of DESIGN.md
-// §7 — any missed invalidation shows up as a stale rate here. The same
-// 50-seed sweep runs on both reference fabrics (Fat-Tree and BCube);
-// liveness flips inside the sequence cover the faulted regime.
+// to 1e-9. Only the solver's path-keyed link memo survives between
+// solves (DESIGN.md §7), so a memo entry served for a changed path shows
+// up as a wrong rate here. The same 50-seed sweep runs on both reference
+// fabrics (Fat-Tree and BCube); liveness flips inside the sequence cover
+// the faulted regime.
 
 #include <gtest/gtest.h>
 
@@ -184,12 +185,7 @@ void run_differential(const topo::Topology& t, topo::NodeKind flip_kind, int see
     expect_matches_reference(t, flows, &mask, solver.solve(flows, &mask), step);
   }
 
-  // The sequence must have exercised the incremental path, not degenerated
-  // into rebuild-every-step: growth steps are the only legal full rebuilds.
-  const auto& stats = solver.stats();
-  EXPECT_EQ(stats.solves, steps + 1);
-  EXPECT_LT(stats.full_rebuilds, stats.solves);
-  EXPECT_GT(stats.reused_flows, 0u);
+  EXPECT_EQ(solver.stats().solves, steps + 1);
 }
 
 }  // namespace
@@ -210,8 +206,8 @@ TEST_P(FairShareDifferentialBCube, IncrementalMatchesFromScratchUnderPerturbatio
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FairShareDifferentialBCube, ::testing::Range(0, 50));
 
-// A no-op solve must not move a single rate and must reuse every flow.
-TEST(FairShareDifferentialEdge, NoopSolveReusesEverything) {
+// Solving an unchanged table again must not move a single bit.
+TEST(FairShareDifferentialEdge, NoopSolveIsBitwiseStable) {
   const auto t = contended_fat_tree();
   net::Router router(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
@@ -221,32 +217,11 @@ TEST(FairShareDifferentialEdge, NoopSolveReusesEverything) {
 
   net::FairShareSolver solver(t);
   const auto first = solver.solve(flows);  // copy
-  const auto after_rebuild = solver.stats();
   const auto& second = solver.solve(flows);
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    EXPECT_EQ(first.flow_rate[f], second.flow_rate[f]);
-  }
-  // The second solve saw no edits: counters are cumulative, so the no-op
-  // must add zero affected flows and reuse the whole table.
-  EXPECT_EQ(solver.stats().full_rebuilds, 1u);
-  EXPECT_EQ(solver.stats().affected_flows, after_rebuild.affected_flows);
-  EXPECT_EQ(solver.stats().reused_flows, after_rebuild.reused_flows + flows.size());
-}
-
-// invalidate() must force the next solve to rebuild from scratch.
-TEST(FairShareDifferentialEdge, InvalidateForcesRebuild) {
-  const auto t = contended_fat_tree();
-  net::Router router(t);
-  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
-  std::vector<net::Flow> flows{make_flow(0, hosts[0], hosts[6], 2.0)};
-  router.route_all(flows);
-
-  net::FairShareSolver solver(t);
-  solver.solve(flows);
-  solver.invalidate();
-  solver.solve(flows);
-  EXPECT_EQ(solver.stats().full_rebuilds, 2u);
-  expect_matches_reference(t, flows, nullptr, solver.result(), 99);
+  EXPECT_EQ(first.flow_rate, second.flow_rate);
+  EXPECT_EQ(first.link_load_gbps, second.link_load_gbps);
+  EXPECT_EQ(first.link_offered_gbps, second.link_offered_gbps);
+  EXPECT_EQ(first.link_utilization, second.link_utilization);
 }
 
 // Liveness attach/detach transitions (nullptr ↔ mask) must be handled as

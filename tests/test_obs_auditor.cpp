@@ -202,6 +202,26 @@ TEST(AuditorE2E, AuditRefinementsWithoutAuditAreRejected) {
   EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), deep));
 }
 
+TEST(AuditorE2E, KMedianSettingsOutsideKMedianModeAreRejected) {
+  // A k-median field set in another mode would be silently ignored, so the
+  // engine refuses the config (before SHERIFF_FORCE_AUDIT applies).
+  core::EngineConfig racks;
+  racks.kmedian_destination_racks = 3;
+  EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), racks),
+               sc::RequirementError);
+  core::EngineConfig swap;
+  swap.mode = core::ManagerMode::kCentralized;
+  swap.kmedian_swap_p = 3;
+  EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), swap),
+               sc::RequirementError);
+  core::EngineConfig cap;
+  cap.kmedian_max_evaluations = 1500;
+  EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), cap),
+               sc::RequirementError);
+  cap.mode = core::ManagerMode::kKMedian;
+  EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), cap));
+}
+
 TEST(AuditorE2E, MetricsAndTraceAgreeWithRoundMetrics) {
   const auto plan = faulted_plan(fat_tree());
   auto config = audited_config();

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     spec.name = s.name;
     spec.topology = &s.topology;
     spec.deployment = s.deploy;
-    spec.config = bench::scale_engine_config(s, /*optimized=*/true);
+    spec.config = bench::scale_engine_config(s);
     spec.rounds = rounds_cap > 0 ? std::min(s.rounds, rounds_cap) : s.rounds;
     grid.scenarios.push_back(std::move(spec));
   }

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "bench_support.hpp"
 #include "common/rng.hpp"
@@ -79,16 +80,17 @@ void BM_DijkstraFatTree(benchmark::State& state) {
 BENCHMARK(BM_DijkstraFatTree)->Arg(8)->Arg(16)->Arg(24);
 
 // FLOWREROUTE's query: route a cross-pod flow around a core switch its
-// unblocked route transits. Second arg: 0 = cold (caches off, so every
-// query runs the hop-level BFS plus the ECMP walk), 1 = warm (the level
-// array is cached; flow ids past the router's 2^20-flow path-cache range
-// keep the resolved path uncached, so every query still walks).
+// unblocked route transits. Second arg: 0 = cold (a fresh router per query,
+// built with the timer paused, so every query runs the hop-level BFS plus
+// the ECMP walk), 1 = warm (the level array is cached; flow ids past the
+// router's 2^20-flow path-cache range keep the resolved path uncached, so
+// every query still walks).
 void BM_RouterBlockedRoute(benchmark::State& state) {
   topo::FatTreeOptions options;
   options.pods = static_cast<int>(state.range(0));
   const auto t = topo::build_fat_tree(options);
-  net::Router router(t);
-  router.set_cache_enabled(state.range(1) != 0);
+  const bool warm = state.range(1) != 0;
+  auto router = std::make_unique<net::Router>(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   struct Probe {
     net::Flow flow;
@@ -100,7 +102,7 @@ void BM_RouterBlockedRoute(benchmark::State& state) {
     p.flow.id = (1u << 20) + i;
     p.flow.src_host = hosts[(i * 7) % (hosts.size() / 2)];
     p.flow.dst_host = hosts[hosts.size() - 1 - (i * 5) % (hosts.size() / 2)];
-    router.route(p.flow);
+    router->route(p.flow);
     for (const topo::NodeId n : p.flow.path) {
       if (t.node(n).kind == topo::NodeKind::kCoreSwitch) p.hot = n;
     }
@@ -108,12 +110,17 @@ void BM_RouterBlockedRoute(benchmark::State& state) {
   }
   std::size_t next = 0;
   for (auto _ : state) {
+    if (!warm) {
+      state.PauseTiming();
+      router = std::make_unique<net::Router>(t);
+      state.ResumeTiming();
+    }
     Probe& p = probes[next++ % probes.size()];
     const topo::NodeId blocked[] = {p.hot};
-    benchmark::DoNotOptimize(router.route(p.flow, blocked));
+    benchmark::DoNotOptimize(router->route(p.flow, blocked));
     benchmark::DoNotOptimize(p.flow.path.data());
   }
-  const auto& stats = router.cache_stats();
+  const auto& stats = router->cache_stats();
   state.counters["tree_hits"] = static_cast<double>(stats.tree_hits);
   state.counters["path_hits"] = static_cast<double>(stats.path_hits);
 }

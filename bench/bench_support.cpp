@@ -234,8 +234,7 @@ std::vector<ScaleScenario> make_scale_scenarios() {
   ft.pods = 24;
   scenarios.push_back({"fat_tree_k24", topo::build_fat_tree(ft), 6});
   // Sec. V-A centralized k-median reduction: the manage phase is the
-  // planner + Alg. 5 local search + matching, exercising the fast
-  // delta-evaluated solver against the naive per-round rebuild + scan.
+  // planner + Alg. 5 local search + matching.
   ft.pods = 16;
   scenarios.push_back(
       {"fat_tree_k16_kmedian", topo::build_fat_tree(ft), 12, core::ManagerMode::kKMedian});
@@ -266,19 +265,10 @@ std::vector<ScaleScenario> make_scale_scenarios() {
   return scenarios;
 }
 
-core::EngineConfig scale_engine_config(const ScaleScenario& scenario, bool optimized) {
+core::EngineConfig scale_engine_config(const ScaleScenario& scenario) {
   core::EngineConfig config;
   config.sheriff.cost.computing_cost = 100.0;  // Sec. VI-B settings
   config.mode = scenario.mode;
-  config.incremental_fair_share = optimized;
-  config.route_cache = optimized;
-  config.retain_cost_trees = optimized;
-  config.partner_rooted_costs = optimized;
-  config.shared_leaf_cost_trees = optimized;
-  config.fast_kmedian = optimized;
-  config.cost_surface = optimized;
-  config.cost_pruning = optimized;
-  config.parallel_workload = optimized;
   config.flow_demand_scale_gbps = scenario.flow_demand_scale_gbps;
   config.sheriff.reroute_fraction = scenario.reroute_fraction;
   config.sheriff.max_matching_rounds = scenario.max_matching_rounds;

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/require.hpp"
@@ -21,6 +22,11 @@ EngineConfig checked_config(const EngineConfig& config) {
   SHERIFF_REQUIRE(config.audit || !config.audit_fail_fast, "audit_fail_fast requires audit");
   SHERIFF_REQUIRE(config.audit || !config.deep_fair_share_audit,
                   "deep_fair_share_audit requires audit");
+  // A negative scale offers no flow at all (QoS would read a carried-
+  // nothing fabric as fully satisfied); NaN lifts every rate limit.
+  SHERIFF_REQUIRE(std::isfinite(config.flow_demand_scale_gbps) &&
+                      config.flow_demand_scale_gbps >= 0.0,
+                  "flow_demand_scale_gbps must be finite and non-negative");
   if (config.mode != ManagerMode::kKMedian) {
     const EngineConfig defaults;
     SHERIFF_REQUIRE(config.kmedian_destination_racks == defaults.kmedian_destination_racks &&
@@ -44,21 +50,20 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
       queues_(topo),
       solver_(topo),
       cost_model_(topo, deployment_, config.sheriff.cost) {
-  router_.set_cache_enabled(config_.route_cache);
   solver_.set_thread_pool(&worker_pool());
-  cost_model_.set_tree_cache_retained(config_.retain_cost_trees);
-  cost_model_.set_partner_rooted(config_.partner_rooted_costs);
-  cost_model_.set_shared_leaf_trees(config_.shared_leaf_cost_trees);
-  cost_model_.set_surface_enabled(config_.cost_surface);
-  cost_model_.set_pruning_enabled(config_.cost_pruning);
-  if (config_.retain_cost_trees) {
-    // Startup, not round, time: the ToR-rooted distance rows (and their
-    // rack link CSRs) derive from the immutable pristine topology only, so
-    // the first engine on a fabric builds them all here and every later
-    // one (a restore, a bisect probe, a fleet run) finds them built. The
-    // first manage round's decision sweep then runs against warm rows.
-    topo.distance_rows().build_tor_rows();
-  }
+  // The engine's Eq. (1) modes (DESIGN.md §14). Rooting changes the FP
+  // summation order over cable distances, so the cost model's other modes
+  // stay for the Fig. 11–14 benches and the tests that build them.
+  cost_model_.set_partner_rooted(true);
+  cost_model_.set_shared_leaf_trees(true);
+  cost_model_.set_surface_enabled(true);
+  cost_model_.set_pruning_enabled(true);
+  // Startup, not round, time: the ToR-rooted distance rows (and their
+  // rack link CSRs) derive from the immutable pristine topology only, so
+  // the first engine on a fabric builds them all here and every later
+  // one (a restore, a bisect probe, a fleet run) finds them built. The
+  // first manage round's decision sweep then runs against warm rows.
+  topo.distance_rows().build_tor_rows();
   // SHERIFF_FORCE_AUDIT=1 (the CI sanitizer job sets it) turns the
   // invariant auditor on in fail-fast mode for every engine, so the whole
   // tier-1 suite hard-fails on any conservation-law breach.
@@ -116,10 +121,9 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
   }
   if (config_.mode == ManagerMode::kKMedian) {
     // The planner's ToR rows are computed once here and shared across
-    // rounds; fast_kmedian=false reproduces the naive per-round rebuild in
-    // run_round (and solves with the reference scan, serially).
+    // rounds; a faulted fabric rebuilds them when the liveness mask moves.
     KMedianPlannerOptions planner_options;
-    planner_options.pool = config_.fast_kmedian ? &worker_pool() : nullptr;
+    planner_options.pool = &worker_pool();
     planner_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
     // Pristine fabrics read the cost model's distance rows (identical
     // values, one source of truth); faulted ones need masked sweeps.
@@ -128,9 +132,8 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     KMedianMigrationManager::Options manager_options;
     manager_options.destination_racks = config_.kmedian_destination_racks;
     manager_options.local_search_p = config_.kmedian_swap_p;
-    manager_options.fast_local_search = config_.fast_kmedian;
     manager_options.max_evaluations = config_.kmedian_max_evaluations;
-    manager_options.pool = config_.fast_kmedian ? &worker_pool() : nullptr;
+    manager_options.pool = &worker_pool();
     manager_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
     kmedian_manager_ = std::make_unique<KMedianMigrationManager>(
         deployment_, cost_model_, *kmedian_planner_, manager_options);
@@ -276,7 +279,7 @@ void DistributedEngine::advance_workload(RoundMetrics& metrics) {
   // Workloads evolve; flows track the new traffic levels and any migrated
   // endpoints.
   PhaseTimer timer(profile_.workload_ns);
-  deployment_.advance(config_.parallel_workload ? &worker_pool() : nullptr);
+  deployment_.advance(&worker_pool());
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     net::Flow& flow = flows_[f];
     const topo::NodeId src = deployment_.vm(flow_owner_[f]).host;
@@ -300,20 +303,15 @@ void DistributedEngine::advance_workload(RoundMetrics& metrics) {
 }
 
 const net::FairShareResult& DistributedEngine::solve_network(const RoundMetrics& metrics) {
-  // One canonical solve per round; the from-scratch reference is the bench
-  // baseline.
+  // One canonical solve per round.
   const topo::LivenessMask* liveness =
       injector_ != nullptr ? &injector_->liveness() : nullptr;
-  const net::FairShareResult* shares = &naive_shares_;
+  const net::FairShareResult* shares = nullptr;
   {
     PhaseTimer timer(profile_.fair_share_ns);
-    if (config_.incremental_fair_share) {
-      shares = &solver_.solve(flows_, liveness);
-      profile_.fair_share_build_ns = solver_.timings().build_ns;
-      profile_.fair_share_fill_ns = solver_.timings().fill_ns;
-    } else {
-      naive_shares_ = net::max_min_fair_share(*topo_, flows_, liveness);
-    }
+    shares = &solver_.solve(flows_, liveness);
+    profile_.fair_share_build_ns = solver_.timings().build_ns;
+    profile_.fair_share_fill_ns = solver_.timings().fill_ns;
   }
   // Network-state invariants are checked here, while flows' paths and rate
   // limits are exactly what the allocation saw: the QCN update moves rate
@@ -324,7 +322,7 @@ const net::FairShareResult& DistributedEngine::solve_network(const RoundMetrics&
     inputs.deployment = &deployment_;
     inputs.flows = flows_;
     inputs.shares = shares;
-    inputs.solver = config_.incremental_fair_share ? &solver_ : nullptr;
+    inputs.solver = &solver_;
     inputs.liveness = liveness;
     hub_->auditor()->audit_network(inputs);
   }
@@ -549,11 +547,7 @@ MigrationPlan DistributedEngine::manage_global(std::span<const ShimCollectResult
     // manage_kmedian sub-phase; matching/scheduling is manage_schedule.
     {
       PhaseTimer timer(profile_.manage_kmedian_ns);
-      if (config_.fast_kmedian) {
-        kmedian_planner_->refresh();
-      } else {
-        kmedian_planner_->rebuild();
-      }
+      kmedian_planner_->refresh();
     }
     const KMedianMigrationManager::Stats& stats = kmedian_manager_->stats();
     const std::uint64_t kmedian_before = stats.kmedian_ns;
@@ -720,7 +714,7 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics, const Migrati
         .add(cost.surface_builds - published_cost_stats_.surface_builds);
     published_cost_stats_ = cost;
   }
-  if (config_.incremental_fair_share) solver_.publish_metrics(registry);
+  solver_.publish_metrics(registry);
   router_.publish_metrics(registry);
   queues_.publish_metrics(registry);
   if (injector_ != nullptr) injector_->publish_metrics(registry);
@@ -753,7 +747,7 @@ std::vector<RoundMetrics> DistributedEngine::run(std::size_t rounds) {
 namespace {
 // Section schema versions. Bump a section's version whenever its payload
 // layout changes; load_state rejects skew loudly via expect_section.
-constexpr std::uint32_t kMetaVersion = 3;
+constexpr std::uint32_t kMetaVersion = 4;
 constexpr std::uint32_t kDeploymentVersion = 1;
 constexpr std::uint32_t kFlowVersion = 1;
 constexpr std::uint32_t kFaultVersion = 1;
@@ -801,11 +795,8 @@ void DistributedEngine::save_state(snapshot::Writer& writer) const {
   writer.put_u8(static_cast<std::uint8_t>(config_.mode));
   writer.put_u8(static_cast<std::uint8_t>(config_.protocol));
   writer.put_u8(static_cast<std::uint8_t>(config_.predictor));
-  writer.put_bool(config_.incremental_fair_share);
   // manage_shards does not fingerprint — the shard count never changes
-  // results, exactly like the pool size. cost_surface / cost_pruning /
-  // parallel_workload are results-identical accelerations (bitwise-equal
-  // selections and traces) and are likewise excluded.
+  // results, exactly like the pool size.
   writer.put_bool(injector_ != nullptr);
   writer.put_bool(channel_ != nullptr);
   writer.put_bool(kmedian_manager_ != nullptr);
@@ -959,8 +950,7 @@ void DistributedEngine::load_state(snapshot::Reader& reader) {
                   "checkpoint was taken over a different flow table");
   check_load(reader.get_u8() == static_cast<std::uint8_t>(config_.mode) &&
                       reader.get_u8() == static_cast<std::uint8_t>(config_.protocol) &&
-                      reader.get_u8() == static_cast<std::uint8_t>(config_.predictor) &&
-                      reader.get_bool() == config_.incremental_fair_share,
+                      reader.get_u8() == static_cast<std::uint8_t>(config_.predictor),
                   "checkpoint was taken under a different engine configuration");
   check_load(reader.get_bool() == (injector_ != nullptr) &&
                       reader.get_bool() == (channel_ != nullptr) &&

@@ -70,6 +70,12 @@ enum class PredictorKind : std::uint8_t {
   kNaive,     ///< no prediction (contingency baseline for ablations)
 };
 
+/// What one engine simulates. Every field either changes results that a
+/// study varies (fabric-side knobs, mode, protocol, predictor, demand
+/// scale, QCN, faults, the k-median settings) or picks resources whose
+/// every value gives byte-identical results (pool, shard count, the
+/// parallel collect). The engine has one implementation of each layer:
+/// no field switches a cache or an accelerated path off.
 struct EngineConfig {
   SheriffConfig sheriff;
   ManagerMode mode = ManagerMode::kSheriff;
@@ -78,47 +84,6 @@ struct EngineConfig {
   double flow_demand_scale_gbps = 0.4;  ///< demand per dependency edge at TRF=1
   bool parallel_collect = true;         ///< run shim collection on the thread pool
   bool qcn_rate_control = true;         ///< end-host reaction to QCN feedback (Sec. III-A.2)
-  // --- per-round hot-path switches (all on by default; turning one off
-  //     reproduces the naive recompute-everything behavior, the bench
-  //     baseline). The caching switches never change results; the two
-  //     cost-rooting switches pick equal-cost trees whose FP summation
-  //     order / path tie-breaks may differ, so each mode is deterministic
-  //     but the modes are not bit-identical to each other. ----------------
-  /// Allocate with net::FairShareSolver (one canonical solve per round) or,
-  /// off, with the from-scratch max_min_fair_share reference. Both give
-  /// max–min fair rates; only bench_scale's naive leg turns it off.
-  bool incremental_fair_share = true;
-  bool route_cache = true;             ///< Router level-array + resolved-path caches
-  /// Cost model reads the topology's shared distance rows. Off, it keeps a
-  /// private row set that every round discards — only bench_scale's naive
-  /// leg turns it off.
-  bool retain_cost_trees = true;
-  /// Dependency-span distances rooted at the partners instead of every
-  /// candidate destination (one Dijkstra tree per partner, not per host).
-  bool partner_rooted_costs = true;
-  /// Cost-model trees shared across single-homed hosts (rooted at the ToR
-  /// behind the host's one leaf edge): one tree per queried rack instead
-  /// of one per queried host on fat-tree-like fabrics.
-  bool shared_leaf_cost_trees = true;
-  /// kKMedian mode: delta-evaluated fast local search + liveness-gated
-  /// planner row reuse; off = reference solver + per-round planner rebuild.
-  bool fast_kmedian = true;
-  /// Per-round CostSurface: per-link bandwidth/utilization SoA snapshotted
-  /// once from the fair-share result + rack-keyed path-link memos, so
-  /// Eq. (1) evaluates as a flat array kernel. Bit-transparent (the flat
-  /// kernel replays the legacy FP ops in order), so like the caches it is
-  /// excluded from the checkpoint fingerprint.
-  bool cost_surface = true;
-  /// Bound-guarded candidate pruning in the matching sweeps: an exact,
-  /// admissible lower bound skips dominated (VM, destination) pairs
-  /// without ever changing the argmin (selections are bitwise identical
-  /// with it on or off — only the cost.evaluated/cost.pruned counter split
-  /// moves). Excluded from the checkpoint fingerprint.
-  bool cost_pruning = true;
-  /// Workload trace advance swept across the worker pool. Each VM owns its
-  /// counter-seeded RNG streams, so the sweep is bit-identical at any pool
-  /// size — excluded from the checkpoint fingerprint like manage_shards.
-  bool parallel_workload = true;
   /// Shard count of the kSheriff manage phase (DESIGN.md §11): shims are
   /// grouped into deterministic contiguous rack shards, each shard's
   /// alert dispatch runs as one parallel *propose* task against an
@@ -135,8 +100,9 @@ struct EngineConfig {
   std::size_t kmedian_destination_racks = 4;  ///< k medians per plan
   std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size
   std::size_t kmedian_max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
-  /// Worker pool for the parallel sweeps (predictor observe, fair-share
-  /// fill, switch queues, shim collect and propose, the protocol).
+  /// Worker pool for the parallel sweeps (workload trace advance,
+  /// predictor observe, fair-share fill, switch queues, shim collect and
+  /// propose, the k-median gain sweeps, the protocol).
   /// nullptr = the process-wide default pool. Sweeps are bit-identical for
   /// any pool size — tests pin pools of size 1/2/8 to prove it.
   common::ThreadPool* pool = nullptr;
@@ -196,15 +162,16 @@ struct RoundMetrics {
 };
 
 /// Wall time spent in each stage of run_round, summed over all rounds run
-/// so far. Feeds bench_scale's per-phase breakdown; not meant to be cheap
-/// enough to leave on in inner loops (it is — two clock reads per phase).
+/// so far. Feeds bench_scale's per-phase breakdown and perfbench's
+/// per-layer spans; not meant to be cheap enough to leave on in inner
+/// loops (it is — two clock reads per phase).
 struct PhaseProfile {
   std::uint64_t fault_ns = 0;       ///< fault events + liveness propagation
   std::uint64_t workload_ns = 0;    ///< trace advance + demand updates + routing
   std::uint64_t fair_share_ns = 0;  ///< max–min allocation
-  /// FairShareSolver sub-phases of fair_share_ns (zero on the naive
-  /// from-scratch path): link ids, incidence, components and reverse CSR
-  /// vs the demand sort, the water-filling kernel and the load sums.
+  /// FairShareSolver sub-phases of fair_share_ns: link ids, incidence,
+  /// components and reverse CSR vs the demand sort, the water-filling
+  /// kernel and the load sums.
   std::uint64_t fair_share_build_ns = 0;
   std::uint64_t fair_share_fill_ns = 0;
   std::uint64_t queue_ns = 0;       ///< switch queues + QCN rate control
@@ -362,7 +329,6 @@ class DistributedEngine {
   net::FlowRerouter rerouter_;
   net::SwitchQueues queues_;
   net::FairShareSolver solver_;
-  net::FairShareResult naive_shares_;  ///< scratch when incremental_fair_share is off
   net::QcnRateController rate_controller_;
   mig::MigrationCostModel cost_model_;
   std::vector<ShimController> shims_;

@@ -204,7 +204,6 @@ MigrationPlan KMedianMigrationManager::migrate(std::vector<wl::VmId> alerted) {
   KMedianPlanner::PlanOptions plan_options;
   plan_options.k = std::min(options_.destination_racks, planner_->facility_racks().size());
   plan_options.p = options_.local_search_p;
-  plan_options.fast = options_.fast_local_search;
   plan_options.pool = options_.pool;
   plan_options.max_evaluations = options_.max_evaluations;
   KMedianPlan selection;

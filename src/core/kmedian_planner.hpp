@@ -11,8 +11,8 @@
 //
 // The ToR rows of T' are computed once and shared across plan() calls; a
 // planner bound to a LivenessMask recomputes them only when the mask's
-// version counter moved (refresh()), instead of re-running O(racks) full
-// Dijkstras per round.
+// version counter moved (refresh()), never once per round on an
+// unchanged fabric.
 
 #include <cstddef>
 #include <cstdint>
@@ -85,10 +85,6 @@ class KMedianPlanner {
   /// without a mask never rebuild (the topology is immutable).
   bool refresh();
 
-  /// Unconditionally recomputes the ToR rows (the naive per-round behavior
-  /// the engine's fast_kmedian=false path reproduces for benchmarking).
-  void rebuild();
-
   /// Times the distance rows were (re)built, the initial build included.
   [[nodiscard]] std::size_t rebuilds() const noexcept { return rebuilds_; }
 
@@ -116,6 +112,8 @@ class KMedianPlanner {
                                        std::size_t k) const;
 
  private:
+  /// Computes the ToR rows and the facility set (construction and refresh()).
+  void rebuild();
   [[nodiscard]] graph::KMedianInstance make_instance(
       const std::vector<topo::RackId>& source_racks, std::size_t k) const;
 
@@ -136,7 +134,8 @@ namespace sheriff::core {
 
 /// The full Sec. V-A centralized strategy: reduce VMMIGRATION to k-median
 /// — pick `destination_racks` medians among all ToRs for the alerting
-/// source ToRs with the Alg. 5 local search — then match the alerted VMs
+/// source ToRs with the Alg. 5 local search (the delta-evaluated solver,
+/// whose medians equal the reference scan's) — then match the alerted VMs
 /// onto the chosen racks' hosts by minimal weighted matching. Its search
 /// space is the local-search evaluations plus the (much smaller) matching
 /// over the chosen racks only, trading a bounded approximation factor for
@@ -146,9 +145,6 @@ class KMedianMigrationManager {
   struct Options {
     std::size_t destination_racks = 4;  ///< k medians to open
     std::size_t local_search_p = 2;     ///< Alg. 5 swap size
-    /// Delta-evaluated fast solver (same medians as the reference scan —
-    /// first-improvement trajectory parity); false = reference solver.
-    bool fast_local_search = true;
     std::size_t max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
     common::ThreadPool* pool = nullptr; ///< shards the fast gain sweeps
     /// When set, detached hosts (dead, or cut off behind a dead ToR) are

@@ -51,27 +51,12 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
 
 void MigrationCostModel::set_bandwidth_state(const net::FairShareResult* shares) {
   shares_ = shares;
-  if (private_rows_ != nullptr) private_rows_->clear();
   if (surface_enabled_ && shares != nullptr) {
     surface_.build(shares, params_.management_reserve_fraction, params_.request_gbps,
                    params_.bandwidth_threshold_gbps);
     surface_builds_.fetch_add(1, std::memory_order_relaxed);
   } else {
     surface_.clear();
-  }
-}
-
-void MigrationCostModel::begin_round() {
-  if (private_rows_ != nullptr) private_rows_->clear();
-}
-
-void MigrationCostModel::set_tree_cache_retained(bool retain) {
-  if (retain) {
-    rows_ = &topo_->distance_rows();
-    private_rows_.reset();
-  } else {
-    private_rows_ = std::make_unique<topo::DistanceRows>(*topo_);
-    rows_ = private_rows_.get();
   }
 }
 

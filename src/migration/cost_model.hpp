@@ -24,7 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "migration/cost_surface.hpp"
@@ -83,10 +82,11 @@ struct CostModelStats {
 
 /// Evaluates Eq. (1) for candidate moves on a fixed topology. Shortest
 /// (distance-weighted) rows come from the topology's shared row set, built
-/// lazily per root; call `begin_round()` when the network state changes.
-/// Concurrent cost()/total_cost() calls are safe (rows are immutable once
-/// published; a lost publication race discards the duplicate), which lets
-/// every shim evaluate its proposals in parallel.
+/// lazily per root on the immutable distance graph, so they never depend
+/// on the bandwidth state. Concurrent cost()/total_cost() calls are safe
+/// (rows are immutable once published; a lost publication race discards
+/// the duplicate), which lets every shim evaluate its proposals in
+/// parallel.
 class MigrationCostModel {
  public:
   MigrationCostModel(const topo::Topology& topo, const wl::Deployment& deployment,
@@ -99,17 +99,6 @@ class MigrationCostModel {
   /// allocator). Without it, links are treated as idle. With the surface
   /// enabled this snapshots the per-link SoA arrays once for the round.
   void set_bandwidth_state(const net::FairShareResult* shares);
-
-  /// Invalidates the private row set when tree retention is off. With
-  /// retention on (default) this is a no-op: the rows are built on the
-  /// immutable distance graph and never depend on bandwidth state.
-  void begin_round();
-
-  /// Toggles tree retention. On (default), the model reads the topology's
-  /// shared rows. Off, it builds a private row set and discards it at every
-  /// bandwidth-state change — bench_scale's naive baseline; it never
-  /// changes results, only how often rows rebuild.
-  void set_tree_cache_retained(bool retain);
 
   /// Roots the dependency-span Dijkstra trees at the VMs' *partners*
   /// instead of the candidate destination. Distances on the undirected
@@ -197,9 +186,8 @@ class MigrationCostModel {
   /// applied); 0 when unreachable. Feeds the live-migration timeline.
   [[nodiscard]] double path_bottleneck_bandwidth(wl::VmId vm, topo::NodeId destination) const;
 
-  /// The distance row rooted at `root` on the immutable (unmasked)
-  /// distance graph, built on demand: the topology's shared row, or the
-  /// private set's when tree retention is off. KMedianPlanner reads its
+  /// The topology's shared distance row rooted at `root` on the immutable
+  /// (unmasked) distance graph, built on demand. KMedianPlanner reads its
   /// pristine-fabric distance matrix here so there is one source of truth
   /// for ToR distances.
   [[nodiscard]] const topo::DistanceRow& distance_row(topo::NodeId root) const {
@@ -227,10 +215,7 @@ class MigrationCostModel {
   const topo::Topology* topo_;
   const wl::Deployment* deployment_;
   CostParams params_;
-  /// The rows read: the topology's shared set, or private_rows_.
-  const topo::DistanceRows* rows_;
-  /// Retention off only: rows discarded at every bandwidth-state change.
-  std::unique_ptr<topo::DistanceRows> private_rows_;
+  const topo::DistanceRows* rows_;  ///< the topology's shared row set
   const net::FairShareResult* shares_ = nullptr;
   bool partner_rooted_ = false;
   bool shared_leaf_trees_ = false;

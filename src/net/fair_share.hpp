@@ -9,8 +9,8 @@
 //   * max_min_fair_share — the from-scratch reference: resolves every
 //     flow's path into link ids and runs level-by-level progressive
 //     filling over the whole fabric. Simple, allocation-heavy,
-//     O(levels × fabric) per call. This is the bench baseline and the
-//     oracle every differential test compares against.
+//     O(levels × fabric) per call. It is the oracle every differential
+//     test and the auditor's deep re-solve compare against.
 //   * FairShareSolver — the solver the engine's per-round hot path uses.
 //     Every solve is canonical: one pass over the flow table in ascending
 //     flow order resolves link ids (through a path-keyed memo), builds a

@@ -62,11 +62,6 @@ bool Router::refresh_liveness() {
   return true;
 }
 
-void Router::set_cache_enabled(bool enabled) {
-  cache_enabled_ = enabled;
-  clear_caches();
-}
-
 void Router::clear_caches() const {
   std::scoped_lock lock(cache_mutex_);
   if (tree_cache_entries_ > 0 || !path_cache_.empty()) ++cache_stats_.evictions;
@@ -118,12 +113,7 @@ bool Router::reachable(topo::NodeId a, topo::NodeId b) const {
 }
 
 std::span<const graph::HopLevel> Router::levels_for(topo::NodeId root,
-                                                    std::span<const topo::NodeId> blocked,
-                                                    std::vector<graph::HopLevel>& storage) const {
-  if (!cache_enabled_) {
-    graph::hop_levels_into(hops_, root, blocked, storage);
-    return storage;
-  }
+                                                    std::span<const topo::NodeId> blocked) const {
   {
     std::scoped_lock lock(cache_mutex_);
     const auto it = tree_cache_.find(root);
@@ -209,7 +199,7 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   // including the blocked probes FLOWREROUTE re-issues round over round,
   // and probes that found no path under the blocks — can return the
   // stored outcome outright. A hit is indistinguishable from a recompute.
-  const bool path_cacheable = cache_enabled_ && flow.id < kMaxPathCacheFlows;
+  const bool path_cacheable = flow.id < kMaxPathCacheFlows;
   if (path_cacheable) {
     std::scoped_lock lock(cache_mutex_);
     if (flow.id < path_cache_.size()) {
@@ -249,8 +239,7 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
     flow.path.assign({flow.src_host, root});
     ok = true;
   } else {
-    std::vector<graph::HopLevel> storage;
-    ok = walk_ecmp(levels_for(root, key, storage), root, flow);
+    ok = walk_ecmp(levels_for(root, key), root, flow);
   }
 
   if (path_cacheable) {
@@ -288,8 +277,7 @@ std::size_t Router::route_all(std::span<Flow> flows) const {
 }
 
 std::size_t Router::shortest_path_count(topo::NodeId src, topo::NodeId dst) const {
-  std::vector<graph::HopLevel> storage;
-  return graph::hop_path_count(hops_, levels_for(src, {}, storage), dst);
+  return graph::hop_path_count(hops_, levels_for(src, {}), dst);
 }
 
 void Router::publish_metrics(obs::MetricRegistry& registry) const {

@@ -27,8 +27,9 @@
 // the queries that actually repeat round over round, and failed probes
 // (no path under the blocks) are cached too. Both caches are dropped
 // whenever the liveness version moves, so every entry is implicitly keyed
-// on the liveness epoch. set_cache_enabled(false) runs the same BFS and
-// walk for every query without storing anything (the bench baseline).
+// on the liveness epoch. A hit is indistinguishable from a recompute
+// (Routing.MatchesDijkstraOracleOnEveryFabric checks cold and warm queries
+// against a Dijkstra oracle).
 
 #include <cstdint>
 #include <mutex>
@@ -84,10 +85,6 @@ class Router {
   /// Number of distinct shortest paths between two hosts (diagnostics).
   [[nodiscard]] std::size_t shortest_path_count(topo::NodeId src, topo::NodeId dst) const;
 
-  /// Toggles the level/path caches (enabled by default); disabling clears
-  /// them, giving the naive recompute-every-query behavior.
-  void set_cache_enabled(bool enabled);
-  [[nodiscard]] bool cache_enabled() const noexcept { return cache_enabled_; }
   [[nodiscard]] const RouterCacheStats& cache_stats() const noexcept { return cache_stats_; }
 
   /// Publishes the cumulative cache stats as `router.*` gauges.
@@ -96,14 +93,12 @@ class Router {
  private:
   void rebuild();
   void clear_caches() const;
-  /// The hop levels out of `root` under the sorted `blocked` set. With the
-  /// cache on this views the cached array, valid until the cache is next
-  /// cleared (liveness change or overflow; slot moves keep the array's
-  /// buffer, so rehashes do not invalidate it); with it off the levels are
-  /// computed into `storage`.
+  /// The hop levels out of `root` under the sorted `blocked` set: a view of
+  /// the cached array, valid until the cache is next cleared (liveness
+  /// change or overflow; slot moves keep the array's buffer, so rehashes do
+  /// not invalidate it).
   std::span<const graph::HopLevel> levels_for(topo::NodeId root,
-                                              std::span<const topo::NodeId> blocked,
-                                              std::vector<graph::HopLevel>& storage) const;
+                                              std::span<const topo::NodeId> blocked) const;
   /// Fills flow.path by walking back from the destination to `root`,
   /// hashing over each step's tight parents (ECMP); see routing.cpp.
   /// Returns false (path untouched) when the destination is unreached.
@@ -134,7 +129,6 @@ class Router {
     PathEntry plain;
     std::vector<PathEntry> blocked;
   };
-  bool cache_enabled_ = true;
   mutable std::mutex cache_mutex_;
   mutable std::unordered_map<topo::NodeId, std::vector<TreeSlot>> tree_cache_;
   mutable std::size_t tree_cache_entries_ = 0;

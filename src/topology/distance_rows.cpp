@@ -27,10 +27,8 @@ DistanceRows::DistanceRows(const Topology& topo)
       graph_(topo.wired_graph(EdgeWeight::kDistance)),
       slots_(topo.node_count()) {}
 
-DistanceRows::~DistanceRows() { clear(); }
-
-void DistanceRows::clear() noexcept {
-  for (auto& slot : slots_) delete slot.exchange(nullptr, std::memory_order_acq_rel);
+DistanceRows::~DistanceRows() {
+  for (auto& slot : slots_) delete slot.load(std::memory_order_acquire);
 }
 
 std::size_t DistanceRows::built_rows() const noexcept {

@@ -82,9 +82,6 @@ class DistanceRows {
   /// Rows published so far.
   [[nodiscard]] std::size_t built_rows() const noexcept;
 
-  /// Drops every row. Serial only: no reader may hold a row across it.
-  void clear() noexcept;
-
  private:
   [[nodiscard]] const DistanceRow& publish(NodeId root) const;
   /// Builds `root`'s row through `scratch` and publishes it.

@@ -152,22 +152,6 @@ TEST(DistanceRows, EnginesOnOneTopologyShareRowObjects) {
   }
 }
 
-TEST(DistanceRows, PrivateRowSetLeavesSharedRowsUntouched) {
-  // retain_cost_trees = false: bench_scale's naive leg keeps its own rows
-  // and discards them every round; the fabric's set is never built.
-  const topo::Topology t = fat_tree(4);
-  sc::ThreadPool pool(1);
-  core::EngineConfig config;
-  config.pool = &pool;
-  config.mode = core::ManagerMode::kKMedian;
-  config.retain_cost_trees = false;
-  core::DistributedEngine engine(t, deployment(), config);
-  (void)engine.run(3);
-  EXPECT_EQ(t.distance_rows().built_rows(), 0u);
-  const topo::NodeId tor = t.rack(0).tor;
-  EXPECT_NE(&engine.cost_model().distance_row(tor), &t.distance_rows().row(tor));
-}
-
 TEST(DistanceRows, FreshCopyOfFabricGivesIdenticalBytes) {
   for (const core::ManagerMode mode : {core::ManagerMode::kSheriff, core::ManagerMode::kKMedian}) {
     const topo::Topology warm = fat_tree(4);

@@ -3,8 +3,7 @@
 // certificate kernel against the reference combinational scan, the
 // 3 + 2/p bound against the exhaustive optimum, byte-identical parallel
 // sweeps across pool sizes (pristine and faulted planners), the
-// max_evaluations safety cap, planner refresh semantics, and a
-// naive-vs-fast differential of the engine's kKMedian manage phase.
+// max_evaluations safety cap, and planner refresh semantics.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "core/engine.hpp"
 #include "core/kmedian_planner.hpp"
 #include "graph/kmedian.hpp"
 #include "graph/kmedian_fast.hpp"
@@ -28,7 +26,6 @@ namespace sg = sheriff::graph;
 namespace sc = sheriff::common;
 namespace core = sheriff::core;
 namespace topo = sheriff::topo;
-namespace wl = sheriff::wl;
 
 namespace {
 
@@ -433,54 +430,8 @@ TEST(KMedianPlannerRefresh, RebuildsOnlyWhenMaskVersionMoves) {
   EXPECT_TRUE(planner.refresh());
   EXPECT_EQ(planner.facility_racks().size(), topology.rack_count());
 
-  // A planner without a mask never rebuilds (the topology is immutable);
-  // rebuild() stays available for the naive benchmarking path.
+  // A planner without a mask never rebuilds (the topology is immutable).
   core::KMedianPlanner unmasked(topology);
   EXPECT_FALSE(unmasked.refresh());
   EXPECT_EQ(unmasked.rebuilds(), 1u);
-  unmasked.rebuild();
-  EXPECT_EQ(unmasked.rebuilds(), 2u);
-}
-
-// --- Engine-level differential: the kKMedian manage phase picks the same
-// --- moves with the fast solver as with the naive rebuild + reference scan.
-
-TEST(EngineKMedian, FastAndNaiveRoundsAgree) {
-  wl::DeploymentOptions deployment;
-  deployment.seed = 2015;
-  deployment.vms_per_host = 3.0;
-
-  core::EngineConfig fast_config;
-  fast_config.mode = core::ManagerMode::kKMedian;
-  fast_config.parallel_collect = false;
-
-  // Flip the solver and the pure-caching switches only: the cost-rooting
-  // modes (partner_rooted_costs, shared_leaf_cost_trees) are equal-cost
-  // but not bit-identical, so they stay the same on both engines.
-  core::EngineConfig naive_config = fast_config;
-  naive_config.incremental_fair_share = false;
-  naive_config.route_cache = false;
-  naive_config.retain_cost_trees = false;
-  naive_config.fast_kmedian = false;
-
-  core::DistributedEngine fast_engine(small_fat_tree(), deployment, fast_config);
-  core::DistributedEngine naive_engine(small_fat_tree(), deployment, naive_config);
-  const auto fast_metrics = fast_engine.run(8);
-  const auto naive_metrics = naive_engine.run(8);
-  ASSERT_EQ(fast_metrics.size(), naive_metrics.size());
-  for (std::size_t r = 0; r < fast_metrics.size(); ++r) {
-    EXPECT_EQ(fast_metrics[r].migrations, naive_metrics[r].migrations) << "round " << r;
-    EXPECT_EQ(fast_metrics[r].host_alerts, naive_metrics[r].host_alerts) << "round " << r;
-    // search_space is intentionally not compared: the fast solver counts
-    // candidate evaluations at sweep granularity while the reference scan
-    // counts per candidate, so the totals differ even though the swap
-    // trajectory (and therefore every migration) is identical.
-  }
-  // Both engines must land every VM on the same host.
-  const auto& fd = fast_engine.deployment();
-  const auto& nd = naive_engine.deployment();
-  ASSERT_EQ(fd.vm_count(), nd.vm_count());
-  for (wl::VmId vm = 0; vm < fd.vm_count(); ++vm) {
-    EXPECT_EQ(fd.vm(vm).host, nd.vm(vm).host) << "vm " << vm;
-  }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -157,12 +158,6 @@ TEST(AuditorE2E, DeepFairShareAuditAgreesOnShortRun) {
   expect_clean_run(fat_tree(), config, 40);
 }
 
-TEST(AuditorE2E, NaiveFairSharePathIsAlsoClean) {
-  auto config = audited_config();
-  config.incremental_fair_share = false;  // solver == nullptr branch
-  expect_clean_run(fat_tree(), config, 60);
-}
-
 TEST(AuditorE2E, CentralizedManagerIsAlsoClean) {
   auto config = audited_config();
   config.mode = core::ManagerMode::kCentralized;
@@ -220,6 +215,24 @@ TEST(AuditorE2E, KMedianSettingsOutsideKMedianModeAreRejected) {
                sc::RequirementError);
   cap.mode = core::ManagerMode::kKMedian;
   EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), cap));
+}
+
+TEST(AuditorE2E, BadDemandScaleIsRejected) {
+  // A negative scale offers no flow, so QoS would report full satisfaction
+  // for a fabric that carries nothing; NaN or inf lifts every rate limit.
+  // The engine refuses them before SHERIFF_FORCE_AUDIT applies.
+  for (const double scale : {-0.4, -std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    core::EngineConfig config;
+    config.flow_demand_scale_gbps = scale;
+    EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), config),
+                 sc::RequirementError)
+        << "scale " << scale;
+  }
+  core::EngineConfig idle;
+  idle.flow_demand_scale_gbps = 0.0;  // an idle fabric is a valid study
+  EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), idle));
 }
 
 TEST(AuditorE2E, MetricsAndTraceAgreeWithRoundMetrics) {

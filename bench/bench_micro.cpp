@@ -79,17 +79,22 @@ void BM_DijkstraFatTree(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraFatTree)->Arg(8)->Arg(16)->Arg(24);
 
-// FLOWREROUTE's query: route a cross-pod flow around a core switch its
+// FLOWREROUTE's query: route a cross-pod flow around a switch its
 // unblocked route transits. Second arg: 0 = cold (a fresh router per query,
-// built with the timer paused, so every query runs the hop-level BFS plus
-// the ECMP walk), 1 = warm (the level array is cached; flow ids past the
-// router's 2^20-flow path-cache range keep the resolved path uncached, so
-// every query still walks).
+// built with the timer paused, so every query runs the hop-level BFS, the
+// repair and the ECMP walk), 1 = warm (the root's level array is cached;
+// flow ids past the router's 2^20-flow path-cache range keep the resolved
+// path uncached, so every query still repairs and walks). Third arg: the
+// blocked switch, 0 = the route's core (no vertex loses its level), 1 = the
+// route's aggregation switch in the source's pod (its cores and every other
+// pod's matching aggregation switch are re-leveled: the largest repair on a
+// Fat-Tree).
 void BM_RouterBlockedRoute(benchmark::State& state) {
   topo::FatTreeOptions options;
   options.pods = static_cast<int>(state.range(0));
   const auto t = topo::build_fat_tree(options);
   const bool warm = state.range(1) != 0;
+  const bool block_agg = state.range(2) != 0;
   auto router = std::make_unique<net::Router>(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   struct Probe {
@@ -103,9 +108,8 @@ void BM_RouterBlockedRoute(benchmark::State& state) {
     p.flow.src_host = hosts[(i * 7) % (hosts.size() / 2)];
     p.flow.dst_host = hosts[hosts.size() - 1 - (i * 5) % (hosts.size() / 2)];
     router->route(p.flow);
-    for (const topo::NodeId n : p.flow.path) {
-      if (t.node(n).kind == topo::NodeKind::kCoreSwitch) p.hot = n;
-    }
+    // host, ToR, agg, core, agg, ToR, host
+    p.hot = p.flow.path[block_agg ? 2 : 3];
     probes.push_back(p);
   }
   std::size_t next = 0;
@@ -122,14 +126,12 @@ void BM_RouterBlockedRoute(benchmark::State& state) {
   }
   const auto& stats = router->cache_stats();
   state.counters["tree_hits"] = static_cast<double>(stats.tree_hits);
+  state.counters["repairs"] = static_cast<double>(stats.repairs);
   state.counters["path_hits"] = static_cast<double>(stats.path_hits);
 }
 BENCHMARK(BM_RouterBlockedRoute)
-    ->ArgNames({"k", "warm"})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 0})
-    ->Args({32, 1});
+    ->ArgNames({"k", "warm", "agg"})
+    ->ArgsProduct({{16, 32}, {0, 1}, {0, 1}});
 
 void BM_HungarianMatching(benchmark::State& state) {
   common::Pcg32 rng(2);

@@ -2,8 +2,8 @@
 // scenario family across N seeds on a bounded worker pool, streams JSONL
 // results, and — given a manifest — survives being killed halfway:
 //
-//   fleet_sweep --topo fat_tree --seeds 16 --rounds 20 --workers 8 \
-//               --manifest sweep.manifest --jsonl sweep.jsonl
+//   fleet_sweep --topo fat_tree --seeds 16 --rounds 20 --workers 8
+//               --manifest sweep.manifest --jsonl sweep.jsonl   (one line)
 //   ... ^C anywhere ...
 //   fleet_sweep ... same flags ... --resume     # finishes the missing runs
 //

@@ -27,6 +27,11 @@ EngineConfig checked_config(const EngineConfig& config) {
   SHERIFF_REQUIRE(std::isfinite(config.flow_demand_scale_gbps) &&
                       config.flow_demand_scale_gbps >= 0.0,
                   "flow_demand_scale_gbps must be finite and non-negative");
+  // FLOWREROUTE moves ceil(fraction × candidates) flows. The rerouter
+  // refuses a fraction outside (0, 1] only when the first reroute claim
+  // commits, which a run may reach late or never. NaN fails both compares.
+  const double fraction = config.sheriff.reroute_fraction;
+  SHERIFF_REQUIRE(fraction > 0.0 && fraction <= 1.0, "sheriff.reroute_fraction must be in (0, 1]");
   if (config.mode != ManagerMode::kKMedian) {
     const EngineConfig defaults;
     SHERIFF_REQUIRE(config.kmedian_destination_racks == defaults.kmedian_destination_racks &&
@@ -265,9 +270,8 @@ RoundMetrics DistributedEngine::run_round() {
   apply_fault_events(metrics);
   advance_workload(metrics);
   const net::FairShareResult& shares = solve_network(metrics);
-  const std::vector<topo::NodeId> congested = update_queues(shares, metrics);
-  const std::vector<ShimCollectResult> collected =
-      predict_and_collect(shares, congested, metrics);
+  update_queues(shares, metrics);
+  const std::vector<ShimCollectResult> collected = predict_and_collect(shares, metrics);
   const MigrationPlan plan = manage(collected, shares, metrics);
   metrics.workload_stddev_after = deployment_.workload_stddev();
   if (hub_ != nullptr) publish_round(metrics, plan);
@@ -329,8 +333,7 @@ const net::FairShareResult& DistributedEngine::solve_network(const RoundMetrics&
   return *shares;
 }
 
-std::vector<topo::NodeId> DistributedEngine::update_queues(const net::FairShareResult& shares,
-                                                           RoundMetrics& metrics) {
+void DistributedEngine::update_queues(const net::FairShareResult& shares, RoundMetrics& metrics) {
   // Switch queues + QCN feedback, then the end-host reaction point adjusts
   // rate limits for the next period.
   PhaseTimer timer(profile_.queue_ns);
@@ -345,17 +348,14 @@ std::vector<topo::NodeId> DistributedEngine::update_queues(const net::FairShareR
     rate_controller_.update(flows_, queues_);
     metrics.rate_limited_flows = rate_controller_.tracked_flows();
   }
-  std::vector<topo::NodeId> congested = queues_.congested_switches();
-  metrics.congested_switches = congested.size();
+  metrics.congested_switches = queues_.congested_switches().size();
   for (double u : shares.link_utilization) {
     metrics.max_link_utilization = std::max(metrics.max_link_utilization, u);
   }
-  return congested;
 }
 
 std::vector<ShimCollectResult> DistributedEngine::predict_and_collect(
-    const net::FairShareResult& shares, std::span<const topo::NodeId> congested,
-    RoundMetrics& metrics) {
+    const net::FairShareResult& shares, RoundMetrics& metrics) {
   PhaseTimer timer(profile_.predict_ns);
   // Every VM's predictor observes the new sample and forecasts T ahead.
   const auto predict = [&](std::size_t i) {
@@ -385,17 +385,24 @@ std::vector<ShimCollectResult> DistributedEngine::predict_and_collect(
   // utilization and queue length into the scalar predictors, then hand the
   // shims their T-ahead extrapolations.
   const double fleet_mean = metrics.workload_mean;
+  const bool any_congested = !queues_.congested_switches().empty();
   std::vector<std::vector<topo::NodeId>> rack_hot(topo_->rack_count());
+  std::vector<topo::NodeId> flow_hot;
   std::vector<ShimController::Observation> observations(shims_.size());
   for (topo::RackId r = 0; r < topo_->rack_count(); ++r) {
-    // Congested outer switches that some flow of this rack transits.
+    // Congested outer switches that some flow of this rack transits, in
+    // first-seen order: flow by flow, and within a flow in ascending id
+    // (the congested list's order).
     std::vector<topo::NodeId>& hot = rack_hot[r];
     for (std::size_t f : rack_flows_[r]) {
-      if (!flows_[f].routed()) continue;
-      for (topo::NodeId sw : congested) {
-        if (flows_[f].transits(sw) && std::find(hot.begin(), hot.end(), sw) == hot.end()) {
-          hot.push_back(sw);
-        }
+      if (!any_congested) break;  // no flag is set
+      flow_hot.clear();
+      for (const topo::NodeId sw : flows_[f].interior()) {
+        if (queues_.congested(sw)) flow_hot.push_back(sw);
+      }
+      std::sort(flow_hot.begin(), flow_hot.end());
+      for (const topo::NodeId sw : flow_hot) {
+        if (std::find(hot.begin(), hot.end(), sw) == hot.end()) hot.push_back(sw);
       }
     }
     const topo::NodeId tor = topo_->rack(r).tor;

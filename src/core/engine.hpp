@@ -289,12 +289,11 @@ class DistributedEngine {
   void apply_fault_events(RoundMetrics& metrics);  ///< no-op on a pristine fabric
   void advance_workload(RoundMetrics& metrics);    ///< traces, flow demands, routing
   [[nodiscard]] const net::FairShareResult& solve_network(const RoundMetrics& metrics);
-  [[nodiscard]] std::vector<topo::NodeId> update_queues(const net::FairShareResult& shares,
-                                                        RoundMetrics& metrics);
+  /// Switch queues, DSCP marks and the congested set, then QCN rate limits.
+  void update_queues(const net::FairShareResult& shares, RoundMetrics& metrics);
   /// Also rebuilds rack_flows_; returns each rack's alerts.
   [[nodiscard]] std::vector<ShimCollectResult> predict_and_collect(
-      const net::FairShareResult& shares, std::span<const topo::NodeId> congested,
-      RoundMetrics& metrics);
+      const net::FairShareResult& shares, RoundMetrics& metrics);
   /// Orphan recovery + manage_regional or manage_global; returns the
   /// round's committed moves.
   MigrationPlan manage(std::span<const ShimCollectResult> collected,

@@ -1,6 +1,8 @@
 #include "graph/hop_levels.hpp"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
 
 #include "common/require.hpp"
 
@@ -23,33 +25,130 @@ HopGraph::HopGraph(const Graph& g) {
   }
 }
 
-void hop_levels_into(const HopGraph& g, Vertex source, std::span<const Vertex> blocked,
-                     std::vector<HopLevel>& levels) {
+void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& levels) {
   const std::size_t n = g.vertex_count();
   SHERIFF_REQUIRE(source < n, "source out of range");
   levels.assign(n, kUnreachedLevel);
-  // Blocked vertices are parked at level 0 while the BFS runs (any value
-  // but kUnreachedLevel keeps them undiscovered) and reset afterwards.
-  for (const Vertex b : blocked) {
-    SHERIFF_REQUIRE(b < n, "blocked vertex out of range");
-    levels[b] = 0;
-  }
-  if (levels[source] == kUnreachedLevel) {
-    levels[source] = 0;
-    std::vector<Vertex> queue;
-    queue.reserve(n);
-    queue.push_back(source);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const Vertex u = queue[head];
-      const int next = levels[u] + 1;
-      for (const Vertex v : g.neighbors(u)) {
-        if (levels[v] != kUnreachedLevel) continue;
-        SHERIFF_REQUIRE(next < kUnreachedLevel, "hop level overflows HopLevel");
-        levels[v] = static_cast<HopLevel>(next);
-        queue.push_back(v);
-      }
+  levels[source] = 0;
+  std::vector<Vertex> queue;
+  queue.reserve(n);
+  queue.push_back(source);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex u = queue[head];
+    const int next = levels[u] + 1;
+    for (const Vertex v : g.neighbors(u)) {
+      if (levels[v] != kUnreachedLevel) continue;
+      SHERIFF_REQUIRE(next < kUnreachedLevel, "hop level overflows HopLevel");
+      levels[v] = static_cast<HopLevel>(next);
+      queue.push_back(v);
     }
   }
+}
+
+namespace {
+
+/// A vertex queued at a hop level.
+struct LevelItem {
+  HopLevel level;
+  Vertex vertex;
+};
+
+/// Visits vertices in ascending level: the `seeds` at their own levels, and
+/// whatever `visit(level, v, next)` appends to `next` at level + 1. Levels
+/// fit a byte, so a counting sort orders the seeds in linear time.
+template <typename Visit>
+void sweep_by_level(std::span<const LevelItem> seeds, Visit&& visit) {
+  constexpr std::size_t kLevels = std::size_t{kUnreachedLevel} + 1;
+  std::array<std::uint32_t, kLevels + 1> begin{};  // level l's seeds: [begin[l], begin[l + 1])
+  for (const LevelItem& s : seeds) ++begin[s.level + 1U];
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<Vertex> sorted(seeds.size());
+  std::array<std::uint32_t, kLevels + 1> fill = begin;
+  for (const LevelItem& s : seeds) sorted[fill[s.level]++] = s.vertex;
+
+  std::vector<Vertex> frontier;
+  std::vector<Vertex> next;
+  for (std::size_t level = 0; level < kLevels; ++level) {
+    frontier.insert(frontier.end(), sorted.begin() + begin[level],
+                    sorted.begin() + begin[level + 1]);
+    if (frontier.empty() && begin[level + 1] == sorted.size()) break;
+    for (const Vertex v : frontier) visit(static_cast<HopLevel>(level), v, next);
+    frontier.swap(next);
+    next.clear();
+  }
+}
+
+}  // namespace
+
+void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
+                        std::span<const Vertex> blocked, std::vector<HopLevel>& levels) {
+  const std::size_t n = g.vertex_count();
+  SHERIFF_REQUIRE(base.size() == n, "base levels do not match the graph");
+  levels.assign(base.begin(), base.end());
+  bool root_blocked = false;
+  for (const Vertex b : blocked) {
+    SHERIFF_REQUIRE(b < n, "blocked vertex out of range");
+    root_blocked = root_blocked || base[b] == 0;
+    levels[b] = kUnreachedLevel;
+  }
+  if (root_blocked) {
+    levels.assign(n, kUnreachedLevel);
+    return;
+  }
+
+  // Affected vertices, in ascending base level: a vertex is affected when
+  // no tight parent is both unblocked and unaffected. Blocked and affected
+  // vertices read as unreached in `levels`, so that test is one compare
+  // per neighbor. Only a tight child of a blocked or affected vertex can be
+  // affected, and each is queued once: its parents all sit one level lower,
+  // so their status is final by the time the sweep reaches it.
+  std::vector<bool> queued(n, false);
+  std::vector<LevelItem> seeds;
+  for (const Vertex b : blocked) {
+    if (base[b] == kUnreachedLevel) continue;
+    for (const Vertex w : g.neighbors(b)) {
+      if (base[w] != base[b] + 1 || queued[w]) continue;
+      queued[w] = true;
+      seeds.push_back({base[w], w});
+    }
+  }
+  std::vector<Vertex> affected;
+  sweep_by_level(seeds, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
+    if (levels[v] == kUnreachedLevel) return;  // blocked
+    for (const Vertex u : g.neighbors(v)) {
+      if (base[u] + 1 == level && levels[u] != kUnreachedLevel) return;  // a live tight parent
+    }
+    levels[v] = kUnreachedLevel;
+    affected.push_back(v);
+    for (const Vertex w : g.neighbors(v)) {
+      if (base[w] != level + 1 || queued[w]) continue;
+      queued[w] = true;
+      next.push_back(w);
+    }
+  });
+  if (affected.empty()) return;
+
+  // Re-level the affected vertices by a BFS over them, each seeded at its
+  // best unaffected, unblocked neighbor. Blocked vertices are parked at
+  // level 0 meanwhile (any level keeps them out of the search, which only
+  // enters unreached vertices) and reset afterwards.
+  seeds.clear();
+  for (const Vertex v : affected) {
+    int best = kUnreachedLevel + 1;  // no unaffected, unblocked neighbor
+    for (const Vertex u : g.neighbors(v)) {
+      if (levels[u] != kUnreachedLevel) best = std::min(best, levels[u] + 1);
+    }
+    if (best <= kUnreachedLevel) seeds.push_back({static_cast<HopLevel>(best), v});
+  }
+  for (const Vertex b : blocked) levels[b] = 0;
+  sweep_by_level(seeds, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
+    if (levels[v] != kUnreachedLevel) return;  // already leveled, no higher
+    SHERIFF_REQUIRE(level < kUnreachedLevel, "hop level overflows HopLevel");
+    levels[v] = level;
+    for (const Vertex u : g.neighbors(v)) {
+      if (levels[u] == kUnreachedLevel) next.push_back(u);
+    }
+  });
   for (const Vertex b : blocked) levels[b] = kUnreachedLevel;
 }
 

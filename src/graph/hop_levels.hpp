@@ -11,7 +11,14 @@
 // graph::dijkstra's heap loop records them on a unit-weight graph (it pops
 // (distance, vertex) pairs lexicographically, so one level's vertices are
 // settled in ascending id order). tests/test_graph_properties.cpp pins
-// levels and derived parent lists against the heap loop.
+// levels and derived parent lists against the heap loop, with and without
+// a blocked set.
+//
+// Blocked sets (FLOWREROUTE's probes) need no search of their own: BFS
+// levels are unique, so the levels of g minus a few vertices follow from
+// g's own levels by re-leveling only the vertices whose every shortest path
+// crossed a blocked one (hop_levels_without). Since the ECMP walk reads
+// nothing but levels, a repaired array routes exactly as a fresh BFS would.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,8 +31,8 @@
 namespace sheriff::graph {
 
 /// Hop distance from the BFS root. One byte per vertex keeps a cached
-/// level array 8× smaller than a double distance row; hop_levels_into
-/// refuses graphs whose levels would not fit.
+/// level array 8× smaller than a double distance row; hop_levels_into and
+/// hop_levels_without refuse graphs whose levels would not fit.
 using HopLevel = std::uint8_t;
 /// Level of a vertex the BFS never reached (unreachable or blocked).
 inline constexpr HopLevel kUnreachedLevel = std::numeric_limits<HopLevel>::max();
@@ -52,11 +59,26 @@ class HopGraph {
 };
 
 /// BFS from `source`, writing each vertex's hop level into `levels`
-/// (resized to the vertex count). Blocked vertices get no level, so they
-/// are never anyone's parent; a blocked source leaves every vertex
-/// unreached.
-void hop_levels_into(const HopGraph& g, Vertex source, std::span<const Vertex> blocked,
-                     std::vector<HopLevel>& levels);
+/// (resized to the vertex count).
+void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& levels);
+
+/// The hop levels of `g` with the `blocked` vertices removed, repaired
+/// from `base` = hop_levels_into(g, root) instead of a fresh BFS: `levels`
+/// (resized to the vertex count) equals the BFS of g minus `blocked` from
+/// the same root. Blocked vertices get no level, so they are never anyone's
+/// parent; a blocked root leaves every vertex unreached. `blocked` may hold
+/// duplicates, unreached vertices and the root, in any order.
+///
+/// Removing vertices only lengthens paths, so a vertex keeps its level
+/// unless every tight parent is blocked or itself loses its level. The
+/// repair finds those *affected* vertices by a sweep in ascending base level
+/// seeded at the blocked vertices' tight children, then re-levels only them
+/// with a bucket BFS seeded at each one's best unaffected, unblocked
+/// neighbor. Cost is the level copy plus the degrees of the vertices it
+/// visits; the worst case is O(n + m), like the BFS. Throws (as the BFS
+/// would) when a repaired level would not fit a HopLevel.
+void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
+                        std::span<const Vertex> blocked, std::vector<HopLevel>& levels);
 
 /// Number of tight parents of `v`: its neighbors one level closer to the
 /// root. Zero for the root and for unreached vertices.

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "topology/entities.hpp"
@@ -36,6 +37,11 @@ struct Flow {
   }
 
   [[nodiscard]] bool routed() const noexcept { return path.size() >= 2; }
+  /// The nodes strictly inside the path (its transit switches), in path order.
+  [[nodiscard]] std::span<const topo::NodeId> interior() const noexcept {
+    if (path.size() < 3) return {};
+    return {path.data() + 1, path.size() - 2};
+  }
   /// True when `node` lies strictly inside the path (a transit switch).
   [[nodiscard]] bool transits(topo::NodeId node) const noexcept;
 };

@@ -19,6 +19,7 @@ SwitchQueues::SwitchQueues(const topo::Topology& topo, QcnConfig config)
     : topo_(&topo), config_(config) {
   queue_.assign(topo.node_count(), 0.0);
   prev_queue_.assign(topo.node_count(), 0.0);
+  congested_flag_.assign(topo.node_count(), 0);
 }
 
 void SwitchQueues::update(const FairShareResult& shares, std::span<Flow> flows, double dt,
@@ -55,25 +56,38 @@ void SwitchQueues::update(const FairShareResult& shares, std::span<Flow> flows, 
     for (std::size_t id = 0; id < topo_->node_count(); ++id) integrate(id);
   }
 
+  decide_congested();
+
   // DSCP marking: flows transiting a congested switch get marked, others
   // get cleared (the mark reflects the current state, not history). Each
   // index writes only its own flow's mark.
-  const auto hot = congested_switches();
+  if (congested_.empty()) {
+    for (Flow& f : flows) f.dscp = DscpMark::kNone;
+    return;
+  }
   const auto mark = [&](std::size_t i) {
     Flow& f = flows[i];
-    bool marked = false;
-    for (topo::NodeId sw : hot) {
-      if (f.transits(sw)) {
-        marked = true;
-        break;
-      }
-    }
+    const bool marked =
+        std::ranges::any_of(f.interior(), [&](topo::NodeId sw) { return congested(sw); });
     f.dscp = marked ? DscpMark::kCongested : DscpMark::kNone;
   };
-  if (pool != nullptr && !hot.empty() && flows.size() >= kParallelGrain) {
+  if (pool != nullptr && flows.size() >= kParallelGrain) {
     common::parallel_for(*pool, flows.size(), mark);
   } else {
     for (std::size_t i = 0; i < flows.size(); ++i) mark(i);
+  }
+}
+
+void SwitchQueues::decide_congested() {
+  for (const topo::NodeId sw : congested_) congested_flag_[sw] = 0;
+  congested_.clear();
+  for (const auto& node : topo_->nodes()) {
+    if (!topo::is_switch(node.kind)) continue;
+    if (liveness_ != nullptr && !liveness_->node_up(node.id)) continue;
+    if (queue_[node.id] > 0.0 && feedback(node.id) < config_.congestion_feedback) {
+      congested_.push_back(node.id);
+      congested_flag_[node.id] = 1;
+    }
   }
 }
 
@@ -87,18 +101,6 @@ double SwitchQueues::feedback(topo::NodeId sw) const {
   const double q_off = queue_[sw] - config_.equilibrium_queue;
   const double q_delta = queue_[sw] - prev_queue_[sw];
   return -(q_off + config_.weight * q_delta);
-}
-
-std::vector<topo::NodeId> SwitchQueues::congested_switches() const {
-  std::vector<topo::NodeId> out;
-  for (const auto& node : topo_->nodes()) {
-    if (!topo::is_switch(node.kind)) continue;
-    if (liveness_ != nullptr && !liveness_->node_up(node.id)) continue;
-    if (queue_[node.id] > 0.0 && feedback(node.id) < config_.congestion_feedback) {
-      out.push_back(node.id);
-    }
-  }
-  return out;
 }
 
 void SwitchQueues::publish_metrics(obs::MetricRegistry& registry) const {
@@ -130,6 +132,7 @@ void SwitchQueues::load_state(snapshot::Reader& reader) {
   prev_queue_ = reader.get_f64v();
   SHERIFF_REQUIRE(queue_.size() == topo_->node_count() && prev_queue_.size() == topo_->node_count(),
                   "checkpoint queue state does not match this topology");
+  decide_congested();
 }
 
 }  // namespace sheriff::net

@@ -16,14 +16,17 @@ QcnRateController::QcnRateController(QcnRateConfig config) : config_(config) {
 }
 
 void QcnRateController::update(std::span<Flow> flows, const SwitchQueues& queues) {
-  const auto congested = queues.congested_switches();
+  const bool any_congested = !queues.congested_switches().empty();
   for (Flow& flow : flows) {
     if (!flow.routed()) continue;
 
-    // Worst (most negative) feedback among congested switches on the path.
+    // Worst (most negative) feedback among congested switches on the path
+    // (a min, so visiting them in path order changes nothing).
     double worst_fb = 0.0;
-    for (topo::NodeId sw : congested) {
-      if (flow.transits(sw)) worst_fb = std::min(worst_fb, queues.feedback(sw));
+    if (any_congested) {
+      for (const topo::NodeId sw : flow.interior()) {
+        if (queues.congested(sw)) worst_fb = std::min(worst_fb, queues.feedback(sw));
+      }
     }
 
     if (worst_fb < 0.0) {

@@ -19,10 +19,6 @@ std::uint32_t mix(std::uint32_t x) noexcept {
   return x;
 }
 
-/// Bound on cached level arrays before a wholesale clear: enough for
-/// every rack of the biggest bench fabrics plus reroute variants, small
-/// enough to bound memory on degenerate query streams.
-constexpr std::size_t kMaxCachedTrees = 4096;
 /// Flow ids above this skip the path cache (keeps the id-indexed table
 /// dense; engine flow tables are far below it).
 constexpr std::size_t kMaxPathCacheFlows = 1u << 20;
@@ -30,7 +26,7 @@ constexpr std::size_t kMaxPathCacheFlows = 1u << 20;
 /// through at most a handful of hot switches per flow.
 constexpr std::size_t kMaxBlockedEntriesPerFlow = 4;
 
-/// `blocked` in ascending order, the form both caches key on: the caller's
+/// `blocked` in ascending order, the form the path cache keys on: the caller's
 /// span itself when it already is sorted (every 0- or 1-node FLOWREROUTE
 /// probe), else a sorted copy held in `storage`.
 std::span<const topo::NodeId> sorted_blocked(std::span<const topo::NodeId> blocked,
@@ -44,12 +40,14 @@ std::span<const topo::NodeId> sorted_blocked(std::span<const topo::NodeId> block
 }  // namespace
 
 bool Flow::transits(topo::NodeId node) const noexcept {
-  if (path.size() < 3) return false;
-  return std::find(path.begin() + 1, path.end() - 1, node) != path.end() - 1;
+  const auto inside = interior();
+  return std::ranges::find(inside, node) != inside.end();
 }
 
 Router::Router(const topo::Topology& topo)
-    : topo_(&topo), hops_(topo.wired_graph(topo::EdgeWeight::kHops)) {}
+    : topo_(&topo),
+      hops_(topo.wired_graph(topo::EdgeWeight::kHops)),
+      root_levels_(topo.node_count()) {}
 
 void Router::apply_liveness(const topo::LivenessMask* liveness) {
   liveness_ = liveness;
@@ -62,16 +60,13 @@ bool Router::refresh_liveness() {
   return true;
 }
 
-void Router::clear_caches() const {
-  std::scoped_lock lock(cache_mutex_);
-  if (tree_cache_entries_ > 0 || !path_cache_.empty()) ++cache_stats_.evictions;
-  tree_cache_.clear();
-  tree_cache_entries_ = 0;
-  path_cache_.clear();
-}
-
 void Router::rebuild() {
-  clear_caches();
+  // The only place the caches drop entries: no route() runs concurrently
+  // with a liveness change.
+  const auto built = [](const std::vector<graph::HopLevel>& levels) { return !levels.empty(); };
+  if (!path_cache_.empty() || std::ranges::any_of(root_levels_, built)) ++cache_stats_.evictions;
+  root_levels_.assign(topo_->node_count(), {});
+  path_cache_.clear();
   if (liveness_ == nullptr || liveness_->all_up()) {
     hops_ = graph::HopGraph(topo_->wired_graph(topo::EdgeWeight::kHops));
     component_.clear();
@@ -112,37 +107,23 @@ bool Router::reachable(topo::NodeId a, topo::NodeId b) const {
   return component_[a] == component_[b];
 }
 
-std::span<const graph::HopLevel> Router::levels_for(topo::NodeId root,
-                                                    std::span<const topo::NodeId> blocked) const {
+std::span<const graph::HopLevel> Router::levels_for(topo::NodeId root) const {
   {
     std::scoped_lock lock(cache_mutex_);
-    const auto it = tree_cache_.find(root);
-    if (it != tree_cache_.end()) {
-      for (const TreeSlot& slot : it->second) {
-        if (std::ranges::equal(slot.blocked, blocked)) {
-          ++cache_stats_.tree_hits;
-          return slot.levels;
-        }
-      }
+    if (!root_levels_[root].empty()) {
+      ++cache_stats_.tree_hits;
+      return root_levels_[root];
     }
     ++cache_stats_.tree_misses;
   }
-
-  // Compute outside the lock (two threads may race on the same key; the
-  // loser's duplicate is kept too — harmless, both arrays are identical).
-  TreeSlot fresh{{blocked.begin(), blocked.end()}, {}};
-  graph::hop_levels_into(hops_, root, blocked, fresh.levels);
-
+  // BFS outside the lock. Two threads may race on one root; both arrays are
+  // identical, and the first one published is kept.
+  std::vector<graph::HopLevel> fresh;
+  graph::hop_levels_into(hops_, root, fresh);
   std::scoped_lock lock(cache_mutex_);
-  if (tree_cache_entries_ >= kMaxCachedTrees) {
-    ++cache_stats_.evictions;
-    tree_cache_.clear();
-    tree_cache_entries_ = 0;
-  }
-  auto& slots = tree_cache_[root];
-  slots.push_back(std::move(fresh));
-  ++tree_cache_entries_;
-  return slots.back().levels;
+  std::vector<graph::HopLevel>& slot = root_levels_[root];
+  if (slot.empty()) slot = std::move(fresh);
+  return slot;
 }
 
 // The ECMP walk goes back from the destination, hashing over the tight
@@ -228,7 +209,7 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   }
 
   // Single-homed sources (every fat-tree host) are rooted at their sole
-  // neighbor, so the level cache holds one array per source rack instead
+  // neighbor, so the level table holds one array per source rack instead
   // of one per querying host (see walk_ecmp).
   const auto leaf = hops_.neighbors(flow.src_host);
   const topo::NodeId root = leaf.size() == 1 ? leaf[0] : flow.src_host;
@@ -238,8 +219,19 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   } else if (flow.dst_host == root) {
     flow.path.assign({flow.src_host, root});
     ok = true;
+  } else if (key.empty()) {
+    ok = walk_ecmp(levels_for(root), root, flow);
   } else {
-    ok = walk_ecmp(levels_for(root, key), root, flow);
+    // Blocked probe: repair the root's unblocked levels into a local
+    // array. The walk reads nothing but levels, and BFS levels are unique,
+    // so the path equals the one a fresh BFS under the blocks would give.
+    std::vector<graph::HopLevel> repaired;
+    graph::hop_levels_without(hops_, levels_for(root), key, repaired);
+    {
+      std::scoped_lock lock(cache_mutex_);
+      ++cache_stats_.repairs;
+    }
+    ok = walk_ecmp(repaired, root, flow);
   }
 
   if (path_cacheable) {
@@ -277,12 +269,13 @@ std::size_t Router::route_all(std::span<Flow> flows) const {
 }
 
 std::size_t Router::shortest_path_count(topo::NodeId src, topo::NodeId dst) const {
-  return graph::hop_path_count(hops_, levels_for(src, {}), dst);
+  return graph::hop_path_count(hops_, levels_for(src), dst);
 }
 
 void Router::publish_metrics(obs::MetricRegistry& registry) const {
   registry.gauge("router.tree_hits").set(static_cast<double>(cache_stats_.tree_hits));
   registry.gauge("router.tree_misses").set(static_cast<double>(cache_stats_.tree_misses));
+  registry.gauge("router.repairs").set(static_cast<double>(cache_stats_.repairs));
   registry.gauge("router.path_hits").set(static_cast<double>(cache_stats_.path_hits));
   registry.gauge("router.path_misses").set(static_cast<double>(cache_stats_.path_misses));
   registry.gauge("router.evictions").set(static_cast<double>(cache_stats_.evictions));

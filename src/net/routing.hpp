@@ -20,21 +20,25 @@
 // Caching: routing queries repeat heavily — route_all shares sources
 // across flows, FLOWREROUTE blocks the same hot switch for many flows, and
 // migrations re-route a handful of flows per round on an unchanged fabric.
-// The router therefore keeps (a) a level-array cache keyed on (root,
-// sorted blocked set) and (b) a resolved-path cache keyed on the flow id,
-// its endpoints, AND the sorted blocked set (the ECMP walk is a pure
-// function of those on a fixed live fabric) — blocked reroute probes are
-// the queries that actually repeat round over round, and failed probes
-// (no path under the blocks) are cached too. Both caches are dropped
+// The router therefore keeps (a) one flat table of unblocked level arrays,
+// one per root, filled on a root's first query, and (b) a resolved-path
+// cache keyed on the flow id, its endpoints, AND the sorted blocked set
+// (the ECMP walk is a pure function of those on a fixed live fabric) —
+// blocked reroute probes are the queries that actually repeat round over
+// round, and failed probes (no path under the blocks) are cached too.
+// A blocked query runs no search of its own: it repairs its root's
+// unblocked levels into a local array (graph::hop_levels_without),
+// re-leveling only the vertices whose every shortest path crosses a
+// blocked node, and is not cached as a tree. Both caches are dropped
 // whenever the liveness version moves, so every entry is implicitly keyed
-// on the liveness epoch. A hit is indistinguishable from a recompute
-// (Routing.MatchesDijkstraOracleOnEveryFabric checks cold and warm queries
-// against a Dijkstra oracle).
+// on the liveness epoch; nothing else ever drops a level array, so one a
+// concurrent route() is walking stays put. A hit or a repair is
+// indistinguishable from a fresh BFS (Routing.MatchesDijkstraOracleOnEveryFabric
+// checks cold and warm queries against a Dijkstra oracle).
 
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/hop_levels.hpp"
@@ -48,12 +52,14 @@ class MetricRegistry;
 
 namespace sheriff::net {
 
+/// Cumulative cache counters, published as `router.*` gauges.
 struct RouterCacheStats {
-  std::size_t tree_hits = 0;
-  std::size_t tree_misses = 0;
+  std::size_t tree_hits = 0;    ///< queries whose root's unblocked levels were cached
+  std::size_t tree_misses = 0;  ///< full hop-level BFS runs (a root's first query per epoch)
+  std::size_t repairs = 0;      ///< blocked queries answered by repairing the root's levels
   std::size_t path_hits = 0;
   std::size_t path_misses = 0;
-  std::size_t evictions = 0;  ///< wholesale cache clears (liveness or overflow)
+  std::size_t evictions = 0;  ///< wholesale cache clears (liveness changes)
 };
 
 class Router {
@@ -92,13 +98,10 @@ class Router {
 
  private:
   void rebuild();
-  void clear_caches() const;
-  /// The hop levels out of `root` under the sorted `blocked` set: a view of
-  /// the cached array, valid until the cache is next cleared (liveness
-  /// change or overflow; slot moves keep the array's buffer, so rehashes do
-  /// not invalidate it).
-  std::span<const graph::HopLevel> levels_for(topo::NodeId root,
-                                              std::span<const topo::NodeId> blocked) const;
+  /// The unblocked hop levels out of `root`: its table entry, built by a
+  /// BFS on the root's first query. The view stays valid until the next
+  /// liveness change.
+  std::span<const graph::HopLevel> levels_for(topo::NodeId root) const;
   /// Fills flow.path by walking back from the destination to `root`,
   /// hashing over each step's tight parents (ECMP); see routing.cpp.
   /// Returns false (path untouched) when the destination is unreached.
@@ -111,10 +114,6 @@ class Router {
   std::vector<std::uint32_t> component_;  ///< live-graph component label per node
 
   // --- caches (logically const; guarded for concurrent route() calls) ------
-  struct TreeSlot {
-    std::vector<topo::NodeId> blocked;  ///< sorted blocked set the levels were built under
-    std::vector<graph::HopLevel> levels;
-  };
   struct PathEntry {
     topo::NodeId src = topo::kInvalidNode;
     topo::NodeId dst = topo::kInvalidNode;
@@ -130,8 +129,10 @@ class Router {
     std::vector<PathEntry> blocked;
   };
   mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<topo::NodeId, std::vector<TreeSlot>> tree_cache_;
-  mutable std::size_t tree_cache_entries_ = 0;
+  /// Unblocked levels per root, indexed by NodeId (empty = not built yet).
+  /// rebuild() sizes the table to the node count, so a filled array never
+  /// moves while another route() reads it.
+  mutable std::vector<std::vector<graph::HopLevel>> root_levels_;
   mutable std::vector<FlowPathSlot> path_cache_;  ///< indexed by FlowId
   mutable RouterCacheStats cache_stats_;
 };

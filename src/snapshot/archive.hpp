@@ -75,7 +75,7 @@ inline constexpr std::uint32_t kSectionMagic = 0x53484353U;  // "SCHS" little-en
 ///   const std::vector<std::uint8_t>& bytes = w.buffer();
 class Writer {
  public:
-  Writer() { buffer_.insert(buffer_.end(), std::begin(detail::kPreamble), std::end(detail::kPreamble)); }
+  Writer() : buffer_(std::begin(detail::kPreamble), std::end(detail::kPreamble)) {}
 
   /// Opens a section. `tag` must be exactly 4 characters; sections may not
   /// nest. The version is the *section schema* version — bump it whenever

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/hop_levels.hpp"
@@ -201,11 +203,13 @@ TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
     }
 
     const graph::Vertex source = rng.next_below(static_cast<std::uint32_t>(n));
+    std::vector<graph::HopLevel> base;
+    graph::hop_levels_into(hops, source, base);
     for (const bool use_mask : {false, true}) {
       const auto heap = graph::dijkstra(g, source, use_mask ? blocked_mask : std::vector<bool>{});
-      std::vector<graph::HopLevel> levels;
-      graph::hop_levels_into(hops, source,
-                             use_mask ? blocked_list : std::vector<graph::Vertex>{}, levels);
+      // Unblocked: the BFS levels. Blocked: those levels repaired.
+      std::vector<graph::HopLevel> levels = base;
+      if (use_mask) graph::hop_levels_without(hops, base, blocked_list, levels);
       ASSERT_EQ(levels.size(), n);
       for (graph::Vertex v = 0; v < n; ++v) {
         const double distance = levels[v] == graph::kUnreachedLevel
@@ -223,4 +227,37 @@ TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
       }
     }
   }
+}
+
+// A ring of 300 keeps every BFS level at or under 150, but with vertex 1
+// removed the walk to vertex 2 goes the long way round, 298 hops, past
+// what a HopLevel holds. The repair must refuse it as the BFS of the ring
+// without vertex 1 does. Removing vertex 200 instead leaves a longest level
+// of 199, which both fit and agree on.
+TEST(DijkstraProperties, RepairedLevelsThatOverflowAreRefused) {
+  constexpr graph::Vertex kRing = 300;
+  const auto ring_without = [&](graph::Vertex gone) {
+    graph::Graph g(kRing);
+    for (graph::Vertex v = 0; v < kRing; ++v) {
+      const graph::Vertex w = (v + 1) % kRing;
+      if (v != gone && w != gone) g.add_edge(v, w, 1.0);
+    }
+    return graph::HopGraph(g);
+  };
+  const graph::HopGraph ring = ring_without(kRing);  // nothing removed
+  std::vector<graph::HopLevel> base;
+  graph::hop_levels_into(ring, 0, base);
+  ASSERT_EQ(*std::max_element(base.begin(), base.end()), 150);
+
+  std::vector<graph::HopLevel> bfs;
+  std::vector<graph::HopLevel> repaired;
+  const std::vector<graph::Vertex> near{1};
+  EXPECT_THROW(graph::hop_levels_into(ring_without(1), 0, bfs), sc::RequirementError);
+  EXPECT_THROW(graph::hop_levels_without(ring, base, near, repaired), sc::RequirementError);
+
+  const std::vector<graph::Vertex> far{200};
+  graph::hop_levels_into(ring_without(200), 0, bfs);  // 200 is isolated: unreached
+  graph::hop_levels_without(ring, base, far, repaired);
+  EXPECT_EQ(repaired, bfs);
+  EXPECT_EQ(repaired[199], 199);
 }

@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/hop_levels.hpp"
 #include "net/fair_share.hpp"
 #include "net/flow.hpp"
 #include "net/flow_stats.hpp"
@@ -259,39 +261,192 @@ void expect_router_matches_oracle(const topo::Topology& t, const topo::LivenessM
 
 }  // namespace
 
-TEST(Routing, MatchesDijkstraOracleOnEveryFabric) {
+namespace {
+
+/// The four fabrics the router is pinned on: Fat-Tree k=4 and k=8,
+/// BCube(4,1) and a three-tier tree.
+std::vector<std::pair<std::string, topo::Topology>> oracle_fabrics() {
   topo::FatTreeOptions ft8;
   ft8.pods = 8;
   topo::BCubeOptions bcube;
   bcube.ports = 4;
   bcube.levels = 1;
-  const std::vector<std::pair<std::string, topo::Topology>> fabrics{
-      {"fat_tree_k4", small_fat_tree()},
-      {"fat_tree_k8", topo::build_fat_tree(ft8)},
-      {"bcube_4_1", topo::build_bcube(bcube)},
-      {"three_tier", topo::build_three_tier(topo::ThreeTierOptions{})}};
+  std::vector<std::pair<std::string, topo::Topology>> fabrics;
+  fabrics.emplace_back("fat_tree_k4", small_fat_tree());
+  fabrics.emplace_back("fat_tree_k8", topo::build_fat_tree(ft8));
+  fabrics.emplace_back("bcube_4_1", topo::build_bcube(bcube));
+  fabrics.emplace_back("three_tier", topo::build_three_tier(topo::ThreeTierOptions{}));
+  return fabrics;
+}
+
+/// Two switches and three links down, drawn from `seed`.
+topo::LivenessMask seeded_faults(const topo::Topology& t, std::uint64_t seed) {
+  topo::LivenessMask faulted(t);
+  sc::Pcg32 rng(seed, 5);
+  std::vector<topo::NodeId> switches;
+  for (const auto& node : t.nodes()) {
+    if (topo::is_switch(node.kind)) switches.push_back(node.id);
+  }
+  for (int i = 0; i < 2; ++i) {
+    faulted.set_node(switches[rng.next_below(static_cast<std::uint32_t>(switches.size()))],
+                     false);
+  }
+  for (int i = 0; i < 3; ++i) {
+    faulted.set_link(
+        static_cast<topo::LinkId>(rng.next_below(static_cast<std::uint32_t>(t.link_count()))),
+        false);
+  }
+  return faulted;
+}
+
+}  // namespace
+
+TEST(Routing, MatchesDijkstraOracleOnEveryFabric) {
   std::uint64_t seed = 1;
-  for (const auto& [name, t] : fabrics) {
-    // Faulted: two switches and three links down, drawn per fabric.
-    topo::LivenessMask faulted(t);
-    sc::Pcg32 rng(seed, 5);
-    std::vector<topo::NodeId> switches;
-    for (const auto& node : t.nodes()) {
-      if (topo::is_switch(node.kind)) switches.push_back(node.id);
-    }
-    for (int i = 0; i < 2; ++i) {
-      faulted.set_node(switches[rng.next_below(static_cast<std::uint32_t>(switches.size()))],
-                       false);
-    }
-    for (int i = 0; i < 3; ++i) {
-      faulted.set_link(
-          static_cast<topo::LinkId>(rng.next_below(static_cast<std::uint32_t>(t.link_count()))),
-          false);
-    }
+  for (const auto& [name, t] : oracle_fabrics()) {
+    const topo::LivenessMask faulted = seeded_faults(t, seed);
     expect_router_matches_oracle(t, nullptr, seed, name + " pristine");
     expect_router_matches_oracle(t, &faulted, seed, name + " faulted");
     ++seed;
   }
+}
+
+// --- Hop-level repair vs the masked heap Dijkstra ---------------------------
+// A blocked query repairs the root's unblocked levels instead of running a
+// BFS under the blocks. On the oracle fabrics, pristine and with the same
+// faults, the repaired levels must equal the masked heap Dijkstra's
+// distances for every root with every single vertex blocked, and for
+// seeded sets of 2–4 vertices drawn to hold the root, hosts, vertices the
+// root cannot reach, and duplicates. Equal levels give equal tight parents,
+// so this also pins every ECMP choice a repaired walk makes.
+
+namespace {
+
+void expect_repair_matches_dijkstra(const topo::Topology& t, const graph::Graph& live,
+                                    std::uint64_t seed, const std::string& label) {
+  const graph::HopGraph hops(live);
+  const std::size_t n = live.vertex_count();
+  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
+  sc::Pcg32 rng(seed, 17);
+  const auto pick = [&](const std::vector<graph::Vertex>& from) {
+    return from[rng.next_below(static_cast<std::uint32_t>(from.size()))];
+  };
+  std::vector<graph::HopLevel> base;
+  std::vector<graph::HopLevel> repaired;
+  std::vector<bool> mask(n, false);
+  graph::ShortestPathTree heap;
+  const auto check = [&](graph::Vertex root, const std::vector<graph::Vertex>& blocked) {
+    for (const graph::Vertex b : blocked) mask[b] = true;
+    graph::dijkstra_into(live, root, mask, heap);
+    for (const graph::Vertex b : blocked) mask[b] = false;
+    graph::hop_levels_without(hops, base, blocked, repaired);
+    for (graph::Vertex v = 0; v < n; ++v) {
+      const double distance = repaired[v] == graph::kUnreachedLevel
+                                  ? graph::kInfiniteDistance
+                                  : static_cast<double>(repaired[v]);
+      ASSERT_EQ(distance, heap.distance[v])
+          << label << " root " << root << " vertex " << v << " blocked set of "
+          << blocked.size() << " starting " << blocked.front();
+    }
+  };
+  for (graph::Vertex root = 0; root < n; ++root) {
+    graph::hop_levels_into(hops, root, base);
+    for (graph::Vertex b = 0; b < n; ++b) check(root, {b});
+    std::vector<graph::Vertex> unreached;
+    for (graph::Vertex v = 0; v < n; ++v) {
+      if (base[v] == graph::kUnreachedLevel) unreached.push_back(v);
+    }
+    for (int draw = 0; draw < 6; ++draw) {
+      std::vector<graph::Vertex> blocked;
+      const std::uint32_t size = 2 + rng.next_below(3);
+      while (blocked.size() < size) {
+        switch (rng.next_below(5)) {
+          case 0: blocked.push_back(root); break;
+          case 1: blocked.push_back(pick(hosts)); break;
+          case 2: if (!unreached.empty()) blocked.push_back(pick(unreached)); break;
+          case 3: if (!blocked.empty()) blocked.push_back(pick(blocked)); break;  // a duplicate
+          default: blocked.push_back(rng.next_below(static_cast<std::uint32_t>(n))); break;
+        }
+      }
+      check(root, blocked);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(HopLevelRepair, MatchesMaskedDijkstraOnEveryFabric) {
+  std::uint64_t seed = 1;
+  for (const auto& [name, t] : oracle_fabrics()) {
+    const topo::LivenessMask faulted = seeded_faults(t, seed);
+    expect_repair_matches_dijkstra(t, t.wired_graph(topo::EdgeWeight::kHops), seed,
+                                   name + " pristine");
+    expect_repair_matches_dijkstra(t, t.wired_graph(topo::EdgeWeight::kHops, faulted), seed,
+                                   name + " faulted");
+    ++seed;
+  }
+}
+
+// One Router serves concurrent route() calls (the engine's parallel
+// sweeps share it). Eight threads send the same probes — unblocked, and
+// blocked at the source pod's aggregation switch (the largest repair on a
+// Fat-Tree), at a core, at both, and at the source's ToR (no path) —
+// through one fresh router in different orders, twice, so roots are built,
+// repaired and path-cached under contention. Every answer must equal a
+// serial router's.
+TEST(Routing, ConcurrentQueriesMatchSerial) {
+  topo::FatTreeOptions ft8;
+  ft8.pods = 8;
+  const auto t = topo::build_fat_tree(ft8);
+  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
+  struct Probe {
+    net::Flow flow;
+    std::vector<topo::NodeId> blocked;
+    bool ok = false;
+  };
+  std::vector<Probe> probes;
+  {
+    const net::Router plain(t);
+    sc::Pcg32 rng(7, 3);
+    const auto pick = [&] {
+      return hosts[rng.next_below(static_cast<std::uint32_t>(hosts.size()))];
+    };
+    for (net::FlowId id = 0; id < 96; ++id) {
+      const topo::NodeId src = pick();
+      net::Flow flow = make_flow(id, src, pick(), 1.0);
+      if (!plain.route(flow)) continue;
+      const std::vector<topo::NodeId> path = flow.path;
+      probes.push_back({flow, {}, false});
+      probes.push_back({flow, {path[1]}, false});
+      if (path.size() >= 5) probes.push_back({flow, {path[2]}, false});
+      if (path.size() >= 7) {
+        probes.push_back({flow, {path[3]}, false});
+        probes.push_back({flow, {path[4], path[2]}, false});
+      }
+    }
+  }
+  {
+    const net::Router serial(t);
+    for (Probe& p : probes) p.ok = serial.route(p.flow, p.blocked);
+  }
+
+  const net::Router shared(t);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t i = 0; i < 2 * probes.size(); ++i) {
+        const Probe& p = probes[(w * 37 + i) % probes.size()];
+        net::Flow flow = p.flow;
+        const bool ok = shared.route(flow, p.blocked);
+        if (ok != p.ok || flow.path != p.flow.path) ++mismatches[w];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t w = 0; w < kThreads; ++w) EXPECT_EQ(mismatches[w], 0u) << "thread " << w;
+  EXPECT_GT(shared.cache_stats().repairs, 0u);
 }
 
 TEST(FairShare, SingleFlowGetsMinOfDemandAndBottleneck) {

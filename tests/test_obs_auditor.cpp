@@ -235,6 +235,24 @@ TEST(AuditorE2E, BadDemandScaleIsRejected) {
   EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), idle));
 }
 
+TEST(AuditorE2E, BadRerouteFractionIsRejected) {
+  // FLOWREROUTE moves ceil(fraction × candidates) flows. Outside (0, 1]
+  // the rerouter would throw only when the first reroute claim commits,
+  // late in a run or never; the engine refuses the fraction up front,
+  // before SHERIFF_FORCE_AUDIT applies.
+  for (const double fraction : {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    core::EngineConfig config;
+    config.sheriff.reroute_fraction = fraction;
+    EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), config),
+                 sc::RequirementError)
+        << "fraction " << fraction;
+  }
+  core::EngineConfig all;
+  all.sheriff.reroute_fraction = 1.0;  // move every candidate
+  EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), all));
+}
+
 TEST(AuditorE2E, MetricsAndTraceAgreeWithRoundMetrics) {
   const auto plan = faulted_plan(fat_tree());
   auto config = audited_config();

@@ -28,7 +28,6 @@ int main() {
   for (double alpha : {0.1, 0.3, 0.5}) {
     for (double beta : {0.1, 0.2, 0.4}) {
       core::EngineConfig config;
-      config.parallel_collect = false;
       config.sheriff.alpha = alpha;
       config.sheriff.beta = beta;
       config.flow_demand_scale_gbps = 0.9;  // congested fabric

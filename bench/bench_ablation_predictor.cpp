@@ -23,7 +23,6 @@ ModeTotals run(const sheriff::topo::Topology& topology, sheriff::core::Predictor
                int rounds) {
   using namespace sheriff;
   core::EngineConfig config;
-  config.parallel_collect = false;
   config.predictor = kind;
   config.sheriff.prediction_horizon = 3;  // act three periods early
   if (kind == core::PredictorKind::kNaive) {

@@ -23,7 +23,6 @@ struct ModeTotals {
 ModeTotals run(const sheriff::topo::Topology& topology, bool qcn) {
   using namespace sheriff;
   core::EngineConfig config;
-  config.parallel_collect = false;
   config.qcn_rate_control = qcn;
   config.flow_demand_scale_gbps = 0.9;
   auto deploy = bench::bench_deployment_options(33);

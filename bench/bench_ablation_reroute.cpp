@@ -23,7 +23,6 @@ struct ModeTotals {
 ModeTotals run(const sheriff::topo::Topology& topology, bool reroute_first) {
   using namespace sheriff;
   core::EngineConfig config;
-  config.parallel_collect = false;
   config.sheriff.reroute_first = reroute_first;
   config.flow_demand_scale_gbps = 0.9;  // push the fabric into congestion
   auto deploy = bench::bench_deployment_options(55);

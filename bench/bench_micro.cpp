@@ -15,7 +15,6 @@
 
 #include "bench_support.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/kmedian_planner.hpp"
 #include "fault/fault_plan.hpp"
@@ -207,8 +206,6 @@ const SolveTable& solve_table(int pods) {
   }
   SolveTable& table = tables[pods];
   table.topology = topo::build_fat_tree(fabric);
-  common::ThreadPool pool(1);
-  config.pool = &pool;
   core::DistributedEngine engine(table.topology, deploy, config);
   (void)engine.run_round();
   table.flows.assign(engine.flows().begin(), engine.flows().end());
@@ -518,10 +515,8 @@ void BM_EngineRestore(benchmark::State& state) {
   auto plan = fault::FaultPlan::random_link_flaps(t, fault_options, 8, 1, 60, 3);
   for (const auto& e : fault::FaultPlan::tor_outage(t, 3, 10, 20).events()) plan.add(e);
   plan.set_options(fault_options);
-  common::ThreadPool pool(1);
   core::EngineConfig config;
   config.sheriff.cost.computing_cost = 100.0;
-  config.pool = &pool;
   config.fault_plan = &plan;
   config.observe = true;
   config.audit = true;

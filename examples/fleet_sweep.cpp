@@ -13,8 +13,6 @@
 //   --seeds N                 seeds 1..N                   [8]
 //   --rounds N                rounds per run               [10]
 //   --workers N               fleet worker pool size       [4]
-//   --policy fleet|two-level  pool-ownership policy        [fleet]
-//   --engine-threads N        inner pool size (two-level)  [2]
 //   --limit N                 execute at most N runs (0 = all); with
 //                             --manifest this is a resumable partial sweep
 //   --manifest PATH           crash-resumable sweep manifest
@@ -36,7 +34,6 @@ using namespace sheriff;
 int main(int argc, char** argv) {
   std::string topo_name = "fat_tree";
   std::string mode_name = "sheriff";
-  std::string policy_name = "fleet";
   std::size_t seeds = 8;
   std::size_t rounds = 10;
   fleet::FleetOptions options;
@@ -55,16 +52,12 @@ int main(int argc, char** argv) {
       topo_name = value();
     } else if (arg == "--mode") {
       mode_name = value();
-    } else if (arg == "--policy") {
-      policy_name = value();
     } else if (arg == "--seeds") {
       seeds = std::stoul(value());
     } else if (arg == "--rounds") {
       rounds = std::stoul(value());
     } else if (arg == "--workers") {
       options.workers = std::stoul(value());
-    } else if (arg == "--engine-threads") {
-      options.engine_threads = std::stoul(value());
     } else if (arg == "--limit") {
       options.max_runs = std::stoul(value());
     } else if (arg == "--manifest") {
@@ -106,20 +99,13 @@ int main(int argc, char** argv) {
     std::cerr << "unknown --mode: " << mode_name << "\n";
     return 2;
   }
-  if (policy_name == "two-level") {
-    options.pool_policy = fleet::PoolPolicy::kTwoLevel;
-  } else if (policy_name != "fleet") {
-    std::cerr << "unknown --policy: " << policy_name << " (fleet|two-level)\n";
-    return 2;
-  }
-
   fleet::SweepGrid grid;
   grid.scenarios.push_back(std::move(spec));
   for (std::size_t s = 1; s <= seeds; ++s) grid.seeds.push_back(s);
 
   std::cout << "sweep: " << grid.run_count() << " runs (" << topo_name << ", "
             << mode_name << ", " << rounds << " rounds) on " << options.workers
-            << " worker(s), " << policy_name << " pool policy\n";
+            << " worker(s)\n";
   const fleet::FleetReport report = fleet::run_sweep(grid, options);
 
   std::cout << std::fixed << std::setprecision(2) << "done in " << report.seconds

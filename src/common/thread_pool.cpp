@@ -50,8 +50,8 @@ void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std:
   // Reentrancy guard: a nested parallel_for on the pool the caller already
   // works for would enqueue tasks that can only run once the caller (and
   // every sibling blocked the same way) returns — a deadlock at full
-  // occupancy. Run inline instead; pool size is a pure throughput knob
-  // everywhere in this codebase, so "size 1, this thread" is sound.
+  // occupancy. Run inline instead: "size 1, this thread" is what a pool
+  // of one would do.
   if (pool.on_worker_thread()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -79,11 +79,6 @@ void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std:
   }
   for (auto& f : futures) f.get();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-ThreadPool& default_pool() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace sheriff::common

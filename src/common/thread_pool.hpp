@@ -1,19 +1,17 @@
 #pragma once
 // Work-queue thread pool plus a parallel_for helper.
 //
-// The distributed engine runs one ShimController task per rack per round on
-// this pool (shims only interact through message mailboxes, so tasks are
-// data-race free), and the benches use parallel_for to sweep topology sizes.
+// The fleet runner (src/fleet/) executes independent engine runs on this
+// pool, and the benches use parallel_for to sweep topology sizes. The
+// engine itself runs every round on the calling thread (DESIGN.md §11).
 //
 // Reentrancy (DESIGN.md §12): a parallel_for issued *from a worker thread
 // of the same pool* runs its iterations inline on that worker instead of
-// enqueueing. Without the guard, two-level parallelism — e.g. a fleet
-// worker running an engine whose sweeps target the fleet's own pool —
-// deadlocks as soon as every worker blocks on futures only the (fully
-// occupied) pool could drain. Inline execution is the deterministic
-// degradation: iteration order becomes 0..n-1 serially, which is
-// indistinguishable from a pool of size one, and pool size never changes
-// results anywhere in this codebase.
+// enqueueing. Without the guard, a nested sweep — a fleet run that itself
+// calls parallel_for on the fleet's pool — deadlocks as soon as every
+// worker blocks on futures only the (fully occupied) pool could drain.
+// Inline execution is the deterministic degradation: iteration order
+// becomes 0..n-1 serially, indistinguishable from a pool of size one.
 
 #include <condition_variable>
 #include <cstddef>
@@ -74,8 +72,5 @@ class ThreadPool {
 /// the iterations run inline (serially, in index order) on the caller —
 /// never enqueued — so nested parallelism over one pool cannot deadlock.
 void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std::size_t)>& fn);
-
-/// Process-wide default pool (lazily constructed, sized to the hardware).
-ThreadPool& default_pool();
 
 }  // namespace sheriff::common

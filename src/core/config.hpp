@@ -22,8 +22,7 @@ struct SheriffConfig {
   /// the region the shim falls back to any host with free capacity.
   double receiver_max_load_percent = 50.0;
   double tor_utilization_threshold = 0.85;  ///< predicted ToR uplink utilization alert level
-  std::size_t prediction_horizon = 1;  ///< T-seconds-ahead steps predicted
-  std::size_t history_window = 64;     ///< samples of history each predictor keeps
+  std::size_t prediction_horizon = 1;  ///< T-seconds-ahead steps predicted (≥ 1)
 
   // --- selection (Alg. 2) --------------------------------------------------
   double alpha = 0.3;  ///< switch-alert capacity fraction (C = α · capacity)
@@ -33,13 +32,12 @@ struct SheriffConfig {
 
   // --- migration (Alg. 3, Sec. V) ------------------------------------------
   mig::CostParams cost;          ///< Eq. (1) parameters (C_r=100, C_d=δ=η=1)
-  std::size_t local_search_p = 2;  ///< swap size p of Alg. 5 (ratio 3 + 2/p)
   /// Bound on a shim's dominating region: at most this many one-hop
   /// neighbor racks (nearest first by floor distance). Rich fabrics like
   /// BCube make *every* rack a one-hop neighbor; the paper's regions are
   /// small localities, which is what keeps the search space flat.
   std::size_t max_region_racks = 12;
-  std::size_t max_matching_rounds = 8;  ///< Alg. 3 retry bound
+  std::size_t max_matching_rounds = 8;  ///< Alg. 3 retry bound (≥ 1)
 
   // --- rerouting -----------------------------------------------------------
   bool reroute_first = true;     ///< Sec. III-B: reroute before migrating

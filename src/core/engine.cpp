@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/timing.hpp"
 #include "snapshot/archive.hpp"
 #include "snapshot/rng_io.hpp"
@@ -32,6 +31,14 @@ EngineConfig checked_config(const EngineConfig& config) {
   // commits, which a run may reach late or never. NaN fails both compares.
   const double fraction = config.sheriff.reroute_fraction;
   SHERIFF_REQUIRE(fraction > 0.0 && fraction <= 1.0, "sheriff.reroute_fraction must be in (0, 1]");
+  // Zero matching rounds silently turns VMMIGRATION off in the message-
+  // passing protocol (and throws at the first demand elsewhere); a zero
+  // horizon makes Holt "predict" the current sample, so the pre-alert is
+  // silently off (and the ensemble throws after its first fit).
+  SHERIFF_REQUIRE(config.sheriff.max_matching_rounds >= 1,
+                  "sheriff.max_matching_rounds must be at least 1");
+  SHERIFF_REQUIRE(config.sheriff.prediction_horizon >= 1,
+                  "sheriff.prediction_horizon must be at least 1");
   if (config.mode != ManagerMode::kKMedian) {
     const EngineConfig defaults;
     SHERIFF_REQUIRE(config.kmedian_destination_racks == defaults.kmedian_destination_racks &&
@@ -55,7 +62,6 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
       queues_(topo),
       solver_(topo),
       cost_model_(topo, deployment_, config.sheriff.cost) {
-  solver_.set_thread_pool(&worker_pool());
   // The engine's Eq. (1) modes (DESIGN.md §14). Rooting changes the FP
   // summation order over cable distances, so the cost model's other modes
   // stay for the Fig. 11–14 benches and the tests that build them.
@@ -112,23 +118,11 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     takeover_.resize(topo.rack_count());
     recompute_takeovers();
   }
-  // Shard plan: a pure function of (rack_count, shard_count). 0 = auto
-  // (min(8, racks)). The shard count only partitions the propose sweep —
-  // results are byte-identical for every value (DESIGN.md §11) — so it is
-  // excluded from the checkpoint fingerprint, like the pool size.
-  {
-    const std::size_t requested = config_.manage_shards != 0
-                                      ? config_.manage_shards
-                                      : std::min<std::size_t>(8, topo.rack_count());
-    shard_plan_ = ManageShardPlan(topo.rack_count(), requested);
-    profile_.manage_shard_propose_ns.assign(shard_plan_.shard_count(), 0);
-    shard_stats_.demands_by_rack.assign(topo.rack_count(), 0);
-  }
+  shard_stats_.demands_by_rack.assign(topo.rack_count(), 0);
   if (config_.mode == ManagerMode::kKMedian) {
     // The planner's ToR rows are computed once here and shared across
     // rounds; a faulted fabric rebuilds them when the liveness mask moves.
     KMedianPlannerOptions planner_options;
-    planner_options.pool = &worker_pool();
     planner_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
     // Pristine fabrics read the cost model's distance rows (identical
     // values, one source of truth); faulted ones need masked sweeps.
@@ -138,7 +132,6 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     manager_options.destination_racks = config_.kmedian_destination_racks;
     manager_options.local_search_p = config_.kmedian_swap_p;
     manager_options.max_evaluations = config_.kmedian_max_evaluations;
-    manager_options.pool = &worker_pool();
     manager_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
     kmedian_manager_ = std::make_unique<KMedianMigrationManager>(
         deployment_, cost_model_, *kmedian_planner_, manager_options);
@@ -250,10 +243,6 @@ void DistributedEngine::build_flows() {
   router_.route_all(flows_);
 }
 
-common::ThreadPool& DistributedEngine::worker_pool() const {
-  return config_.pool != nullptr ? *config_.pool : common::default_pool();
-}
-
 std::vector<wl::VmId> DistributedEngine::alerted_vms() const {
   const AlertScheme scheme(config_.sheriff.vm_alert_threshold);
   std::vector<wl::VmId> out;
@@ -283,7 +272,7 @@ void DistributedEngine::advance_workload(RoundMetrics& metrics) {
   // Workloads evolve; flows track the new traffic levels and any migrated
   // endpoints.
   PhaseTimer timer(profile_.workload_ns);
-  deployment_.advance(&worker_pool());
+  deployment_.advance();
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     net::Flow& flow = flows_[f];
     const topo::NodeId src = deployment_.vm(flow_owner_[f]).host;
@@ -337,7 +326,7 @@ void DistributedEngine::update_queues(const net::FairShareResult& shares, RoundM
   // Switch queues + QCN feedback, then the end-host reaction point adjusts
   // rate limits for the next period.
   PhaseTimer timer(profile_.queue_ns);
-  queues_.update(shares, flows_, 1.0, config_.parallel_collect ? &worker_pool() : nullptr);
+  queues_.update(shares, flows_);
   // QoS is measured against the demands the allocator actually saw: the
   // QCN reaction point below tightens rate limits for the *next* period,
   // and a freshly lowered limit would read as allocated/demand > 1.
@@ -358,24 +347,19 @@ std::vector<ShimCollectResult> DistributedEngine::predict_and_collect(
     const net::FairShareResult& shares, RoundMetrics& metrics) {
   PhaseTimer timer(profile_.predict_ns);
   // Every VM's predictor observes the new sample and forecasts T ahead.
-  const auto predict = [&](std::size_t i) {
-    predictors_[i]->observe(deployment_.vm(static_cast<wl::VmId>(i)).profile);
+  for (std::size_t i = 0; i < deployment_.vm_count(); ++i) {
+    const wl::WorkloadProfile& sample = deployment_.vm(static_cast<wl::VmId>(i)).profile;
+    predictors_[i]->observe(sample);
     predicted_[i] = predictors_[i]->ready()
                         ? predictors_[i]->predict(config_.sheriff.prediction_horizon)
-                        : deployment_.vm(static_cast<wl::VmId>(i)).profile;
-  };
-  if (config_.parallel_collect && deployment_.vm_count() > 256) {
-    common::parallel_for(worker_pool(), deployment_.vm_count(), predict);
-  } else {
-    for (std::size_t i = 0; i < deployment_.vm_count(); ++i) predict(i);
+                        : sample;
   }
   metrics.workload_stddev_before = deployment_.workload_stddev();
   metrics.workload_mean = deployment_.workload_mean();
 
-  // Per-rack flow index, built serially once per round: it pre-filters the
+  // Per-rack flow index, built once per round: it pre-filters the
   // congestion feedback per rack below, and scopes each shim's switch-alert
-  // F-set scan in propose() to its own flows — in an order independent of
-  // the shard count.
+  // F-set scan in propose() to its own flows, in ascending flow order.
   for (std::vector<std::size_t>& own : rack_flows_) own.clear();
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     rack_flows_[topo_->node(deployment_.vm(flow_owner_[f]).host).rack].push_back(f);
@@ -428,20 +412,11 @@ std::vector<ShimCollectResult> DistributedEngine::predict_and_collect(
     }
   }
 
-  // Each shim traces its alerts into its own ring; the deferred section
-  // stamps them in shim order, as the serial sweep does, so the trace (and
-  // the checkpoint that carries it) does not depend on the pool size.
+  // Each shim traces its alerts into its own ring, in shim order.
   std::vector<ShimCollectResult> collected(shims_.size());
-  const auto work = [&](std::size_t s) {
+  for (std::size_t s = 0; s < shims_.size(); ++s) {
     collected[s] = shims_[s].collect(deployment_, predicted_, observations[s]);
-  };
-  if (hub_ != nullptr) hub_->trace().begin_deferred();
-  if (config_.parallel_collect && shims_.size() > 8) {
-    common::parallel_for(worker_pool(), shims_.size(), work);
-  } else {
-    for (std::size_t s = 0; s < shims_.size(); ++s) work(s);
   }
-  if (hub_ != nullptr) hub_->trace().end_deferred();
   return collected;
 }
 
@@ -466,7 +441,7 @@ MigrationPlan DistributedEngine::manage(std::span<const ShimCollectResult> colle
 MigrationPlan DistributedEngine::manage_regional(std::span<const ShimCollectResult> collected,
                                                  std::span<const wl::VmId> orphans,
                                                  RoundMetrics& metrics) {
-  std::vector<ShimProposal> proposals = propose_shards(collected);
+  std::vector<ShimProposal> proposals = propose_all(collected);
   std::vector<MigrationDemand> demands;
   {
     PhaseTimer timer(profile_.manage_commit_ns);
@@ -505,8 +480,7 @@ MigrationPlan DistributedEngine::manage_regional(std::span<const ShimCollectResu
     demand.region_targets = shims_[demand.shim].migration_targets(deployment_);
   }
   DistributedMigrationProtocol protocol(
-      deployment_, cost_model_, config_.sheriff,
-      config_.parallel_collect ? &worker_pool() : nullptr, channel_.get(),
+      deployment_, cost_model_, config_.sheriff, channel_.get(),
       config_.fault_plan != nullptr ? config_.fault_plan->options().max_protocol_retries : 0,
       hub_ != nullptr ? &hub_->trace() : nullptr);
   ProtocolResult outcome;
@@ -594,38 +568,29 @@ void DistributedEngine::account(const MigrationPlan& plan, std::span<const wl::V
   }
 }
 
-std::vector<ShimProposal> DistributedEngine::propose_shards(
+std::vector<ShimProposal> DistributedEngine::propose_all(
     std::span<const ShimCollectResult> collected) {
+  // propose() is pure (no flow mutation, no trace emission, no tallies):
+  // every shim sees the same manage-entry state, and the commit below is
+  // the one place claims take effect.
+  PhaseTimer timer(profile_.manage_shard_propose_ns.front());
   std::vector<ShimProposal> proposals(shims_.size());
-  const auto propose_shard = [&](std::size_t shard) {
-    PhaseTimer timer(profile_.manage_shard_propose_ns[shard]);
-    for (topo::RackId s : shard_plan_.racks_of(shard)) {
-      if (managing_rack(s) == topo::kInvalidRack) continue;
-      proposals[s] = shims_[s].propose(collected[s], deployment_, predicted_, flows_,
-                                       flow_owner_, rack_flows_[s]);
-    }
-  };
-  // propose() is pure (no flow mutation, no trace emission, no tallies), so
-  // the shards can run concurrently over the same round state.
-  if (config_.parallel_collect && shard_plan_.shard_count() > 1) {
-    common::parallel_for(worker_pool(), shard_plan_.shard_count(), propose_shard);
-  } else {
-    for (std::size_t shard = 0; shard < shard_plan_.shard_count(); ++shard) {
-      propose_shard(shard);
-    }
+  for (topo::RackId s = 0; s < shims_.size(); ++s) {
+    if (managing_rack(s) == topo::kInvalidRack) continue;
+    proposals[s] = shims_[s].propose(collected[s], deployment_, predicted_, flows_, flow_owner_,
+                                     rack_flows_[s]);
   }
   return proposals;
 }
 
 std::vector<MigrationDemand> DistributedEngine::commit_proposals(
     std::span<ShimProposal> proposals, RoundMetrics& metrics) {
-  // Serial apply, totally ordered by shim id: the one place the regional
-  // sweep touches shared state, so the outcome is the same for every shard
-  // count. Both claim kinds commit first-claimant-wins — each hot switch
-  // is rerouted once per round, and each VM migrates at most once per
-  // round (one shim can claim a tenant twice: the host-alert single-VM
-  // rule and the ToR budget pass may pick the same VM). Losing claims are
-  // resolved as shard conflicts instead of re-applied.
+  // Apply, totally ordered by shim id: the one place the regional sweep
+  // touches shared state. Both claim kinds commit first-claimant-wins —
+  // each hot switch is rerouted once per round, and each VM migrates at
+  // most once per round (one shim can claim a tenant twice: the host-alert
+  // single-VM rule and the ToR budget pass may pick the same VM). Losing
+  // claims are resolved as shard conflicts instead of re-applied.
   std::vector<bool> switch_claimed(topo_->node_count(), false);
   std::vector<bool> vm_claimed(deployment_.vm_count(), false);
   std::vector<MigrationDemand> demands;
@@ -681,9 +646,7 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics, const Migrati
   registry.counter("engine.protocol_drops").add(metrics.protocol_drops);
   registry.counter("engine.protocol_retries").add(metrics.protocol_retries);
   registry.counter("engine.recovery_migrations").add(metrics.recovery_migrations);
-  // Shard bookkeeping: every value here is shard-count invariant (the
-  // propose/commit sweep produces identical results for any shard count),
-  // so publishing it keeps checkpoints byte-comparable across shard counts.
+  // Propose/commit bookkeeping (the names predate the serial propose loop).
   registry.counter("engine.shard_conflicts").add(metrics.shard_conflicts);
   registry.gauge("manage.sharded_rounds").set(static_cast<double>(shard_stats_.sharded_rounds));
   registry.gauge("manage.reroute_claims").set(static_cast<double>(shard_stats_.reroute_claims));
@@ -802,8 +765,6 @@ void DistributedEngine::save_state(snapshot::Writer& writer) const {
   writer.put_u8(static_cast<std::uint8_t>(config_.mode));
   writer.put_u8(static_cast<std::uint8_t>(config_.protocol));
   writer.put_u8(static_cast<std::uint8_t>(config_.predictor));
-  // manage_shards does not fingerprint — the shard count never changes
-  // results, exactly like the pool size.
   writer.put_bool(injector_ != nullptr);
   writer.put_bool(channel_ != nullptr);
   writer.put_bool(kmedian_manager_ != nullptr);
@@ -871,10 +832,7 @@ void DistributedEngine::save_state(snapshot::Writer& writer) const {
   for (const ShimController& shim : shims_) shim.save_state(writer);
   writer.end_section();
 
-  // SHRD: shard-sweep bookkeeping. Only shard-count-invariant aggregates
-  // travel (per-shard data would break checkpoint byte-parity across shard
-  // counts); the shard plan itself is a pure function of
-  // (rack_count, shard_count) and is reconstructed, never serialized.
+  // SHRD: propose/commit bookkeeping (ManageShardStats).
   writer.begin_section("SHRD", kShardVersion);
   writer.put_u64(shard_stats_.sharded_rounds);
   writer.put_u64(shard_stats_.reroute_claims);

@@ -6,18 +6,19 @@
 //   2. The fair-share allocator produces link loads; switch queues update
 //      and emit QCN congestion feedback.
 //   3. Every VM's predictor observes the new sample; shims *collect*
-//      alerts from the T-ahead predictions — in parallel, one task per
-//      rack, since collection is read-only.
-//   4. Shims *propose* (Alg. 1) against the round snapshot in parallel
-//      rack shards; one serial *commit* ordered by shim id applies the
-//      FLOWREROUTE claims and gathers the migration demands; the *decide*
-//      step places them (VMMIGRATION, Alg. 3/4) — by default as one
-//      message-passing REQUEST/ACK round.
+//      alerts from the T-ahead predictions, one rack after another.
+//   4. Shims *propose* (Alg. 1) against the round snapshot, in shim-id
+//      order; one *commit* ordered by shim id applies the FLOWREROUTE
+//      claims and gathers the migration demands; the *decide* step places
+//      them (VMMIGRATION, Alg. 3/4) — by default as one message-passing
+//      REQUEST/ACK round.
 //
 // run_round() is exactly that sequence of phase methods, each owning its
-// PhaseProfile clock. The same engine can run in centralized mode, where
-// one manager with the global view processes the union of all alerts
-// against all hosts — the baseline of Fig. 11–14.
+// PhaseProfile clock, and runs on the calling thread: the shims are
+// independent regional controllers, modelled by a pure propose and an
+// ordered commit, not by threads (DESIGN.md §11). The same engine can run
+// in centralized mode, where one manager with the global view processes
+// the union of all alerts against all hosts — the baseline of Fig. 11–14.
 
 #include <cstdint>
 #include <memory>
@@ -27,7 +28,6 @@
 #include "core/centralized_manager.hpp"
 #include "core/config.hpp"
 #include "core/kmedian_planner.hpp"
-#include "core/manage_shards.hpp"
 #include "core/predictor.hpp"
 #include "core/protocol.hpp"
 #include "core/shim_controller.hpp"
@@ -70,41 +70,27 @@ enum class PredictorKind : std::uint8_t {
   kNaive,     ///< no prediction (contingency baseline for ablations)
 };
 
-/// What one engine simulates. Every field either changes results that a
-/// study varies (fabric-side knobs, mode, protocol, predictor, demand
-/// scale, QCN, faults, the k-median settings) or picks resources whose
-/// every value gives byte-identical results (pool, shard count, the
-/// parallel collect). The engine has one implementation of each layer:
-/// no field switches a cache or an accelerated path off.
+/// What one engine simulates. Every field but `pool` changes results that
+/// a study varies (fabric-side knobs, mode, protocol, predictor, demand
+/// scale, QCN, faults, the k-median settings) or what the engine reports
+/// (observability). The engine has one implementation of each layer: no
+/// field switches a cache or an accelerated path off.
 struct EngineConfig {
   SheriffConfig sheriff;
   ManagerMode mode = ManagerMode::kSheriff;
   MigrationProtocol protocol = MigrationProtocol::kMessagePassing;
   PredictorKind predictor = PredictorKind::kHolt;
   double flow_demand_scale_gbps = 0.4;  ///< demand per dependency edge at TRF=1
-  bool parallel_collect = true;         ///< run shim collection on the thread pool
   bool qcn_rate_control = true;         ///< end-host reaction to QCN feedback (Sec. III-A.2)
-  /// Shard count of the kSheriff manage phase (DESIGN.md §11): shims are
-  /// grouped into deterministic contiguous rack shards, each shard's
-  /// alert dispatch runs as one parallel *propose* task against an
-  /// immutable round snapshot, and all claims are committed in one serial
-  /// pass ordered by shim id (duplicate claims resolve to the lowest shim
-  /// id; the rest count as RoundMetrics::shard_conflicts). 0 = auto
-  /// (min(8, racks)); clamped to [1, rack_count]. Results are
-  /// byte-identical for ANY shard count — tests pin 1/2/8 — so, like the
-  /// pool size, it is excluded from the checkpoint fingerprint.
-  std::size_t manage_shards = 0;
   /// The three k-median settings below apply to kKMedian mode only: in
   /// any other mode the constructor rejects a value away from its default
   /// (RequirementError).
   std::size_t kmedian_destination_racks = 4;  ///< k medians per plan
   std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size
   std::size_t kmedian_max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
-  /// Worker pool for the parallel sweeps (workload trace advance,
-  /// predictor observe, fair-share fill, switch queues, shim collect and
-  /// propose, the k-median gain sweeps, the protocol).
-  /// nullptr = the process-wide default pool. Sweeps are bit-identical for
-  /// any pool size — tests pin pools of size 1/2/8 to prove it.
+  /// Not read by the engine, which runs every round on the calling
+  /// thread. Kept only because perfbench assigns it from its --pool flag;
+  /// it goes with that flag (ROADMAP item 6).
   common::ThreadPool* pool = nullptr;
   /// Optional timed fault schedule (link/switch/host/shim failures, lossy
   /// protocol messaging). Must outlive the engine. An empty plan (or
@@ -146,8 +132,9 @@ struct RoundMetrics {
   std::size_t protocol_iterations = 0;     ///< propose/decide/apply rounds used
   /// Duplicate claims resolved by the ordered commit of the manage phase
   /// (a second reroute claim on one hot switch, or a second migration
-  /// claim on one VM, dropped in favor of the lowest shim id).
-  /// Deterministic and shard-count invariant; 0 outside kSheriff mode.
+  /// claim on one VM, dropped in favor of the lowest shim id); 0 outside
+  /// kSheriff mode. The name predates the serial propose loop and stays
+  /// because it is a metrics CSV column.
   std::size_t shard_conflicts = 0;
   double migration_seconds = 0.0;          ///< summed live-migration wall time
   double migration_downtime_seconds = 0.0; ///< summed stop&copy suspensions
@@ -181,10 +168,10 @@ struct PhaseProfile {
   /// k-median solve, and the matching/scheduling of the chosen moves.
   std::uint64_t manage_kmedian_ns = 0;
   std::uint64_t manage_schedule_ns = 0;
-  /// kSheriff-mode sub-phases of manage_ns: wall time of each shard's
-  /// parallel propose task (indexed by shard, summed over rounds) and of
-  /// the serial ordered commit. Zero in the centralized modes.
-  std::vector<std::uint64_t> manage_shard_propose_ns;
+  /// kSheriff-mode sub-phases of manage_ns: wall time of the propose loop
+  /// and of the ordered commit. Zero in the centralized modes. The propose
+  /// clock is a one-entry vector because perfbench sums it as one.
+  std::vector<std::uint64_t> manage_shard_propose_ns = {0};
   std::uint64_t manage_commit_ns = 0;
   /// Migration decision kernel inside manage_ns: the protocol run, the
   /// FCFS scheduler runs or the centralized manager's migrate call — the
@@ -194,10 +181,10 @@ struct PhaseProfile {
 };
 
 /// Cumulative bookkeeping of the kSheriff manage phase. Every field is a
-/// deterministic function of the run (and invariant to the shard count —
-/// the ordered commit resolves claims identically however the propose
-/// work was grouped), so the whole struct travels in checkpoints (section
-/// SHRD) and must survive a resume byte-exactly.
+/// deterministic function of the run, so the whole struct travels in
+/// checkpoints (section SHRD) and must survive a resume byte-exactly. The
+/// shard names predate the serial propose loop; they stay because they
+/// are the SHRD layout and registry names (DESIGN.md §11).
 struct ManageShardStats {
   std::uint64_t sharded_rounds = 0;     ///< rounds run through propose/commit
   std::uint64_t reroute_claims = 0;     ///< reroute claims proposed
@@ -234,9 +221,6 @@ class DistributedEngine {
     return solver_;
   }
   [[nodiscard]] const mig::MigrationCostModel& cost_model() const noexcept { return cost_model_; }
-  /// The manage-phase shard partition (resolved from EngineConfig::
-  /// manage_shards at construction).
-  [[nodiscard]] const ManageShardPlan& shard_plan() const noexcept { return shard_plan_; }
   [[nodiscard]] const ManageShardStats& shard_stats() const noexcept { return shard_stats_; }
 
   /// Force-collects the alerted VM set of the *current* state (used by
@@ -276,8 +260,6 @@ class DistributedEngine {
 
  private:
   void build_flows();
-  /// The pool the parallel sweeps run on (config override or the default).
-  [[nodiscard]] common::ThreadPool& worker_pool() const;
   [[nodiscard]] std::unique_ptr<ProfilePredictor> make_predictor() const;
   void recompute_takeovers();
   /// True when the host is up and has at least one usable link.
@@ -311,9 +293,10 @@ class DistributedEngine {
   /// Publishes subsystem metrics into the hub's registry and runs the
   /// management-side audit. hub_ must be set.
   void publish_round(const RoundMetrics& metrics, const MigrationPlan& plan);
-  /// Propose: each shard's shims run propose() in parallel against the
-  /// manage-entry state. Indexed by rack id; unmanaged racks stay empty.
-  [[nodiscard]] std::vector<ShimProposal> propose_shards(
+  /// Propose: every managed shim runs propose() against the manage-entry
+  /// state, in shim-id order. Indexed by rack id; unmanaged racks stay
+  /// empty.
+  [[nodiscard]] std::vector<ShimProposal> propose_all(
       std::span<const ShimCollectResult> collected);
   /// Commit: one serial pass in shim-id order, first claimant wins (losers
   /// become RoundMetrics::shard_conflicts). Applies the reroutes; returns
@@ -347,7 +330,6 @@ class DistributedEngine {
   std::unique_ptr<KMedianMigrationManager> kmedian_manager_; ///< kKMedian mode only
   std::unique_ptr<obs::ObservationHub> hub_;        ///< null = observability off
   std::vector<topo::RackId> takeover_;              ///< managing rack per rack
-  ManageShardPlan shard_plan_;
   ManageShardStats shard_stats_;
   std::size_t round_ = 0;
   PhaseProfile profile_;

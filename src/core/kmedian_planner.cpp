@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/kmedian_fast.hpp"
@@ -56,26 +55,13 @@ void KMedianPlanner::rebuild() {
       }
     }
   } else {
-    // One Dijkstra per ToR row, sharded over contiguous rack blocks; each
-    // shard owns its rows, so the matrix is identical for any pool size.
-    constexpr std::size_t kShardRacks = 8;
-    const std::size_t shards = (racks + kShardRacks - 1) / kShardRacks;
-    const auto run_shard = [&](std::size_t s) {
-      graph::ShortestPathTree tree;
-      const topo::RackId lo = static_cast<topo::RackId>(s * kShardRacks);
-      const topo::RackId hi =
-          static_cast<topo::RackId>(std::min<std::size_t>(racks, (s + 1) * kShardRacks));
-      for (topo::RackId r = lo; r < hi; ++r) {
-        graph::dijkstra_into(g, topo_->rack(r).tor, {}, tree);
-        for (topo::RackId c = 0; c < racks; ++c) {
-          distances_.set(r, c, tree.distance[topo_->rack(c).tor]);
-        }
+    // One Dijkstra per ToR row, all reusing one tree.
+    graph::ShortestPathTree tree;
+    for (topo::RackId r = 0; r < racks; ++r) {
+      graph::dijkstra_into(g, topo_->rack(r).tor, {}, tree);
+      for (topo::RackId c = 0; c < racks; ++c) {
+        distances_.set(r, c, tree.distance[topo_->rack(c).tor]);
       }
-    };
-    if (options_.pool != nullptr && shards > 1) {
-      common::parallel_for(*options_.pool, shards, run_shard);
-    } else {
-      for (std::size_t s = 0; s < shards; ++s) run_shard(s);
     }
   }
 
@@ -121,7 +107,6 @@ KMedianPlan KMedianPlanner::plan(const std::vector<topo::RackId>& source_racks,
   if (options.fast) {
     graph::FastKMedianOptions fast;
     fast.p = options.p;
-    fast.pool = options.pool;
     solution = graph::fast_kmedian(instance, fast);
   } else {
     solution = graph::local_search_kmedian(instance, options.p);
@@ -204,7 +189,6 @@ MigrationPlan KMedianMigrationManager::migrate(std::vector<wl::VmId> alerted) {
   KMedianPlanner::PlanOptions plan_options;
   plan_options.k = std::min(options_.destination_racks, planner_->facility_racks().size());
   plan_options.p = options_.local_search_p;
-  plan_options.pool = options_.pool;
   plan_options.max_evaluations = options_.max_evaluations;
   KMedianPlan selection;
   {

@@ -23,10 +23,6 @@
 #include "topology/liveness.hpp"
 #include "topology/topology.hpp"
 
-namespace sheriff::common {
-class ThreadPool;
-}
-
 namespace sheriff::mig {
 class MigrationCostModel;
 }
@@ -45,9 +41,6 @@ struct KMedianPlannerOptions {
   /// O(|V|^3), test/small-scale only. The default per-ToR Dijkstra sweep
   /// produces identical distances.
   bool use_floyd_warshall = false;
-  /// Shards the per-ToR Dijkstra rows across the pool (each shard owns its
-  /// rows, so the matrix is identical for any pool size). nullptr = serial.
-  common::ThreadPool* pool = nullptr;
   /// When set, distances are computed over the masked graph (unusable links
   /// skipped), racks with a dead ToR are excluded from the facility set,
   /// and refresh() rebuilds the rows when the mask's version moves. The
@@ -95,7 +88,6 @@ class KMedianPlanner {
     /// Delta-evaluated solver (first-improvement: identical medians to the
     /// reference scan); false = the reference local_search_kmedian.
     bool fast = true;
-    common::ThreadPool* pool = nullptr; ///< shards the fast gain sweeps
     std::size_t max_evaluations = 0;    ///< safety cap (0 = unlimited)
   };
 
@@ -146,7 +138,6 @@ class KMedianMigrationManager {
     std::size_t destination_racks = 4;  ///< k medians to open
     std::size_t local_search_p = 2;     ///< Alg. 5 swap size
     std::size_t max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
-    common::ThreadPool* pool = nullptr; ///< shards the fast gain sweeps
     /// When set, detached hosts (dead, or cut off behind a dead ToR) are
     /// excluded from the migration targets. Must outlive the manager.
     const topo::LivenessMask* liveness = nullptr;

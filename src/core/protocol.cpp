@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "migration/live_migration.hpp"
 
 namespace sheriff::core {
@@ -35,12 +34,10 @@ constexpr std::size_t kBackoffCap = 3;
 
 DistributedMigrationProtocol::DistributedMigrationProtocol(
     wl::Deployment& deployment, mig::MigrationCostModel& cost_model, SheriffConfig config,
-    common::ThreadPool* pool, fault::LossyChannel* channel, std::size_t loss_retry_budget,
-    obs::EventTrace* trace)
+    fault::LossyChannel* channel, std::size_t loss_retry_budget, obs::EventTrace* trace)
     : deployment_(&deployment),
       cost_model_(&cost_model),
       config_(config),
-      pool_(pool),
       channel_(channel != nullptr && !channel->lossless() ? channel : nullptr),
       loss_retry_budget_(loss_retry_budget),
       trace_(trace) {}
@@ -68,7 +65,7 @@ ProtocolResult DistributedMigrationProtocol::run(std::vector<MigrationDemand> de
 
   std::vector<std::size_t> search_space_by_demand(demands.size(), 0);
 
-  // Per-VM loss state (only touched from serial phases).
+  // Per-VM loss state.
   std::vector<std::uint8_t> backoff(deployment_->vm_count(), 0);
   std::vector<std::uint8_t> loss_streak(deployment_->vm_count(), 0);
   std::vector<bool> retry_pending(deployment_->vm_count(), false);
@@ -104,22 +101,16 @@ ProtocolResult DistributedMigrationProtocol::run(std::vector<MigrationDemand> de
       }
     }
 
-    // --- PROPOSE (parallel; read-only against shared state) -------------
+    // --- PROPOSE (read-only against shared state) ------------------------
     std::vector<std::vector<ProposedMove>> proposals(demands.size());
-    const auto propose = [&](std::size_t i) {
-      if (active[i].empty()) return;
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      if (active[i].empty()) continue;
       proposals[i] = propose_matching(*deployment_, *cost_model_, active[i],
-                                      demands[i].region_targets,
-                                      &search_space_by_demand[i]);
-    };
-    if (pool_ != nullptr && demands.size() > 1) {
-      common::parallel_for(*pool_, demands.size(), propose);
-    } else {
-      for (std::size_t i = 0; i < demands.size(); ++i) propose(i);
+                                      demands[i].region_targets, &search_space_by_demand[i]);
     }
 
-    // --- DELIVER: group requests by destination rack (serial: the lossy
-    // channel's draw order must not depend on thread scheduling) ----------
+    // --- DELIVER: group requests by destination rack, drawing the lossy
+    // channel in demand order ---------------------------------------------
     std::size_t losses_this_iteration = 0;
     std::vector<std::vector<Request>> mailbox(topo.rack_count());
     for (std::size_t i = 0; i < demands.size(); ++i) {
@@ -149,11 +140,11 @@ ProtocolResult DistributedMigrationProtocol::run(std::vector<MigrationDemand> de
       }
     }
 
-    // --- DECIDE (parallel per destination delegate, FCFS) ----------------
+    // --- DECIDE (per destination delegate, FCFS) -------------------------
     std::vector<std::vector<Decision>> decisions(topo.rack_count());
-    const auto decide = [&](std::size_t rack) {
+    for (std::size_t rack = 0; rack < topo.rack_count(); ++rack) {
       auto& inbox = mailbox[rack];
-      if (inbox.empty()) return;
+      if (inbox.empty()) continue;
       // FCFS: deterministic arrival order (by proposer shim, then VM).
       std::sort(inbox.begin(), inbox.end(), [](const Request& a, const Request& b) {
         if (a.proposer != b.proposer) return a.proposer < b.proposer;
@@ -181,19 +172,9 @@ ProtocolResult DistributedMigrationProtocol::run(std::vector<MigrationDemand> de
         }
         decisions[rack].push_back(decision);
       }
-    };
-    std::vector<std::size_t> busy_racks;
-    for (std::size_t r = 0; r < topo.rack_count(); ++r) {
-      if (!mailbox[r].empty()) busy_racks.push_back(r);
-    }
-    if (pool_ != nullptr && busy_racks.size() > 1) {
-      common::parallel_for(*pool_, busy_racks.size(),
-                           [&](std::size_t i) { decide(busy_racks[i]); });
-    } else {
-      for (std::size_t r : busy_racks) decide(r);
     }
 
-    // --- APPLY (serial, deterministic order) -----------------------------
+    // --- APPLY (deterministic order) -------------------------------------
     bool progress = false;
     std::vector<bool> placed(deployment_->vm_count(), false);
     for (std::size_t rack = 0; rack < topo.rack_count(); ++rack) {

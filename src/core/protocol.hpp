@@ -3,13 +3,12 @@
 // *message-passing* round, the way the paper's shims actually interact):
 //
 //   1. PROPOSE — every shim with a migration set matches its VMs against
-//      its own region (Hungarian on the Eq. (1) costs). Runs in parallel:
-//      this phase only reads shared state.
+//      its own region (Hungarian on the Eq. (1) costs). This phase only
+//      reads shared state.
 //   2. DECIDE — proposals are delivered to the destination racks'
 //      delegates; each delegate serves its mailbox FCFS against its local
 //      reservation ledger (capacity + dependency conflicts) and answers
-//      ACK or REJECT. Delegates are independent, so this runs in parallel
-//      per destination rack.
+//      ACK or REJECT. Delegates are independent of each other.
 //   3. APPLY — ACKed moves are committed. Two shims can win reservations
 //      that turn out incompatible (a dependency partner ACKed onto the
 //      same host in the same round); the commit re-checks and the loser
@@ -27,6 +26,9 @@
 // at 3 iterations of silence) before it is re-proposed; re-proposals after
 // a loss are counted as retries, and the iteration budget is extended by
 // FaultOptions::max_protocol_retries so loss cannot starve convergence.
+//
+// Every phase runs on the calling thread, demands in shim-id order and
+// delegates in rack order.
 
 #include <vector>
 
@@ -36,10 +38,6 @@
 #include "migration/cost_model.hpp"
 #include "obs/trace.hpp"
 #include "workload/deployment.hpp"
-
-namespace sheriff::common {
-class ThreadPool;
-}
 
 namespace sheriff::core {
 
@@ -60,18 +58,14 @@ struct ProtocolResult {
 
 class DistributedMigrationProtocol {
  public:
-  /// `pool` may be null for single-threaded execution (results identical).
   /// `channel` may be null (reliable messaging); when set it must outlive
   /// the protocol, and `loss_retry_budget` extra iterations are granted to
   /// wait out losses.
   /// `trace` may be null; when set, every REQUEST/ACK delivery, loss, and
-  /// re-proposal becomes a trace event. Emission happens only in the
-  /// serial DELIVER/APPLY phases — the parallel PROPOSE/DECIDE sweeps can
-  /// have two demands owned by one shim (a takeover), so they must not
-  /// write shim rings.
+  /// re-proposal becomes a trace event, emitted in the DELIVER/APPLY
+  /// phases.
   DistributedMigrationProtocol(wl::Deployment& deployment,
                                mig::MigrationCostModel& cost_model, SheriffConfig config,
-                               common::ThreadPool* pool = nullptr,
                                fault::LossyChannel* channel = nullptr,
                                std::size_t loss_retry_budget = 0,
                                obs::EventTrace* trace = nullptr);
@@ -82,7 +76,6 @@ class DistributedMigrationProtocol {
   wl::Deployment* deployment_;
   mig::MigrationCostModel* cost_model_;
   SheriffConfig config_;
-  common::ThreadPool* pool_;
   fault::LossyChannel* channel_;
   std::size_t loss_retry_budget_;
   obs::EventTrace* trace_;

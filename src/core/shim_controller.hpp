@@ -41,9 +41,9 @@ struct ShimCollectResult {
 /// Alg. 1's alert dispatch *without* side effects: the migration set M_v
 /// plus the reroute claims (hot outer switches whose conflicting flows
 /// should move) recorded instead of applied. Produced by propose() in the
-/// engine's parallel shard sweep; the engine commits the claims serially,
-/// ordered by shim id, deduplicating cross-shard claims on the same
-/// switch (DESIGN.md §11).
+/// engine's propose loop; the engine then commits the claims ordered by
+/// shim id, deduplicating claims of different shims on the same switch
+/// (DESIGN.md §11).
 struct ShimProposal {
   std::vector<wl::VmId> migration_set;
   std::vector<topo::NodeId> reroute_claims;  ///< hot switches, in alert order

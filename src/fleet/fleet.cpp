@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -392,26 +391,6 @@ FleetReport run_sweep(const SweepGrid& grid, const FleetOptions& options) {
 
   common::ThreadPool fleet_pool(std::max<std::size_t>(1, options.workers));
 
-  // kTwoLevel inner pools: a free list sized by demand (at most one pool
-  // per concurrently busy fleet worker), checked out for the duration of a
-  // run and recycled.
-  std::mutex inner_mutex;
-  std::vector<std::unique_ptr<common::ThreadPool>> inner_pools;
-  const auto checkout_inner = [&] {
-    std::scoped_lock lock(inner_mutex);
-    if (!inner_pools.empty()) {
-      auto pool = std::move(inner_pools.back());
-      inner_pools.pop_back();
-      return pool;
-    }
-    return std::make_unique<common::ThreadPool>(
-        std::max<std::size_t>(1, options.engine_threads));
-  };
-  const auto checkin_inner = [&](std::unique_ptr<common::ThreadPool> pool) {
-    std::scoped_lock lock(inner_mutex);
-    inner_pools.push_back(std::move(pool));
-  };
-
   std::mutex commit_mutex;  // guards report.runs writes + manifest publishes
   std::atomic<std::size_t> budget_claims{0};
 
@@ -428,16 +407,6 @@ FleetReport run_sweep(const SweepGrid& grid, const FleetOptions& options) {
     core::EngineConfig config = spec.config;
     if (spec.fault_plan != nullptr) config.fault_plan = spec.fault_plan;
     if (options.observe) config.observe = true;
-
-    std::unique_ptr<common::ThreadPool> inner;
-    if (options.pool_policy == PoolPolicy::kTwoLevel) {
-      inner = checkout_inner();
-      config.pool = inner.get();
-    } else {
-      // The reentrancy guard turns the engine's sweeps into inline serial
-      // loops on this fleet worker: one run saturates exactly one core.
-      config.pool = &fleet_pool;
-    }
 
     const obs::Stopwatch run_clock;
     core::DistributedEngine engine(*spec.topology, deployment, config);
@@ -461,8 +430,6 @@ FleetReport run_sweep(const SweepGrid& grid, const FleetOptions& options) {
     record.completed = true;
     record.from_manifest = false;
     record.seconds = run_clock.elapsed_seconds();
-
-    if (inner != nullptr) checkin_inner(std::move(inner));
 
     std::scoped_lock lock(commit_mutex);
     report.runs[id] = std::move(record);

@@ -17,9 +17,11 @@
 //
 // Determinism contract: the per-run outputs (metrics CSV bytes, final
 // checkpoint bytes, registry snapshot, summary) are byte-identical for any
-// worker count and either pool-ownership policy — the workers only decide
-// *when* a run executes, never *what* it computes. tests/test_fleet.cpp
-// pins a 32-run grid at workers 1/2/8 against direct serial engines.
+// worker count — the workers only decide *when* a run executes, never
+// *what* it computes. Each engine runs its rounds serially on the fleet
+// worker that executes it, so one run occupies one core.
+// tests/test_fleet.cpp pins a 32-run grid at workers 1/2/8 against direct
+// engines.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,8 +61,8 @@ struct ScenarioSpec {
   const topo::Topology* topology = nullptr;
   /// Per-run deployment; `seed` is overridden by the grid seed.
   wl::DeploymentOptions deployment;
-  /// Per-run engine config; `pool` is overridden by the pool policy and
-  /// `observe` is forced on when FleetOptions::observe is set.
+  /// Per-run engine config; `observe` is forced on when
+  /// FleetOptions::observe is set.
   core::EngineConfig config;
   std::size_t rounds = 10;
   /// Optional deterministic fault schedule applied to every seed of this
@@ -82,24 +84,8 @@ struct SweepGrid {
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
-/// Who owns the thread pool the engines' internal sweeps run on
-/// (DESIGN.md §12). Both policies are deadlock-free and byte-identical.
-enum class PoolPolicy : std::uint8_t {
-  /// Engines borrow the fleet's own pool; the parallel_for reentrancy
-  /// guard runs their sweeps inline on the calling fleet worker. One run
-  /// = one core — the default, and the fastest once the grid is at least
-  /// as wide as the machine.
-  kFleetOwned,
-  /// Two-level: each busy fleet worker checks out a private inner pool of
-  /// `engine_threads` workers for its engine's sweeps. Useful when the
-  /// grid is narrower than the machine and the per-run fabrics are large.
-  kTwoLevel,
-};
-
 struct FleetOptions {
-  std::size_t workers = 1;                         ///< fleet-level concurrency bound
-  PoolPolicy pool_policy = PoolPolicy::kFleetOwned;
-  std::size_t engine_threads = 2;                  ///< inner pool size (kTwoLevel)
+  std::size_t workers = 1;  ///< fleet-level concurrency bound
   /// Force EngineConfig::observe on so every run has a registry to merge.
   bool observe = true;
   /// Serialize the final engine into a checkpoint and record its CRC.

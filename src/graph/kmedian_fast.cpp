@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 
 namespace sheriff::graph {
 
@@ -14,35 +13,16 @@ namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One accepted/recommended single swap out of a delta sweep.
+/// The single swap a delta sweep applies.
 struct SwapChoice {
   bool found = false;
   std::size_t position = 0;  ///< median slot to close
   std::size_t facility = 0;  ///< facility id to open
-  double gain = 0.0;
-};
-
-/// Per-shard sweep output; merged in shard order after the parallel phase.
-struct ShardResult {
-  // Best-improvement: highest-gain improving swap of the shard.
-  SwapChoice best;
-  // First-improvement: per median slot, the smallest outside-scan index of
-  // an improving facility in this shard (kNone when none improves there).
-  std::vector<std::size_t> first_by_pos;
 };
 
 bool improves(double cost, double gain, double min_relative_gain) {
   // Mirror the reference acceptance test: candidate < cost · (1 − ε).
   return cost - gain < cost * (1.0 - min_relative_gain);
-}
-
-/// (gain, facility id, position) ordering for best-improvement: strictly
-/// higher gain wins; ties break on lowest facility id, then lowest slot.
-bool better_choice(const SwapChoice& candidate, const SwapChoice& incumbent) {
-  if (!incumbent.found) return true;
-  if (candidate.gain != incumbent.gain) return candidate.gain > incumbent.gain;
-  if (candidate.facility != incumbent.facility) return candidate.facility < incumbent.facility;
-  return candidate.position < incumbent.position;
 }
 
 }  // namespace
@@ -147,19 +127,21 @@ std::vector<std::size_t> outside_facilities(const KMedianInstance& instance,
   return outside;
 }
 
-/// Evaluates the candidate facilities `outside[lo..hi)` against every median
-/// slot via the delta formula and records the shard's recommendation.
-void sweep_shard(const KMedianInstance& instance, const KMedianState& state,
-                 const std::vector<std::size_t>& outside, std::size_t lo, std::size_t hi,
-                 const FastKMedianOptions& options, ShardResult& result) {
+/// One full delta sweep over all k·|outside| single swaps: evaluates every
+/// candidate facility against every median slot and returns the first
+/// improving swap in the reference scan order — the lowest slot with any
+/// improving facility, then the smallest scan index there.
+SwapChoice delta_sweep(const KMedianInstance& instance, const KMedianState& state,
+                       const std::vector<std::size_t>& outside,
+                       const FastKMedianOptions& options) {
   const std::size_t k = state.open().size();
   const std::size_t clients = instance.clients.size();
   const double cost = state.cost();
   std::vector<double> loss(k);
-  if (options.policy == SwapPolicy::kFirstImprovement) {
-    result.first_by_pos.assign(k, kNone);
-  }
-  for (std::size_t oi = lo; oi < hi; ++oi) {
+  // Per median slot, the smallest outside-scan index of an improving
+  // facility (kNone when none improves there).
+  std::vector<std::size_t> first_by_pos(k, kNone);
+  for (std::size_t oi = 0; oi < outside.size(); ++oi) {
     const std::size_t f = outside[oi];
     std::fill(loss.begin(), loss.end(), 0.0);
     double gain_add = 0.0;
@@ -175,64 +157,17 @@ void sweep_shard(const KMedianInstance& instance, const KMedianState& state,
       }
     }
     for (std::size_t pos = 0; pos < k; ++pos) {
-      const double gain = gain_add - loss[pos];
-      if (!improves(cost, gain, options.min_relative_gain)) continue;
-      if (options.policy == SwapPolicy::kFirstImprovement) {
-        // oi ascends, so the first hit per slot is the shard's smallest.
-        if (result.first_by_pos[pos] == kNone) result.first_by_pos[pos] = oi;
-      } else {
-        SwapChoice candidate{true, pos, f, gain};
-        if (better_choice(candidate, result.best)) result.best = candidate;
+      // oi ascends, so the first hit per slot is the smallest.
+      if (first_by_pos[pos] == kNone &&
+          improves(cost, gain_add - loss[pos], options.min_relative_gain)) {
+        first_by_pos[pos] = oi;
       }
     }
   }
-}
-
-/// One full delta sweep over all k·|outside| single swaps. Shards the
-/// candidate facilities, merges shard results in fixed order, and returns
-/// the chosen swap (policy-dependent) — byte-identical for any pool size.
-SwapChoice delta_sweep(const KMedianInstance& instance, const KMedianState& state,
-                       const std::vector<std::size_t>& outside,
-                       const FastKMedianOptions& options) {
-  SwapChoice chosen;
-  if (outside.empty()) return chosen;
-  const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
-  const std::size_t shards = (outside.size() + shard_size - 1) / shard_size;
-  std::vector<ShardResult> results(shards);
-  const auto run_shard = [&](std::size_t s) {
-    const std::size_t lo = s * shard_size;
-    const std::size_t hi = std::min(outside.size(), lo + shard_size);
-    sweep_shard(instance, state, outside, lo, hi, options, results[s]);
-  };
-  if (options.pool != nullptr && shards > 1) {
-    common::parallel_for(*options.pool, shards, run_shard);
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) run_shard(s);
+  for (std::size_t pos = 0; pos < k; ++pos) {
+    if (first_by_pos[pos] != kNone) return {true, pos, outside[first_by_pos[pos]]};
   }
-  if (options.policy == SwapPolicy::kFirstImprovement) {
-    // Reference order is median-slot major: the winner is the lowest slot
-    // with any improving facility, then the smallest scan index there.
-    const std::size_t k = state.open().size();
-    for (std::size_t pos = 0; pos < k && !chosen.found; ++pos) {
-      std::size_t first = kNone;
-      for (const ShardResult& r : results) {
-        if (r.first_by_pos[pos] != kNone) {
-          first = r.first_by_pos[pos];
-          break;  // shards cover ascending index ranges
-        }
-      }
-      if (first != kNone) {
-        chosen.found = true;
-        chosen.position = pos;
-        chosen.facility = outside[first];
-      }
-    }
-  } else {
-    for (const ShardResult& r : results) {
-      if (r.best.found && better_choice(r.best, chosen)) chosen = r.best;
-    }
-  }
-  return chosen;
+  return {};
 }
 
 /// Advances `idx`, a strictly increasing combination of [0, n), to its

@@ -13,10 +13,10 @@
 //
 // so one sweep over all k·(|F|−k) swaps costs O(|F|·(|C|+k)) — each
 // candidate facility f needs one pass over the clients plus a k-sized
-// reduction. Sweeps are sharded over candidate facilities across the
-// common::ThreadPool; every shard computes its candidates independently
-// with a fixed client accumulation order and shards merge in fixed order,
-// so the result is byte-identical for any pool size.
+// reduction. A sweep applies the first improving swap in the reference
+// solver's scan order (median slot major, then facilities in instance
+// order), so the fast solver replays the reference trajectory exactly and
+// terminates with identical medians — the differential tests pin it.
 //
 // Swap sizes p ≥ 2 run as a convergence check on the fast p=1 local
 // optimum: the 3 + 2/p analysis of Arya et al. only needs that *no* swap
@@ -37,34 +37,11 @@
 
 #include "graph/kmedian.hpp"
 
-namespace sheriff::common {
-class ThreadPool;
-}
-
 namespace sheriff::graph {
-
-/// Which improving swap a delta sweep applies.
-enum class SwapPolicy : std::uint8_t {
-  /// Highest-gain swap of the sweep; ties broken on lowest facility id,
-  /// then lowest median slot. The classic best-improvement formulation.
-  kBestImprovement,
-  /// The first improving swap in the reference solver's scan order
-  /// (median slot major, then facilities in instance order). With this
-  /// policy the fast solver replays the reference trajectory exactly and
-  /// terminates with identical medians — the differential tests pin it.
-  kFirstImprovement,
-};
 
 struct FastKMedianOptions {
   std::size_t p = 1;                   ///< Alg. 5 swap size (≥2 adds the multi_swap_scan check)
   double min_relative_gain = 1e-9;     ///< same improvement threshold as the reference
-  SwapPolicy policy = SwapPolicy::kFirstImprovement;
-  /// Worker pool for the parallel gain sweeps; nullptr = serial. Results
-  /// are byte-identical for any pool size (fixed shard order + tie-breaks).
-  common::ThreadPool* pool = nullptr;
-  /// Candidate facilities per shard. The shard partition is a function of
-  /// the instance only (never of the pool), so determinism is preserved.
-  std::size_t shard_size = 64;
 };
 
 /// Per-client nearest / second-nearest open-median bookkeeping plus the
@@ -128,10 +105,10 @@ class KMedianState {
 bool multi_swap_scan(const KMedianInstance& instance, KMedianState& state, KMedianSolution& sol,
                      const FastKMedianOptions& options);
 
-/// Delta-evaluated local search. For p = 1 with SwapPolicy::kFirstImprovement
-/// the accepted-swap trajectory — and therefore the final median set — is
-/// identical to local_search_kmedian(instance, 1); only the work to find
-/// each swap shrinks. Instances with an unreachable client/facility pair
+/// Delta-evaluated local search. For p = 1 the accepted-swap trajectory —
+/// and therefore the final median set — is identical to
+/// local_search_kmedian(instance, 1); only the work to find each swap
+/// shrinks. Instances with an unreachable client/facility pair
 /// (possible on a partitioned fabric) fall back to the reference solver,
 /// whose ∞-cost comparisons handle them. Honors
 /// KMedianInstance::max_evaluations at sweep granularity in the p = 1

@@ -85,8 +85,7 @@ struct CostModelStats {
 /// lazily per root on the immutable distance graph, so they never depend
 /// on the bandwidth state. Concurrent cost()/total_cost() calls are safe
 /// (rows are immutable once published; a lost publication race discards
-/// the duplicate), which lets every shim evaluate its proposals in
-/// parallel.
+/// the duplicate).
 class MigrationCostModel {
  public:
   MigrationCostModel(const topo::Topology& topo, const wl::Deployment& deployment,

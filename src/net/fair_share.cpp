@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/timing.hpp"
 #include "snapshot/archive.hpp"
@@ -20,10 +19,6 @@ constexpr double kEps = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 constexpr std::uint32_t kNoComp = 0xffffffffU;
-
-/// Solves with fewer participating flows fill serially even with a pool
-/// attached: the parallel_for dispatch costs more than the fill.
-constexpr std::size_t kParallelFillMinFlows = 256;
 }  // namespace
 
 double FairShareResult::available_bandwidth(const topo::Topology& topo,
@@ -163,13 +158,7 @@ const FairShareResult& FairShareSolver::solve(std::span<Flow> flows,
   sort_by_demand();
   result_.flow_rate.assign(n, 0.0);
   frozen_.assign(n, 0);
-  if (pool_ != nullptr && comp_count_ > 1 && participants_.size() >= kParallelFillMinFlows) {
-    common::parallel_for(*pool_, comp_count_, [this](std::size_t c) {
-      fill_component(static_cast<std::uint32_t>(c));
-    });
-  } else {
-    for (std::uint32_t c = 0; c < comp_count_; ++c) fill_component(c);
-  }
+  for (std::uint32_t c = 0; c < comp_count_; ++c) fill_component(c);
   // Loads accumulate in ascending flow order after the fill, so they never
   // depend on the order in which flows froze.
   result_.link_load_gbps.assign(link_state_.size(), 0.0);
@@ -474,8 +463,8 @@ void FairShareSolver::fill_component(std::uint32_t c) {
 std::size_t FairShareSolver::arena_bytes() const noexcept {
   // Logical sizes only (live element counts, not vector capacities): after
   // a solve the value is a pure function of the flow table, so the gauge is
-  // identical across pool sizes and across a checkpoint resume. The memo's
-  // spare buffer holds no live data and is not counted.
+  // identical across a checkpoint resume. The memo's spare buffer holds no
+  // live data and is not counted.
   const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
   return bytes(link_state_) + bytes(memo_.offset) + bytes(memo_.nodes) + bytes(memo_.links) +
          bytes(participants_) + bytes(flow_link_offset_) + bytes(flow_links_) + bytes(demand_) +

@@ -18,10 +18,12 @@
 //     connected components of the flow–link sharing graph (union–find
 //     over links). Each component is then water-filled by an event-driven
 //     kernel that processes links in saturation order (no per-level
-//     fabric re-scan). Components fill into component-owned slices, so
-//     the optional thread-pool mode is byte-identical to the serial fill
-//     for any pool size. See DESIGN.md §7 for the equivalence argument and
-//     §13 for the flat layout and the kernel's determinism contract.
+//     fabric re-scan), one component after another in ascending order.
+//     The fill stays split by component although it is serial: each
+//     component's event heap fixes the tie order of its link events, so
+//     the split is part of the result. See DESIGN.md §7 for the
+//     equivalence argument and §13 for the flat layout and the kernel's
+//     determinism contract.
 
 #include <cstdint>
 #include <span>
@@ -34,10 +36,6 @@
 
 namespace sheriff::obs {
 class MetricRegistry;
-}
-
-namespace sheriff::common {
-class ThreadPool;
 }
 
 namespace sheriff::net {
@@ -63,8 +61,7 @@ FairShareResult max_min_fair_share(const topo::Topology& topo, std::span<Flow> f
 /// Per-round max–min solver. Call solve() once per round with the flow
 /// table. Each call solves from the table and the liveness mask alone, so
 /// the allocation is a pure function of them — independent of earlier
-/// calls, of the thread-pool size, and of whether the solver was just
-/// restored from a checkpoint.
+/// calls and of whether the solver was just restored from a checkpoint.
 ///
 /// The allocation matches max_min_fair_share on the same inputs to
 /// floating-point noise (the differential test bounds it at 1e-9): a
@@ -100,13 +97,6 @@ class FairShareSolver {
   /// The topology must outlive the solver and must not change after it.
   explicit FairShareSolver(const topo::Topology& topo);
 
-  /// Attaches (or detaches, with nullptr) a worker pool: components then
-  /// water-fill in parallel. Results are byte-identical for any pool size
-  /// — each component writes only its own slice of the result arrays and
-  /// every summation order is canonical — so this is a pure throughput
-  /// knob, deliberately excluded from the checkpoint fingerprint.
-  void set_thread_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
-
   /// Computes the allocation for `flows` and writes each flow's
   /// allocated_gbps. The returned reference stays valid (and is updated in
   /// place) until the next solve().
@@ -123,8 +113,8 @@ class FairShareSolver {
 
   /// Logical bytes of the solver's arrays: sized from live element counts,
   /// not vector capacities, so after a solve the value is a pure function
-  /// of the flow table and the liveness mask (deterministic across pool
-  /// sizes and checkpoint resume).
+  /// of the flow table and the liveness mask (deterministic across a
+  /// checkpoint resume).
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
   /// Publishes the cumulative Stats plus the component / arena gauges as
@@ -176,7 +166,6 @@ class FairShareSolver {
   };
 
   const topo::Topology* topo_;
-  common::ThreadPool* pool_ = nullptr;
   FairShareResult result_;
   Stats stats_;
   Timings timings_;
@@ -208,8 +197,8 @@ class FairShareSolver {
   std::vector<std::size_t> comp_heap_base_;      ///< comp count + 1, into the heap arrays
   std::vector<std::uint32_t> cursor_;            ///< counting-sort placement scratch
 
-  // Water-fill scratch. Components are link- and flow-disjoint, so the
-  // parallel fill writes disjoint entries.
+  // Water-fill scratch. Components are link- and flow-disjoint, so each
+  // fill writes only its own entries.
   std::vector<std::uint8_t> frozen_;
   std::vector<double> heap_level_;  ///< event heap, one slice per component
   std::vector<topo::LinkId> heap_link_;

@@ -3,17 +3,10 @@
 #include <algorithm>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "snapshot/archive.hpp"
 
 namespace sheriff::net {
-
-namespace {
-/// Fan-out floor: below this many items the task-dispatch overhead beats
-/// the work itself and the sweep runs inline.
-constexpr std::size_t kParallelGrain = 256;
-}  // namespace
 
 SwitchQueues::SwitchQueues(const topo::Topology& topo, QcnConfig config)
     : topo_(&topo), config_(config) {
@@ -22,20 +15,17 @@ SwitchQueues::SwitchQueues(const topo::Topology& topo, QcnConfig config)
   congested_flag_.assign(topo.node_count(), 0);
 }
 
-void SwitchQueues::update(const FairShareResult& shares, std::span<Flow> flows, double dt,
-                          common::ThreadPool* pool) {
+void SwitchQueues::update(const FairShareResult& shares, std::span<Flow> flows, double dt) {
   SHERIFF_REQUIRE(shares.link_load_gbps.size() == topo_->link_count(),
                   "fair-share result does not match topology");
   prev_queue_ = queue_;
 
-  // Per-switch backlog integration: each index touches only queue_[node],
-  // so the sweep parallelizes without changing any result.
-  const auto integrate = [&](std::size_t id) {
-    const auto& node = topo_->node(static_cast<topo::NodeId>(id));
-    if (!topo::is_switch(node.kind)) return;
+  // Per-switch backlog integration.
+  for (const auto& node : topo_->nodes()) {
+    if (!topo::is_switch(node.kind)) continue;
     if (liveness_ != nullptr && !liveness_->node_up(node.id)) {
       queue_[node.id] = 0.0;
-      return;
+      continue;
     }
     // Excess = worst (offered − serviced) over incident links: demand the
     // switch was asked to carry but could not.
@@ -49,32 +39,18 @@ void SwitchQueues::update(const FairShareResult& shares, std::span<Flow> flows, 
       queue_[node.id] *= std::max(0.0, 1.0 - config_.drain_factor * dt);
       if (queue_[node.id] < 1e-9) queue_[node.id] = 0.0;
     }
-  };
-  if (pool != nullptr && topo_->node_count() >= kParallelGrain) {
-    common::parallel_for(*pool, topo_->node_count(), integrate);
-  } else {
-    for (std::size_t id = 0; id < topo_->node_count(); ++id) integrate(id);
   }
 
   decide_congested();
 
   // DSCP marking: flows transiting a congested switch get marked, others
-  // get cleared (the mark reflects the current state, not history). Each
-  // index writes only its own flow's mark.
-  if (congested_.empty()) {
-    for (Flow& f : flows) f.dscp = DscpMark::kNone;
-    return;
-  }
-  const auto mark = [&](std::size_t i) {
-    Flow& f = flows[i];
-    const bool marked =
-        std::ranges::any_of(f.interior(), [&](topo::NodeId sw) { return congested(sw); });
+  // get cleared (the mark reflects the current state, not history).
+  const bool any_congested = !congested_.empty();
+  for (Flow& f : flows) {
+    const bool marked = any_congested && std::ranges::any_of(f.interior(), [&](topo::NodeId sw) {
+                          return congested(sw);
+                        });
     f.dscp = marked ? DscpMark::kCongested : DscpMark::kNone;
-  };
-  if (pool != nullptr && flows.size() >= kParallelGrain) {
-    common::parallel_for(*pool, flows.size(), mark);
-  } else {
-    for (std::size_t i = 0; i < flows.size(); ++i) mark(i);
   }
 }
 

@@ -18,10 +18,6 @@
 #include "topology/liveness.hpp"
 #include "topology/topology.hpp"
 
-namespace sheriff::common {
-class ThreadPool;
-}
-
 namespace sheriff::net {
 
 struct QcnConfig {
@@ -42,12 +38,8 @@ class SwitchQueues {
 
   /// Advances the backlog of every switch by `dt` given the current
   /// allocation, decides the congested set, and applies DSCP marks to
-  /// flows through congested switches. With a pool, the per-switch
-  /// integration and per-flow marking sweeps fan out over it — every index
-  /// writes only its own slot, so the result is bit-identical to the
-  /// serial sweep.
-  void update(const FairShareResult& shares, std::span<Flow> flows, double dt = 1.0,
-              common::ThreadPool* pool = nullptr);
+  /// flows through congested switches.
+  void update(const FairShareResult& shares, std::span<Flow> flows, double dt = 1.0);
 
   [[nodiscard]] double queue_length(topo::NodeId sw) const;
   /// QCN feedback Fb = −(q − q_eq + w·(q − q_prev)); negative = congested.

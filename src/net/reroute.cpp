@@ -24,8 +24,8 @@ RerouteReport FlowRerouter::reroute_around(std::span<Flow> flows, topo::NodeId h
   // Elephants first: rerouting the biggest flows sheds the most load.
   // Ties break on flow index — equal-demand flows under std::sort alone
   // land in an unspecified order, and the engine's byte-identity guarantee
-  // (same results for any manage_shards count, any platform) needs every
-  // reroute decision to be a pure function of the flow set.
+  // (same results on any platform) needs every reroute decision to be a
+  // pure function of the flow set.
   std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
     if (flows[a].demand_gbps != flows[b].demand_gbps) {
       return flows[a].demand_gbps > flows[b].demand_gbps;

@@ -180,15 +180,15 @@ void InvariantAuditor::check_moves(const RoundInputs& in) {
   }
 }
 
-// Check 8: the round's committed moves form a valid serial commit of the
-// sharded manage sweep. Whatever interleaving produced the proposals, the
-// commit must have (a) kept VM claims exclusive — a VM moved twice in one
-// round means two shims' claims were both applied, (b) left each moved VM
-// on its move's destination, and (c) respected destination headroom — the
-// incoming capacity of a host cannot exceed what the host can hold even if
-// it started the round empty. (c) is deliberately independent of the
-// deployment's own used-capacity bookkeeping (check 3), so a broker that
-// over-admits while keeping its books "consistent" still trips it.
+// Check 8: the round's committed moves form a valid ordered commit of the
+// propose/commit manage sweep. The commit must have (a) kept VM claims
+// exclusive — a VM moved twice in one round means two shims' claims were
+// both applied, (b) left each moved VM on its move's destination, and
+// (c) respected destination headroom — the incoming capacity of a host
+// cannot exceed what the host can hold even if it started the round
+// empty. (c) is deliberately independent of the deployment's own
+// used-capacity bookkeeping (check 3), so a broker that over-admits while
+// keeping its books "consistent" still trips it.
 void InvariantAuditor::check_shard_commit(const RoundInputs& in) {
   if (in.moves.empty()) return;
   const wl::Deployment& d = *in.deployment;

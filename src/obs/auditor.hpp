@@ -31,11 +31,11 @@
 //                             compare rates at 1e-6
 //   8 shard-commit exclusivity/headroom — the round's committed moves are
 //                             a valid serial commit: no VM moves twice in
-//                             one round (cross-shard claims must have been
-//                             resolved), each moved VM ends up on its
-//                             move's destination, and no destination host
-//                             receives more incoming capacity than it can
-//                             hold outright
+//                             one round (claims of different shims must
+//                             have been resolved), each moved VM ends up
+//                             on its move's destination, and no
+//                             destination host receives more incoming
+//                             capacity than it can hold outright
 
 #include <cstdint>
 #include <span>

@@ -7,8 +7,8 @@
 //
 // Lookup returns stable references (metrics live in deques), so hot call
 // sites resolve a metric once and keep the pointer. Counters are relaxed
-// atomics — parallel sweep bodies may bump them — while gauges and
-// histograms are written from serial round-boundary code only.
+// atomics, safe to bump from any thread, while gauges and histograms are
+// written from serial round-boundary code only.
 //
 // Header-only on purpose: sheriff_net and sheriff_fault publish into the
 // registry without linking the sheriff_obs library (which sits *above*
@@ -26,7 +26,7 @@
 
 namespace sheriff::obs {
 
-/// Monotonically increasing count; safe to add() from parallel code.
+/// Monotonically increasing count; safe to add() from any thread.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }

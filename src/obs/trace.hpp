@@ -6,16 +6,11 @@
 // becomes one TraceRecord stamped with the round, the owning shim, and a
 // globally monotonic sequence number.
 //
-// Concurrency model ("lock-free-ish"): each shim id owns one ring, and by
-// construction at most one thread works on a shim at a time (the engine's
-// parallel sweeps hand each rack to exactly one task; everything else is
-// serial). The only shared state is the sequence counter, a relaxed
-// atomic — so concurrent emits from different shims never contend on a
-// lock, and a merged snapshot can still be ordered totally by `seq`.
-// A parallel sweep that must trace deterministically brackets itself with
-// begin_deferred()/end_deferred(): records emitted in between are parked
-// unstamped and stamped at the end in ring order, so their `seq` does not
-// depend on thread scheduling.
+// Each shim id owns one ring, and the engine emits from one thread, so
+// `seq` follows the round's phase order and a merged snapshot is ordered
+// totally by it. The counter is a relaxed atomic: emits into different
+// shims' rings from different threads stay safe without a lock, though
+// their relative `seq` order then follows the schedule.
 //
 // Rings are bounded: when a shim's ring is full the oldest record is
 // overwritten and `dropped()` counts it. Tracing therefore has a hard
@@ -85,31 +80,8 @@ class EventTrace {
     record.a = a;
     record.b = b;
     record.value = value;
-    if (deferred_) {
-      ring.pending.push_back(record);
-      return;
-    }
     record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     append(ring, record);
-  }
-
-  /// Opens a deferred section: until end_deferred(), emit() parks records
-  /// in their ring unstamped. Call from serial code, before the sweep.
-  void begin_deferred() noexcept { deferred_ = true; }
-
-  /// Closes the deferred section: stamps the parked records ring by ring
-  /// (shim 0 first, the engine ring last, each in emission order) and
-  /// appends them. That is the order a serial sweep over the shims in id
-  /// order emits them in. Call from serial code, after the sweep joined.
-  void end_deferred() {
-    deferred_ = false;
-    for (Ring& ring : rings_) {
-      for (TraceRecord& record : ring.pending) {
-        record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-        append(ring, record);
-      }
-      ring.pending.clear();
-    }
   }
 
   [[nodiscard]] std::size_t capacity_per_shim() const noexcept { return capacity_; }
@@ -141,7 +113,6 @@ class EventTrace {
   void clear() {
     for (Ring& r : rings_) {
       r.slots.clear();
-      r.pending.clear();
       r.head = 0;
       r.emitted = 0;
       r.dropped = 0;
@@ -184,9 +155,8 @@ class EventTrace {
 
  private:
   struct Ring {
-    std::vector<TraceRecord> slots;    ///< grows to capacity_, then wraps at head
-    std::vector<TraceRecord> pending;  ///< parked by a deferred section
-    std::size_t head = 0;              ///< next overwrite position once full
+    std::vector<TraceRecord> slots;  ///< grows to capacity_, then wraps at head
+    std::size_t head = 0;            ///< next overwrite position once full
     std::uint64_t emitted = 0;
     std::uint64_t dropped = 0;
   };
@@ -206,7 +176,6 @@ class EventTrace {
   std::vector<Ring> rings_;  ///< one per shim + one engine ring (last)
   std::atomic<std::uint64_t> seq_{0};
   std::uint32_t round_ = 0;
-  bool deferred_ = false;
 };
 
 }  // namespace sheriff::obs

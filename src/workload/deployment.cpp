@@ -5,7 +5,6 @@
 
 #include "common/require.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "snapshot/archive.hpp"
 
 namespace sheriff::wl {
@@ -201,23 +200,6 @@ void Deployment::advance() {
       vms_[i].profile.values[f] = dynamics_[i].feature_sources[f]->next();
     }
   }
-}
-
-void Deployment::advance(common::ThreadPool* pool) {
-  // Each VM's feature generators own independent counter-seeded RNG
-  // streams, so iteration i touches only vms_[i]/dynamics_[i]: the sweep
-  // parallelizes with bit-identical results at any pool size. Tiny fleets
-  // stay serial — task dispatch would cost more than the tick.
-  constexpr std::size_t kParallelThreshold = 512;
-  if (pool == nullptr || vms_.size() < kParallelThreshold) {
-    advance();
-    return;
-  }
-  common::parallel_for(*pool, vms_.size(), [this](std::size_t i) {
-    for (std::size_t f = 0; f < kFeatureCount; ++f) {
-      vms_[i].profile.values[f] = dynamics_[i].feature_sources[f]->next();
-    }
-  });
 }
 
 void Deployment::save_state(snapshot::Writer& writer) const {

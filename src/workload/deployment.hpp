@@ -17,10 +17,6 @@
 #include "workload/trace_generator.hpp"
 #include "workload/vm.hpp"
 
-namespace sheriff::common {
-class ThreadPool;
-}  // namespace sheriff::common
-
 namespace sheriff::wl {
 
 enum class PlacementPolicy : std::uint8_t {
@@ -83,12 +79,6 @@ class Deployment {
 
   /// Advances every VM's workload profile by one sample tick.
   void advance();
-
-  /// Same, sweeping the VMs across `pool` (serial when null). Each VM owns
-  /// its feature generators and their counter-seeded RNG streams, so the
-  /// per-VM writes are disjoint and the result is bit-identical to the
-  /// serial sweep at any pool size.
-  void advance(common::ThreadPool* pool);
 
   /// Capacity-weighted load on a host as a percentage of its capacity.
   [[nodiscard]] double host_load_percent(topo::NodeId host) const;

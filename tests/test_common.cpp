@@ -290,7 +290,7 @@ TEST(ThreadPool, NestedParallelForOnOwnPoolRunsInline) {
 }
 
 TEST(ThreadPool, ReentrancyGuardDistinguishesPools) {
-  // Two-level mode: a worker of the outer pool fanning out on a *different*
+  // Nested pools: a worker of the outer pool fanning out on a *different*
   // inner pool must really use the inner pool's workers, not inline.
   sc::ThreadPool outer(1);
   sc::ThreadPool inner(2);

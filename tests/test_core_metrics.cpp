@@ -39,7 +39,6 @@ wl::DeploymentOptions deployment_options(std::uint64_t seed = 42) {
 
 TEST(Metrics, TableAndCsvRoundTrip) {
   core::EngineConfig config;
-  config.parallel_collect = false;
   core::DistributedEngine engine(test_topology(), deployment_options(), config);
   const auto rounds = engine.run(4);
 
@@ -57,7 +56,6 @@ TEST(Metrics, TableAndCsvRoundTrip) {
 
 TEST(Metrics, SummaryAggregates) {
   core::EngineConfig config;
-  config.parallel_collect = false;
   core::DistributedEngine engine(test_topology(), deployment_options(7), config);
   const auto rounds = engine.run(6);
   const auto summary = core::summarize(rounds);
@@ -133,7 +131,6 @@ TEST(ShimObservation, HotSwitchListBecomesAlerts) {
 TEST(EngineQcn, RateControlReducesCongestedRounds) {
   const auto run = [&](bool qcn) {
     core::EngineConfig config;
-    config.parallel_collect = false;
     config.qcn_rate_control = qcn;
     config.flow_demand_scale_gbps = 1.2;  // slam the fabric
     auto deploy = deployment_options(9);

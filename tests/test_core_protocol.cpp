@@ -1,14 +1,13 @@
 // Message-passing migration protocol tests: contention at one destination
-// is resolved FCFS, same-round dependency races are caught at commit,
-// results are identical with and without the thread pool, and the engine's
-// two protocol modes both preserve the global invariants.
+// is resolved FCFS, same-round dependency races are caught at commit, lost
+// messages back off and retry, and the engine's two protocol modes both
+// preserve the global invariants.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/protocol.hpp"
 #include "fault/lossy_channel.hpp"
@@ -19,7 +18,6 @@ namespace core = sheriff::core;
 namespace mig = sheriff::mig;
 namespace wl = sheriff::wl;
 namespace topo = sheriff::topo;
-namespace sc = sheriff::common;
 
 namespace {
 
@@ -154,35 +152,6 @@ TEST(Protocol, DependencyRaceCountsAsConflict) {
   EXPECT_NE(d.vm(a).host, d.vm(b).host);  // conflict rule intact
 }
 
-TEST(Protocol, DeterministicWithAndWithoutThreadPool) {
-  sc::ThreadPool pool(4);
-  auto run = [&](sc::ThreadPool* p) {
-    auto d = make_deployment(84);
-    mig::MigrationCostModel model(test_topology(), d);
-    core::DistributedMigrationProtocol protocol(d, model, core::SheriffConfig{}, p);
-    std::vector<core::MigrationDemand> demands;
-    for (topo::RackId r = 0; r < 4; ++r) {
-      const auto& hosts = test_topology().rack(r).hosts;
-      std::vector<wl::VmId> vms;
-      for (topo::NodeId h : hosts) {
-        for (wl::VmId id : d.vms_on_host(h)) vms.push_back(id);
-      }
-      vms.resize(std::min<std::size_t>(vms.size(), 3));
-      demands.push_back(
-          demand_for(d, r, std::move(vms), test_topology().rack(r + 4).hosts));
-    }
-    return protocol.run(std::move(demands));
-  };
-  const auto serial = run(nullptr);
-  const auto parallel = run(&pool);
-  ASSERT_EQ(serial.plan.moves.size(), parallel.plan.moves.size());
-  EXPECT_DOUBLE_EQ(serial.plan.total_cost, parallel.plan.total_cost);
-  for (std::size_t i = 0; i < serial.plan.moves.size(); ++i) {
-    EXPECT_EQ(serial.plan.moves[i].vm, parallel.plan.moves[i].vm);
-    EXPECT_EQ(serial.plan.moves[i].to, parallel.plan.moves[i].to);
-  }
-}
-
 TEST(Protocol, EmptyDemandsAreNoOp) {
   auto d = make_deployment(85);
   mig::MigrationCostModel model(test_topology(), d);
@@ -204,7 +173,7 @@ TEST(Protocol, LossBackoffIsCappedAtThreeIterations) {
   sheriff::fault::LossyChannel channel(1.0, 87);
   core::SheriffConfig config;
   config.max_matching_rounds = 1;
-  core::DistributedMigrationProtocol protocol(d, model, config, nullptr, &channel,
+  core::DistributedMigrationProtocol protocol(d, model, config, &channel,
                                               /*loss_retry_budget=*/29);
 
   const topo::NodeId home = d.vm(0).host;
@@ -266,7 +235,7 @@ TEST(Protocol, DropAllChannelTerminatesWithoutSideEffects) {
   sheriff::fault::LossyChannel channel(1.0, 89);
   core::SheriffConfig config;
   config.max_matching_rounds = 4;
-  core::DistributedMigrationProtocol protocol(d, model, config, nullptr, &channel,
+  core::DistributedMigrationProtocol protocol(d, model, config, &channel,
                                               /*loss_retry_budget=*/8);
   std::vector<core::MigrationDemand> demands;
   std::size_t demanded = 0;
@@ -303,7 +272,7 @@ TEST(Protocol, HeavyLossStillConvergesWithinBudgetAndInvariants) {
   sheriff::fault::LossyChannel channel(0.6, 90);
   core::SheriffConfig config;
   config.max_matching_rounds = 4;
-  core::DistributedMigrationProtocol protocol(d, model, config, nullptr, &channel,
+  core::DistributedMigrationProtocol protocol(d, model, config, &channel,
                                               /*loss_retry_budget=*/16);
   std::vector<core::MigrationDemand> demands;
   for (topo::RackId r = 0; r < 4; ++r) {
@@ -336,7 +305,6 @@ TEST(Protocol, EngineModesBothPreserveInvariants) {
   for (const auto protocol_kind :
        {core::MigrationProtocol::kMessagePassing, core::MigrationProtocol::kSerializedFcfs}) {
     core::EngineConfig config;
-    config.parallel_collect = false;
     config.protocol = protocol_kind;
     wl::DeploymentOptions deploy;
     deploy.seed = 86;

@@ -4,7 +4,7 @@
 // (bound <= exact cost, always), and bound-guarded pruning must never
 // change a selection — locked by a 50-seed pruned-vs-exhaustive
 // differential on both reference fabrics plus engine-level CSV/checkpoint
-// byte parity across pool sizes, pristine and faulted.
+// byte parity across the unread EngineConfig::pool, pristine and faulted.
 
 #include <gtest/gtest.h>
 
@@ -295,9 +295,9 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
   return {metrics_csv(metrics), core::Checkpoint::serialize(engine)};
 }
 
-/// The decision kernel (surface, pruned matching, parallel advance and
-/// propose) at pool sizes 1/2/8 against a pool of 1: metrics CSV and
-/// checkpoint bytes must match byte for byte.
+/// The decision kernel (surface, pruned matching) with pools of size 1/2/8
+/// attached against a pool of 1: the engine never reads EngineConfig::pool,
+/// so metrics CSV and checkpoint bytes must match byte for byte.
 void expect_decision_kernel_invariance(const topo::Topology& topology, bool faulted) {
   const std::size_t rounds = 60;
   fault::FaultPlan plan =

@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "graph/dijkstra.hpp"
@@ -30,7 +29,6 @@
 
 namespace core = sheriff::core;
 namespace graph = sheriff::graph;
-namespace sc = sheriff::common;
 namespace topo = sheriff::topo;
 namespace wl = sheriff::wl;
 
@@ -112,10 +110,8 @@ void expect_rows_match_oracle(const topo::Topology& t) {
 /// Metrics CSV and final checkpoint bytes of one engine run.
 std::pair<std::string, std::vector<std::uint8_t>> run_bytes(const topo::Topology& t,
                                                            core::ManagerMode mode) {
-  sc::ThreadPool pool(1);
   core::EngineConfig config;
   config.mode = mode;
-  config.pool = &pool;
   core::DistributedEngine engine(t, deployment(), config);
   const auto rounds = engine.run(12);
   std::ostringstream csv;
@@ -136,9 +132,7 @@ TEST(DistanceRows, ThreeTierRowsMatchDijkstra) { expect_rows_match_oracle(three_
 TEST(DistanceRows, EnginesOnOneTopologyShareRowObjects) {
   const topo::Topology t = fat_tree(4);
   EXPECT_EQ(t.distance_rows().built_rows(), 0u);
-  sc::ThreadPool pool(1);
   core::EngineConfig config;
-  config.pool = &pool;
   const core::DistributedEngine first(t, deployment(), config);
   // The first engine built every ToR row at construction.
   EXPECT_EQ(t.distance_rows().built_rows(), t.rack_count());
@@ -204,9 +198,7 @@ TEST(DistanceRows, ConcurrentEnginesPublishOneRowPerRoot) {
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      sc::ThreadPool pool(1);
       core::EngineConfig config;
-      config.pool = &pool;
       config.mode = i % 2 == 0 ? core::ManagerMode::kSheriff : core::ManagerMode::kKMedian;
       start.arrive_and_wait();
       const core::DistributedEngine engine(t, deployment(), config);

@@ -146,7 +146,6 @@ TEST(FailureModes, CostModelRejectsNonHostDestination) {
 
 TEST(FailureModes, EngineSurvivesExtremeDemand) {
   core::EngineConfig config;
-  config.parallel_collect = false;
   config.flow_demand_scale_gbps = 50.0;  // absurd oversubscription
   wl::DeploymentOptions options;
   options.seed = 53;
@@ -167,7 +166,6 @@ TEST(FailureModes, EngineSurvivesExtremeDemand) {
 
 TEST(FailureModes, EngineWithNoDependenciesHasNoFlows) {
   core::EngineConfig config;
-  config.parallel_collect = false;
   wl::DeploymentOptions options;
   options.seed = 54;
   options.dependency_degree = 0.0;

@@ -1,9 +1,8 @@
 // Lockdown for the flat water-filling kernel (DESIGN.md §13): component
 // decomposition under partial churn, the pinned link-event tie order,
-// pool-size invariance of the parallel component fill (solver-level
-// bitwise equality AND engine-level metrics-CSV + checkpoint-byte
-// equality), and the fair_share.components / fair_share.arena_bytes
-// gauges.
+// engine-level metrics-CSV + checkpoint-byte equality across the unread
+// EngineConfig::pool, and the fair_share.components /
+// fair_share.arena_bytes gauges.
 
 #include <gtest/gtest.h>
 
@@ -206,50 +205,6 @@ TEST(FairShareKernel, LinkEventTieOrderIsPinned) {
   }
 }
 
-// --- pool-size invariance ----------------------------------------------------
-
-// The parallel component fill must be BITWISE identical to the serial fill
-// for any pool size. 320 intra-rack flows (8 components × 40) push every
-// solve past the parallel-fill threshold, so pools 2/8 genuinely exercise
-// the parallel_for path.
-TEST(FairShareKernel, SolverResultsAreBitwiseInvariantAcrossPoolSizes) {
-  const auto t = small_fat_tree();
-  net::Router router(t);
-
-  // One churn trace, replayed identically per pool size: per-step demand
-  // scale factors touching a different subset of components each step.
-  const std::size_t steps = 6;
-  std::vector<std::vector<double>> trace_rates;
-  std::vector<std::vector<double>> trace_loads;
-  for (const std::size_t workers : {0u, 1u, 2u, 8u}) {
-    sc::ThreadPool pool(workers == 0 ? 1 : workers);
-    auto flows = intra_rack_flows(t, router, 40);
-    net::FairShareSolver solver(t);
-    if (workers != 0) solver.set_thread_pool(&pool);
-
-    std::vector<std::vector<double>> rates;
-    std::vector<std::vector<double>> loads;
-    for (std::size_t step = 0; step < steps; ++step) {
-      for (std::size_t f = step; f < flows.size(); f += 3) {
-        flows[f].demand_gbps *= 1.0 + 0.05 * static_cast<double>(step + 1);
-      }
-      const auto& result = solver.solve(flows);
-      rates.push_back(result.flow_rate);
-      loads.push_back(result.link_load_gbps);
-    }
-    EXPECT_GT(solver.component_count(), 1u);
-    if (workers == 0) {
-      trace_rates = std::move(rates);
-      trace_loads = std::move(loads);
-    } else {
-      // operator== on vector<double> is bitwise for identical values: any
-      // reordering of FP sums across threads fails here.
-      EXPECT_EQ(rates, trace_rates) << "rates diverged at pool size " << workers;
-      EXPECT_EQ(loads, trace_loads) << "loads diverged at pool size " << workers;
-    }
-  }
-}
-
 // --- engine-level determinism ------------------------------------------------
 
 namespace {
@@ -286,9 +241,9 @@ std::string metrics_csv(const std::vector<core::RoundMetrics>& rounds) {
   return os.str();
 }
 
-/// Runs R rounds at pool sizes 1/2/8 (the engine always hands the solver
-/// its pool) and requires the metrics CSV and every checkpoint byte to be
-/// identical.
+/// Runs R rounds at pool sizes 1/2/8 and requires the metrics CSV and every
+/// checkpoint byte to be identical: the engine never reads
+/// EngineConfig::pool, which perfbench's --pool relies on.
 void expect_pool_size_invariance(const topo::Topology& topology, bool faulted) {
   const std::size_t rounds_n = 120;
   fault::FaultPlan plan = faulted ? kernel_fault_plan(topology, rounds_n) : fault::FaultPlan{};
@@ -351,14 +306,10 @@ TEST(FairShareKernel, PublishesComponentAndArenaGauges) {
   EXPECT_GT(solver.arena_bytes(), 0u);
 }
 
-// The engine's phase profile splits the fair-share time into build + fill
-// once the incremental solver is on.
+// The engine's phase profile splits the fair-share time into build + fill.
 TEST(FairShareKernel, PhaseProfileSplitsBuildAndFill) {
   const auto topology = small_fat_tree();
-  sc::ThreadPool pool(2);
-  core::EngineConfig config;
-  config.pool = &pool;
-  core::DistributedEngine engine(topology, kernel_deployment(), config);
+  core::DistributedEngine engine(topology, kernel_deployment(), core::EngineConfig{});
   for (std::size_t r = 0; r < 10; ++r) engine.run_round();
   const core::PhaseProfile& profile = engine.phase_profile();
   EXPECT_GT(profile.fair_share_build_ns + profile.fair_share_fill_ns, 0u);

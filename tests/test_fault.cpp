@@ -41,12 +41,6 @@ wl::DeploymentOptions deployment_options(std::uint64_t seed = 42) {
   return options;
 }
 
-core::EngineConfig engine_config() {
-  core::EngineConfig config;
-  config.parallel_collect = false;  // keep unit tests single-threaded
-  return config;
-}
-
 std::string csv_of(std::span<const core::RoundMetrics> rounds) {
   std::ostringstream os;
   core::write_metrics_csv(os, rounds);
@@ -248,9 +242,9 @@ TEST(RouterLiveness, FatTreeMultipathSurvivesAggAndCoreLoss) {
 
 TEST(EngineFault, EmptyPlanMatchesNoPlanByteForByte) {
   const fault::FaultPlan empty_plan;
-  auto with_plan = engine_config();
+  core::EngineConfig with_plan;
   with_plan.fault_plan = &empty_plan;
-  core::DistributedEngine a(fat_tree(), deployment_options(5), engine_config());
+  core::DistributedEngine a(fat_tree(), deployment_options(5), core::EngineConfig{});
   core::DistributedEngine b(fat_tree(), deployment_options(5), with_plan);
   const auto ma = a.run(6);
   const auto mb = b.run(6);
@@ -265,7 +259,7 @@ TEST(EngineFault, ReplayIsByteIdentical) {
   plan.fail_host(fat_tree().rack(1).hosts[0], 3);
   plan.set_options(options);
 
-  auto config = engine_config();
+  core::EngineConfig config;
   config.fault_plan = &plan;
   core::DistributedEngine a(fat_tree(), deployment_options(5), config);
   core::DistributedEngine b(fat_tree(), deployment_options(5), config);
@@ -278,7 +272,7 @@ TEST(EngineFault, ReplayIsByteIdentical) {
 TEST(EngineFault, ShimCrashHandsRackToNeighbor) {
   fault::FaultPlan plan;
   plan.fail_shim(0, 1);
-  auto config = engine_config();
+  core::EngineConfig config;
   config.fault_plan = &plan;
   core::DistributedEngine engine(fat_tree(), deployment_options(5), config);
   EXPECT_EQ(engine.managing_rack(0), 0u);  // nothing failed yet
@@ -298,7 +292,7 @@ TEST(EngineFault, LossyProtocolStillConvergesAtThirtyPercent) {
   options.max_protocol_retries = 16;
   plan.set_options(options);
 
-  auto config = engine_config();
+  core::EngineConfig config;
   config.fault_plan = &plan;
   core::DistributedEngine engine(fat_tree(), deployment_options(3), config);
   const auto metrics = engine.run(10);
@@ -349,7 +343,7 @@ void expect_orphans_replaced(core::ManagerMode mode) {
 
   fault::FaultPlan plan;
   plan.fail_host(victim, 2);
-  auto config = engine_config();
+  core::EngineConfig config;
   config.mode = mode;
   config.fault_plan = &plan;
   core::DistributedEngine engine(t, dopt, config);
@@ -378,7 +372,7 @@ TEST(EngineFault, TorOutageOrphansWholeRackAndRecovers) {
   auto dopt = deployment_options(42);
   dopt.vms_per_host = 2.0;  // headroom so the whole rack can evacuate
   const auto plan = fault::FaultPlan::tor_outage(t, 0, 2, 12);
-  auto config = engine_config();
+  core::EngineConfig config;
   config.fault_plan = &plan;
   core::DistributedEngine engine(t, dopt, config);
   const auto outage_rounds = engine.run(10);
@@ -402,12 +396,11 @@ TEST(EngineFault, TorOutageOrphansWholeRackAndRecovers) {
 }
 
 // --- Thread-pool determinism ------------------------------------------------
-// The parallel sweeps (predictor observe, shim collect, switch queues,
-// protocol propose) write only per-index slots and draw from per-VM RNG
-// streams, so the pool size must never show in the output. 60 rounds on a
-// fabric big enough to cross every fan-out threshold (324 VMs > 256, 18
-// racks > 8), byte-compared across pool sizes 1, 2, and 8, with and
-// without a fault schedule.
+// The engine never reads EngineConfig::pool — every round runs on the
+// calling thread — and perfbench's --pool relies on that, so the pool size
+// must never show in the output. 60 rounds on a 324-VM, 18-rack fabric,
+// byte-compared across pool sizes 1, 2, and 8, with and without a fault
+// schedule.
 
 namespace {
 
@@ -424,7 +417,6 @@ const topo::Topology& parallel_fat_tree() {
 std::string run_with_pool(std::size_t pool_threads, const fault::FaultPlan* plan) {
   sheriff::common::ThreadPool pool(pool_threads);
   core::EngineConfig config;
-  config.parallel_collect = true;
   config.pool = &pool;
   config.fault_plan = plan;
   core::DistributedEngine engine(parallel_fat_tree(), deployment_options(9), config);

@@ -1,11 +1,10 @@
 // Fleet runner (DESIGN.md §12): the headline guarantee — a sweep's per-run
 // outputs (metrics CSV bytes, checkpoint bytes, registry capture) are
-// byte-identical for ANY worker count and either pool-ownership policy,
-// and identical to direct serially-constructed engines on cold copies of
-// the fabric that build their own distance rows — plus the crash/resume
-// contract (a killed sweep resumed from
-// its manifest reproduces the uninterrupted sweep's JSONL byte for byte)
-// and the cross-run quantile aggregation pinned against brute force.
+// byte-identical for ANY worker count, and identical to direct engines on
+// cold copies of the fabric that build their own distance rows — plus the
+// crash/resume contract (a killed sweep resumed from its manifest
+// reproduces the uninterrupted sweep's JSONL byte for byte) and the
+// cross-run quantile aggregation pinned against brute force.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "fault/fault_plan.hpp"
@@ -35,7 +33,6 @@ namespace wl = sheriff::wl;
 namespace topo = sheriff::topo;
 namespace fault = sheriff::fault;
 namespace snap = sheriff::snapshot;
-namespace sc = sheriff::common;
 
 namespace {
 
@@ -116,9 +113,9 @@ double brute_quantile(std::vector<double> xs, double q) {
 
 }  // namespace
 
-// --- worker-count / policy invariance and direct-engine parity ---------------
+// --- worker-count invariance and direct-engine parity -----------------------
 
-TEST(Fleet, WorkerCountAndPolicyInvarianceMatchesDirectEngines) {
+TEST(Fleet, WorkerCountInvarianceMatchesDirectEngines) {
   const topo::Topology topology = fleet_fat_tree();
   const fault::FaultPlan plan = fleet_fault_plan(topology, kGridRounds);
   const fleet::SweepGrid grid = make_grid(topology, &plan);
@@ -127,7 +124,7 @@ TEST(Fleet, WorkerCountAndPolicyInvarianceMatchesDirectEngines) {
   fleet::FleetOptions base;
   base.keep_metrics_csv = true;
 
-  // Reference: one worker, fleet-owned pool.
+  // Reference: one worker.
   base.workers = 1;
   const fleet::FleetReport reference = fleet::run_sweep(grid, base);
   ASSERT_EQ(reference.runs.size(), 32u);
@@ -147,30 +144,17 @@ TEST(Fleet, WorkerCountAndPolicyInvarianceMatchesDirectEngines) {
   ASSERT_GT(alerts, 0u);
   ASSERT_GT(actions, 0u);
 
-  // Worker counts 2 and 8, plus the two-level pool policy: every per-run
-  // byte must match the reference.
-  std::vector<fleet::FleetOptions> variants;
+  // Worker counts 2 and 8: every per-run byte must match the reference.
   for (const std::size_t workers : {2u, 8u}) {
     fleet::FleetOptions v = base;
     v.workers = workers;
-    variants.push_back(v);
-  }
-  {
-    fleet::FleetOptions two_level = base;
-    two_level.workers = 2;
-    two_level.pool_policy = fleet::PoolPolicy::kTwoLevel;
-    two_level.engine_threads = 2;
-    variants.push_back(two_level);
-  }
-  for (const fleet::FleetOptions& v : variants) {
     const fleet::FleetReport report = fleet::run_sweep(grid, v);
     ASSERT_EQ(report.executed, 32u);
     for (std::size_t id = 0; id < 32; ++id) {
       const fleet::RunRecord& got = report.runs[id];
       const fleet::RunRecord& want = reference.runs[id];
       EXPECT_EQ(got.metrics_csv, want.metrics_csv)
-          << "metrics CSV diverged: run " << id << " workers=" << v.workers
-          << " two_level=" << (v.pool_policy == fleet::PoolPolicy::kTwoLevel);
+          << "metrics CSV diverged: run " << id << " workers=" << v.workers;
       EXPECT_EQ(got.metrics_crc, want.metrics_crc) << "run " << id;
       EXPECT_EQ(got.checkpoint_crc, want.checkpoint_crc)
           << "checkpoint bytes diverged: run " << id << " workers=" << v.workers;
@@ -183,12 +167,11 @@ TEST(Fleet, WorkerCountAndPolicyInvarianceMatchesDirectEngines) {
   // Every fleet run read the fabric's one row set.
   EXPECT_GE(topology.distance_rows().built_rows(), topology.rack_count());
 
-  // Direct-engine parity: each grid cell run standalone — its own pool, on
-  // its own cold copy of the fabric, so it builds its own distance rows
+  // Direct-engine parity: each grid cell run standalone — on its own cold
+  // copy of the fabric, so it builds its own distance rows
   // instead of reading the ones every fleet run shared — reproduces the
   // fleet run byte for byte. This is what makes the shared rows an
   // optimization rather than a semantics change.
-  sc::ThreadPool pool(2);
   for (std::size_t id = 0; id < grid.run_count(); ++id) {
     const topo::Topology cold = topology;
     ASSERT_EQ(cold.distance_rows().built_rows(), 0u);
@@ -198,7 +181,6 @@ TEST(Fleet, WorkerCountAndPolicyInvarianceMatchesDirectEngines) {
     core::EngineConfig config = spec.config;
     config.fault_plan = spec.fault_plan;
     config.observe = true;
-    config.pool = &pool;
     core::DistributedEngine engine(cold, deploy, config);
     const std::vector<core::RoundMetrics> rounds = engine.run(spec.rounds);
     std::ostringstream csv;

@@ -387,8 +387,8 @@ TEST(HopLevelRepair, MatchesMaskedDijkstraOnEveryFabric) {
   }
 }
 
-// One Router serves concurrent route() calls (the engine's parallel
-// sweeps share it). Eight threads send the same probes — unblocked, and
+// One Router serves concurrent route() calls (its caches are guarded for
+// concurrent callers). Eight threads send the same probes — unblocked, and
 // blocked at the source pod's aggregation switch (the largest repair on a
 // Fat-Tree), at a core, at both, and at the source's ToR (no path) —
 // through one fresh router in different orders, twice, so roots are built,

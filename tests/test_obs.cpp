@@ -112,45 +112,6 @@ TEST(EventTrace, ConcurrentEmittersOnDistinctShimsGetUniqueSeq) {
   }
 }
 
-TEST(EventTrace, DeferredSectionStampsInRingOrderWhateverTheSchedule) {
-  constexpr std::size_t kShims = 8;
-  constexpr std::size_t kPerShim = 200;
-  obs::EventTrace trace(kShims, kPerShim);
-  trace.emit(obs::EventTrace::kEngine, obs::EventType::kFaultInjected);  // seq 0
-  trace.begin_deferred();
-  std::vector<std::thread> threads;
-  threads.reserve(kShims);
-  // Launched in reverse so the last shim tends to emit first.
-  for (std::uint32_t s = kShims; s-- > 0;) {
-    threads.emplace_back([&trace, s] {
-      for (std::size_t i = 0; i < kPerShim; ++i) {
-        trace.emit(s, obs::EventType::kAlertRaised, s, 0, static_cast<double>(i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  trace.emit(obs::EventTrace::kEngine, obs::EventType::kShimTakeover);  // parked too
-  EXPECT_EQ(trace.snapshot().size(), 1u);  // nothing lands before the flush
-  trace.end_deferred();
-  const auto records = trace.snapshot();
-  ASSERT_EQ(records.size(), 2 + kShims * kPerShim);
-  EXPECT_EQ(records.front().type, obs::EventType::kFaultInjected);
-  // The serial sweep's order: shim 0's records, then shim 1's, ..., each in
-  // emission order, and the engine ring last.
-  for (std::size_t s = 0; s < kShims; ++s) {
-    for (std::size_t i = 0; i < kPerShim; ++i) {
-      const auto& r = records[1 + s * kPerShim + i];
-      EXPECT_EQ(r.seq, 1 + s * kPerShim + i);
-      EXPECT_EQ(r.shim, s);
-      EXPECT_EQ(r.value, static_cast<double>(i));
-    }
-  }
-  EXPECT_EQ(records.back().type, obs::EventType::kShimTakeover);
-  EXPECT_EQ(trace.next_seq(), 2 + kShims * kPerShim);
-  trace.emit(0, obs::EventType::kAlertRaised);  // stamped directly again
-  EXPECT_EQ(trace.snapshot().back().seq, 2 + kShims * kPerShim);
-}
-
 TEST(EventTrace, ToStringCoversAllTypesDistinctly) {
   std::vector<std::string> names;
   for (std::size_t i = 0; i < obs::kEventTypeCount; ++i) {

@@ -1,9 +1,8 @@
 // End-to-end invariant-auditor sweep (the lockdown for src/obs/): the
 // engine runs with the auditor on across pristine and faulted scenarios,
-// on Fat-Tree and BCube fabrics, sequentially and on a size-8 pool, and
-// every round must close with zero invariant violations. The second half
-// feeds the auditor deliberately corrupted round state and proves each
-// check actually fires.
+// on Fat-Tree and BCube fabrics, and every round must close with zero
+// invariant violations. The second half feeds the auditor deliberately
+// corrupted round state and proves each check actually fires.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +61,6 @@ wl::DeploymentOptions deployment_options(std::uint64_t seed = 42) {
 
 core::EngineConfig audited_config() {
   core::EngineConfig config;
-  config.parallel_collect = false;
   config.audit = true;  // implies observe
   return config;
 }
@@ -102,10 +100,11 @@ TEST(AuditorE2E, FatTreePristineSequential) {
   expect_clean_run(fat_tree(), audited_config(), kLongRun);
 }
 
+// The *Pool8 runs attach an 8-thread pool, which the engine never reads:
+// they are serial audited runs like the others.
 TEST(AuditorE2E, FatTreePristinePool8) {
   sc::ThreadPool pool(8);
   auto config = audited_config();
-  config.parallel_collect = true;
   config.pool = &pool;
   expect_clean_run(fat_tree(), config, kLongRun);
 }
@@ -122,7 +121,6 @@ TEST(AuditorE2E, FatTreeFaultedPool8) {
   const auto plan = faulted_plan(fat_tree());
   auto config = audited_config();
   config.fault_plan = &plan;
-  config.parallel_collect = true;
   config.pool = &pool;
   expect_clean_run(fat_tree(), config, kLongRun);
 }
@@ -147,7 +145,6 @@ TEST(AuditorE2E, BCubeFaultedPool8) {
   plan.set_options(options);
   auto config = audited_config();
   config.fault_plan = &plan;
-  config.parallel_collect = true;
   config.pool = &pool;
   expect_clean_run(t, config, kLongRun, 11);
 }
@@ -251,6 +248,43 @@ TEST(AuditorE2E, BadRerouteFractionIsRejected) {
   core::EngineConfig all;
   all.sheriff.reroute_fraction = 1.0;  // move every candidate
   EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), all));
+}
+
+TEST(AuditorE2E, ZeroMatchingRoundsAreRejected) {
+  // With no Alg. 3 round the message-passing protocol silently issued no
+  // migration request at all, while FCFS and the centralized manager threw
+  // only at their first demand; the engine refuses the value up front.
+  for (const auto protocol :
+       {core::MigrationProtocol::kMessagePassing, core::MigrationProtocol::kSerializedFcfs}) {
+    for (const auto mode : {core::ManagerMode::kSheriff, core::ManagerMode::kCentralized}) {
+      core::EngineConfig config;
+      config.protocol = protocol;
+      config.mode = mode;
+      config.sheriff.max_matching_rounds = 0;
+      EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), config),
+                   sc::RequirementError);
+    }
+  }
+  core::EngineConfig one;
+  one.sheriff.max_matching_rounds = 1;
+  EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), one));
+}
+
+TEST(AuditorE2E, ZeroPredictionHorizonIsRejected) {
+  // A zero horizon made Holt "predict" the current sample, so the
+  // pre-alert was silently off, and made the ensemble throw after its
+  // first fit; the engine refuses it for every predictor.
+  for (const auto predictor :
+       {core::PredictorKind::kHolt, core::PredictorKind::kEnsemble, core::PredictorKind::kNaive}) {
+    core::EngineConfig config;
+    config.predictor = predictor;
+    config.sheriff.prediction_horizon = 0;
+    EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), config),
+                 sc::RequirementError);
+  }
+  core::EngineConfig one;
+  one.sheriff.prediction_horizon = 1;
+  EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), one));
 }
 
 TEST(AuditorE2E, MetricsAndTraceAgreeWithRoundMetrics) {

@@ -2,7 +2,7 @@
 // corruption handling, RNG state round-trips, per-subsystem save/load, and
 // the headline guarantee — run N == run N/2, save, load into a fresh
 // engine, run N/2 — byte-identical metrics CSV, trace contents, and
-// placement, pristine and faulted, across thread-pool sizes.
+// placement, pristine and faulted.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "core/predictor.hpp"
@@ -301,19 +300,15 @@ namespace {
 
 struct ParityOptions {
   bool faulted = false;
-  std::size_t save_pool_threads = 1;
-  std::size_t resume_pool_threads = 8;
   std::size_t half_rounds = 20;
   core::PredictorKind predictor = core::PredictorKind::kHolt;
 };
 
-core::EngineConfig parity_config(const fault::FaultPlan* plan, sc::ThreadPool* pool,
-                                 core::PredictorKind predictor) {
+core::EngineConfig parity_config(const fault::FaultPlan* plan, core::PredictorKind predictor) {
   core::EngineConfig config;
   config.observe = true;
   config.predictor = predictor;
   config.fault_plan = plan;
-  config.pool = pool;
   return config;
 }
 
@@ -370,20 +365,17 @@ fault::FaultPlan parity_fault_plan(const topo::Topology& topology, std::size_t h
 }
 
 /// The headline guarantee: an uninterrupted 2H-round run vs H rounds →
-/// serialize → fresh engine (possibly different pool size) → deserialize
-/// → H more rounds. Metrics CSV, placement, and trace contents must match
+/// serialize → fresh engine → deserialize → H more rounds. Metrics CSV, placement, and trace contents must match
 /// byte for byte.
 void expect_resume_equivalence(const topo::Topology& topology,
                                const wl::DeploymentOptions& deploy, const ParityOptions& opt) {
   fault::FaultPlan plan =
       opt.faulted ? parity_fault_plan(topology, opt.half_rounds) : fault::FaultPlan{};
   const fault::FaultPlan* plan_ptr = opt.faulted ? &plan : nullptr;
-  sc::ThreadPool save_pool(opt.save_pool_threads);
-  sc::ThreadPool resume_pool(opt.resume_pool_threads);
+  const core::EngineConfig config = parity_config(plan_ptr, opt.predictor);
 
   // Uninterrupted reference.
-  core::DistributedEngine continuous(topology, deploy,
-                                     parity_config(plan_ptr, &save_pool, opt.predictor));
+  core::DistributedEngine continuous(topology, deploy, config);
   std::vector<core::RoundMetrics> continuous_tail;
   for (std::size_t r = 0; r < 2 * opt.half_rounds; ++r) {
     core::RoundMetrics m = continuous.run_round();
@@ -391,14 +383,12 @@ void expect_resume_equivalence(const topo::Topology& topology,
   }
 
   // Save at H...
-  core::DistributedEngine first_half(topology, deploy,
-                                     parity_config(plan_ptr, &save_pool, opt.predictor));
+  core::DistributedEngine first_half(topology, deploy, config);
   for (std::size_t r = 0; r < opt.half_rounds; ++r) (void)first_half.run_round();
   const std::vector<std::uint8_t> checkpoint = core::Checkpoint::serialize(first_half);
 
-  // ... load into a fresh engine (different pool size) and finish.
-  core::DistributedEngine resumed(topology, deploy,
-                                  parity_config(plan_ptr, &resume_pool, opt.predictor));
+  // ... load into a fresh engine and finish.
+  core::DistributedEngine resumed(topology, deploy, config);
   core::Checkpoint::deserialize(resumed, checkpoint);
   ASSERT_EQ(resumed.rounds_run(), opt.half_rounds);
   std::vector<core::RoundMetrics> resumed_tail;
@@ -436,32 +426,22 @@ wl::DeploymentOptions parity_deployment() {
 }  // namespace
 
 TEST(SnapshotEngine, FatTreePristineResumesByteIdentical) {
-  ParityOptions opt;
-  opt.save_pool_threads = 1;
-  opt.resume_pool_threads = 8;
-  expect_resume_equivalence(small_fat_tree(), parity_deployment(), opt);
+  expect_resume_equivalence(small_fat_tree(), parity_deployment(), {});
 }
 
 TEST(SnapshotEngine, FatTreeFaultedResumesByteIdentical) {
   ParityOptions opt;
   opt.faulted = true;
-  opt.save_pool_threads = 8;
-  opt.resume_pool_threads = 1;
   expect_resume_equivalence(small_fat_tree(), parity_deployment(), opt);
 }
 
 TEST(SnapshotEngine, BCubePristineResumesByteIdentical) {
-  ParityOptions opt;
-  opt.save_pool_threads = 8;
-  opt.resume_pool_threads = 1;
-  expect_resume_equivalence(small_bcube(), parity_deployment(), opt);
+  expect_resume_equivalence(small_bcube(), parity_deployment(), {});
 }
 
 TEST(SnapshotEngine, BCubeFaultedResumesByteIdentical) {
   ParityOptions opt;
   opt.faulted = true;
-  opt.save_pool_threads = 1;
-  opt.resume_pool_threads = 8;
   expect_resume_equivalence(small_bcube(), parity_deployment(), opt);
 }
 

@@ -1,7 +1,7 @@
 // Issue-scale resume differentials (slow suite): the Sec. VI-B evaluation
 // fabrics at full round counts — run 200 rounds vs 100 → save → load into
-// a fresh engine at a different pool size → 100 more. Byte-identical
-// metrics CSV and placement, pristine and under an active fault plan.
+// a fresh engine → 100 more. Byte-identical metrics CSV and placement,
+// pristine and under an active fault plan.
 // The tier-1 counterpart (test_snapshot.cpp) runs the same differential
 // on small fabrics.
 
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "fault/fault_plan.hpp"
@@ -23,7 +22,6 @@ namespace core = sheriff::core;
 namespace wl = sheriff::wl;
 namespace topo = sheriff::topo;
 namespace fault = sheriff::fault;
-namespace sc = sheriff::common;
 
 namespace {
 
@@ -67,28 +65,22 @@ void expect_resume_equivalence(const topo::Topology& topology, bool faulted) {
     plan.fail_shim(1, kHalfRounds - 5, kHalfRounds + 5);
   }
 
-  sc::ThreadPool pool1(1);
-  sc::ThreadPool pool8(8);
-  const auto config = [&](sc::ThreadPool* pool) {
-    core::EngineConfig c;
-    c.observe = true;
-    c.fault_plan = faulted ? &plan : nullptr;
-    c.pool = pool;
-    return c;
-  };
+  core::EngineConfig config;
+  config.observe = true;
+  config.fault_plan = faulted ? &plan : nullptr;
 
-  core::DistributedEngine continuous(topology, deploy, config(&pool1));
+  core::DistributedEngine continuous(topology, deploy, config);
   std::vector<core::RoundMetrics> continuous_tail;
   for (std::size_t r = 0; r < 2 * kHalfRounds; ++r) {
     core::RoundMetrics m = continuous.run_round();
     if (r >= kHalfRounds) continuous_tail.push_back(m);
   }
 
-  core::DistributedEngine first_half(topology, deploy, config(&pool1));
+  core::DistributedEngine first_half(topology, deploy, config);
   for (std::size_t r = 0; r < kHalfRounds; ++r) (void)first_half.run_round();
   const std::vector<std::uint8_t> checkpoint = core::Checkpoint::serialize(first_half);
 
-  core::DistributedEngine resumed(topology, deploy, config(&pool8));
+  core::DistributedEngine resumed(topology, deploy, config);
   core::Checkpoint::deserialize(resumed, checkpoint);
   std::vector<core::RoundMetrics> resumed_tail;
   for (std::size_t r = 0; r < kHalfRounds; ++r) resumed_tail.push_back(resumed.run_round());

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -180,6 +181,31 @@ TEST(GoldenFigures, Fig11FatTreeCostSmallInstance) {
   os << "\nworst sheriff/optimal cost ratio: " << common::format_fixed(worst_ratio, 3)
      << "\n";
   expect_matches_golden("fig11_fattree_cost_small.txt", os.str());
+}
+
+// Small instance of bench_fig13_bcube_cost at 4 and 8 switches per level.
+// BCube servers are multi-homed, so the sweep prices moves along the cost
+// model's generic path walk (fig11's single-homed Fat-Tree hosts take the
+// rack-memo branch). Costs are pinned at full precision (%.17g), so a
+// changed FP summation order shows as a diff.
+TEST(GoldenFigures, Fig13BCubeCostSmallInstance) {
+  const auto sweep = bench::sweep_bcube({4, 8}, 1301);
+  const auto exact = [](double v) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.17g", v);
+    return std::string(buffer);
+  };
+  std::ostringstream os;
+  os << "fig13 small instance: bcube switches/level {4, 8}, 5% alerted, seed 1301\n";
+  for (const auto& p : sweep) {
+    os << "switches/level " << p.size_param << ": hosts " << p.hosts << ", alerted "
+       << p.alerted << "\n"
+       << "  APP cost " << exact(p.sheriff_cost) << ", space " << p.sheriff_space
+       << ", moves " << p.sheriff_migrations << "\n"
+       << "  OPT cost " << exact(p.centralized_cost) << ", space " << p.centralized_space
+       << ", moves " << p.centralized_migrations << "\n";
+  }
+  expect_matches_golden("fig13_bcube_cost_small.txt", os.str());
 }
 
 // Both migration protocols on a faulted 4-pod Fat-Tree, 60 rounds: a shim

@@ -411,20 +411,11 @@ mig::CostParams cost_kernel_params() {
   return params;
 }
 
-void configure_cost_kernel_model(mig::MigrationCostModel& model, const CostKernelScenario& s,
-                                 bool surface) {
-  model.set_partner_rooted(true);
-  model.set_shared_leaf_trees(true);
-  model.set_surface_enabled(surface);
-  model.set_bandwidth_state(&s.shares);
-}
-
-// Cost of the once-per-round SoA snapshot (set_bandwidth_state with the
-// surface on rebuilds it); the price every surfaced evaluation amortizes.
+// Cost of the once-per-round SoA snapshot (set_bandwidth_state rebuilds
+// it); the price every evaluation amortizes.
 void BM_CostKernelSurfaceBuild(benchmark::State& state) {
   const CostKernelScenario& s = cost_kernel_scenario();
   mig::MigrationCostModel model(s.topo, s.deployment, cost_kernel_params());
-  configure_cost_kernel_model(model, s, true);
   for (auto _ : state) {
     model.set_bandwidth_state(&s.shares);
     benchmark::DoNotOptimize(model.stats().surface_builds);
@@ -432,13 +423,12 @@ void BM_CostKernelSurfaceBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CostKernelSurfaceBuild);
 
-// Per-candidate Eq. (1) evaluation: Arg(0) = legacy per-link walk over the
-// shares vectors, Arg(1) = the flat CostSurface kernel (bit-identical
-// costs; the speedup is the point).
+// Per-candidate Eq. (1) evaluation on the round's CostSurface: 256
+// random (alerted VM, host) pairs per iteration.
 void BM_CostKernelEval(benchmark::State& state) {
   const CostKernelScenario& s = cost_kernel_scenario();
   mig::MigrationCostModel model(s.topo, s.deployment, cost_kernel_params());
-  configure_cost_kernel_model(model, s, state.range(0) != 0);
+  model.set_bandwidth_state(&s.shares);
   common::Pcg32 rng(11);
   std::vector<std::pair<wl::VmId, topo::NodeId>> pairs;
   for (int i = 0; i < 256; ++i) pairs.emplace_back(rng.pick(s.alerted), rng.pick(s.hosts));
@@ -448,7 +438,7 @@ void BM_CostKernelEval(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
 }
-BENCHMARK(BM_CostKernelEval)->Arg(0)->Arg(1);
+BENCHMARK(BM_CostKernelEval);
 
 // The single-VM matching sweep the regional shims run: one alerted VM
 // against every host. Arg(0) = exhaustive (evaluate all), Arg(1) = the
@@ -457,7 +447,7 @@ BENCHMARK(BM_CostKernelEval)->Arg(0)->Arg(1);
 void BM_CostKernelPrunedSweep(benchmark::State& state) {
   const CostKernelScenario& s = cost_kernel_scenario();
   mig::MigrationCostModel model(s.topo, s.deployment, cost_kernel_params());
-  configure_cost_kernel_model(model, s, true);
+  model.set_bandwidth_state(&s.shares);
   const bool prune = state.range(0) != 0;
   std::size_t i = 0;
   for (auto _ : state) {

@@ -10,6 +10,7 @@
 #include "migration/cost_model.hpp"
 #include "migration/request.hpp"
 #include "topology/bcube.hpp"
+#include "topology/distance_rows.hpp"
 #include "topology/fat_tree.hpp"
 
 namespace sheriff::bench {
@@ -116,6 +117,20 @@ ManagerComparison compare_managers(const topo::Topology& topology, double alert_
   out.hosts = topology.host_count();
   core::SheriffConfig config;  // paper cost defaults
 
+  // Rows either leg reads: the ToR rows, through which single-homed hosts
+  // reach the fabric, and the rows of every multi-homed host (BCube
+  // servers). The rows belong to the topology, so whichever leg ran first
+  // would otherwise pay for both.
+  {
+    obs::Stopwatch watch;
+    const topo::DistanceRows& rows = topology.distance_rows();
+    rows.build_tor_rows();
+    for (const topo::NodeId host : topology.nodes_of_kind(topo::NodeKind::kHost)) {
+      if (topology.links_of(host).size() != 1) (void)rows.row(host);
+    }
+    out.rows_seconds = watch.elapsed_seconds();
+  }
+
   // --- Sheriff: per-rack shims, one-hop regions, same alerted VM set.
   {
     wl::Deployment deployment(topology, bench_deployment_options(seed));
@@ -174,7 +189,9 @@ std::vector<ManagerComparison> sweep_fat_tree(const std::vector<int>& pod_counts
     out.push_back(compare_managers(topology, 0.05, seed + static_cast<std::uint64_t>(pods),
                                    static_cast<std::size_t>(pods)));
     std::cout << "  swept pods=" << pods << " (" << out.back().hosts << " hosts, "
-              << out.back().alerted << " alerted)\n";
+              << out.back().alerted << " alerted)\n"
+              << "    distance rows built before either leg: "
+              << common::format_fixed(out.back().rows_seconds, 3) << " s\n";
   }
   return out;
 }
@@ -190,7 +207,9 @@ std::vector<ManagerComparison> sweep_bcube(const std::vector<int>& switch_counts
     out.push_back(compare_managers(topology, 0.05, seed + static_cast<std::uint64_t>(n),
                                    static_cast<std::size_t>(n)));
     std::cout << "  swept switches/level=" << n << " (" << out.back().hosts << " hosts, "
-              << out.back().alerted << " alerted)\n";
+              << out.back().alerted << " alerted)\n"
+              << "    distance rows built before either leg: "
+              << common::format_fixed(out.back().rows_seconds, 3) << " s\n";
   }
   return out;
 }

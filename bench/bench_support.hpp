@@ -45,7 +45,10 @@ BalanceResult run_balance(const topo::Topology& topology, std::size_t rounds,
 /// Fig. 11–14: alert 5 % of the VMs (uniformly, as the paper assumes) and
 /// migrate them once under each manager — regional Sheriff (per-rack shims
 /// with one-hop regions) vs the global centralized manager — from
-/// identical initial states.
+/// identical initial states. Both legs price moves with the engine's cost
+/// model. Every distance row either leg reads is built before either
+/// stopwatch starts, so neither leg's time includes row builds the other
+/// then finds warm; `rows_seconds` reports that build on its own.
 struct ManagerComparison {
   std::size_t size_param = 0;        ///< pods / switches-per-level
   std::size_t hosts = 0;
@@ -58,6 +61,7 @@ struct ManagerComparison {
   std::size_t centralized_migrations = 0;
   double sheriff_seconds = 0.0;
   double centralized_seconds = 0.0;
+  double rows_seconds = 0.0;  ///< distance rows built before either leg
 };
 ManagerComparison compare_managers(const topo::Topology& topology, double alert_fraction,
                                    std::uint64_t seed, std::size_t size_param);

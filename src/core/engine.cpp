@@ -15,8 +15,10 @@ using PhaseTimer = obs::ScopedTimer;
 
 namespace {
 
-/// The caller's config, rejected if inconsistent — before any state is
-/// built. SHERIFF_FORCE_AUDIT applies afterwards and is always consistent.
+/// The caller's config, rejected if inconsistent or outside a field's
+/// documented domain (config.hpp, EngineConfig) — before any state is
+/// built. The Eq. (1) parameters are checked by MigrationCostModel.
+/// SHERIFF_FORCE_AUDIT applies afterwards and is always consistent.
 EngineConfig checked_config(const EngineConfig& config) {
   SHERIFF_REQUIRE(config.audit || !config.audit_fail_fast, "audit_fail_fast requires audit");
   SHERIFF_REQUIRE(config.audit || !config.deep_fair_share_audit,
@@ -26,18 +28,46 @@ EngineConfig checked_config(const EngineConfig& config) {
   SHERIFF_REQUIRE(std::isfinite(config.flow_demand_scale_gbps) &&
                       config.flow_demand_scale_gbps >= 0.0,
                   "flow_demand_scale_gbps must be finite and non-negative");
+  // The trace would clamp a zero ring to one record without a word.
+  SHERIFF_REQUIRE(config.trace_capacity_per_shim >= 1,
+                  "trace_capacity_per_shim must be at least 1");
+  const SheriffConfig& sheriff = config.sheriff;
+  // Alert levels. NaN fails every compare, so an alert it guards would
+  // silently never fire; AlertScheme refuses a bad THRESHOLD only at the
+  // first collect. Each check below is false for NaN.
+  SHERIFF_REQUIRE(sheriff.vm_alert_threshold > 0.0 && sheriff.vm_alert_threshold <= 1.0,
+                  "sheriff.vm_alert_threshold must be in (0, 1]");
+  SHERIFF_REQUIRE(sheriff.host_overload_percent >= 0.0,
+                  "sheriff.host_overload_percent must be non-negative");
+  SHERIFF_REQUIRE(sheriff.hotspot_factor >= 0.0, "sheriff.hotspot_factor must be non-negative");
+  SHERIFF_REQUIRE(sheriff.hotspot_floor_percent >= 0.0,
+                  "sheriff.hotspot_floor_percent must be non-negative");
+  SHERIFF_REQUIRE(sheriff.receiver_max_load_percent >= 0.0,
+                  "sheriff.receiver_max_load_percent must be non-negative");
+  SHERIFF_REQUIRE(sheriff.tor_utilization_threshold >= 0.0,
+                  "sheriff.tor_utilization_threshold must be non-negative");
+  // Alg. 2 budgets floor(α·capacity) and floor(β·capacity) into an int: a
+  // NaN there is undefined behaviour, and a zero capacity silently turns
+  // FLOWREROUTE (or the ToR selection) off.
+  SHERIFF_REQUIRE(sheriff.alpha >= 0.0 && sheriff.alpha <= 1.0,
+                  "sheriff.alpha must be in [0, 1]");
+  SHERIFF_REQUIRE(sheriff.beta >= 0.0 && sheriff.beta <= 1.0, "sheriff.beta must be in [0, 1]");
+  SHERIFF_REQUIRE(sheriff.switch_capacity_units >= 1,
+                  "sheriff.switch_capacity_units must be at least 1");
+  SHERIFF_REQUIRE(sheriff.tor_capacity_units >= 1,
+                  "sheriff.tor_capacity_units must be at least 1");
   // FLOWREROUTE moves ceil(fraction × candidates) flows. The rerouter
   // refuses a fraction outside (0, 1] only when the first reroute claim
   // commits, which a run may reach late or never. NaN fails both compares.
-  const double fraction = config.sheriff.reroute_fraction;
-  SHERIFF_REQUIRE(fraction > 0.0 && fraction <= 1.0, "sheriff.reroute_fraction must be in (0, 1]");
+  SHERIFF_REQUIRE(sheriff.reroute_fraction > 0.0 && sheriff.reroute_fraction <= 1.0,
+                  "sheriff.reroute_fraction must be in (0, 1]");
   // Zero matching rounds silently turns VMMIGRATION off in the message-
   // passing protocol (and throws at the first demand elsewhere); a zero
   // horizon makes Holt "predict" the current sample, so the pre-alert is
   // silently off (and the ensemble throws after its first fit).
-  SHERIFF_REQUIRE(config.sheriff.max_matching_rounds >= 1,
+  SHERIFF_REQUIRE(sheriff.max_matching_rounds >= 1,
                   "sheriff.max_matching_rounds must be at least 1");
-  SHERIFF_REQUIRE(config.sheriff.prediction_horizon >= 1,
+  SHERIFF_REQUIRE(sheriff.prediction_horizon >= 1,
                   "sheriff.prediction_horizon must be at least 1");
   if (config.mode != ManagerMode::kKMedian) {
     const EngineConfig defaults;
@@ -62,13 +92,6 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
       queues_(topo),
       solver_(topo),
       cost_model_(topo, deployment_, config.sheriff.cost) {
-  // The engine's Eq. (1) modes (DESIGN.md §14). Rooting changes the FP
-  // summation order over cable distances, so the cost model's other modes
-  // stay for the Fig. 11–14 benches and the tests that build them.
-  cost_model_.set_partner_rooted(true);
-  cost_model_.set_shared_leaf_trees(true);
-  cost_model_.set_surface_enabled(true);
-  cost_model_.set_pruning_enabled(true);
   // Startup, not round, time: the ToR-rooted distance rows (and their
   // rack link CSRs) derive from the immutable pristine topology only, so
   // the first engine on a fabric builds them all here and every later
@@ -124,9 +147,6 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     // rounds; a faulted fabric rebuilds them when the liveness mask moves.
     KMedianPlannerOptions planner_options;
     planner_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
-    // Pristine fabrics read the cost model's distance rows (identical
-    // values, one source of truth); faulted ones need masked sweeps.
-    planner_options.shared_rows = injector_ == nullptr ? &cost_model_ : nullptr;
     kmedian_planner_ = std::make_unique<KMedianPlanner>(topo, planner_options);
     KMedianMigrationManager::Options manager_options;
     manager_options.destination_racks = config_.kmedian_destination_racks;
@@ -433,7 +453,6 @@ MigrationPlan DistributedEngine::manage(std::span<const ShimCollectResult> colle
   MigrationPlan plan = config_.mode == ManagerMode::kSheriff
                            ? manage_regional(collected, orphans, metrics)
                            : manage_global(collected, orphans, metrics);
-  cost_model_.set_bandwidth_state(nullptr);
   account(plan, orphans, metrics);
   return plan;
 }
@@ -675,8 +694,8 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics, const Migrati
   }
   {
     // Per-round deltas of the decision-kernel counters. The pruning-
-    // losslessness identity (evaluated_on + pruned_on == evaluated_off,
-    // pruned_off == 0) is checked in tests over these published values.
+    // losslessness identity (evaluated + pruned == the pairs an exhaustive
+    // sweep prices) is checked per sweep in tests.
     const mig::CostModelStats cost = cost_model_.stats();
     registry.counter("cost.evaluated").add(cost.evaluated - published_cost_stats_.evaluated);
     registry.counter("cost.pruned").add(cost.pruned - published_cost_stats_.pruned);

@@ -74,19 +74,20 @@ enum class PredictorKind : std::uint8_t {
 /// a study varies (fabric-side knobs, mode, protocol, predictor, demand
 /// scale, QCN, faults, the k-median settings) or what the engine reports
 /// (observability). The engine has one implementation of each layer: no
-/// field switches a cache or an accelerated path off.
+/// field switches a cache or an accelerated path off. The constructor
+/// rejects a numeric field outside its stated domain (RequirementError).
 struct EngineConfig {
   SheriffConfig sheriff;
   ManagerMode mode = ManagerMode::kSheriff;
   MigrationProtocol protocol = MigrationProtocol::kMessagePassing;
   PredictorKind predictor = PredictorKind::kHolt;
-  double flow_demand_scale_gbps = 0.4;  ///< demand per dependency edge at TRF=1
+  double flow_demand_scale_gbps = 0.4;  ///< demand per dependency edge at TRF=1 (finite, ≥ 0)
   bool qcn_rate_control = true;         ///< end-host reaction to QCN feedback (Sec. III-A.2)
   /// The three k-median settings below apply to kKMedian mode only: in
   /// any other mode the constructor rejects a value away from its default
   /// (RequirementError).
-  std::size_t kmedian_destination_racks = 4;  ///< k medians per plan
-  std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size
+  std::size_t kmedian_destination_racks = 4;  ///< k medians per plan (≥ 1)
+  std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size (≥ 1)
   std::size_t kmedian_max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
   /// Not read by the engine, which runs every round on the calling
   /// thread. Kept only because perfbench assigns it from its --pool flag;
@@ -106,7 +107,7 @@ struct EngineConfig {
   /// rejects either one without it (RequirementError).
   bool audit_fail_fast = false;       ///< first violation throws RequirementError
   bool deep_fair_share_audit = false; ///< auditor re-solves from scratch (tests only)
-  std::size_t trace_capacity_per_shim = 4096;
+  std::size_t trace_capacity_per_shim = 4096;  ///< records per shim ring (≥ 1)
 };
 
 struct RoundMetrics {

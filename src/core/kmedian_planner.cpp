@@ -5,16 +5,13 @@
 
 #include "common/require.hpp"
 #include "graph/dijkstra.hpp"
-#include "graph/floyd_warshall.hpp"
 #include "graph/kmedian_fast.hpp"
 #include "migration/cost_model.hpp"
 #include "migration/request.hpp"
 #include "obs/timing.hpp"
+#include "topology/distance_rows.hpp"
 
 namespace sheriff::core {
-
-KMedianPlanner::KMedianPlanner(const topo::Topology& topo, bool use_floyd_warshall)
-    : KMedianPlanner(topo, KMedianPlannerOptions{use_floyd_warshall, nullptr, nullptr}) {}
 
 KMedianPlanner::KMedianPlanner(const topo::Topology& topo, KMedianPlannerOptions options)
     : topo_(&topo), options_(options), distances_(topo.rack_count()) {
@@ -26,36 +23,24 @@ void KMedianPlanner::rebuild() {
   // Rack-to-rack costs are wired shortest-path distances between the
   // racks' ToRs over the full network graph (hosts included — in BCube the
   // inter-rack paths run through server NICs). The paper builds the rack
-  // multigraph T and collapses it with Floyd–Warshall; running APSP /
-  // per-ToR Dijkstra on the node graph and restricting to ToR rows yields
-  // the same complete metric T'.
+  // multigraph T and collapses it with Floyd–Warshall; per-ToR Dijkstra on
+  // the node graph restricted to ToR rows yields the same complete metric
+  // T' (up to FP summation order).
   const topo::LivenessMask* mask = options_.liveness;
-  const graph::Graph g = mask == nullptr
-                             ? topo_->wired_graph(topo::EdgeWeight::kDistance)
-                             : topo_->wired_graph(topo::EdgeWeight::kDistance, *mask);
   const std::size_t racks = topo_->rack_count();
-  if (options_.use_floyd_warshall) {
-    // The paper's original pipeline; O(|V|^3), test/small-scale only.
-    const auto apsp = graph::floyd_warshall(g);
+  if (mask == nullptr) {
+    // The topology's shared ToR rows: the same Dijkstra on the same
+    // unmasked distance graph, so ToR distances have one source of truth.
     for (topo::RackId r = 0; r < racks; ++r) {
-      for (topo::RackId c = 0; c < racks; ++c) {
-        distances_.set(r, c, apsp.distance.at(topo_->rack(r).tor, topo_->rack(c).tor));
-      }
-    }
-  } else if (mask == nullptr && options_.shared_rows != nullptr) {
-    // Shared rows: the cost model's distance rows are the same per-ToR
-    // Dijkstra on the same unmasked distance graph — read them instead of
-    // sweeping again, so ToR distances have one source of truth. Masked
-    // rebuilds keep their own sweep (the shared rows are pristine by
-    // construction).
-    for (topo::RackId r = 0; r < racks; ++r) {
-      const auto& row = options_.shared_rows->distance_row(topo_->rack(r).tor);
+      const auto& row = topo_->distance_rows().row(topo_->rack(r).tor);
       for (topo::RackId c = 0; c < racks; ++c) {
         distances_.set(r, c, row.distance[topo_->rack(c).tor]);
       }
     }
   } else {
-    // One Dijkstra per ToR row, all reusing one tree.
+    // Masked rebuilds sweep the masked graph (the shared rows are pristine
+    // by construction): one Dijkstra per ToR row, all reusing one tree.
+    const graph::Graph g = topo_->wired_graph(topo::EdgeWeight::kDistance, *mask);
     graph::ShortestPathTree tree;
     for (topo::RackId r = 0; r < racks; ++r) {
       graph::dijkstra_into(g, topo_->rack(r).tor, {}, tree);

@@ -4,8 +4,8 @@
 //   1. Build the rack graph T (vertices = racks, edge costs = wired
 //      connection costs between rack ToRs).
 //   2. Collapse it to a complete metric T' by all-pairs shortest paths
-//      (the paper uses Floyd–Warshall; we expose that and an equivalent
-//      per-ToR Dijkstra sweep that is much cheaper on large fabrics).
+//      (the paper uses Floyd–Warshall; we read the equivalent per-ToR
+//      Dijkstra rows, which are much cheaper on large fabrics).
 //   3. Treat the alerting source ToRs as clients, all ToRs as facilities,
 //      and solve k-median with the Alg. 5 local search (ratio 3 + 2/p).
 //
@@ -23,10 +23,6 @@
 #include "topology/liveness.hpp"
 #include "topology/topology.hpp"
 
-namespace sheriff::mig {
-class MigrationCostModel;
-}
-
 namespace sheriff::core {
 
 struct KMedianPlan {
@@ -37,30 +33,18 @@ struct KMedianPlan {
 };
 
 struct KMedianPlannerOptions {
-  /// The paper's original pipeline (rack multigraph + Floyd–Warshall);
-  /// O(|V|^3), test/small-scale only. The default per-ToR Dijkstra sweep
-  /// produces identical distances.
-  bool use_floyd_warshall = false;
   /// When set, distances are computed over the masked graph (unusable links
   /// skipped), racks with a dead ToR are excluded from the facility set,
   /// and refresh() rebuilds the rows when the mask's version moves. The
-  /// mask must outlive the planner.
+  /// mask must outlive the planner. Without it the planner reads the
+  /// topology's shared ToR rows (Topology::distance_rows()).
   const topo::LivenessMask* liveness = nullptr;
-  /// One source of truth for pristine ToR distances: when set (and no
-  /// liveness mask is bound), the planner fills its matrix from the cost
-  /// model's distance rows — same unmasked distance graph, same Dijkstra,
-  /// identical values — instead of re-running its own sweep. The model
-  /// must outlive the planner.
-  const mig::MigrationCostModel* shared_rows = nullptr;
 };
 
 class KMedianPlanner {
  public:
-  /// Precomputes the rack-level distance matrix of T'. `use_floyd_warshall`
-  /// selects the paper's original pipeline (builds the rack multigraph and
-  /// runs FW); the default Dijkstra sweep produces identical distances.
-  explicit KMedianPlanner(const topo::Topology& topo, bool use_floyd_warshall = false);
-  KMedianPlanner(const topo::Topology& topo, KMedianPlannerOptions options);
+  /// Precomputes the rack-level distance matrix of T'.
+  explicit KMedianPlanner(const topo::Topology& topo, KMedianPlannerOptions options = {});
 
   /// d(T')(i, j) between two racks.
   [[nodiscard]] const graph::DistanceMatrix& rack_distances() const noexcept {

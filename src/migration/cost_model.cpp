@@ -1,11 +1,18 @@
 #include "migration/cost_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/require.hpp"
 
 namespace sheriff::mig {
+
+namespace {
+
+bool finite_non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
+
+}  // namespace
 
 MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
                                        const wl::Deployment& deployment, CostParams params)
@@ -14,12 +21,21 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
       params_(params),
       rows_(&topo.distance_rows()),
       surface_(topo) {
-  SHERIFF_REQUIRE(params.computing_cost >= 0.0, "C_r must be non-negative");
+  SHERIFF_REQUIRE(finite_non_negative(params.computing_cost),
+                  "C_r must be finite and non-negative");
+  SHERIFF_REQUIRE(finite_non_negative(params.unit_distance_cost),
+                  "C_d must be finite and non-negative");
+  SHERIFF_REQUIRE(finite_non_negative(params.delta) && finite_non_negative(params.eta),
+                  "delta and eta must be finite and non-negative");
+  SHERIFF_REQUIRE(finite_non_negative(params.bandwidth_threshold_gbps),
+                  "B_t must be finite and non-negative");
   SHERIFF_REQUIRE(params.request_gbps > 0.0, "requested bandwidth must be positive");
+  SHERIFF_REQUIRE(params.management_reserve_fraction >= 0.0 &&
+                      params.management_reserve_fraction <= 1.0,
+                  "management reserve must be in [0, 1]");
   // Static leaf tables: a single-homed node reaches the fabric only
-  // through its one wired link, so its paths are its peer's plus that leaf
-  // edge — the structural fact behind both the shared-leaf tree mode and
-  // the surface-mode path decomposition.
+  // through its one wired link, so its distances and paths are its peer's
+  // row plus that leaf edge.
   const std::size_t n = topo.node_count();
   single_homed_.assign(n, 0);
   rack_leaf_.assign(n, 0);
@@ -47,29 +63,14 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
       break;
     }
   }
+  surface_.build(nullptr, params_.management_reserve_fraction, params_.request_gbps,
+                 params_.bandwidth_threshold_gbps);
 }
 
 void MigrationCostModel::set_bandwidth_state(const net::FairShareResult* shares) {
-  shares_ = shares;
-  if (surface_enabled_ && shares != nullptr) {
-    surface_.build(shares, params_.management_reserve_fraction, params_.request_gbps,
-                   params_.bandwidth_threshold_gbps);
-    surface_builds_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    surface_.clear();
-  }
-}
-
-void MigrationCostModel::set_surface_enabled(bool enabled) {
-  if (surface_enabled_ == enabled) return;
-  surface_enabled_ = enabled;
-  if (enabled && shares_ != nullptr) {
-    surface_.build(shares_, params_.management_reserve_fraction, params_.request_gbps,
-                   params_.bandwidth_threshold_gbps);
-    surface_builds_.fetch_add(1, std::memory_order_relaxed);
-  } else if (!enabled) {
-    surface_.clear();
-  }
+  surface_.build(shares, params_.management_reserve_fraction, params_.request_gbps,
+                 params_.bandwidth_threshold_gbps);
+  surface_builds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 CostModelStats MigrationCostModel::stats() const noexcept {
@@ -82,79 +83,57 @@ CostModelStats MigrationCostModel::stats() const noexcept {
 
 double MigrationCostModel::host_distance(topo::NodeId from, topo::NodeId to) const {
   if (from == to) return 0.0;
-  if (shared_leaf_trees_) {
-    if (single_homed_[from] != 0) {
-      // Single-homed: every path out of `from` crosses its one leaf edge,
-      // so the neighbor's (shared) row answers the query.
-      const topo::NodeId via = leaf_tor_[from];
-      if (to == via) return leaf_distance_[from];
-      return leaf_distance_[from] + rows_->row(via).distance[to];
-    }
+  if (single_homed_[from] != 0) {
+    // Every path out of `from` crosses its one leaf edge, so the peer's
+    // (shared) row answers the query.
+    const topo::NodeId via = leaf_tor_[from];
+    if (to == via) return leaf_distance_[from];
+    return leaf_distance_[from] + rows_->row(via).distance[to];
   }
   return rows_->row(from).distance[to];
 }
 
 std::vector<topo::NodeId> MigrationCostModel::shortest_path(topo::NodeId from,
                                                             topo::NodeId to) const {
-  if (shared_leaf_trees_ && from != to) {
-    if (single_homed_[from] != 0) {
-      const topo::NodeId via = leaf_tor_[from];
-      if (to == via) return {from, to};
-      auto path = rows_->row(via).path_to(to);
-      if (path.empty()) return path;  // unreachable
-      path.insert(path.begin(), from);
-      return path;
-    }
+  if (from != to && single_homed_[from] != 0) {
+    const topo::NodeId via = leaf_tor_[from];
+    if (to == via) return {from, to};
+    auto path = rows_->row(via).path_to(to);
+    if (path.empty()) return path;  // unreachable
+    path.insert(path.begin(), from);
+    return path;
   }
   return rows_->row(from).path_to(to);
 }
 
-double MigrationCostModel::dependency_cost(wl::VmId vm_id, topo::NodeId vm_host,
-                                           topo::NodeId destination) const {
-  // Dependency cost (Eq. 1's C_d·D(e)·χ term), in the configured mode.
-  // Partner-rooted mode queries the same distances from the partner's tree
-  // (the wired graph is undirected, so d(a,b) = d(b,a)): one tree per
-  // partner instead of one per candidate destination. Shared verbatim by
-  // cost() and candidate_lower_bound() so both produce the identical FP
-  // value.
-  double new_span = 0.0;
-  double old_span = 0.0;
+double MigrationCostModel::dependency_cost(wl::VmId vm_id, topo::NodeId destination) const {
+  // Eq. (1)'s C_d·D(e)·χ term as the post-move span, read from each
+  // partner's row (d(a, b) = d(b, a) on the undirected wired graph): one
+  // row per partner instead of one per candidate destination.
+  double span = 0.0;
   for (wl::VmId other : deployment_->dependencies().neighbors(vm_id)) {
-    const topo::NodeId partner = deployment_->vm(other).host;
-    new_span += partner_rooted_ ? host_distance(partner, destination)
-                                : host_distance(destination, partner);
-    if (params_.dependency_mode == DependencyCostMode::kClampedDelta) {
-      old_span += partner_rooted_ ? host_distance(partner, vm_host)
-                                  : host_distance(vm_host, partner);
-    }
+    span += host_distance(deployment_->vm(other).host, destination);
   }
-  switch (params_.dependency_mode) {
-    case DependencyCostMode::kPostMoveSpan:
-      return params_.unit_distance_cost * new_span;
-    case DependencyCostMode::kClampedDelta:
-      return params_.unit_distance_cost * std::max(0.0, new_span - old_span);
-  }
-  return 0.0;
+  return params_.unit_distance_cost * span;
 }
 
-void MigrationCostModel::surface_transmission(const wl::VirtualMachine& vm,
-                                              topo::NodeId destination,
-                                              CostBreakdown& breakdown) const {
-  // Replays the legacy per-link loop — same links, same order, same FP
-  // expressions — against the SoA snapshot, so the result is bit-identical
-  // to the surface-off evaluation. An infeasible link aborts with the
-  // partial sum discarded, exactly as the legacy early return did.
+void MigrationCostModel::transmission_cost(const wl::VirtualMachine& vm,
+                                           topo::NodeId destination,
+                                           CostBreakdown& breakdown) const {
+  // The links of shortest_path(src, destination), in path order, each
+  // priced off the surface. An unusable link makes the move infeasible
+  // and discards the partial sum.
   const topo::NodeId src = vm.host;
-  if (src == destination) return;  // one-node path: infeasible, as before
+  if (src == destination) return;  // a one-node path is never feasible
   const double cap = static_cast<double>(vm.capacity);
   const double delta = params_.delta;
   const double eta = params_.eta;
   double transmission = 0.0;
-  if (shared_leaf_trees_ && single_homed_[src] != 0) {
-    // Legacy path shape: [src] + tor_tree.path_to(dst). First link is the
-    // leaf edge; the middle is the memoized root→ToR sequence when the
-    // destination hangs single-homed off its rack's ToR (every fat-tree
-    // host); otherwise walk the same deterministic tree path live.
+  if (single_homed_[src] != 0) {
+    // Path shape [src] + tor_row.path_to(dst). The first link is the leaf
+    // edge; the middle is the memoized root→ToR sequence when the
+    // destination hangs single-homed off its rack's ToR (every Fat-Tree
+    // host); otherwise walk the row's path live.
     const topo::NodeId root = leaf_tor_[src];
     if (!surface_.step(leaf_link_[src], cap, delta, eta, transmission)) return;
     if (destination != root) {
@@ -176,39 +155,12 @@ void MigrationCostModel::surface_transmission(const wl::VirtualMachine& vm,
       }
     }
   } else {
-    const auto path = shortest_path(src, destination);
+    const auto path = rows_->row(src).path_to(destination);
     if (path.size() < 2) return;  // unreachable
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       const topo::LinkId l = topo_->link_between(path[i], path[i + 1]);
       if (!surface_.step(l, cap, delta, eta, transmission)) return;
     }
-  }
-  breakdown.transmission = transmission;
-  breakdown.feasible = true;
-}
-
-void MigrationCostModel::legacy_transmission(const wl::VirtualMachine& vm,
-                                             topo::NodeId destination,
-                                             CostBreakdown& breakdown) const {
-  // Transmission cost over the shortest distance path source → destination.
-  const auto path = shortest_path(vm.host, destination);
-  if (path.size() < 2) return;  // unreachable: infeasible
-  double transmission = 0.0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const topo::LinkId link = topo_->link_between(path[i], path[i + 1]);
-    const double capacity = topo_->link(link).capacity_gbps;
-    double available = capacity;
-    if (shares_ != nullptr) {
-      available = std::max(shares_->available_bandwidth(*topo_, link),
-                           params_.management_reserve_fraction * capacity);
-    }
-    // B(e): the smaller of available and requested bandwidth, which must
-    // clear the threshold B_t for the link to be usable.
-    const double b = std::min(available, params_.request_gbps);
-    if (b <= params_.bandwidth_threshold_gbps) return;  // infeasible
-    const double t = static_cast<double>(vm.capacity) / b;  // T(e)
-    const double p = b / capacity;                          // P(e)
-    transmission += params_.delta * t + params_.eta * p;
   }
   breakdown.transmission = transmission;
   breakdown.feasible = true;
@@ -221,26 +173,16 @@ CostBreakdown MigrationCostModel::cost(wl::VmId vm_id, topo::NodeId destination)
                   "migration destination must be a host");
   CostBreakdown breakdown;
   breakdown.computing = params_.computing_cost;
-  breakdown.dependency = dependency_cost(vm_id, vm.host, destination);
-
-  if (surface_enabled_ && surface_.ready()) {
-    surface_transmission(vm, destination, breakdown);
-  } else {
-    legacy_transmission(vm, destination, breakdown);
-  }
+  breakdown.dependency = dependency_cost(vm_id, destination);
+  transmission_cost(vm, destination, breakdown);
   return breakdown;
 }
 
 double MigrationCostModel::total_cost_with_base(wl::VmId vm_id, topo::NodeId destination,
                                                 double base) const {
   evaluated_.fetch_add(1, std::memory_order_relaxed);
-  const wl::VirtualMachine& vm = deployment_->vm(vm_id);
   CostBreakdown breakdown;
-  if (surface_enabled_ && surface_.ready()) {
-    surface_transmission(vm, destination, breakdown);
-  } else {
-    legacy_transmission(vm, destination, breakdown);
-  }
+  transmission_cost(deployment_->vm(vm_id), destination, breakdown);
   // total() folds (computing + dependency) + transmission left-to-right
   // and `base` is that exact inner sum, so this is bitwise total_cost().
   return breakdown.feasible ? base + breakdown.transmission
@@ -253,9 +195,8 @@ double MigrationCostModel::candidate_lower_bound(wl::VmId vm_id, topo::NodeId de
   if (destination == vm.host) return std::numeric_limits<double>::infinity();
   // The computing + dependency base is evaluated with the identical FP
   // expression cost()/total() use, so base == total − transmission exactly.
-  const double base = params_.computing_cost + dependency_cost(vm_id, vm.host, destination);
+  const double base = params_.computing_cost + dependency_cost(vm_id, destination);
   if (base_out != nullptr) *base_out = base;
-  if (!(surface_enabled_ && surface_.ready())) return base;
   if (!surface_.host_usable(vm.host) || !surface_.host_usable(destination)) {
     return std::numeric_limits<double>::infinity();
   }
@@ -275,25 +216,17 @@ double MigrationCostModel::candidate_lower_bound(wl::VmId vm_id, topo::NodeId de
 bool MigrationCostModel::provably_infeasible(wl::VmId vm_id, topo::NodeId destination) const {
   const wl::VirtualMachine& vm = deployment_->vm(vm_id);
   if (destination == vm.host) return true;  // one-node path never feasible
-  if (!(surface_enabled_ && surface_.ready())) return false;
   return !surface_.host_usable(vm.host) || !surface_.host_usable(destination);
 }
 
 double MigrationCostModel::path_bottleneck_bandwidth(wl::VmId vm,
                                                      topo::NodeId destination) const {
-  const wl::VirtualMachine& m = deployment_->vm(vm);
-  const auto path = shortest_path(m.host, destination);
+  const auto path = shortest_path(deployment_->vm(vm).host, destination);
   if (path.size() < 2) return 0.0;
   double bottleneck = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const topo::LinkId link = topo_->link_between(path[i], path[i + 1]);
-    const double capacity = topo_->link(link).capacity_gbps;
-    double available = capacity;
-    if (shares_ != nullptr) {
-      available = std::max(shares_->available_bandwidth(*topo_, link),
-                           params_.management_reserve_fraction * capacity);
-    }
-    bottleneck = std::min(bottleneck, std::min(available, params_.request_gbps));
+    bottleneck = std::min(bottleneck, surface_.bandwidth(link));
   }
   return bottleneck;
 }

@@ -19,8 +19,8 @@
 // Hot path (DESIGN.md §14): distances and paths come from the fabric's
 // shared flat row set (Topology::distance_rows()), each row carrying a
 // rack-keyed CSR of root→ToR link sequences; per-link bandwidth state is
-// snapshotted once per round into a CostSurface. Both are bit-transparent:
-// every mode produces the same CostBreakdown with the surface on or off.
+// snapshotted once per round into a CostSurface. The engine, the figure
+// benches and the tests all price moves with this one model.
 
 #include <atomic>
 #include <cstdint>
@@ -34,30 +34,20 @@
 
 namespace sheriff::mig {
 
-/// How the dependency term of Eq. (1) is evaluated.
-enum class DependencyCostMode : std::uint8_t {
-  /// C_d times the post-move communication span: Σ_{u ∈ N_d(m)}
-  /// D(dest, host(u)). Non-negative and monotone — the default, because
-  /// the matching solvers need non-negative costs.
-  kPostMoveSpan,
-  /// The paper's literal formula: C_d times the *change* of the induced
-  /// neighborhood distance, Σ D(new) − Σ D(old), clamped at 0 (a move
-  /// toward the partners is free, never negative).
-  kClampedDelta,
-};
-
+/// Eq. (1) parameters. The constructor of MigrationCostModel rejects a
+/// value outside its domain (RequirementError).
 struct CostParams {
-  double computing_cost = 100.0;      ///< C_r (Sec. VI-B sets 100)
-  double unit_distance_cost = 1.0;    ///< C_d (Sec. VI-B sets 1)
-  DependencyCostMode dependency_mode = DependencyCostMode::kPostMoveSpan;
-  double delta = 1.0;                 ///< δ, transmission-time weight
-  double eta = 1.0;                   ///< η, utilization weight
-  double bandwidth_threshold_gbps = 0.05;  ///< B_t: links below this are unusable
-  double request_gbps = 1.0;          ///< bandwidth requested for the transfer
-  /// Management-plane reserve: live migration always gets at least this
-  /// fraction of a link's capacity even when tenant flows saturate it
-  /// (DCNs carve out a management slice; without it, the saturated hosts —
-  /// exactly the ones that must shed VMs — could never migrate anything).
+  double computing_cost = 100.0;      ///< C_r, finite ≥ 0 (Sec. VI-B sets 100)
+  double unit_distance_cost = 1.0;    ///< C_d, finite ≥ 0 (Sec. VI-B sets 1)
+  double delta = 1.0;                 ///< δ, transmission-time weight, finite ≥ 0
+  double eta = 1.0;                   ///< η, utilization weight, finite ≥ 0
+  double bandwidth_threshold_gbps = 0.05;  ///< B_t, finite ≥ 0: links at or below it are unusable
+  double request_gbps = 1.0;          ///< bandwidth requested for the transfer, > 0
+  /// Management-plane reserve, in [0, 1]: live migration always gets at
+  /// least this fraction of a link's capacity even when tenant flows
+  /// saturate it (DCNs carve out a management slice; without it, the
+  /// saturated hosts — exactly the ones that must shed VMs — could never
+  /// migrate anything).
   double management_reserve_fraction = 0.1;
 };
 
@@ -77,15 +67,20 @@ struct CostBreakdown {
 struct CostModelStats {
   std::uint64_t evaluated = 0;       ///< full Eq. (1) evaluations (cost() calls)
   std::uint64_t pruned = 0;          ///< candidates skipped by the admissible bound
-  std::uint64_t surface_builds = 0;  ///< per-round CostSurface snapshots taken
+  std::uint64_t surface_builds = 0;  ///< set_bandwidth_state snapshots taken
 };
 
 /// Evaluates Eq. (1) for candidate moves on a fixed topology. Shortest
 /// (distance-weighted) rows come from the topology's shared row set, built
 /// lazily per root on the immutable distance graph, so they never depend
-/// on the bandwidth state. Concurrent cost()/total_cost() calls are safe
-/// (rows are immutable once published; a lost publication race discards
-/// the duplicate).
+/// on the bandwidth state. Two structural facts keep the row count small:
+/// the dependency span is read from each partner's row (the wired graph
+/// is undirected, so d(a, b) = d(b, a)), one row per partner rather than
+/// per candidate destination; and a single-homed node — every Fat-Tree
+/// host, not a BCube server — reaches the fabric only through its one
+/// link, so its distances and paths are its peer's row plus that leaf
+/// link. Concurrent cost()/total_cost() calls are safe (rows are immutable
+/// once published; a lost publication race discards the duplicate).
 class MigrationCostModel {
  public:
   MigrationCostModel(const topo::Topology& topo, const wl::Deployment& deployment,
@@ -94,46 +89,11 @@ class MigrationCostModel {
   MigrationCostModel(const MigrationCostModel&) = delete;
   MigrationCostModel& operator=(const MigrationCostModel&) = delete;
 
-  /// Installs the current bandwidth state (link loads from the fair-share
-  /// allocator). Without it, links are treated as idle. With the surface
-  /// enabled this snapshots the per-link SoA arrays once for the round.
+  /// Snapshots the round's link loads from the fair-share allocator into
+  /// the cost surface; nullptr means idle links, which is also the state
+  /// a new model starts in (that initial snapshot is not counted in
+  /// stats().surface_builds).
   void set_bandwidth_state(const net::FairShareResult* shares);
-
-  /// Roots the dependency-span Dijkstra trees at the VMs' *partners*
-  /// instead of the candidate destination. Distances on the undirected
-  /// wired graph are symmetric, so the spans are equal (up to FP summation
-  /// order along a path); but a matching pass evaluates every candidate
-  /// destination against a small partner set, so partner rooting shrinks
-  /// the row cache from one tree per candidate host to one per partner —
-  /// the dominant Dijkstra load of the manage phase.
-  void set_partner_rooted(bool partner_rooted) noexcept { partner_rooted_ = partner_rooted; }
-  [[nodiscard]] bool partner_rooted() const noexcept { return partner_rooted_; }
-
-  /// Shares trees across single-homed hosts: a host with exactly one wired
-  /// link (every fat-tree host; not BCube servers, which relay traffic)
-  /// reaches the fabric only through that link, so its distances and paths
-  /// are the neighbor ToR's tree plus the leaf edge. All hosts of a rack
-  /// then share the ToR-rooted tree, collapsing the cache from one tree
-  /// per queried host to one per queried rack. Distances can differ from
-  /// the host-rooted tree by FP summation order, and equal-length paths by
-  /// tie-break root, so this is a mode, not a pure cache change.
-  void set_shared_leaf_trees(bool shared) noexcept { shared_leaf_trees_ = shared; }
-  [[nodiscard]] bool shared_leaf_trees() const noexcept { return shared_leaf_trees_; }
-
-  /// Toggles the per-round CostSurface (flat SoA link state, priced along
-  /// the rows' rack-keyed link sequences). Bit-transparent: the flat
-  /// kernel replays the legacy kernel's FP ops in the legacy order, so
-  /// every CostBreakdown is identical with the surface on or off.
-  /// Serial-only toggle.
-  void set_surface_enabled(bool enabled);
-  [[nodiscard]] bool surface_enabled() const noexcept { return surface_enabled_; }
-
-  /// Toggles bound-guarded candidate pruning in propose_matching. The
-  /// bound is exact and admissible (see candidate_lower_bound), so the
-  /// selected moves are bitwise identical with pruning on or off; only the
-  /// evaluated/pruned counter split changes.
-  void set_pruning_enabled(bool enabled) noexcept { pruning_ = enabled; }
-  [[nodiscard]] bool pruning_enabled() const noexcept { return pruning_; }
 
   [[nodiscard]] CostModelStats stats() const noexcept;
 
@@ -144,15 +104,15 @@ class MigrationCostModel {
   [[nodiscard]] double total_cost(wl::VmId vm, topo::NodeId destination) const;
 
   /// Admissible lower bound on total_cost(vm, destination): the exact
-  /// computing + dependency base (identical FP expression to cost()) plus,
-  /// when the surface is live, the cheapest transmission terms any path
-  /// must pay on its first link (incident to the source) and last link
-  /// (incident to the destination). Nonnegative left-folded partial sums
-  /// are monotone under rounding, so bound ≤ total_cost always — the
-  /// argmin can never be pruned away. +inf when the move is provably
-  /// infeasible (then total_cost is +inf too). When `base_out` is given it
-  /// receives the computing + dependency base, which the caller can hand
-  /// back to total_cost_with_base so a surviving candidate never pays the
+  /// computing + dependency base (identical FP expression to cost()) plus
+  /// the cheapest transmission terms any path must pay on its first link
+  /// (incident to the source) and last link (incident to the
+  /// destination). Nonnegative left-folded partial sums are monotone under
+  /// rounding, so bound ≤ total_cost always — the argmin can never be
+  /// pruned away. +inf when the move is provably infeasible (then
+  /// total_cost is +inf too). When `base_out` is given it receives the
+  /// computing + dependency base, which the caller can hand back to
+  /// total_cost_with_base so a surviving candidate never pays the
   /// dependency walk twice.
   [[nodiscard]] double candidate_lower_bound(wl::VmId vm, topo::NodeId destination,
                                              double* base_out = nullptr) const;
@@ -185,41 +145,22 @@ class MigrationCostModel {
   /// applied); 0 when unreachable. Feeds the live-migration timeline.
   [[nodiscard]] double path_bottleneck_bandwidth(wl::VmId vm, topo::NodeId destination) const;
 
-  /// The topology's shared distance row rooted at `root` on the immutable
-  /// (unmasked) distance graph, built on demand. KMedianPlanner reads its
-  /// pristine-fabric distance matrix here so there is one source of truth
-  /// for ToR distances.
-  [[nodiscard]] const topo::DistanceRow& distance_row(topo::NodeId root) const {
-    return rows_->row(root);
-  }
-
  private:
-  /// One shortest distance path `from` → `to` (empty when unreachable),
-  /// routed through the shared leaf tree when the mode is on.
+  /// One shortest distance path `from` → `to` (empty when unreachable).
   [[nodiscard]] std::vector<topo::NodeId> shortest_path(topo::NodeId from,
                                                         topo::NodeId to) const;
   /// Eq. (1)'s dependency term, shared verbatim between cost() and
   /// candidate_lower_bound() so their FP results are identical.
-  [[nodiscard]] double dependency_cost(wl::VmId vm_id, topo::NodeId vm_host,
-                                       topo::NodeId destination) const;
-  /// Surface-mode transmission kernel: fills breakdown.transmission and
-  /// .feasible replaying the legacy per-link loop on the SoA arrays.
-  void surface_transmission(const wl::VirtualMachine& vm, topo::NodeId destination,
-                            CostBreakdown& breakdown) const;
-  /// Legacy transmission kernel (per-link walk against the fair-share
-  /// result), shared by cost() and total_cost_with_base.
-  void legacy_transmission(const wl::VirtualMachine& vm, topo::NodeId destination,
-                           CostBreakdown& breakdown) const;
+  [[nodiscard]] double dependency_cost(wl::VmId vm_id, topo::NodeId destination) const;
+  /// Fills breakdown.transmission and .feasible: the per-link terms of
+  /// the shortest path, summed from the source out, read off the surface.
+  void transmission_cost(const wl::VirtualMachine& vm, topo::NodeId destination,
+                         CostBreakdown& breakdown) const;
 
   const topo::Topology* topo_;
   const wl::Deployment* deployment_;
   CostParams params_;
   const topo::DistanceRows* rows_;  ///< the topology's shared row set
-  const net::FairShareResult* shares_ = nullptr;
-  bool partner_rooted_ = false;
-  bool shared_leaf_trees_ = false;
-  bool surface_enabled_ = false;
-  bool pruning_ = false;
   bool hosts_adjacent_ = false;  ///< any host—host link (disables the 2-link bound)
   CostSurface surface_;
   // Static leaf tables (hosts with exactly one wired link).

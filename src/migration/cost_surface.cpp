@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "common/require.hpp"
-
 namespace sheriff::mig {
 
 void CostSurface::build(const net::FairShareResult* shares, double reserve_fraction,
                         double request_gbps, double threshold_gbps) {
-  SHERIFF_REQUIRE(topo_ != nullptr, "CostSurface built without a topology");
   const std::size_t links = topo_->link_count();
   b_.resize(links);
   p_.resize(links);
@@ -20,8 +17,8 @@ void CostSurface::build(const net::FairShareResult* shares, double reserve_fract
       available = std::max(shares->available_bandwidth(*topo_, l),
                            reserve_fraction * capacity);
     }
-    // B(e): the smaller of available and requested bandwidth — the exact
-    // expression (and clamp order) the per-candidate kernel evaluated.
+    // B(e): the smaller of available and requested bandwidth, which must
+    // clear the threshold B_t for the link to be usable.
     const double b = std::min(available, request_gbps);
     b_[l] = b;
     p_[l] = b / capacity;
@@ -36,7 +33,6 @@ void CostSurface::build(const net::FairShareResult* shares, double reserve_fract
       }
     }
   }
-  ready_ = true;
 }
 
 }  // namespace sheriff::mig

@@ -5,11 +5,9 @@
 // candidate path, where T(e) = m.capacity / B(e), P(e) = B(e)/C(e) and
 // B(e) = min(max(available, reserve·C(e)), requested). Within one manage
 // round the fair-share result — and therefore B(e) and P(e) — is fixed,
-// yet the per-candidate evaluation recomputed them per (VM, destination)
-// pair per path link. The surface snapshots B(e), P(e) and the B(e) > B_t
-// usability bit once per round into flat arrays indexed by LinkId, using
-// the *exact same floating-point expressions* the per-candidate kernel
-// used, so the flat kernel is bit-identical to the legacy one.
+// so the surface snapshots B(e), P(e) and the B(e) > B_t usability bit
+// once per round into flat arrays indexed by LinkId. build() holds the
+// model's only copy of the B(e) formula.
 
 #include <cstdint>
 #include <limits>
@@ -22,26 +20,20 @@ namespace sheriff::mig {
 
 class CostSurface {
  public:
-  CostSurface() = default;
   explicit CostSurface(const topo::Topology& topo) : topo_(&topo) {}
 
   /// Snapshots the round's link state. `shares == nullptr` means idle
-  /// links, mirroring the cost model's convention. Per link:
+  /// links. Per link:
   ///   available = max(shares->available_bandwidth, reserve·C(e))  (or C(e) idle)
   ///   B(e) = min(available, requested);  usable iff B(e) > B_t;  P(e) = B(e)/C(e)
   void build(const net::FairShareResult* shares, double reserve_fraction,
              double request_gbps, double threshold_gbps);
 
-  void clear() noexcept { ready_ = false; }
-  [[nodiscard]] bool ready() const noexcept { return ready_; }
-
-  [[nodiscard]] bool usable(topo::LinkId l) const noexcept { return usable_[l] != 0; }
+  /// B(e) of link l: the bandwidth a migration transfer gets on it.
   [[nodiscard]] double bandwidth(topo::LinkId l) const noexcept { return b_[l]; }
-  [[nodiscard]] double utilization(topo::LinkId l) const noexcept { return p_[l]; }
 
   /// Accumulates link l's transmission term δ·T(e) + η·P(e) into
   /// `transmission`; false when the link is below B_t (path infeasible).
-  /// The expression matches the legacy per-candidate kernel op for op.
   [[nodiscard]] bool step(topo::LinkId l, double vm_capacity, double delta, double eta,
                           double& transmission) const noexcept {
     if (usable_[l] == 0) return false;
@@ -70,12 +62,11 @@ class CostSurface {
   }
 
  private:
-  const topo::Topology* topo_ = nullptr;
+  const topo::Topology* topo_;
   std::vector<double> b_;              ///< B(e) per link
   std::vector<double> p_;              ///< P(e) = B(e)/C(e) per link
   std::vector<std::uint8_t> usable_;   ///< B(e) > B_t per link
   std::vector<std::uint8_t> host_usable_;  ///< any usable incident link, per node
-  bool ready_ = false;
 };
 
 }  // namespace sheriff::mig

@@ -136,13 +136,15 @@ TEST(DistanceRows, EnginesOnOneTopologyShareRowObjects) {
   const core::DistributedEngine first(t, deployment(), config);
   // The first engine built every ToR row at construction.
   EXPECT_EQ(t.distance_rows().built_rows(), t.rack_count());
+  std::vector<const topo::DistanceRow*> built;
+  for (const topo::Rack& rack : t.racks()) built.push_back(&t.distance_rows().row(rack.tor));
+  // A k-median engine (cost model and planner) reads the same set: no row
+  // is added or rebuilt.
   config.mode = core::ManagerMode::kKMedian;
   const core::DistributedEngine second(t, deployment(), config);
   EXPECT_EQ(t.distance_rows().built_rows(), t.rack_count());
-  for (const topo::Rack& rack : t.racks()) {
-    const topo::DistanceRow* shared = &t.distance_rows().row(rack.tor);
-    EXPECT_EQ(&first.cost_model().distance_row(rack.tor), shared);
-    EXPECT_EQ(&second.cost_model().distance_row(rack.tor), shared);
+  for (topo::RackId r = 0; r < t.rack_count(); ++r) {
+    EXPECT_EQ(&t.distance_rows().row(t.rack(r).tor), built[r]) << "rack " << r;
   }
 }
 
@@ -203,7 +205,7 @@ TEST(DistanceRows, ConcurrentEnginesPublishOneRowPerRoot) {
       start.arrive_and_wait();
       const core::DistributedEngine engine(t, deployment(), config);
       for (const topo::Rack& rack : t.racks()) {
-        seen[i].push_back(&engine.cost_model().distance_row(rack.tor));
+        seen[i].push_back(&t.distance_rows().row(rack.tor));
       }
     });
   }

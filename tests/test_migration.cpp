@@ -211,62 +211,6 @@ TEST(CostModel, SaturatedPathBecomesInfeasible) {
   EXPECT_TRUE(model.cost(vm.id, other_rack_host).feasible);
 }
 
-TEST(CostModel, ClampedDeltaModeMatchesPaperFormula) {
-  const auto d = make_deployment(71);
-  mig::CostParams span_params;
-  span_params.dependency_mode = mig::DependencyCostMode::kPostMoveSpan;
-  mig::CostParams delta_params;
-  delta_params.dependency_mode = mig::DependencyCostMode::kClampedDelta;
-  mig::MigrationCostModel span_model(test_topology(), d, span_params);
-  mig::MigrationCostModel delta_model(test_topology(), d, delta_params);
-
-  for (const auto& vm : d.vms()) {
-    const auto deps = d.dependencies().neighbors(vm.id);
-    if (deps.empty()) continue;
-    // Destination next to a partner: moving closer → delta clamps to 0,
-    // while the span mode still charges the (small) remaining span.
-    const auto partner_host = d.vm(deps.front()).host;
-    const auto& partner_rack = test_topology().rack(test_topology().node(partner_host).rack);
-    for (topo::NodeId h : partner_rack.hosts) {
-      if (h == partner_host || h == vm.host) continue;
-      const auto span_cost = span_model.cost(vm.id, h);
-      const auto delta_cost = delta_model.cost(vm.id, h);
-      EXPECT_GE(span_cost.dependency, delta_cost.dependency - 1e-9);
-      EXPECT_GE(delta_cost.dependency, 0.0);
-      // Same pair under both modes agrees on the other two terms.
-      EXPECT_DOUBLE_EQ(span_cost.computing, delta_cost.computing);
-      EXPECT_NEAR(span_cost.transmission, delta_cost.transmission, 1e-9);
-      return;
-    }
-  }
-  FAIL() << "no suitable VM/destination pair";
-}
-
-TEST(CostModel, DeltaModeChargesMovesAwayFromPartners) {
-  const auto d = make_deployment(72);
-  mig::CostParams params;
-  params.dependency_mode = mig::DependencyCostMode::kClampedDelta;
-  mig::MigrationCostModel model(test_topology(), d, params);
-
-  for (const auto& vm : d.vms()) {
-    const auto deps = d.dependencies().neighbors(vm.id);
-    if (deps.size() != 1) continue;
-    const auto partner_host = d.vm(deps.front()).host;
-    const int partner_pod = test_topology().node(partner_host).pod;
-    const int vm_pod = test_topology().node(vm.host).pod;
-    if (vm_pod != partner_pod) continue;  // want a same-pod starting point
-    topo::NodeId far = topo::kInvalidNode;
-    for (const auto& node : test_topology().nodes()) {
-      if (node.kind == topo::NodeKind::kHost && node.pod != partner_pod) far = node.id;
-    }
-    ASSERT_NE(far, topo::kInvalidNode);
-    const auto cost = model.cost(vm.id, far);
-    EXPECT_GT(cost.dependency, 0.0);  // moving away is charged
-    return;
-  }
-  GTEST_SKIP() << "no single-dependency same-pod VM for this seed";
-}
-
 TEST(AdmissionBroker, AckMovesRejectKeeps) {
   auto d = make_deployment();
   mig::AdmissionBroker broker(d);

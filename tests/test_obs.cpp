@@ -368,6 +368,8 @@ TEST(CostKernelCounters, PublishedPerRoundAndPruningIsProvablyLossless) {
   EXPECT_EQ(pruned->value(), model.pruned);
   EXPECT_EQ(builds->value(), model.surface_builds);
   EXPECT_GT(model.evaluated, 0u);
-  EXPECT_GT(model.surface_builds, 0u);
+  // One snapshot per round; the idle one a model takes at construction
+  // is not counted.
+  EXPECT_EQ(model.surface_builds, 30u);
   EXPECT_GT(model.pruned, 0u);  // the bound must actually fire on this fabric
 }

@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the algorithmic kernels Sheriff
-// leans on: Floyd–Warshall, Dijkstra, the router's blocked route (hop-level
-// BFS plus ECMP walk), Hungarian matching, max–min fair share (the
-// reference and the per-round solver on engine flow tables), k-median
-// local search, the knapsack, ARIMA/NARNET fitting, the Eq. (1)
+// leans on: Floyd–Warshall (a test oracle), Dijkstra, the router's blocked
+// route (hop-level BFS plus ECMP walk), Hungarian matching, max–min fair
+// share (the oracle reference and the per-round solver on engine flow
+// tables), k-median local search (the oracle scan and the engine's fast
+// solver), the knapsack, ARIMA/NARNET fitting, the Eq. (1)
 // migration decision kernel (surface build / per-candidate eval /
 // bound-pruned sweep), a cold distance-row build, and an engine's
 // checkpoint round trip.
@@ -19,7 +20,6 @@
 #include "core/kmedian_planner.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/dijkstra.hpp"
-#include "graph/floyd_warshall.hpp"
 #include "graph/kmedian.hpp"
 #include "graph/kmedian_fast.hpp"
 #include "graph/knapsack.hpp"
@@ -29,6 +29,9 @@
 #include "net/queueing.hpp"
 #include "net/rate_control.hpp"
 #include "net/routing.hpp"
+#include "oracles/fair_share.hpp"
+#include "oracles/kmedian.hpp"
+#include "oracles/shortest_paths.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "timeseries/arima.hpp"
 #include "timeseries/holt_winters.hpp"
@@ -61,7 +64,7 @@ void BM_FloydWarshall(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto g = random_graph(n, 3 * n, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::floyd_warshall(g));
+    benchmark::DoNotOptimize(oracle::floyd_warshall(g));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -72,8 +75,11 @@ void BM_DijkstraFatTree(benchmark::State& state) {
   options.pods = static_cast<int>(state.range(0));
   const auto t = topo::build_fat_tree(options);
   const auto g = t.wired_graph(topo::EdgeWeight::kHops);
+  graph::ShortestPaths paths;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::dijkstra(g, 0));
+    graph::dijkstra_into(g, 0, paths);
+    benchmark::DoNotOptimize(paths.distance.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_DijkstraFatTree)->Arg(8)->Arg(16)->Arg(24);
@@ -165,7 +171,7 @@ void BM_MaxMinFairShare(benchmark::State& state) {
   }
   router.route_all(flows);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::max_min_fair_share(t, flows));
+    benchmark::DoNotOptimize(oracle::max_min_fair_share(t, flows));
   }
 }
 BENCHMARK(BM_MaxMinFairShare)->Arg(128)->Arg(512)->Arg(2048);
@@ -244,7 +250,7 @@ void BM_KMedianLocalSearch(benchmark::State& state) {
   }
   const auto p = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::local_search_kmedian(instance, p));
+    benchmark::DoNotOptimize(oracle::local_search_kmedian(instance, p));
   }
 }
 BENCHMARK(BM_KMedianLocalSearch)->Arg(1)->Arg(2);
@@ -349,7 +355,7 @@ void BM_QcnControllerUpdate(benchmark::State& state) {
   router.route_all(flows);
   net::SwitchQueues queues(t);
   net::QcnRateController controller;
-  const auto shares = net::max_min_fair_share(t, flows);
+  const auto shares = oracle::max_min_fair_share(t, flows);
   queues.update(shares, flows);
   for (auto _ : state) {
     controller.update(flows, queues);
@@ -392,7 +398,7 @@ struct CostKernelScenario {
       flows.push_back(f);
     }
     router.route_all(flows);
-    shares = net::max_min_fair_share(topo, flows);
+    shares = oracle::max_min_fair_share(topo, flows);
     // 5 % of the VMs alerted, as the Sec. VI-B experiments assume.
     for (std::size_t id = 0; id < deployment.vm_count(); id += 20) {
       alerted.push_back(static_cast<wl::VmId>(id));

@@ -1,8 +1,9 @@
 // Sec. VI-C: the approximation guarantee. VMMIGRATION reduces to k-median
 // (Sec. V-A) and the Alg. 5 local search has ratio 3 + 2/p. This bench
 // measures the *observed* ratio against the exhaustive optimum — for both
-// the reference combinational scan and the delta-evaluated fast solver —
-// on random metrics and on a real Fat-Tree rack graph, for p = 1..3.
+// the reference combinational scan (a test oracle) and the engine's
+// delta-evaluated fast solver — on random metrics and on a real Fat-Tree
+// rack graph, for p = 1..3.
 
 #include <cmath>
 #include <iostream>
@@ -14,6 +15,7 @@
 #include "core/kmedian_planner.hpp"
 #include "graph/kmedian.hpp"
 #include "graph/kmedian_fast.hpp"
+#include "oracles/kmedian.hpp"
 #include "topology/fat_tree.hpp"
 
 namespace {
@@ -61,11 +63,11 @@ int main() {
         instance.clients.push_back(i);
         instance.facilities.push_back(i);
       }
-      const auto approx = graph::local_search_kmedian(instance, p);
+      const auto approx = oracle::local_search_kmedian(instance, p);
       graph::FastKMedianOptions fast_options;
       fast_options.p = p;
       const auto fast = graph::fast_kmedian(instance, fast_options);
-      const auto exact = graph::exhaustive_kmedian(instance);
+      const auto exact = oracle::exhaustive_kmedian(instance);
       if (exact.cost > 1e-9) {
         ratios.add(approx.cost / exact.cost);
         fast_ratios.add(fast.cost / exact.cost);
@@ -103,12 +105,12 @@ int main() {
       }
       if (sources.size() < 4) continue;
       const std::size_t k = 2 + rng.next_below(3);
-      const auto approx = planner.plan(sources, k, p);
+      const auto approx = oracle::reference_plan(planner, sources, k, p);
       core::KMedianPlanner::PlanOptions fast_options;
       fast_options.k = k;
       fast_options.p = p;
       const auto fast = planner.plan(sources, fast_options);
-      const auto exact = planner.plan_exact(sources, k);
+      const auto exact = oracle::exact_plan(planner, sources, k);
       if (exact.connection_cost > 1e-9) {
         ratios.add(approx.connection_cost / exact.connection_cost);
         fast_ratios.add(fast.connection_cost / exact.connection_cost);

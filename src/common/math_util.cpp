@@ -11,11 +11,6 @@ double clamp01(double x) noexcept { return std::clamp(x, 0.0, 1.0); }
 
 double lerp(double a, double b, double t) noexcept { return a + (b - a) * t; }
 
-bool approx_equal(double a, double b, double tol) noexcept {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
-}
-
 double mean_squared_error(std::span<const double> actual, std::span<const double> predicted) {
   SHERIFF_REQUIRE(actual.size() == predicted.size(), "MSE requires equal sizes");
   if (actual.empty()) return 0.0;

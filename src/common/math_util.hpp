@@ -13,9 +13,6 @@ double clamp01(double x) noexcept;
 /// Linear interpolation between a and b.
 double lerp(double a, double b, double t) noexcept;
 
-/// |a - b| <= tol, with tol scaled by max(1,|a|,|b|) for large magnitudes.
-bool approx_equal(double a, double b, double tol = 1e-9) noexcept;
-
 /// Mean squared error between two equal-length spans. This is Eq. (14)'s
 /// fitness metric when applied over a sliding window.
 double mean_squared_error(std::span<const double> actual, std::span<const double> predicted);

@@ -20,8 +20,6 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   /// Population variance (divides by n). Zero for fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
-  /// Sample variance (divides by n-1). Zero for fewer than two samples.
-  [[nodiscard]] double sample_variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
@@ -56,7 +54,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
   void add(double x) noexcept;
   [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   /// One-line unicode bar rendering ("▁▂▃…"), for bench output.
   [[nodiscard]] std::string render() const;

@@ -21,8 +21,6 @@ namespace {
 /// SHERIFF_FORCE_AUDIT applies afterwards and is always consistent.
 EngineConfig checked_config(const EngineConfig& config) {
   SHERIFF_REQUIRE(config.audit || !config.audit_fail_fast, "audit_fail_fast requires audit");
-  SHERIFF_REQUIRE(config.audit || !config.deep_fair_share_audit,
-                  "deep_fair_share_audit requires audit");
   // A negative scale offers no flow at all (QoS would read a carried-
   // nothing fabric as fully satisfied); NaN lifts every rate limit.
   SHERIFF_REQUIRE(std::isfinite(config.flow_demand_scale_gbps) &&
@@ -111,7 +109,6 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     observation.trace_capacity_per_shim = config_.trace_capacity_per_shim;
     observation.audit = config_.audit;
     observation.audit_options.fail_fast = config_.audit_fail_fast;
-    observation.audit_options.deep_fair_share = config_.deep_fair_share_audit;
     hub_ = std::make_unique<obs::ObservationHub>(topo.rack_count(), observation);
   }
   shims_.reserve(topo.rack_count());

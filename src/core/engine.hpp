@@ -103,10 +103,8 @@ struct EngineConfig {
   //     what turning it on costs.
   bool observe = false;  ///< own an ObservationHub (event trace + metric registry)
   bool audit = false;    ///< run the InvariantAuditor each round (implies observe)
-  /// The two audit refinements below require `audit`: the constructor
-  /// rejects either one without it (RequirementError).
-  bool audit_fail_fast = false;       ///< first violation throws RequirementError
-  bool deep_fair_share_audit = false; ///< auditor re-solves from scratch (tests only)
+  /// Requires `audit`; the constructor rejects it otherwise (RequirementError).
+  bool audit_fail_fast = false;  ///< first violation throws RequirementError
   std::size_t trace_capacity_per_shim = 4096;  ///< records per shim ring (≥ 1)
 };
 

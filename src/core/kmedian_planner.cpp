@@ -13,6 +13,34 @@
 
 namespace sheriff::core {
 
+namespace {
+
+/// Replaces every +inf entry of a masked rebuild with M.
+void price_unreachable_pairs(graph::DistanceMatrix& distances) {
+  // M = 1 + racks · (largest finite entry). Only racks in different live
+  // components are M apart, so T' stays a metric: a path between two such
+  // racks through a third crosses components too and costs at least M.
+  // And a plan serving one more source rack is cheaper than every plan
+  // serving fewer: the extra M it saves exceeds the at most
+  // racks · (largest finite entry) the served racks can cost together.
+  const std::size_t racks = distances.size();
+  double largest = 0.0;
+  for (std::size_t r = 0; r < racks; ++r) {
+    for (std::size_t c = 0; c < racks; ++c) {
+      const double d = distances.at(r, c);
+      if (d != graph::kInfiniteDistance) largest = std::max(largest, d);
+    }
+  }
+  const double unreachable = 1.0 + static_cast<double>(racks) * largest;
+  for (std::size_t r = 0; r < racks; ++r) {
+    for (std::size_t c = 0; c < racks; ++c) {
+      if (distances.at(r, c) == graph::kInfiniteDistance) distances.set(r, c, unreachable);
+    }
+  }
+}
+
+}  // namespace
+
 KMedianPlanner::KMedianPlanner(const topo::Topology& topo, KMedianPlannerOptions options)
     : topo_(&topo), options_(options), distances_(topo.rack_count()) {
   SHERIFF_REQUIRE(topo.rack_count() >= 1, "topology has no racks");
@@ -39,15 +67,16 @@ void KMedianPlanner::rebuild() {
     }
   } else {
     // Masked rebuilds sweep the masked graph (the shared rows are pristine
-    // by construction): one Dijkstra per ToR row, all reusing one tree.
+    // by construction): one Dijkstra per ToR row, all reusing one buffer.
     const graph::Graph g = topo_->wired_graph(topo::EdgeWeight::kDistance, *mask);
-    graph::ShortestPathTree tree;
+    graph::ShortestPaths paths;
     for (topo::RackId r = 0; r < racks; ++r) {
-      graph::dijkstra_into(g, topo_->rack(r).tor, {}, tree);
+      graph::dijkstra_into(g, topo_->rack(r).tor, paths);
       for (topo::RackId c = 0; c < racks; ++c) {
-        distances_.set(r, c, tree.distance[topo_->rack(c).tor]);
+        distances_.set(r, c, paths.distance[topo_->rack(c).tor]);
       }
     }
+    price_unreachable_pairs(distances_);
   }
 
   facilities_.clear();
@@ -58,11 +87,7 @@ void KMedianPlanner::rebuild() {
     if (mask == nullptr || mask->node_up(topo_->rack(r).tor)) facilities_.push_back(r);
   }
   SHERIFF_REQUIRE(!facilities_.empty(), "no live racks to plan over");
-  if (mask == nullptr) {
-    SHERIFF_REQUIRE(distances_.all_finite(), "rack graph is disconnected");
-  }
-  // Faulted fabrics may legitimately have unreachable rack pairs; the
-  // solvers handle ∞ distances (the fast path defers to the reference).
+  SHERIFF_REQUIRE(distances_.all_finite(), "rack graph is disconnected");
   built_version_ = mask == nullptr ? 0 : mask->version();
   ++rebuilds_;
 }
@@ -74,53 +99,22 @@ bool KMedianPlanner::refresh() {
   return true;
 }
 
-graph::KMedianInstance KMedianPlanner::make_instance(
-    const std::vector<topo::RackId>& source_racks, std::size_t k) const {
-  graph::KMedianInstance instance;
-  instance.distance = &distances_;
-  instance.k = k;
-  instance.clients.assign(source_racks.begin(), source_racks.end());
-  instance.facilities.assign(facilities_.begin(), facilities_.end());
-  return instance;
-}
-
 KMedianPlan KMedianPlanner::plan(const std::vector<topo::RackId>& source_racks,
                                  const PlanOptions& options) const {
-  auto instance = make_instance(source_racks, options.k);
+  graph::KMedianInstance instance;
+  instance.distance = &distances_;
+  instance.k = options.k;
+  instance.clients.assign(source_racks.begin(), source_racks.end());
+  instance.facilities.assign(facilities_.begin(), facilities_.end());
   instance.max_evaluations = options.max_evaluations;
-  graph::KMedianSolution solution;
-  if (options.fast) {
-    graph::FastKMedianOptions fast;
-    fast.p = options.p;
-    solution = graph::fast_kmedian(instance, fast);
-  } else {
-    solution = graph::local_search_kmedian(instance, options.p);
-  }
+  graph::FastKMedianOptions fast;
+  fast.p = options.p;
+  const graph::KMedianSolution solution = graph::fast_kmedian(instance, fast);
   KMedianPlan out;
   out.destinations.assign(solution.medians.begin(), solution.medians.end());
   out.connection_cost = solution.cost;
   out.evaluations = solution.evaluations;
   out.hit_evaluation_cap = solution.hit_evaluation_cap;
-  return out;
-}
-
-KMedianPlan KMedianPlanner::plan(const std::vector<topo::RackId>& source_racks, std::size_t k,
-                                 std::size_t p) const {
-  PlanOptions options;
-  options.k = k;
-  options.p = p;
-  options.fast = false;
-  return plan(source_racks, options);
-}
-
-KMedianPlan KMedianPlanner::plan_exact(const std::vector<topo::RackId>& source_racks,
-                                       std::size_t k) const {
-  const auto instance = make_instance(source_racks, k);
-  const auto solution = graph::exhaustive_kmedian(instance);
-  KMedianPlan out;
-  out.destinations.assign(solution.medians.begin(), solution.medians.end());
-  out.connection_cost = solution.cost;
-  out.evaluations = solution.evaluations;
   return out;
 }
 

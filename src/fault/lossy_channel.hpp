@@ -30,7 +30,6 @@ class LossyChannel {
   }
 
   [[nodiscard]] bool lossless() const noexcept { return drop_probability_ <= 0.0; }
-  [[nodiscard]] double drop_probability() const noexcept { return drop_probability_; }
   [[nodiscard]] std::size_t drops() const noexcept { return drops_; }
 
   /// Checkpointable state: the Bernoulli stream position + loss tally.

@@ -1,106 +1,40 @@
 #include "graph/dijkstra.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 #include "common/require.hpp"
 
 namespace sheriff::graph {
 
-std::vector<Vertex> ShortestPathTree::path_to(Vertex target) const {
-  std::vector<Vertex> out;
-  if (target >= distance.size() || distance[target] == kInfiniteDistance) return out;
-  Vertex cur = target;
-  out.push_back(cur);
-  while (!parents[cur].empty()) {
-    cur = *std::min_element(parents[cur].begin(), parents[cur].end());
-    out.push_back(cur);
-    SHERIFF_REQUIRE(out.size() <= distance.size(), "parent cycle detected");
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-std::size_t ShortestPathTree::path_count(Vertex target, std::size_t cap) const {
-  if (target >= distance.size() || distance[target] == kInfiniteDistance) return 0;
-  // Memoized DFS over the (acyclic) tight-predecessor DAG.
-  std::vector<std::size_t> memo(distance.size(), 0);
-  std::vector<bool> done(distance.size(), false);
-  // Iterative post-order to avoid recursion depth issues on big fabrics.
-  std::vector<Vertex> stack{target};
-  while (!stack.empty()) {
-    const Vertex v = stack.back();
-    if (done[v]) {
-      stack.pop_back();
-      continue;
-    }
-    if (parents[v].empty()) {
-      memo[v] = 1;  // the source
-      done[v] = true;
-      stack.pop_back();
-      continue;
-    }
-    bool ready = true;
-    for (Vertex p : parents[v]) {
-      if (!done[p]) {
-        stack.push_back(p);
-        ready = false;
-      }
-    }
-    if (!ready) continue;
-    std::size_t total = 0;
-    for (Vertex p : parents[v]) total = std::min(cap, total + memo[p]);
-    memo[v] = total;
-    done[v] = true;
-    stack.pop_back();
-  }
-  return memo[target];
-}
-
-ShortestPathTree dijkstra(const Graph& g, Vertex source, const std::vector<bool>& blocked) {
-  ShortestPathTree tree;
-  dijkstra_into(g, source, blocked, tree);
-  return tree;
-}
-
-void dijkstra_into(const Graph& g, Vertex source, const std::vector<bool>& blocked,
-                   ShortestPathTree& tree) {
+void dijkstra_into(const Graph& g, Vertex source, ShortestPaths& out) {
   const std::size_t n = g.vertex_count();
   SHERIFF_REQUIRE(source < n, "source out of range");
-  SHERIFF_REQUIRE(blocked.empty() || blocked.size() == n, "blocked mask size mismatch");
-  tree.distance.assign(n, kInfiniteDistance);
-  // Clear the per-vertex parent lists in place: on reuse this keeps their
-  // heap blocks, which is the point of the _into variant.
-  if (tree.parents.size() == n) {
-    for (auto& p : tree.parents) p.clear();
-  } else {
-    tree.parents.assign(n, {});
-  }
-
-  const auto is_blocked = [&](Vertex v) { return !blocked.empty() && blocked[v]; };
-  if (is_blocked(source)) return;
+  out.distance.assign(n, kInfiniteDistance);
+  out.parent.assign(n, ShortestPaths::kNoParent);
 
   constexpr double kTieTolerance = 1e-12;
 
   using Item = std::pair<double, Vertex>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  tree.distance[source] = 0.0;
+  out.distance[source] = 0.0;
   heap.emplace(0.0, source);
 
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
-    if (d > tree.distance[u] + kTieTolerance) continue;
+    if (d > out.distance[u] + kTieTolerance) continue;
     for (const Edge& e : g.neighbors(u)) {
-      if (is_blocked(e.to)) continue;
       const double candidate = d + e.weight;
-      if (candidate + kTieTolerance < tree.distance[e.to]) {
-        tree.distance[e.to] = candidate;
-        tree.parents[e.to].assign(1, u);
+      if (candidate + kTieTolerance < out.distance[e.to]) {
+        out.distance[e.to] = candidate;
+        out.parent[e.to] = u;
         heap.emplace(candidate, e.to);
-      } else if (std::abs(candidate - tree.distance[e.to]) <= kTieTolerance) {
-        auto& ps = tree.parents[e.to];
-        if (std::find(ps.begin(), ps.end(), u) == ps.end()) ps.push_back(u);
+      } else if (std::abs(candidate - out.distance[e.to]) <= kTieTolerance) {
+        // A running min over the ties since the last strict improvement:
+        // the lowest id of the oracle's parent list, bit for bit.
+        out.parent[e.to] = std::min(out.parent[e.to], u);
       }
     }
   }

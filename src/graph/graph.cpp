@@ -18,11 +18,6 @@ void Graph::add_edge(Vertex u, Vertex v, double weight) {
   total_weight_ += weight;
 }
 
-Vertex Graph::add_vertex() {
-  adjacency_.emplace_back();
-  return static_cast<Vertex>(adjacency_.size() - 1);
-}
-
 std::span<const Edge> Graph::neighbors(Vertex v) const {
   SHERIFF_REQUIRE(v < adjacency_.size(), "vertex out of range");
   return adjacency_[v];

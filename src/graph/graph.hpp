@@ -33,9 +33,6 @@ class Graph {
   /// Adds an undirected edge u—v with the given non-negative weight.
   void add_edge(Vertex u, Vertex v, double weight);
 
-  /// Appends a new isolated vertex, returning its id.
-  Vertex add_vertex();
-
   [[nodiscard]] std::span<const Edge> neighbors(Vertex v) const;
 
   /// True if some edge u—v exists.

@@ -8,11 +8,12 @@
 // Parent order matters to the router, whose ECMP walk indexes the parent
 // list with a per-flow salt. HopGraph rows are sorted ascending, so the
 // derived parents come out in ascending vertex order — the order in which
-// graph::dijkstra's heap loop records them on a unit-weight graph (it pops
-// (distance, vertex) pairs lexicographically, so one level's vertices are
-// settled in ascending id order). tests/test_graph_properties.cpp pins
-// levels and derived parent lists against the heap loop, with and without
-// a blocked set.
+// the heap Dijkstra that keeps every parent (the test oracle in
+// tests/oracles/shortest_paths.hpp) records them on a unit-weight graph (it
+// pops (distance, vertex) pairs lexicographically, so one level's vertices
+// are settled in ascending id order). tests/test_graph_properties.cpp pins
+// levels and derived parent lists against that heap loop, with and
+// without a blocked set.
 //
 // Blocked sets (FLOWREROUTE's probes) need no search of their own: BFS
 // levels are unique, so the levels of g minus a few vertices follow from
@@ -39,7 +40,7 @@ inline constexpr HopLevel kUnreachedLevel = std::numeric_limits<HopLevel>::max()
 
 /// Unweighted adjacency in compressed sparse row form. Each row is sorted
 /// ascending and free of duplicates: parallel edges collapse into one
-/// neighbor, as they do in graph::dijkstra's parent lists.
+/// neighbor, as they do in the oracle Dijkstra's parent lists.
 class HopGraph {
  public:
   explicit HopGraph(const Graph& g);
@@ -91,7 +92,7 @@ void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
                                   std::size_t index);
 
 /// Number of distinct shortest paths from the root to `target`, capped at
-/// `cap` — the count ShortestPathTree::path_count gives on the same graph.
+/// `cap` — the count the oracle tree's path_count gives on the same graph.
 /// Zero when `target` is unreached.
 [[nodiscard]] std::size_t hop_path_count(const HopGraph& g, std::span<const HopLevel> levels,
                                          Vertex target, std::size_t cap = 1'000'000);

@@ -1,12 +1,13 @@
 #pragma once
-// k-median solvers. Sec. V-A reduces VMMIGRATION to k-median on the
-// Floyd–Warshall-completed rack graph T'; Alg. 5 is the Arya et al. local
-// search with swap size p, whose approximation ratio is 3 + 2/p. We
-// implement that local search (for any p), plus an exhaustive solver used
-// as ground truth by the ratio experiments and property tests.
+// k-median instances and solutions. Sec. V-A reduces VMMIGRATION to
+// k-median on the complete rack metric T'; Alg. 5 is the Arya et al.
+// local search with swap size p, whose approximation ratio is 3 + 2/p.
+// The engine runs it as the delta-evaluated graph::fast_kmedian
+// (kmedian_fast.hpp). The reference combinational scan it replays and the
+// exhaustive optimum the ratio experiments divide by are test oracles
+// (tests/oracles/kmedian.hpp).
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -32,32 +33,12 @@ struct KMedianSolution {
   bool hit_evaluation_cap = false;    ///< stopped early on KMedianInstance::max_evaluations
 };
 
-/// Connection cost of a given median set for the instance.
-double kmedian_cost(const KMedianInstance& instance, const std::vector<std::size_t>& medians);
-
 namespace detail {
 
-/// Shared between the reference and fast solvers.
+/// Rejects an instance without a matrix, with k outside [1, |facilities|]
+/// or with a point outside the matrix. Shared by every solver.
 void validate(const KMedianInstance& instance);
 
-/// Enumerates all index-combinations of size `p` from [0, n) in
-/// lexicographic order; invokes fn with each. Returns false if fn requested
-/// a stop (found improvement). Both solvers scan candidates in exactly this
-/// order — the differential tests rely on matching trajectories.
-bool for_each_combination(std::size_t n, std::size_t p,
-                          const std::function<bool(const std::vector<std::size_t>&)>& fn);
-
 }  // namespace detail
-
-/// Alg. 5: local search with swaps of up to `p` facilities at a time,
-/// first-improvement, deterministic initial solution (first k facilities).
-/// `min_relative_gain` is the improvement threshold that makes the
-/// 3 + 2/p guarantee polynomial-time (Arya et al. use cost reductions of at
-/// least cost/poly; any positive epsilon preserves the ratio up to (1+eps)).
-KMedianSolution local_search_kmedian(const KMedianInstance& instance, std::size_t p,
-                                     double min_relative_gain = 1e-9);
-
-/// Exhaustive optimum over all C(|facilities|, k) subsets. Test-scale only.
-KMedianSolution exhaustive_kmedian(const KMedianInstance& instance);
 
 }  // namespace sheriff::graph

@@ -171,7 +171,7 @@ SwapChoice delta_sweep(const KMedianInstance& instance, const KMedianState& stat
 }
 
 /// Advances `idx`, a strictly increasing combination of [0, n), to its
-/// lexicographic successor (detail::for_each_combination's order). Returns
+/// lexicographic successor (the reference scan's combination order). Returns
 /// the lowest position that changed, or kNone after the last combination.
 std::size_t next_combination(std::vector<std::size_t>& idx, std::size_t n) {
   const std::size_t p = idx.size();
@@ -183,15 +183,6 @@ std::size_t next_combination(std::vector<std::size_t>& idx, std::size_t n) {
     }
   }
   return kNone;
-}
-
-bool all_distances_finite(const KMedianInstance& instance) {
-  for (std::size_t c : instance.clients) {
-    for (std::size_t f : instance.facilities) {
-      if (!std::isfinite(instance.distance->at(c, f))) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -308,10 +299,13 @@ bool multi_swap_scan(const KMedianInstance& instance, KMedianState& state, KMedi
 KMedianSolution fast_kmedian(const KMedianInstance& instance, const FastKMedianOptions& options) {
   detail::validate(instance);
   SHERIFF_REQUIRE(options.p >= 1, "swap size p must be at least 1");
-  if (!all_distances_finite(instance)) {
-    // A partitioned fabric can leave unreachable pairs; the delta formulas
-    // would mix infinities (∞ − ∞), so defer to the reference solver.
-    return local_search_kmedian(instance, options.p, options.min_relative_gain);
+  // The delta formulas would mix infinities (∞ − ∞); the planner prices
+  // unreachable rack pairs finitely instead (KMedianPlanner, DESIGN.md §9).
+  for (std::size_t c : instance.clients) {
+    for (std::size_t f : instance.facilities) {
+      SHERIFF_REQUIRE(std::isfinite(instance.distance->at(c, f)),
+                      "fast_kmedian needs finite client-facility distances");
+    }
   }
 
   KMedianState state(instance,

@@ -1,9 +1,10 @@
 #pragma once
-// Fast swap-based k-median (Resende & Werneck-style delta evaluation).
+// Fast swap-based k-median (Resende & Werneck-style delta evaluation): the
+// engine's one Alg. 5 solver.
 //
-// The reference Alg. 5 local search (kmedian.hpp) re-evaluates
-// kmedian_cost from scratch for every candidate swap — O(k·|F|·|C|·k) per
-// improvement step for p = 1. The classic fast formulation keeps, per
+// The reference Alg. 5 local search (the test oracle in
+// tests/oracles/kmedian.hpp) re-evaluates kmedian_cost from scratch for
+// every candidate swap — O(k·|F|·|C|·k) per improvement step for p = 1. The classic fast formulation keeps, per
 // client, the distance to its nearest and second-nearest open median; with
 // that bookkeeping the gain of every single swap ⟨close r, open f⟩ is
 //
@@ -93,7 +94,7 @@ class KMedianState {
 /// The p ≥ 2 convergence check, run from `state`: the reference solver's
 /// first-improvement scan over swap sizes 2..min(options.p, k) — closed
 /// median slots major, opened facilities (those outside `state`, in
-/// instance order) minor, both in detail::for_each_combination order —
+/// instance order) minor, both in lexicographic combination order —
 /// accepting the first candidate whose cost is < state.cost() ·
 /// (1 − options.min_relative_gain). Applies that multi-swap via
 /// state.reset and returns true. Returns false when no such swap improves
@@ -105,15 +106,15 @@ class KMedianState {
 bool multi_swap_scan(const KMedianInstance& instance, KMedianState& state, KMedianSolution& sol,
                      const FastKMedianOptions& options);
 
-/// Delta-evaluated local search. For p = 1 the accepted-swap trajectory —
-/// and therefore the final median set — is identical to
-/// local_search_kmedian(instance, 1); only the work to find each swap
-/// shrinks. Instances with an unreachable client/facility pair
-/// (possible on a partitioned fabric) fall back to the reference solver,
-/// whose ∞-cost comparisons handle them. Honors
-/// KMedianInstance::max_evaluations at sweep granularity in the p = 1
-/// phase, which may overshoot the cap by at most one sweep (k·(|F|−k)
-/// candidates); multi_swap_scan stops exactly at it.
+/// Delta-evaluated local search. The accepted-swap trajectory — and
+/// therefore the final median set — is identical to the reference
+/// local_search_kmedian(instance, options.p); only the work to find each
+/// swap shrinks. Every client–facility distance must be finite
+/// (RequirementError otherwise): the planner prices the racks a faulted
+/// fabric separates at a finite M. Honors KMedianInstance::max_evaluations
+/// at sweep granularity in the p = 1 phase, which may overshoot the cap by
+/// at most one sweep (k·(|F|−k) candidates); multi_swap_scan stops exactly
+/// at it.
 KMedianSolution fast_kmedian(const KMedianInstance& instance,
                              const FastKMedianOptions& options = {});
 

@@ -44,8 +44,4 @@ struct AssignmentResult {
 /// VMs than slots split the instance (the protocol retries next round).
 AssignmentResult solve_assignment(const AssignmentProblem& problem);
 
-/// Brute-force optimum by permutation enumeration; for cross-checking in
-/// tests (rows <= cols <= ~8).
-AssignmentResult solve_assignment_brute_force(const AssignmentProblem& problem);
-
 }  // namespace sheriff::graph

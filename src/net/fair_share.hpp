@@ -4,26 +4,20 @@
 // algorithms consume: available bandwidth B(e), utilization rate P(e), and
 // per-flow achieved rate.
 //
-// Two implementations share the same semantics:
-//
-//   * max_min_fair_share — the from-scratch reference: resolves every
-//     flow's path into link ids and runs level-by-level progressive
-//     filling over the whole fabric. Simple, allocation-heavy,
-//     O(levels × fabric) per call. It is the oracle every differential
-//     test and the auditor's deep re-solve compare against.
-//   * FairShareSolver — the solver the engine's per-round hot path uses.
-//     Every solve is canonical: one pass over the flow table in ascending
-//     flow order resolves link ids (through a path-keyed memo), builds a
-//     flat CSR incidence of the participating flows and labels the
-//     connected components of the flow–link sharing graph (union–find
-//     over links). Each component is then water-filled by an event-driven
-//     kernel that processes links in saturation order (no per-level
-//     fabric re-scan), one component after another in ascending order.
-//     The fill stays split by component although it is serial: each
-//     component's event heap fixes the tie order of its link events, so
-//     the split is part of the result. See DESIGN.md §7 for the
-//     equivalence argument and §13 for the flat layout and the kernel's
-//     determinism contract.
+// FairShareSolver is the one implementation. Every solve is canonical:
+// one pass over the flow table in ascending flow order resolves link ids
+// (through a path-keyed memo), builds a flat CSR incidence of the
+// participating flows and labels the connected components of the
+// flow–link sharing graph (union–find over links). Each component is then
+// water-filled by an event-driven kernel that processes links in
+// saturation order (no per-level fabric re-scan), one component after
+// another in ascending order. The fill stays split by component although
+// it is serial: each component's event heap fixes the tie order of its
+// link events, so the split is part of the result. See DESIGN.md §7 for
+// the equivalence argument and §13 for the flat layout and the kernel's
+// determinism contract. The from-scratch progressive-filling reference it
+// is checked against lives in the test oracles
+// (tests/oracles/fair_share.hpp).
 
 #include <cstdint>
 #include <span>
@@ -50,24 +44,21 @@ struct FairShareResult {
   [[nodiscard]] double available_bandwidth(const topo::Topology& topo, topo::LinkId link) const;
 };
 
-/// Computes the max–min fair allocation; also writes each flow's
-/// allocated_gbps. Unrouted flows get rate zero. With a liveness mask,
-/// flows whose path crosses a dead link/node are also rated zero (the
-/// engine re-routes them on fault events; this is the safety net for the
-/// same round the fault hits).
-FairShareResult max_min_fair_share(const topo::Topology& topo, std::span<Flow> flows,
-                                   const topo::LivenessMask* liveness = nullptr);
-
 /// Per-round max–min solver. Call solve() once per round with the flow
 /// table. Each call solves from the table and the liveness mask alone, so
 /// the allocation is a pure function of them — independent of earlier
 /// calls and of whether the solver was just restored from a checkpoint.
+/// Unrouted flows get rate zero. With a liveness mask, flows whose path
+/// crosses a dead link/node are also rated zero (the engine re-routes
+/// them on fault events; this is the safety net for the same round the
+/// fault hits).
 ///
-/// The allocation matches max_min_fair_share on the same inputs to
-/// floating-point noise (the differential test bounds it at 1e-9): a
-/// max–min allocation decomposes over connected components of the
-/// flow–link sharing graph, and the event-driven fill freezes flows at the
-/// same water levels the reference reaches by progressive increments. Its
+/// The allocation matches the oracle's from-scratch max_min_fair_share on
+/// the same inputs to floating-point noise (the differential tests bound
+/// it at 1e-9): a max–min allocation decomposes over connected components
+/// of the flow–link sharing graph, and the event-driven fill freezes flows
+/// at the same water levels the reference reaches by progressive
+/// increments. Its
 /// bits are pinned too: sums run in ascending flow order and the link
 /// events in the binary heap's exact push/pop sequence (DESIGN.md §13).
 class FairShareSolver {

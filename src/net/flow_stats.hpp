@@ -31,7 +31,7 @@ struct FlowQosStats {
 double jain_fairness_index(std::span<const double> rates);
 
 /// Computes QoS statistics for an allocation (flows carry allocated_gbps
-/// after max_min_fair_share()).
+/// after FairShareSolver::solve()).
 FlowQosStats compute_qos_stats(std::span<const Flow> flows);
 
 }  // namespace sheriff::net

@@ -35,7 +35,6 @@ void InvariantAuditor::audit_network(const RoundInputs& in) {
   ++rounds_audited_;
   check_flow_rates(in);
   if (in.solver != nullptr) check_solver_bookkeeping(in);
-  if (options_.deep_fair_share) check_deep_fair_share(in);
   if (registry_ != nullptr) {
     registry_->gauge("auditor.rounds").set(static_cast<double>(rounds_audited_));
   }
@@ -286,23 +285,6 @@ void InvariantAuditor::check_solver_bookkeeping(const RoundInputs& in) {
   }
   last_solver_stats_ = stats;
   have_solver_stats_ = true;
-}
-
-// Check 7 (opt-in): the solver's allocation equals the from-scratch
-// reference on a private copy of the flow table.
-void InvariantAuditor::check_deep_fair_share(const RoundInputs& in) {
-  const topo::Topology& topo = in.deployment->topology();
-  std::vector<net::Flow> copy(in.flows.begin(), in.flows.end());
-  const net::FairShareResult reference = net::max_min_fair_share(topo, copy, in.liveness);
-  for (std::size_t f = 0; f < in.flows.size(); ++f) {
-    const double got = in.shares->flow_rate[f];
-    const double want = reference.flow_rate[f];
-    if (std::abs(got - want) > 1e-6 * (1.0 + std::abs(want))) {
-      report(7, std::abs(got - want),
-             "flow " + std::to_string(f) + " solver rate " + std::to_string(got) +
-                 " diverges from the from-scratch reference " + std::to_string(want));
-    }
-  }
 }
 
 void InvariantAuditor::save_state(snapshot::Writer& writer) const {

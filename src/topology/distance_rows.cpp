@@ -38,33 +38,22 @@ std::size_t DistanceRows::built_rows() const noexcept {
 }
 
 void DistanceRows::build_tor_rows() const {
-  // Reusing the scratch tree keeps its parent lists' heap blocks across
-  // the batch instead of allocating and freeing one per node per row.
-  graph::ShortestPathTree scratch;
   for (const Rack& rack : topo_->racks()) {
     if (rack.tor == kInvalidNode) continue;
     if (slots_[rack.tor].load(std::memory_order_acquire) != nullptr) continue;
-    (void)publish(rack.tor, scratch);
+    (void)publish(rack.tor);
   }
 }
 
 const DistanceRow& DistanceRows::publish(NodeId root) const {
-  graph::ShortestPathTree scratch;
-  return publish(root, scratch);
-}
-
-const DistanceRow& DistanceRows::publish(NodeId root, graph::ShortestPathTree& scratch) const {
-  // graph::dijkstra_into the scratch tree, then compact it: the distances
-  // move over as they are and each parent list shrinks to its lowest id,
-  // so distances and paths are the parent-list tree's bit for bit.
-  graph::dijkstra_into(graph_, root, {}, scratch);
+  // The distances and lowest-id parents move over from graph::dijkstra_into
+  // as they are (its kNoParent is kInvalidNode).
+  static_assert(graph::ShortestPaths::kNoParent == kInvalidNode);
+  graph::ShortestPaths paths;
+  graph::dijkstra_into(graph_, root, paths);
   auto row = std::make_unique<DistanceRow>();
-  row->distance = std::move(scratch.distance);
-  row->parent.assign(row->distance.size(), kInvalidNode);
-  for (std::size_t v = 0; v < scratch.parents.size(); ++v) {
-    const auto& parents = scratch.parents[v];
-    if (!parents.empty()) row->parent[v] = *std::min_element(parents.begin(), parents.end());
-  }
+  row->distance = std::move(paths.distance);
+  row->parent = std::move(paths.parent);
   // Rack memo: the root→ToR link sequence along path_to, so the cost
   // surface runs link_between once per (root, rack) instead of once per
   // (candidate, hop).

@@ -17,10 +17,6 @@
 #include "graph/graph.hpp"
 #include "topology/entities.hpp"
 
-namespace sheriff::graph {
-struct ShortestPathTree;
-}
-
 namespace sheriff::topo {
 
 class Topology;
@@ -42,7 +38,7 @@ struct DistanceRow {
   std::vector<std::uint8_t> rack_reachable;
 
   /// One shortest path root→target through the lowest-id parents (the
-  /// path graph::ShortestPathTree::path_to gives); empty if unreachable.
+  /// path the ECMP oracle's path_to gives); empty if unreachable.
   [[nodiscard]] std::vector<NodeId> path_to(NodeId target) const;
 
   /// The root→ToR link ids of `rack` (empty when unreachable, or when the
@@ -76,16 +72,15 @@ class DistanceRows {
   }
 
   /// Builds every ToR-rooted row not yet built — what the first engine on
-  /// a fabric does at construction. One scratch tree serves the batch.
+  /// a fabric does at construction.
   void build_tor_rows() const;
 
   /// Rows published so far.
   [[nodiscard]] std::size_t built_rows() const noexcept;
 
  private:
+  /// Builds `root`'s row and publishes it.
   [[nodiscard]] const DistanceRow& publish(NodeId root) const;
-  /// Builds `root`'s row through `scratch` and publishes it.
-  const DistanceRow& publish(NodeId root, graph::ShortestPathTree& scratch) const;
 
   const Topology* topo_;
   graph::Graph graph_;

@@ -47,12 +47,4 @@ std::size_t LivenessMask::unusable_link_count(const Topology& topo) const {
   return count;
 }
 
-std::size_t LivenessMask::failed_count_of_kind(const Topology& topo, NodeKind kind) const {
-  std::size_t count = 0;
-  for (NodeId n = 0; n < node_up_.size(); ++n) {
-    if (!node_up_[n] && topo.node(n).kind == kind) ++count;
-  }
-  return count;
-}
-
 }  // namespace sheriff::topo

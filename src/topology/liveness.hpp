@@ -38,14 +38,11 @@ class LivenessMask {
   [[nodiscard]] bool all_up() const noexcept {
     return failed_nodes_ == 0 && failed_links_ == 0;
   }
-  [[nodiscard]] std::size_t failed_node_count() const noexcept { return failed_nodes_; }
   /// Links explicitly failed (excludes links severed by a dead endpoint).
   [[nodiscard]] std::size_t failed_link_count() const noexcept { return failed_links_; }
   /// Links unable to carry traffic: failed outright or severed by a dead
   /// endpoint.
   [[nodiscard]] std::size_t unusable_link_count(const Topology& topo) const;
-  /// Failed nodes of a given kind (e.g. counting dead switches vs hosts).
-  [[nodiscard]] std::size_t failed_count_of_kind(const Topology& topo, NodeKind kind) const;
 
   /// Monotonic change counter; bumped whenever any bit flips.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }

@@ -12,11 +12,13 @@
 #include "core/centralized_manager.hpp"
 #include "core/kmedian_planner.hpp"
 #include "core/vm_migration.hpp"
-#include "graph/floyd_warshall.hpp"
 #include "migration/cost_model.hpp"
 #include "migration/request.hpp"
+#include "oracles/kmedian.hpp"
+#include "oracles/shortest_paths.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
+#include "topology/liveness.hpp"
 #include "workload/deployment.hpp"
 
 namespace core = sheriff::core;
@@ -24,6 +26,7 @@ namespace mig = sheriff::mig;
 namespace wl = sheriff::wl;
 namespace topo = sheriff::topo;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -195,7 +198,7 @@ TEST(KMedianPlanner, DijkstraAndFloydWarshallAgree) {
   // reads per-ToR Dijkstra rows, which must give the same metric T'.
   const topo::Topology& t = test_topology();
   const core::KMedianPlanner planner(t);
-  const auto apsp = sheriff::graph::floyd_warshall(t.wired_graph(topo::EdgeWeight::kDistance));
+  const auto apsp = oracle::floyd_warshall(t.wired_graph(topo::EdgeWeight::kDistance));
   const auto n = t.rack_count();
   for (topo::RackId i = 0; i < n; ++i) {
     for (topo::RackId j = 0; j < n; ++j) {
@@ -229,8 +232,8 @@ TEST_P(PlannerRatio, LocalSearchWithinBoundOnFatTree) {
   std::vector<topo::RackId> sources;
   for (topo::RackId r = 0; r < test_topology().rack_count(); r += 2) sources.push_back(r);
   const std::size_t k = 3;
-  const auto approx = planner.plan(sources, k, p);
-  const auto exact = planner.plan_exact(sources, k);
+  const auto approx = planner.plan(sources, {.k = k, .p = p});
+  const auto exact = oracle::exact_plan(planner, sources, k);
   ASSERT_GT(exact.connection_cost, 0.0);
   const double bound = 3.0 + 2.0 / static_cast<double>(p);
   EXPECT_LE(approx.connection_cost, bound * exact.connection_cost + 1e-9);
@@ -301,7 +304,72 @@ TEST(KMedianPlanner, WorksOnBCube) {
   const auto t = topo::build_bcube(options);
   const core::KMedianPlanner planner(t);
   EXPECT_TRUE(planner.rack_distances().all_finite());
-  const auto plan = planner.plan({0, 1, 2}, 2, 1);
+  const auto plan = planner.plan({0, 1, 2}, {.k = 2, .p = 1});
   EXPECT_EQ(plan.destinations.size(), 2u);
   EXPECT_GE(plan.connection_cost, 0.0);
+}
+
+// --- The finite T' of a masked rebuild (DESIGN.md §9): racks the mask
+// --- separates are M = 1 + racks · (largest finite entry) apart.
+
+namespace {
+
+const topo::Topology& fat_tree_8x3() {
+  static const topo::Topology t = [] {
+    topo::FatTreeOptions options;
+    options.pods = 8;
+    options.hosts_per_rack = 3;
+    return topo::build_fat_tree(options);
+  }();
+  return t;
+}
+
+/// Racks 24–28, 30, 31 and then 29, the last one the rack a fault hits.
+const std::vector<topo::RackId> kFaultedSources{24, 25, 26, 27, 28, 30, 31, 29};
+const core::KMedianPlanner::PlanOptions kFaultedPlan{.k = 4, .p = 2};
+
+void expect_finite_metric(const core::KMedianPlanner& planner) {
+  EXPECT_TRUE(planner.rack_distances().all_finite());
+  EXPECT_EQ(planner.rack_distances().max_triangle_violation(), 0.0);
+}
+
+}  // namespace
+
+TEST(KMedianPlannerFiniteMetric, DeadToRPlansAsWithoutItsRack) {
+  const topo::Topology& t = fat_tree_8x3();
+  topo::LivenessMask mask(t);
+  mask.set_node(t.rack(29).tor, false);
+  const core::KMedianPlanner planner(t, {.liveness = &mask});
+  expect_finite_metric(planner);
+
+  const auto plan = planner.plan(kFaultedSources, kFaultedPlan);
+  EXPECT_EQ(plan.destinations, (std::vector<topo::RackId>{24, 27, 28, 31}));
+  // Rack 29 is M from every live rack, a constant that moves no median.
+  const std::vector<topo::RackId> without_29(kFaultedSources.begin(), kFaultedSources.end() - 1);
+  EXPECT_EQ(planner.plan(without_29, kFaultedPlan).destinations, plan.destinations);
+  EXPECT_FALSE(plan.hit_evaluation_cap);
+}
+
+TEST(KMedianPlannerFiniteMetric, CutOffToRIsOpenedForItsOwnRack) {
+  const topo::Topology& t = fat_tree_8x3();
+  topo::LivenessMask mask(t);
+  const topo::NodeId tor = t.rack(29).tor;
+  std::size_t uplinks = 0;
+  for (const topo::LinkId l : t.links_of(tor)) {
+    if (t.node(t.peer(l, tor)).kind == topo::NodeKind::kHost) continue;
+    mask.set_link(l, false);
+    ++uplinks;
+  }
+  ASSERT_GT(uplinks, 0u);
+  const core::KMedianPlanner planner(t, {.liveness = &mask});
+  expect_finite_metric(planner);
+  // Serving rack 29 saves M, more than any plan of the other racks costs.
+  EXPECT_EQ(planner.plan(kFaultedSources, kFaultedPlan).destinations,
+            (std::vector<topo::RackId>{24, 27, 28, 29}));
+  // Even when opening rack 29 leaves one median for two far pods, whose
+  // racks a second median would save a lot: M outweighs any such saving.
+  const std::vector<topo::RackId> two_pods{0, 1, 2, 3, 24, 25, 26, 27, 29};
+  const auto plan = planner.plan(two_pods, {.k = 2, .p = 2});
+  EXPECT_NE(std::find(plan.destinations.begin(), plan.destinations.end(), 29),
+            plan.destinations.end());
 }

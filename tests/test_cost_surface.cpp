@@ -1,16 +1,16 @@
 // The flattened migration decision kernel (DESIGN.md §14): the cost
 // model's surface kernel must price every move bit for bit like the
-// reference per-link walk written out below, the candidate lower bound
-// must be admissible (bound <= exact cost, always), and bound-guarded
-// pruning must never change a selection — locked by a 50-seed pruned-vs-
-// exhaustive differential on both reference fabrics plus engine-level
+// oracle's per-link walk (tests/oracles/cost_walk.hpp), the candidate
+// lower bound must be admissible (bound <= exact cost, always), and
+// bound-guarded pruning must never change a selection — locked by a
+// 50-seed pruned-vs-exhaustive differential (against the oracle's
+// exhaustive matching) on both reference fabrics plus engine-level
 // CSV/checkpoint byte parity across the unread EngineConfig::pool,
 // pristine and faulted.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -24,13 +24,13 @@
 #include "core/metrics.hpp"
 #include "core/vm_migration.hpp"
 #include "fault/fault_plan.hpp"
-#include "graph/matching.hpp"
 #include "migration/cost_model.hpp"
 #include "net/fair_share.hpp"
 #include "net/routing.hpp"
+#include "oracles/cost_walk.hpp"
+#include "oracles/fair_share.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "topology/bcube.hpp"
-#include "topology/distance_rows.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/deployment.hpp"
 
@@ -40,8 +40,8 @@ namespace topo = sheriff::topo;
 namespace mig = sheriff::mig;
 namespace net = sheriff::net;
 namespace fault = sheriff::fault;
-namespace graph = sheriff::graph;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -85,69 +85,7 @@ net::FairShareResult loaded_shares(const topo::Topology& topology,
     flows.push_back(f);
   }
   router.route_all(flows);
-  return net::max_min_fair_share(topology, flows);
-}
-
-/// Eq. (1) the slow way: the per-link walk the cost model ran before its
-/// per-round surface. Distances and the priced path come from the
-/// topology's rows, with a single-homed node's queries answered by its
-/// peer's row plus the leaf link, and the dependency span read from each
-/// partner's side; B(e) is recomputed from the fair-share result link by
-/// link (`shares == nullptr`: idle links).
-mig::CostBreakdown reference_cost(const topo::Topology& t, const wl::Deployment& d,
-                                  const mig::CostParams& params,
-                                  const net::FairShareResult* shares, wl::VmId vm_id,
-                                  topo::NodeId dest) {
-  const topo::DistanceRows& rows = t.distance_rows();
-  const auto leaf_peer = [&](topo::NodeId v) {
-    const auto links = t.links_of(v);
-    return links.size() == 1 ? t.peer(links[0], v) : topo::kInvalidNode;
-  };
-  const auto distance = [&](topo::NodeId from, topo::NodeId to) {
-    if (from == to) return 0.0;
-    const topo::NodeId via = leaf_peer(from);
-    if (via == topo::kInvalidNode) return rows.row(from).distance[to];
-    const double leaf = t.link(t.links_of(from)[0]).distance_m;
-    return to == via ? leaf : leaf + rows.row(via).distance[to];
-  };
-  const auto path = [&](topo::NodeId from, topo::NodeId to) {
-    const topo::NodeId via = leaf_peer(from);
-    if (via == topo::kInvalidNode) return rows.row(from).path_to(to);
-    if (to == via) return std::vector<topo::NodeId>{from, to};
-    auto p = rows.row(via).path_to(to);
-    if (!p.empty()) p.insert(p.begin(), from);
-    return p;
-  };
-
-  const wl::VirtualMachine& vm = d.vm(vm_id);
-  mig::CostBreakdown out;
-  out.computing = params.computing_cost;
-  double span = 0.0;
-  for (const wl::VmId other : d.dependencies().neighbors(vm_id)) {
-    span += distance(d.vm(other).host, dest);
-  }
-  out.dependency = params.unit_distance_cost * span;
-  if (vm.host == dest) return out;  // a one-node path is never feasible
-  const auto hops = path(vm.host, dest);
-  if (hops.size() < 2) return out;  // unreachable
-  double transmission = 0.0;
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    const topo::LinkId link = t.link_between(hops[i], hops[i + 1]);
-    const double capacity = t.link(link).capacity_gbps;
-    double available = capacity;
-    if (shares != nullptr) {
-      available = std::max(shares->available_bandwidth(t, link),
-                           params.management_reserve_fraction * capacity);
-    }
-    const double b = std::min(available, params.request_gbps);  // B(e)
-    if (b <= params.bandwidth_threshold_gbps) return out;        // below B_t
-    const double time = static_cast<double>(vm.capacity) / b;    // T(e)
-    const double utilization = b / capacity;                     // P(e)
-    transmission += params.delta * time + params.eta * utilization;
-  }
-  out.transmission = transmission;
-  out.feasible = true;
-  return out;
+  return oracle::max_min_fair_share(topology, flows);
 }
 
 void expect_breakdown_bitwise_equal(const mig::CostBreakdown& a, const mig::CostBreakdown& b,
@@ -179,7 +117,7 @@ void expect_surface_transparent(const topo::Topology& topology) {
           static_cast<std::uint32_t>(deployment.vm_count())));
       const topo::NodeId dest = rng.pick(hosts);
       const mig::CostBreakdown expected =
-          reference_cost(topology, deployment, model.params(), shares, vm, dest);
+          oracle::reference_cost(topology, deployment, model.params(), shares, vm, dest);
       expect_breakdown_bitwise_equal(model.cost(vm, dest), expected, vm, dest);
       EXPECT_EQ(model.total_cost(vm, dest),
                 expected.feasible ? expected.total() : std::numeric_limits<double>::infinity());
@@ -241,40 +179,6 @@ TEST(CostSurface, LowerBoundIsAdmissibleOnRandomCandidatePairs) {
 
 namespace {
 
-/// The exhaustive matching propose_matching must reproduce: every
-/// placeable (candidate, open target) pair of the first min(|candidates|,
-/// |open|) candidates priced by total_cost, then one assignment solve.
-/// `evaluations` counts the pairs it priced.
-std::vector<core::ProposedMove> exhaustive_matching(const wl::Deployment& deployment,
-                                                    const mig::MigrationCostModel& model,
-                                                    const std::vector<wl::VmId>& candidates,
-                                                    const std::vector<topo::NodeId>& targets,
-                                                    std::size_t& evaluations) {
-  std::vector<core::ProposedMove> out;
-  std::vector<topo::NodeId> open;
-  for (const topo::NodeId h : targets) {
-    if (deployment.host_free_capacity(h) > 0) open.push_back(h);
-  }
-  if (candidates.empty() || open.empty()) return out;
-  const std::size_t batch = std::min(candidates.size(), open.size());
-  graph::AssignmentProblem problem(batch, open.size());
-  for (std::size_t r = 0; r < batch; ++r) {
-    for (std::size_t c = 0; c < open.size(); ++c) {
-      if (!deployment.can_place(candidates[r], open[c])) continue;
-      ++evaluations;
-      const double cost = model.total_cost(candidates[r], open[c]);
-      if (std::isfinite(cost)) problem.set_cost(r, c, cost);
-    }
-  }
-  const auto matching = graph::solve_assignment(problem);
-  for (std::size_t r = 0; r < batch; ++r) {
-    const std::size_t col = matching.assignment[r];
-    if (col == graph::AssignmentResult::kUnassigned) continue;
-    out.push_back({candidates[r], open[col], problem.cost(r, col)});
-  }
-  return out;
-}
-
 /// 50 random candidate/target sets on `topology` with `reserve` as the
 /// management reserve: propose_matching must select exactly what the
 /// exhaustive matching selects and account for every pair it skipped.
@@ -306,7 +210,7 @@ std::uint64_t expect_pruning_lossless(const topo::Topology& topology, double res
 
     std::size_t exhaustive_evaluations = 0;
     const auto exhaustive =
-        exhaustive_matching(deployment, model, candidates, targets, exhaustive_evaluations);
+        oracle::exhaustive_matching(deployment, model, candidates, targets, exhaustive_evaluations);
     const mig::CostModelStats before = model.stats();
     std::size_t space = 0;
     const auto pruned = core::propose_matching(deployment, model, candidates, targets, &space);

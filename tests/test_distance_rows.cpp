@@ -1,5 +1,5 @@
 // The fabric's shared distance rows (topology/distance_rows.hpp): every
-// row equals graph::dijkstra from the same root (distances bitwise, the
+// row equals the oracle Dijkstra from the same root (distances bitwise, the
 // lowest-id tight parent, the rack-link CSR and the reachable flags), every
 // engine on one Topology reads the same row objects, a cold copy of the
 // fabric reproduces an engine's bytes, and engines constructed on one
@@ -19,7 +19,7 @@
 
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
-#include "graph/dijkstra.hpp"
+#include "oracles/shortest_paths.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "topology/bcube.hpp"
 #include "topology/distance_rows.hpp"
@@ -31,6 +31,7 @@ namespace core = sheriff::core;
 namespace graph = sheriff::graph;
 namespace topo = sheriff::topo;
 namespace wl = sheriff::wl;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -71,9 +72,8 @@ std::vector<std::uint64_t> bits(const std::vector<double>& values) {
   return out;
 }
 
-/// Every root's row against a fresh graph::dijkstra from that root: the
-/// ToR rows from the batch build (one scratch tree reused across rows),
-/// the others from lazy single-row builds.
+/// Every root's row against a fresh oracle::dijkstra from that root: the
+/// ToR rows from the batch build, the others from lazy single-row builds.
 void expect_rows_match_oracle(const topo::Topology& t) {
   const graph::Graph g = t.wired_graph(topo::EdgeWeight::kDistance);
   const topo::DistanceRows& rows = t.distance_rows();
@@ -81,21 +81,21 @@ void expect_rows_match_oracle(const topo::Topology& t) {
   ASSERT_EQ(rows.built_rows(), t.rack_count());
   for (topo::NodeId root = 0; root < t.node_count(); ++root) {
     const topo::DistanceRow& row = rows.row(root);
-    const graph::ShortestPathTree oracle = graph::dijkstra(g, root);
-    ASSERT_EQ(bits(row.distance), bits(oracle.distance)) << t.name() << " root " << root;
+    const oracle::ShortestPathTree tree = oracle::dijkstra(g, root);
+    ASSERT_EQ(bits(row.distance), bits(tree.distance)) << t.name() << " root " << root;
     for (topo::NodeId v = 0; v < t.node_count(); ++v) {
-      const auto& parents = oracle.parents[v];
+      const auto& parents = tree.parents[v];
       const topo::NodeId lowest =
           parents.empty() ? topo::kInvalidNode : *std::min_element(parents.begin(), parents.end());
       ASSERT_EQ(row.parent[v], lowest) << t.name() << " root " << root << " node " << v;
-      ASSERT_EQ(row.path_to(v), oracle.path_to(v)) << t.name() << " root " << root;
+      ASSERT_EQ(row.path_to(v), tree.path_to(v)) << t.name() << " root " << root;
     }
     for (topo::RackId r = 0; r < t.rack_count(); ++r) {
       const topo::NodeId tor = t.rack(r).tor;
-      const bool reachable = oracle.distance[tor] != graph::kInfiniteDistance;
+      const bool reachable = tree.distance[tor] != graph::kInfiniteDistance;
       EXPECT_EQ(row.rack_reachable[r], reachable ? 1 : 0);
       std::vector<topo::LinkId> walk;
-      const auto path = oracle.path_to(tor);
+      const auto path = tree.path_to(tor);
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         walk.push_back(t.link_between(path[i], path[i + 1]));
       }

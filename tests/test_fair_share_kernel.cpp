@@ -22,6 +22,7 @@
 #include "net/flow.hpp"
 #include "net/routing.hpp"
 #include "obs/registry.hpp"
+#include "oracles/fair_share.hpp"
 #include "snapshot/archive.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "topology/bcube.hpp"
@@ -34,6 +35,7 @@ namespace topo = sheriff::topo;
 namespace net = sheriff::net;
 namespace fault = sheriff::fault;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -80,7 +82,7 @@ std::vector<net::Flow> intra_rack_flows(const topo::Topology& t, const net::Rout
 void expect_matches_reference(const topo::Topology& t, const std::vector<net::Flow>& flows,
                               const net::FairShareResult& incremental) {
   std::vector<net::Flow> reference_flows = flows;
-  const auto reference = net::max_min_fair_share(t, reference_flows);
+  const auto reference = oracle::max_min_fair_share(t, reference_flows);
   ASSERT_EQ(incremental.flow_rate.size(), reference.flow_rate.size());
   for (std::size_t f = 0; f < reference.flow_rate.size(); ++f) {
     EXPECT_NEAR(incremental.flow_rate[f], reference.flow_rate[f], kTol) << "flow " << f;

@@ -16,12 +16,14 @@
 #include "net/fair_share.hpp"
 #include "net/flow.hpp"
 #include "net/routing.hpp"
+#include "oracles/fair_share.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/liveness.hpp"
 
 namespace topo = sheriff::topo;
 namespace net = sheriff::net;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -104,7 +106,7 @@ TEST_P(FairShareBothSolvers, InvariantsHoldOnFuzzedFlowSets) {
   auto flows = fuzzed_flows(rng, t, router);
 
   auto reference_flows = flows;
-  const auto reference = net::max_min_fair_share(t, reference_flows);
+  const auto reference = oracle::max_min_fair_share(t, reference_flows);
   expect_invariants(t, reference_flows, reference, nullptr, "reference");
 
   net::FairShareSolver solver(t);

@@ -1,20 +1,23 @@
-// Graph substrate tests: adjacency graph, Floyd–Warshall vs Dijkstra
-// cross-checks on random graphs, Hungarian matching vs brute force, and
-// the PRIORITY knapsack.
+// Graph substrate tests: adjacency graph, the oracle Floyd–Warshall vs
+// Dijkstra cross-checks on random graphs, the engine's Dijkstra vs the
+// oracle's, Hungarian matching vs brute force, and the PRIORITY knapsack.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "graph/dijkstra.hpp"
-#include "graph/floyd_warshall.hpp"
 #include "graph/graph.hpp"
 #include "graph/knapsack.hpp"
 #include "graph/matching.hpp"
+#include "oracles/matching.hpp"
+#include "oracles/shortest_paths.hpp"
 
 namespace sg = sheriff::graph;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -85,7 +88,7 @@ TEST(FloydWarshall, TinyGraphByHand) {
   g.add_edge(1, 2, 2.0);
   g.add_edge(0, 2, 5.0);
   g.add_edge(2, 3, 1.0);
-  const auto apsp = sg::floyd_warshall(g);
+  const auto apsp = oracle::floyd_warshall(g);
   EXPECT_DOUBLE_EQ(apsp.distance.at(0, 2), 3.0);  // via 1
   EXPECT_DOUBLE_EQ(apsp.distance.at(0, 3), 4.0);
   const auto path = apsp.path(0, 3);
@@ -97,7 +100,7 @@ TEST(FloydWarshall, TinyGraphByHand) {
 TEST(FloydWarshall, UnreachableStaysInfinite) {
   sg::Graph g(3);
   g.add_edge(0, 1, 1.0);
-  const auto apsp = sg::floyd_warshall(g);
+  const auto apsp = oracle::floyd_warshall(g);
   EXPECT_EQ(apsp.distance.at(0, 2), sg::kInfiniteDistance);
   EXPECT_TRUE(apsp.path(0, 2).empty());
 }
@@ -108,9 +111,9 @@ TEST_P(ApspCrossCheck, FloydWarshallMatchesDijkstra) {
   sc::Pcg32 rng(static_cast<std::uint64_t>(GetParam()));
   const std::size_t n = 20 + rng.next_below(20);
   const auto g = random_connected_graph(n, n, rng);
-  const auto apsp = sg::floyd_warshall(g);
+  const auto apsp = oracle::floyd_warshall(g);
   for (sg::Vertex src = 0; src < n; src += 3) {
-    const auto tree = sg::dijkstra(g, src);
+    const auto tree = oracle::dijkstra(g, src);
     for (sg::Vertex dst = 0; dst < n; ++dst) {
       EXPECT_NEAR(apsp.distance.at(src, dst), tree.distance[dst], 1e-9);
     }
@@ -121,7 +124,7 @@ TEST_P(ApspCrossCheck, ReconstructedPathsHaveStatedLength) {
   sc::Pcg32 rng(static_cast<std::uint64_t>(GetParam()) + 1000);
   const std::size_t n = 15;
   const auto g = random_connected_graph(n, 10, rng);
-  const auto apsp = sg::floyd_warshall(g);
+  const auto apsp = oracle::floyd_warshall(g);
   for (sg::Vertex a = 0; a < n; ++a) {
     for (sg::Vertex b = 0; b < n; ++b) {
       const auto path = apsp.path(a, b);
@@ -146,7 +149,7 @@ TEST(Dijkstra, BlockedNodesAreAvoided) {
   g.add_edge(2, 3, 2.0);
   std::vector<bool> blocked(4, false);
   blocked[1] = true;
-  const auto tree = sg::dijkstra(g, 0, blocked);
+  const auto tree = oracle::dijkstra(g, 0, blocked);
   EXPECT_DOUBLE_EQ(tree.distance[3], 4.0);
   const auto path = tree.path_to(3);
   ASSERT_EQ(path.size(), 3u);
@@ -160,8 +163,43 @@ TEST(Dijkstra, CountsEqualCostPaths) {
   g.add_edge(0, 2, 1.0);
   g.add_edge(1, 3, 1.0);
   g.add_edge(2, 3, 1.0);
-  const auto tree = sg::dijkstra(g, 0);
+  const auto tree = oracle::dijkstra(g, 0);
   EXPECT_EQ(tree.path_count(3), 2u);
+}
+
+TEST(Dijkstra, LowestTightParentMatchesOracleBitwise) {
+  // Small integer weights make ties (ECMP) common; the last vertex stays
+  // isolated. The engine's Dijkstra must give the oracle's distances and,
+  // per vertex, the lowest id of its parent list, bit for bit.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sc::Pcg32 rng(seed, 9);
+    const std::size_t n = 10 + rng.next_below(30);
+    sg::Graph g(n + 1);
+    for (sg::Vertex v = 1; v < n; ++v) {
+      g.add_edge(v, static_cast<sg::Vertex>(rng.next_below(v)), 1.0 + rng.next_below(3));
+    }
+    for (std::size_t e = 0; e < 2 * n; ++e) {
+      const auto a = static_cast<sg::Vertex>(rng.next_below(static_cast<std::uint32_t>(n)));
+      const auto b = static_cast<sg::Vertex>(rng.next_below(static_cast<std::uint32_t>(n)));
+      if (a != b) g.add_edge(a, b, 1.0 + rng.next_below(3));
+    }
+    sg::ShortestPaths paths;
+    std::size_t ties = 0;
+    for (sg::Vertex src = 0; src <= n; ++src) {
+      sg::dijkstra_into(g, src, paths);
+      const auto tree = oracle::dijkstra(g, src);
+      ASSERT_EQ(paths.distance, tree.distance) << "seed " << seed << " src " << src;
+      for (sg::Vertex v = 0; v <= n; ++v) {
+        const auto& parents = tree.parents[v];
+        const sg::Vertex lowest = parents.empty()
+                                      ? sg::ShortestPaths::kNoParent
+                                      : *std::min_element(parents.begin(), parents.end());
+        EXPECT_EQ(paths.parent[v], lowest) << "seed " << seed << " src " << src << " v " << v;
+        ties += parents.size() > 1 ? 1 : 0;
+      }
+    }
+    EXPECT_GT(ties, 0u) << "seed " << seed;  // the running min is exercised
+  }
 }
 
 class MatchingCrossCheck : public ::testing::TestWithParam<int> {};
@@ -178,7 +216,7 @@ TEST_P(MatchingCrossCheck, HungarianMatchesBruteForce) {
     }
   }
   const auto fast = sg::solve_assignment(problem);
-  const auto slow = sg::solve_assignment_brute_force(problem);
+  const auto slow = oracle::solve_assignment_brute_force(problem);
   EXPECT_EQ(fast.matched_count, slow.matched_count);
   EXPECT_NEAR(fast.total_cost, slow.total_cost, 1e-6);
 }

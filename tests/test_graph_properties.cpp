@@ -14,13 +14,15 @@
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/hop_levels.hpp"
 #include "graph/knapsack.hpp"
 #include "graph/matching.hpp"
+#include "oracles/matching.hpp"
+#include "oracles/shortest_paths.hpp"
 
 namespace graph = sheriff::graph;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -80,7 +82,7 @@ TEST(MatchingProperties, HungarianMatchesBruteForceOnRandomInstances) {
     }
 
     const auto fast = graph::solve_assignment(problem);
-    const auto brute = graph::solve_assignment_brute_force(problem);
+    const auto brute = oracle::solve_assignment_brute_force(problem);
 
     // Optimality is a pair: match as many rows as possible, then minimize
     // total cost. The exact assignment may differ on ties.
@@ -114,7 +116,7 @@ TEST(MatchingProperties, AllForbiddenMeansNothingMatched) {
     for (std::size_t c = 0; c < 4; ++c) problem.forbid(r, c);
   }
   const auto fast = graph::solve_assignment(problem);
-  const auto brute = graph::solve_assignment_brute_force(problem);
+  const auto brute = oracle::solve_assignment_brute_force(problem);
   EXPECT_EQ(fast.matched_count, 0u);
   EXPECT_EQ(brute.matched_count, 0u);
   EXPECT_DOUBLE_EQ(fast.total_cost, 0.0);
@@ -206,7 +208,7 @@ TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
     std::vector<graph::HopLevel> base;
     graph::hop_levels_into(hops, source, base);
     for (const bool use_mask : {false, true}) {
-      const auto heap = graph::dijkstra(g, source, use_mask ? blocked_mask : std::vector<bool>{});
+      const auto heap = oracle::dijkstra(g, source, use_mask ? blocked_mask : std::vector<bool>{});
       // Unblocked: the BFS levels. Blocked: those levels repaired.
       std::vector<graph::HopLevel> levels = base;
       if (use_mask) graph::hop_levels_without(hops, base, blocked_list, levels);

@@ -11,9 +11,11 @@
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "graph/kmedian.hpp"
+#include "oracles/kmedian.hpp"
 
 namespace sg = sheriff::graph;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -55,9 +57,9 @@ TEST(KMedianCost, HandComputedExample) {
   instance.clients = {0, 1, 2};
   instance.facilities = {0, 1, 2};
   instance.k = 1;
-  EXPECT_DOUBLE_EQ(sg::kmedian_cost(instance, {0}), 7.0);
-  EXPECT_DOUBLE_EQ(sg::kmedian_cost(instance, {1}), 6.0);
-  const auto best = sg::exhaustive_kmedian(instance);
+  EXPECT_DOUBLE_EQ(oracle::kmedian_cost(instance, {0}), 7.0);
+  EXPECT_DOUBLE_EQ(oracle::kmedian_cost(instance, {1}), 6.0);
+  const auto best = oracle::exhaustive_kmedian(instance);
   EXPECT_DOUBLE_EQ(best.cost, 6.0);
   EXPECT_EQ(best.medians, std::vector<std::size_t>{1});
 }
@@ -66,7 +68,7 @@ TEST(KMedian, KEqualsFacilitiesIsFree) {
   sc::Pcg32 rng(5);
   const auto m = random_metric(6, rng);
   auto instance = make_instance(m, 6);
-  const auto sol = sg::local_search_kmedian(instance, 1);
+  const auto sol = oracle::local_search_kmedian(instance, 1);
   EXPECT_NEAR(sol.cost, 0.0, 1e-9);  // every client is its own median
 }
 
@@ -75,8 +77,8 @@ TEST(KMedian, LocalSearchNeverWorseThanInitial) {
   const auto m = random_metric(12, rng);
   auto instance = make_instance(m, 3);
   std::vector<std::size_t> initial{0, 1, 2};  // the solver's deterministic start
-  const double initial_cost = sg::kmedian_cost(instance, initial);
-  const auto sol = sg::local_search_kmedian(instance, 1);
+  const double initial_cost = oracle::kmedian_cost(instance, initial);
+  const auto sol = oracle::local_search_kmedian(instance, 1);
   EXPECT_LE(sol.cost, initial_cost + 1e-9);
 }
 
@@ -96,8 +98,8 @@ TEST_P(KMedianRatio, WithinPaperBound) {
   sc::Pcg32 rng(param.seed);
   const auto m = random_metric(param.n, rng);
   auto instance = make_instance(m, param.k);
-  const auto approx = sg::local_search_kmedian(instance, param.p);
-  const auto exact = sg::exhaustive_kmedian(instance);
+  const auto approx = oracle::local_search_kmedian(instance, param.p);
+  const auto exact = oracle::exhaustive_kmedian(instance);
   ASSERT_GT(exact.cost, 0.0);
   const double bound = 3.0 + 2.0 / static_cast<double>(param.p);
   EXPECT_LE(approx.cost, bound * exact.cost + 1e-9)
@@ -120,8 +122,8 @@ TEST(KMedian, LargerSwapSizeNeverHurts) {
   sc::Pcg32 rng(77);
   const auto m = random_metric(14, rng);
   auto instance = make_instance(m, 4);
-  const auto p1 = sg::local_search_kmedian(instance, 1);
-  const auto p2 = sg::local_search_kmedian(instance, 2);
+  const auto p1 = oracle::local_search_kmedian(instance, 1);
+  const auto p2 = oracle::local_search_kmedian(instance, 2);
   EXPECT_LE(p2.cost, p1.cost + 1e-9);
 }
 
@@ -129,8 +131,8 @@ TEST(KMedian, EvaluationCountsGrowWithP) {
   sc::Pcg32 rng(78);
   const auto m = random_metric(14, rng);
   auto instance = make_instance(m, 4);
-  const auto p1 = sg::local_search_kmedian(instance, 1);
-  const auto p2 = sg::local_search_kmedian(instance, 2);
+  const auto p1 = oracle::local_search_kmedian(instance, 1);
+  const auto p2 = oracle::local_search_kmedian(instance, 2);
   EXPECT_GT(p2.evaluations, p1.evaluations / 2);  // p=2 explores at least comparably
 }
 
@@ -141,7 +143,7 @@ TEST(KMedian, RejectsBadInstances) {
   instance.clients = {0};
   instance.facilities = {0, 1};
   instance.k = 5;  // k > facilities
-  EXPECT_THROW(sg::local_search_kmedian(instance, 1), sc::RequirementError);
+  EXPECT_THROW(oracle::local_search_kmedian(instance, 1), sc::RequirementError);
   instance.k = 0;
-  EXPECT_THROW(sg::local_search_kmedian(instance, 1), sc::RequirementError);
+  EXPECT_THROW(oracle::local_search_kmedian(instance, 1), sc::RequirementError);
 }

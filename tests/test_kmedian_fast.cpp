@@ -13,10 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "core/kmedian_planner.hpp"
 #include "graph/kmedian.hpp"
 #include "graph/kmedian_fast.hpp"
+#include "oracles/kmedian.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/liveness.hpp"
 
@@ -24,6 +26,7 @@ namespace sg = sheriff::graph;
 namespace sc = sheriff::common;
 namespace core = sheriff::core;
 namespace topo = sheriff::topo;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -99,8 +102,8 @@ std::vector<std::size_t> random_medians(const sg::KMedianInstance& instance, sc:
 }
 
 /// The reference p ≥ 2 scan, written out: every candidate of swap sizes
-/// 2..p re-priced from scratch with kmedian_cost, in for_each_combination
-/// order, first improvement applied via state.reset.
+/// 2..p re-priced from scratch with the oracle's kmedian_cost, in
+/// for_each_combination order, first improvement applied via state.reset.
 bool reference_multi_swap_scan(const sg::KMedianInstance& instance, sg::KMedianState& state,
                                sg::KMedianSolution& sol, const sg::FastKMedianOptions& options) {
   const std::size_t max_swap = std::min(options.p, instance.k);
@@ -111,9 +114,9 @@ bool reference_multi_swap_scan(const sg::KMedianInstance& instance, sg::KMedianS
     }
     if (outside.size() < swap) continue;
     bool found = false;
-    sg::detail::for_each_combination(
+    oracle::for_each_combination(
         state.open().size(), swap, [&](const std::vector<std::size_t>& out_idx) {
-          return sg::detail::for_each_combination(
+          return oracle::for_each_combination(
               outside.size(), swap, [&](const std::vector<std::size_t>& in_idx) {
                 if (instance.max_evaluations != 0 &&
                     sol.evaluations >= instance.max_evaluations) {
@@ -122,7 +125,7 @@ bool reference_multi_swap_scan(const sg::KMedianInstance& instance, sg::KMedianS
                 }
                 std::vector<std::size_t> candidate = state.open();
                 for (std::size_t i = 0; i < swap; ++i) candidate[out_idx[i]] = outside[in_idx[i]];
-                const double cost = sg::kmedian_cost(instance, candidate);
+                const double cost = oracle::kmedian_cost(instance, candidate);
                 ++sol.evaluations;
                 if (cost < state.cost() * (1.0 - options.min_relative_gain)) {
                   state.reset(std::move(candidate));
@@ -199,7 +202,7 @@ TEST(FastKMedianDifferential, FirstImprovementMatchesReferenceAcross50Seeds) {
     if (k >= n) continue;
     auto instance = make_instance(m, k);
     for (std::size_t p = 1; p <= 3; ++p) {
-      const auto reference = sg::local_search_kmedian(instance, p);
+      const auto reference = oracle::local_search_kmedian(instance, p);
       sg::FastKMedianOptions options;
       options.p = p;
       const auto fast = sg::fast_kmedian(instance, options);
@@ -280,7 +283,7 @@ TEST(FastKMedianBound, WithinPaperBoundAcross50Seeds) {
     const std::size_t k = 2 + seed % 3;
     if (k >= n) continue;
     auto instance = make_instance(m, k);
-    const auto exact = sg::exhaustive_kmedian(instance);
+    const auto exact = oracle::exhaustive_kmedian(instance);
     ASSERT_GT(exact.cost, 0.0);
     for (std::size_t p = 1; p <= 2; ++p) {
       const double bound = 3.0 + 2.0 / static_cast<double>(p);
@@ -300,10 +303,10 @@ TEST(FastKMedianCap, ReferenceSolverStopsExactlyAtCap) {
   sc::Pcg32 rng(4000);
   const auto m = random_metric(16, rng);
   auto instance = make_instance(m, 4);
-  const auto unlimited = sg::local_search_kmedian(instance, 2);
+  const auto unlimited = oracle::local_search_kmedian(instance, 2);
   ASSERT_GT(unlimited.evaluations, 20u);
   instance.max_evaluations = 20;
-  const auto capped = sg::local_search_kmedian(instance, 2);
+  const auto capped = oracle::local_search_kmedian(instance, 2);
   EXPECT_TRUE(capped.hit_evaluation_cap);
   EXPECT_LE(capped.evaluations, 20u);
   EXPECT_FALSE(unlimited.hit_evaluation_cap);
@@ -325,6 +328,23 @@ TEST(FastKMedianCap, FastSolverOvershootsByAtMostOneSweep) {
   // Sweep granularity: at most one extra sweep of k * (|F| - k) candidates.
   const std::size_t sweep = instance.k * (instance.facilities.size() - instance.k);
   EXPECT_LE(capped.evaluations, 30u + sweep);
+}
+
+// --- Non-finite distances: the delta formulas would mix ∞ − ∞, so the
+// --- solver refuses them (the planner hands it a finite T').
+
+TEST(FastKMedianDomain, RejectsAnInfiniteClientFacilityDistance) {
+  sg::DistanceMatrix m(4, 1.0);
+  m.set_symmetric(0, 3, sg::kInfiniteDistance);
+  sg::KMedianInstance instance;
+  instance.distance = &m;
+  instance.clients = {0, 1};
+  instance.facilities = {1, 2, 3};
+  instance.k = 2;
+  EXPECT_THROW((void)sg::fast_kmedian(instance), sc::RequirementError);
+  // The same instance without the unreachable pair solves.
+  instance.clients = {1, 2};
+  EXPECT_NO_THROW((void)sg::fast_kmedian(instance));
 }
 
 // --- Planner refresh semantics: version-gated rebuilds.

@@ -11,6 +11,7 @@
 #include "migration/request.hpp"
 #include "net/fair_share.hpp"
 #include "net/routing.hpp"
+#include "oracles/fair_share.hpp"
 #include "topology/fat_tree.hpp"
 
 namespace mig = sheriff::mig;
@@ -18,6 +19,7 @@ namespace wl = sheriff::wl;
 namespace topo = sheriff::topo;
 namespace net = sheriff::net;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -182,7 +184,7 @@ TEST(CostModel, SaturatedPathBecomesInfeasible) {
   f.demand_gbps = 100.0;
   flows.push_back(f);
   router.route_all(flows);
-  const auto shares = net::max_min_fair_share(topo_ref, flows);
+  const auto shares = oracle::max_min_fair_share(topo_ref, flows);
 
   mig::CostParams params;
   params.bandwidth_threshold_gbps = 0.05;

@@ -12,7 +12,6 @@
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/hop_levels.hpp"
 #include "net/fair_share.hpp"
 #include "net/flow.hpp"
@@ -20,6 +19,8 @@
 #include "net/queueing.hpp"
 #include "net/reroute.hpp"
 #include "net/routing.hpp"
+#include "oracles/fair_share.hpp"
+#include "oracles/shortest_paths.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/liveness.hpp"
@@ -29,6 +30,7 @@ namespace topo = sheriff::topo;
 namespace net = sheriff::net;
 namespace graph = sheriff::graph;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -166,7 +168,7 @@ TEST(Routing, PathCacheServesBlockedProbes) {
 // --- Router vs a Dijkstra parent-list oracle -------------------------------
 // The router keeps BFS hop levels and derives each ECMP step's parents from
 // them. Its routes must equal an independent reference: a heap-loop
-// graph::dijkstra tree rooted at the source, with explicit parent lists,
+// oracle::dijkstra tree rooted at the source, with explicit parent lists,
 // walked by the same salt-indexed ECMP walk (written out below). Derived
 // parents taken in any order but ascending change the salt's picks and
 // fail here.
@@ -191,7 +193,7 @@ bool oracle_route(const graph::Graph& live_hops, net::Flow& flow,
     mask.assign(live_hops.vertex_count(), false);
     for (const topo::NodeId b : blocked) mask[b] = true;
   }
-  const auto tree = graph::dijkstra(live_hops, flow.src_host, mask);
+  const auto tree = oracle::dijkstra(live_hops, flow.src_host, mask);
   if (tree.distance[flow.dst_host] == graph::kInfiniteDistance) return false;
   std::vector<topo::NodeId> reverse_path{flow.dst_host};
   topo::NodeId cur = flow.dst_host;
@@ -254,7 +256,7 @@ void expect_router_matches_oracle(const topo::Topology& t, const topo::LivenessM
   }
   for (const auto& [src, dst] : pairs) {
     EXPECT_EQ(router.shortest_path_count(src, dst),
-              graph::dijkstra(live_hops, src).path_count(dst))
+              oracle::dijkstra(live_hops, src).path_count(dst))
         << label << " " << src << "->" << dst;
   }
 }
@@ -334,10 +336,10 @@ void expect_repair_matches_dijkstra(const topo::Topology& t, const graph::Graph&
   std::vector<graph::HopLevel> base;
   std::vector<graph::HopLevel> repaired;
   std::vector<bool> mask(n, false);
-  graph::ShortestPathTree heap;
+  oracle::ShortestPathTree heap;
   const auto check = [&](graph::Vertex root, const std::vector<graph::Vertex>& blocked) {
     for (const graph::Vertex b : blocked) mask[b] = true;
-    graph::dijkstra_into(live, root, mask, heap);
+    oracle::dijkstra_into(live, root, mask, heap);
     for (const graph::Vertex b : blocked) mask[b] = false;
     graph::hop_levels_without(hops, base, blocked, repaired);
     for (graph::Vertex v = 0; v < n; ++v) {
@@ -455,7 +457,7 @@ TEST(FairShare, SingleFlowGetsMinOfDemandAndBottleneck) {
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 5.0)};
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   // Host links are 1 Gbps: the flow is capped at 1.
   EXPECT_NEAR(result.flow_rate[0], 1.0, 1e-9);
   EXPECT_NEAR(flows[0].allocated_gbps, 1.0, 1e-9);
@@ -467,7 +469,7 @@ TEST(FairShare, DemandBelowCapacityIsGrantedFully) {
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.25)};
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   EXPECT_NEAR(result.flow_rate[0], 0.25, 1e-9);
 }
 
@@ -479,7 +481,7 @@ TEST(FairShare, TwoFlowsShareABottleneckEqually) {
   std::vector<net::Flow> flows{make_flow(0, src, t.rack(1).hosts[0], 5.0),
                                make_flow(1, src, t.rack(1).hosts[1], 5.0)};
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   EXPECT_NEAR(result.flow_rate[0], 0.5, 1e-9);
   EXPECT_NEAR(result.flow_rate[1], 0.5, 1e-9);
 }
@@ -497,7 +499,7 @@ TEST(FairShare, NoLinkExceedsCapacity) {
     flows.push_back(make_flow(id, a, b, rng.uniform(0.1, 2.0)));
   }
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   for (topo::LinkId l = 0; l < t.link_count(); ++l) {
     EXPECT_LE(result.link_load_gbps[l], t.link(l).capacity_gbps + 1e-6);
     EXPECT_LE(result.link_utilization[l], 1.0 + 1e-6);
@@ -516,7 +518,7 @@ TEST(FairShare, UnsatisfiedFlowHasSaturatedLink) {
                                make_flow(1, src, t.rack(1).hosts[1], 3.0),
                                make_flow(2, src, t.rack(2).hosts[0], 3.0)};
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   for (std::size_t f = 0; f < flows.size(); ++f) {
     if (result.flow_rate[f] < flows[f].demand_gbps - 1e-6) {
       // A rate-limited flow must cross at least one saturated link.
@@ -539,7 +541,7 @@ TEST(FairShare, AvailableBandwidthRejectsOutOfRangeLink) {
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.5)};
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   // In range: fine. One past the end: a hard requirement failure, not UB —
   // this was a hot-path .at() once, and the bound must stay checked.
   EXPECT_GE(result.available_bandwidth(t, t.link_count() - 1), 0.0);
@@ -566,7 +568,7 @@ TEST(FlowStats, QosOnUncongestedFabricIsPerfect) {
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.2),
       make_flow(1, t.rack(2).hosts[0], t.rack(3).hosts[0], 0.3)};
   router.route_all(flows);
-  (void)net::max_min_fair_share(t, flows);
+  (void)oracle::max_min_fair_share(t, flows);
   const auto stats = net::compute_qos_stats(flows);
   EXPECT_EQ(stats.offered_flows, 2u);
   EXPECT_EQ(stats.satisfied_flows, 2u);
@@ -583,7 +585,7 @@ TEST(FlowStats, QosDegradesUnderOverload) {
                                make_flow(1, src, t.rack(2).hosts[0], 1.0),
                                make_flow(2, src, t.rack(3).hosts[0], 1.0)};
   router.route_all(flows);
-  (void)net::max_min_fair_share(t, flows);
+  (void)oracle::max_min_fair_share(t, flows);
   const auto stats = net::compute_qos_stats(flows);
   EXPECT_EQ(stats.satisfied_flows, 0u);
   EXPECT_NEAR(stats.mean_satisfaction, 1.0 / 3.0, 1e-6);
@@ -597,7 +599,7 @@ TEST(FlowStats, RateLimitedDemandCounts) {
   std::vector<net::Flow> flows{make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.8)};
   flows[0].rate_limit_gbps = 0.4;
   router.route_all(flows);
-  (void)net::max_min_fair_share(t, flows);
+  (void)oracle::max_min_fair_share(t, flows);
   const auto stats = net::compute_qos_stats(flows);
   // Satisfaction is judged against the *effective* (limited) demand.
   EXPECT_EQ(stats.satisfied_flows, 1u);
@@ -622,7 +624,7 @@ TEST_P(FairShareProperties, InvariantsHoldOnRandomWorkloads) {
     flows.push_back(f);
   }
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
 
   // (1) No link over capacity. (2) No flow over its effective demand.
   // (3) Pareto: every unsatisfied flow crosses a saturated link.
@@ -654,7 +656,7 @@ TEST(Queueing, CongestionBuildsAndDrains) {
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 2.0),
       make_flow(1, t.rack(0).hosts[1], t.rack(1).hosts[0], 2.0)};
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
 
   net::QcnConfig config;
   config.equilibrium_queue = 0.5;
@@ -671,7 +673,7 @@ TEST(Queueing, CongestionBuildsAndDrains) {
   // Remove the load: queues drain and feedback recovers.
   for (auto& f : flows) f.demand_gbps = 0.0;
   std::vector<net::Flow> quiet = flows;
-  const auto idle = net::max_min_fair_share(t, quiet);
+  const auto idle = oracle::max_min_fair_share(t, quiet);
   for (int tick = 0; tick < 60; ++tick) queues.update(idle, quiet);
   EXPECT_TRUE(queues.congested_switches().empty());
 }
@@ -682,7 +684,7 @@ TEST(Queueing, IdleNetworkNeverCongests) {
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.1)};
   router.route_all(flows);
-  const auto result = net::max_min_fair_share(t, flows);
+  const auto result = oracle::max_min_fair_share(t, flows);
   net::SwitchQueues queues(t);
   for (int tick = 0; tick < 20; ++tick) queues.update(result, flows);
   EXPECT_TRUE(queues.congested_switches().empty());

@@ -19,6 +19,7 @@
 #include "net/routing.hpp"
 #include "obs/auditor.hpp"
 #include "obs/hub.hpp"
+#include "oracles/fair_share.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
 
@@ -29,6 +30,7 @@ namespace obs = sheriff::obs;
 namespace topo = sheriff::topo;
 namespace wl = sheriff::wl;
 namespace sc = sheriff::common;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -150,12 +152,6 @@ TEST(AuditorE2E, BCubeFaultedPool8) {
   expect_clean_run(t, config, kLongRun, 11);
 }
 
-TEST(AuditorE2E, DeepFairShareAuditAgreesOnShortRun) {
-  auto config = audited_config();
-  config.deep_fair_share_audit = true;  // check 7: re-solve every round
-  expect_clean_run(fat_tree(), config, 40);
-}
-
 TEST(AuditorE2E, CentralizedManagerIsAlsoClean) {
   auto config = audited_config();
   config.mode = core::ManagerMode::kCentralized;
@@ -180,19 +176,13 @@ TEST(AuditorE2E, FailFastCleanRunDoesNotThrow) {
 }
 
 TEST(AuditorE2E, AuditRefinementsWithoutAuditAreRejected) {
-  // Either refinement without `audit` would be silently ignored, so the
+  // audit_fail_fast without `audit` would be silently ignored, so the
   // engine refuses the config (SHERIFF_FORCE_AUDIT applies only after the
   // caller's config passed).
   core::EngineConfig fail_fast;
   fail_fast.audit_fail_fast = true;
   EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), fail_fast),
                sc::RequirementError);
-  core::EngineConfig deep;
-  deep.deep_fair_share_audit = true;
-  EXPECT_THROW(core::DistributedEngine(fat_tree(), deployment_options(), deep),
-               sc::RequirementError);
-  deep.audit = true;
-  EXPECT_NO_THROW(core::DistributedEngine(fat_tree(), deployment_options(), deep));
 }
 
 TEST(AuditorE2E, KMedianSettingsOutsideKMedianModeAreRejected) {
@@ -430,7 +420,7 @@ struct AuditFixture {
       SHERIFF_REQUIRE(router.route(flow), "fixture flow must be routable");
       flows.push_back(std::move(flow));
     }
-    shares = net::max_min_fair_share(t, flows, nullptr);
+    shares = oracle::max_min_fair_share(t, flows, nullptr);
   }
 
   [[nodiscard]] obs::InvariantAuditor::RoundInputs inputs() const {

@@ -15,6 +15,7 @@
 #include "net/fair_share.hpp"
 #include "net/rate_control.hpp"
 #include "net/routing.hpp"
+#include "oracles/fair_share.hpp"
 #include "snapshot/archive.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
@@ -24,6 +25,7 @@ namespace topo = sheriff::topo;
 namespace net = sheriff::net;
 namespace sc = sheriff::common;
 namespace snap = sheriff::snapshot;
+namespace oracle = sheriff::oracle;
 
 namespace {
 
@@ -78,7 +80,7 @@ TEST(QcnRateController, CutsUnderCongestionAndRecoversAfter) {
   // Drive congestion for a few periods: limits must appear and bite.
   bool limited = false;
   for (int tick = 0; tick < 8; ++tick) {
-    const auto shares = net::max_min_fair_share(t, flows);
+    const auto shares = oracle::max_min_fair_share(t, flows);
     queues.update(shares, flows);
     controller.update(flows, queues);
     for (const auto& f : flows) {
@@ -91,7 +93,7 @@ TEST(QcnRateController, CutsUnderCongestionAndRecoversAfter) {
   // Kill the demand: queues drain, recovery lifts every limit.
   for (auto& f : flows) f.demand_gbps = 0.01;
   for (int tick = 0; tick < 80; ++tick) {
-    const auto shares = net::max_min_fair_share(t, flows);
+    const auto shares = oracle::max_min_fair_share(t, flows);
     queues.update(shares, flows);
     controller.update(flows, queues);
   }
@@ -114,7 +116,7 @@ TEST(QcnRateController, LimitsReduceQueueBacklog) {
     net::QcnRateController controller;
     double total_backlog = 0.0;
     for (int tick = 0; tick < 30; ++tick) {
-      const auto shares = net::max_min_fair_share(t, flows);
+      const auto shares = oracle::max_min_fair_share(t, flows);
       queues.update(shares, flows);
       if (enable_control) controller.update(flows, queues);
       for (const auto& node : t.nodes()) {
@@ -141,7 +143,7 @@ TEST(QcnRateController, NeverBelowFloor) {
   rconfig.min_rate_gbps = 0.05;
   net::QcnRateController controller(rconfig);
   for (int tick = 0; tick < 40; ++tick) {
-    const auto shares = net::max_min_fair_share(t, flows);
+    const auto shares = oracle::max_min_fair_share(t, flows);
     queues.update(shares, flows);
     controller.update(flows, queues);
   }

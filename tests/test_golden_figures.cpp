@@ -2,7 +2,9 @@
 // figure benches byte-for-byte. The figure pipelines (trace generation,
 // ARIMA fitting, the balance loop, the Sheriff-vs-centralized sweep) are
 // fully deterministic given their seeds, so any diff here is a behavior
-// change that would silently reshape the paper figures.
+// change that would silently reshape the paper figures. The last two
+// tests pin the checkpoint codec the same way: the frame of every section
+// a set of small runs writes, and that a restored engine writes it back.
 //
 // Golden files live in tests/golden/ and are compared byte-exact. To
 // regenerate after an intentional change:
@@ -20,9 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,7 +39,10 @@
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "fault/fault_plan.hpp"
+#include "fleet/fleet.hpp"
+#include "snapshot/checkpoint.hpp"
 #include "timeseries/arima.hpp"
+#include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/trace_generator.hpp"
 
@@ -43,6 +50,7 @@ namespace bench = sheriff::bench;
 namespace common = sheriff::common;
 namespace core = sheriff::core;
 namespace fault = sheriff::fault;
+namespace fleet = sheriff::fleet;
 namespace topo = sheriff::topo;
 namespace ts = sheriff::ts;
 namespace wl = sheriff::wl;
@@ -314,4 +322,172 @@ TEST(GoldenFigures, KMedianManageSmallInstance) {
   // A larger swap size must scan a strictly larger neighbourhood.
   EXPECT_GT(search_space[1], search_space[0]);
   expect_matches_golden("kmedian_manage_small.txt", os.str());
+}
+
+// --- checkpoint bytes ---------------------------------------------------------
+//
+// The checkpoint codec is pinned by the frame of every section it writes:
+// tag, version, payload length and the payload's CRC-32 (DESIGN.md §10).
+// A reordered field, a changed width or a dropped value changes a CRC even
+// where the run's results do not move. Every engine below observes and
+// audits, so a SHERIFF_FORCE_AUDIT=1 leg writes the same bytes.
+
+namespace {
+
+/// One line per section: tag, version, payload bytes and CRC-32, read
+/// straight off the archive frame (magic | tag | version | length | crc).
+std::string section_frames(const std::vector<std::uint8_t>& bytes) {
+  const auto read = [&](std::size_t pos, int width) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i) v |= static_cast<std::uint64_t>(bytes.at(pos + i)) << (8 * i);
+    return v;
+  };
+  std::ostringstream os;
+  std::size_t pos = 8;  // preamble
+  while (pos < bytes.size()) {
+    const std::string tag(bytes.begin() + static_cast<std::ptrdiff_t>(pos + 4),
+                          bytes.begin() + static_cast<std::ptrdiff_t>(pos + 8));
+    const std::uint64_t length = read(pos + 12, 8);
+    char crc[16];
+    std::snprintf(crc, sizeof crc, "%08x", static_cast<unsigned>(read(pos + 20, 4)));
+    os << "  " << tag << " v" << read(pos + 8, 4) << " bytes " << length << " crc " << crc
+       << "\n";
+    pos += 24 + length;
+  }
+  return os.str();
+}
+
+/// The pinned engine runs, all on a Fat-Tree k=4 with 3 hosts per rack
+/// (deployment seed 7, 2.5 VMs per host) unless named otherwise.
+struct CheckpointRun {
+  std::string name;
+  const topo::Topology* topology;
+  wl::DeploymentOptions deploy;
+  core::EngineConfig config;
+  std::size_t rounds;
+};
+
+struct CheckpointFabrics {
+  topo::Topology fat_tree = [] {
+    topo::FatTreeOptions options;
+    options.pods = 4;
+    options.hosts_per_rack = 3;
+    return topo::build_fat_tree(options);
+  }();
+  topo::Topology bcube = [] {
+    topo::BCubeOptions options;
+    options.ports = 4;
+    options.levels = 1;
+    return topo::build_bcube(options);
+  }();
+  fault::FaultPlan faults = [] {
+    fault::FaultOptions options;
+    options.seed = 17;
+    options.message_drop_probability = 0.2;
+    fault::FaultPlan plan(options);
+    plan.fail_link(7, 2, 5);
+    plan.fail_link(23, 6, 9);
+    plan.fail_shim(0, 4, 10);
+    return plan;
+  }();
+
+  [[nodiscard]] std::vector<CheckpointRun> runs() const {
+    wl::DeploymentOptions deploy;
+    deploy.seed = 7;
+    deploy.vms_per_host = 2.5;
+    core::EngineConfig config;
+    config.observe = true;
+    config.audit = true;
+    const CheckpointRun sheriff{"sheriff", &fat_tree, deploy, config, 12};
+
+    std::vector<CheckpointRun> out{sheriff};
+    out.push_back(sheriff);
+    out.back().name = "sheriff, link flaps + shim crash + 20% loss";
+    out.back().config.fault_plan = &faults;
+    out.push_back(sheriff);
+    out.back().name = "centralized";
+    out.back().config.mode = core::ManagerMode::kCentralized;
+    out.push_back(sheriff);
+    out.back().name = "kmedian";
+    out.back().config.mode = core::ManagerMode::kKMedian;
+    out.push_back(sheriff);
+    out.back().name = "serialized FCFS";
+    out.back().config.protocol = core::MigrationProtocol::kSerializedFcfs;
+    out.push_back(sheriff);
+    out.back().name = "naive predictor";
+    out.back().config.predictor = core::PredictorKind::kNaive;
+    out.push_back(sheriff);
+    out.back().name = "bcube(4,1)";
+    out.back().topology = &bcube;
+    out.push_back(sheriff);
+    out.back().name = "ensemble predictor, past its first fit";
+    out.back().config.predictor = core::PredictorKind::kEnsemble;
+    out.back().deploy.vms_per_host = 1.0;
+    out.back().rounds = 52;
+    return out;
+  }
+};
+
+std::vector<std::uint8_t> run_and_serialize(const CheckpointRun& run) {
+  core::DistributedEngine engine(*run.topology, run.deploy, run.config);
+  (void)engine.run(run.rounds);
+  return core::Checkpoint::serialize(engine);
+}
+
+}  // namespace
+
+TEST(GoldenFigures, CheckpointSectionsSmallInstance) {
+  const CheckpointFabrics fabrics;
+  std::ostringstream os;
+  os << "checkpoint sections: tag, version, payload bytes, CRC-32\n";
+  for (const CheckpointRun& run : fabrics.runs()) {
+    const std::vector<std::uint8_t> bytes = run_and_serialize(run);
+    os << "\n== " << run.name << ", " << run.rounds << " rounds: " << bytes.size()
+       << " bytes ==\n"
+       << section_frames(bytes);
+  }
+
+  // The fleet manifest (FMAN): a 2x2 grid, audit on, one worker.
+  fleet::SweepGrid grid;
+  grid.seeds = {7, 8};
+  fleet::ScenarioSpec spec;
+  spec.name = "sheriff";
+  spec.topology = &fabrics.fat_tree;
+  spec.deployment.vms_per_host = 2.5;
+  spec.config.audit = true;
+  spec.rounds = 6;
+  grid.scenarios.push_back(spec);
+  spec.name = "kmedian";
+  spec.config.mode = core::ManagerMode::kKMedian;
+  grid.scenarios.push_back(spec);
+  fleet::FleetOptions options;
+  options.manifest_path = ::testing::TempDir() + "sheriff_golden_checkpoint.manifest";
+  std::remove(options.manifest_path.c_str());
+  (void)fleet::run_sweep(grid, options);
+  std::ifstream in(options.manifest_path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::vector<std::uint8_t> manifest((std::istreambuf_iterator<char>(in)),
+                                           std::istreambuf_iterator<char>());
+  std::remove(options.manifest_path.c_str());
+  os << "\n== fleet manifest, 2 scenarios x 2 seeds, 6 rounds: " << manifest.size()
+     << " bytes ==\n"
+     << section_frames(manifest);
+  expect_matches_golden("checkpoint_sections_small.txt", os.str());
+}
+
+// A restored engine writes back the bytes it was restored from, for every
+// pinned run and for an engine that has no observation hub.
+TEST(GoldenFigures, CheckpointReserializesIdentically) {
+  const CheckpointFabrics fabrics;
+  std::vector<CheckpointRun> runs = fabrics.runs();
+  runs.push_back(runs.front());
+  runs.back().name = "no observation hub";
+  runs.back().config.observe = false;
+  runs.back().config.audit = false;
+  for (const CheckpointRun& run : runs) {
+    const std::vector<std::uint8_t> bytes = run_and_serialize(run);
+    core::DistributedEngine restored(*run.topology, run.deploy, run.config);
+    core::Checkpoint::deserialize(restored, bytes);
+    EXPECT_TRUE(core::Checkpoint::serialize(restored) == bytes) << run.name;
+  }
 }

@@ -1,4 +1,4 @@
-// Fleet-runner bench: sweep the five bench_scale scenarios × 8 seeds (40
+// Fleet-runner bench: sweep the five scale scenarios × 8 seeds (40
 // independent optimized-engine runs) through fleet::run_sweep at 1 worker
 // and at 8 workers, and report
 //

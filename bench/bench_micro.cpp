@@ -509,7 +509,8 @@ void BM_EngineRestore(benchmark::State& state) {
   fault_options.seed = 1;
   fault_options.message_drop_probability = 0.1;
   auto plan = fault::FaultPlan::random_link_flaps(t, fault_options, 8, 1, 60, 3);
-  for (const auto& e : fault::FaultPlan::tor_outage(t, 3, 10, 20).events()) plan.add(e);
+  const auto outage = fault::FaultPlan::tor_outage(t, 3, 10, 20);
+  for (const auto& e : outage.events()) plan.add(e);
   plan.set_options(fault_options);
   core::EngineConfig config;
   config.sheriff.cost.computing_cost = 100.0;

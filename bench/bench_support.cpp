@@ -4,8 +4,6 @@
 
 #include "common/rng.hpp"
 #include "obs/timing.hpp"
-#include "snapshot/archive.hpp"
-#include "snapshot/checkpoint.hpp"
 #include "common/table.hpp"
 #include "migration/cost_model.hpp"
 #include "migration/request.hpp"
@@ -21,34 +19,6 @@ void print_figure_header(const std::string& figure_id, const std::string& descri
             << figure_id << " — " << description << "\n"
             << "paper expectation: " << paper_expectation << "\n"
             << "==============================================================\n";
-}
-
-void run_rounds(core::DistributedEngine& engine, std::size_t rounds,
-                const snapshot::CheckpointCli& checkpoints, const std::string& run_tag) {
-  if (checkpoints.checkpoint_every == 0 && checkpoints.resume_path.empty()) {
-    engine.run(rounds);
-    return;
-  }
-  snapshot::CheckpointCli scoped = checkpoints;
-  scoped.checkpoint_prefix = checkpoints.checkpoint_prefix + "." + run_tag;
-  if (!scoped.resume_path.empty()) {
-    // Probe without committing: a checkpoint binds to one run's
-    // topology+config, and a multi-scenario bench hits every run with the
-    // same --resume path. Let the fingerprint decide; roll the engine back
-    // if the load rejected the file partway through.
-    const std::vector<std::uint8_t> pristine = core::Checkpoint::serialize(engine);
-    try {
-      core::Checkpoint::load(engine, scoped.resume_path);
-      std::cout << "  [" << run_tag << "] resumed from " << scoped.resume_path << " at round "
-                << engine.rounds_run() << "\n";
-    } catch (const snapshot::SnapshotError& e) {
-      core::Checkpoint::deserialize(engine, pristine);
-      std::cout << "  [" << run_tag << "] checkpoint does not match this run (" << e.what()
-                << "); starting fresh\n";
-    }
-    scoped.resume_path.clear();  // handled here, not by run_with_checkpoints
-  }
-  (void)snapshot::run_with_checkpoints(engine, rounds, scoped);
 }
 
 wl::DeploymentOptions bench_deployment_options(std::uint64_t seed) {

@@ -9,22 +9,9 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "snapshot/checkpoint_cli.hpp"
 #include "topology/topology.hpp"
 
 namespace sheriff::bench {
-
-/// Checkpoint-aware replacement for engine.run(rounds): honors the
-/// `--checkpoint-every` / `--resume` flags parsed by
-/// snapshot::parse_checkpoint_cli. Periodic saves land at
-/// `<prefix>.<run_tag>.round<N>.snap` so every engine run of a bench gets
-/// its own file family. A `--resume` path that does not fingerprint-match
-/// this run (checkpoints bind to one topology+config) is reported and
-/// skipped, not fatal — a multi-scenario bench resumes only the run the
-/// checkpoint came from. Timing over a resumed/saving run is NOT
-/// comparable to a flags-off run; benches must warn when flags are active.
-void run_rounds(core::DistributedEngine& engine, std::size_t rounds,
-                const snapshot::CheckpointCli& checkpoints, const std::string& run_tag);
 
 /// Prints the experiment banner: which paper figure, what we measure, and
 /// what qualitative shape the paper reports (so bench_output.txt documents
@@ -69,9 +56,8 @@ ManagerComparison compare_managers(const topo::Topology& topology, double alert_
 /// Deployment options shared by the figure benches (Sec. VI-B settings).
 wl::DeploymentOptions bench_deployment_options(std::uint64_t seed);
 
-/// One evaluation scenario of the per-round hot-path bench, shared by
-/// bench_scale (per-phase timings) and bench_fleet (the same five fabrics
-/// swept across seeds by the fleet runner).
+/// One scale scenario of bench_fleet: five fabrics swept across seeds by
+/// the fleet runner.
 struct ScaleScenario {
   std::string name;
   topo::Topology topology;

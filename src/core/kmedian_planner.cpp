@@ -188,7 +188,6 @@ MigrationPlan KMedianMigrationManager::migrate(std::vector<wl::VmId> alerted) {
     }
   }
 
-  obs::ScopedTimer timer(stats_.schedule_ns);
   mig::AdmissionBroker broker(*deployment_);
   VmMigrationScheduler scheduler(*deployment_, *cost_model_, broker);
   plan.merge(scheduler.migrate(std::move(alerted), targets));

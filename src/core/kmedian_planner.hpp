@@ -126,13 +126,12 @@ class KMedianMigrationManager {
   };
 
   /// Cumulative counters across migrate() calls, for the obs registry and
-  /// the engine's manage_kmedian/manage_schedule sub-phase profile.
+  /// the engine's manage_kmedian sub-phase profile.
   struct Stats {
     std::size_t plans = 0;            ///< k-median plans solved
     std::size_t evaluations = 0;      ///< candidate evaluations across plans
     std::size_t cap_hits = 0;         ///< plans stopped by max_evaluations
     std::uint64_t kmedian_ns = 0;     ///< wall time in the k-median solve
-    std::uint64_t schedule_ns = 0;    ///< wall time matching/scheduling the moves
   };
 
   /// The planner must be built over the same topology as the deployment.

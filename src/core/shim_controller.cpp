@@ -258,14 +258,9 @@ std::vector<topo::NodeId> ShimController::migration_targets(
   return targets;
 }
 
-void ShimController::save_state(snapshot::Writer& writer) const {
-  writer.put_u64(pending_alerts_);
-  writer.put_u64(pending_reroutes_);
-}
-
-void ShimController::load_state(snapshot::Reader& reader) {
-  pending_alerts_ = reader.get_u64();
-  pending_reroutes_ = reader.get_u64();
+void ShimController::checkpoint(snapshot::Archive& ar) {
+  ar.u64(pending_alerts_);
+  ar.u64(pending_reroutes_);
 }
 
 }  // namespace sheriff::core

@@ -2,19 +2,18 @@
 // ShimController: the per-rack delegated manager (Sec. II-B). Each round it
 // runs in two phases:
 //
-//   collect() — read-only and thread-safe: inspect the predicted profiles
-//   of the rack's VMs, the rack's ToR uplink state, and the congestion
-//   feedback from outer switches, producing the round's Alert set (the
-//   input of Alg. 1).
+//   collect() — read-only: inspect the predicted profiles of the rack's
+//   VMs, the rack's ToR uplink state, and the congestion feedback from
+//   outer switches, producing the round's Alert set (the input of Alg. 1).
 //
 //   propose() — Alg. 1 proper, without side effects: partition alerts by
 //   type, build the candidate sets F, select VMs with PRIORITY (Alg. 2),
 //   and record FLOWREROUTE claims on hot outer switches (rerouting first —
 //   it is cheaper than migration) next to the migration set M_v. The
-//   engine runs propose() in parallel, then commits the claims serially in
-//   shim-id order (apply_reroute()) and hands the committed migration sets
-//   to VMMIGRATION (Alg. 3) against each shim's one-hop region
-//   (migration_targets()).
+//   engine runs every shim's propose() against the same round snapshot,
+//   then commits the claims in shim-id order (apply_reroute()) and hands
+//   the committed migration sets to VMMIGRATION (Alg. 3) against each
+//   shim's one-hop region (migration_targets()).
 
 #include <span>
 #include <vector>
@@ -63,9 +62,8 @@ class ShimController {
   /// The mask must outlive the controller.
   void set_liveness(const topo::LivenessMask* liveness) { liveness_ = liveness; }
 
-  /// Attaches the event trace (nullptr detaches). Emission is safe from
-  /// the parallel collect sweep: this shim only ever writes its own ring.
-  /// The trace must outlive the controller.
+  /// Attaches the event trace (nullptr detaches). This shim only ever
+  /// writes its own ring. The trace must outlive the controller.
   void set_trace(obs::EventTrace* trace) noexcept { trace_ = trace; }
 
   /// Adds the alerts/reroutes recorded since the last call to the shared
@@ -104,8 +102,8 @@ class ShimController {
   /// Alg. 1's alert dispatch against an immutable view of the round state:
   /// builds the candidate sets F, runs PRIORITY (Alg. 2), and returns the
   /// migration set M_v plus the reroute claims. Nothing shared is mutated,
-  /// nothing is traced, and no tallies move — safe to run concurrently with
-  /// other shims' propose() over the same flow table. `predicted` ranks VMs
+  /// nothing is traced, and no tallies move, so every shim proposes
+  /// against the same flow table. `predicted` ranks VMs
   /// for the host-alert single-VM selection when no VM crossed the ALERT
   /// threshold outright. `rack_flow_index` lists the indices of the flows
   /// owned by this rack's VMs, ascending (built by the engine once per round).
@@ -127,10 +125,9 @@ class ShimController {
   [[nodiscard]] std::vector<topo::NodeId> migration_targets(
       const wl::Deployment& deployment) const;
 
-  /// Checkpoint hooks: the pending metric tallies (everything else a shim
+  /// Checkpoint hook: the pending metric tallies (everything else a shim
   /// holds is constructor state or engine-attached pointers).
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   /// Predicted load percent of a host from the predicted VM profiles.
@@ -148,8 +145,7 @@ class ShimController {
   SheriffConfig config_;
   obs::EventTrace* trace_ = nullptr;
   // Round tallies for publish_metrics. Mutable because collect() and
-  // apply_reroute() are logically const; safe because at most one thread
-  // works on a shim.
+  // apply_reroute() are logically const.
   mutable std::size_t pending_alerts_ = 0;
   mutable std::size_t pending_reroutes_ = 0;
 };

@@ -45,9 +45,8 @@ struct ProposedMove {
 
 /// One matching iteration of Alg. 3 *without* applying anything: pairs up
 /// to |targets| candidates with feasible min-cost destinations via the
-/// Hungarian algorithm. Examined pairs are added to *search_space. Safe to
-/// call concurrently for disjoint candidate sets (the cost model's cache
-/// is thread-safe and the deployment is only read).
+/// Hungarian algorithm. Examined pairs are added to *search_space. The
+/// deployment is only read.
 std::vector<ProposedMove> propose_matching(const wl::Deployment& deployment,
                                            const mig::MigrationCostModel& cost_model,
                                            const std::vector<wl::VmId>& candidates,

@@ -69,84 +69,61 @@ void append_json_string(std::string& out, std::string_view s) {
 
 // ---------------------------------------------------------------------------
 // Manifest payload (section FMAN v1). RunSummary fields travel in
-// declaration order; doubles as bit patterns (put_f64), so a record read
+// declaration order; doubles as bit patterns (f64), so a record read
 // back from the manifest reproduces its JSONL line byte for byte.
 constexpr std::uint32_t kManifestVersion = 1;
 
-void put_record(snapshot::Writer& w, const RunRecord& r) {
-  w.put_u64(r.run_id);
-  w.put_str(r.scenario);
-  w.put_u64(r.seed);
-  w.put_u64(r.rounds);
-  w.put_u32(r.metrics_crc);
-  w.put_u32(r.checkpoint_crc);
-  const core::RunSummary& s = r.summary;
-  w.put_u64(s.rounds);
-  w.put_u64(s.total_alerts);
-  w.put_u64(s.total_migrations);
-  w.put_u64(s.total_reroutes);
-  w.put_f64(s.total_migration_cost);
-  w.put_f64(s.total_migration_seconds);
-  w.put_f64(s.total_downtime_seconds);
-  w.put_u64(s.total_search_space);
-  w.put_f64(s.first_stddev);
-  w.put_f64(s.last_stddev);
-  w.put_f64(s.mean_link_peak);
-  w.put_u64(s.rounds_with_failures);
-  w.put_u64(s.peak_orphaned_vms);
-  w.put_u64(s.total_recovery_migrations);
-  w.put_u64(s.total_protocol_drops);
-  w.put_u64(s.total_protocol_retries);
-  w.put_u64(r.metrics.size());
-  for (const MetricSample& m : r.metrics) {
-    w.put_str(m.name);
-    w.put_f64(m.value);
-    w.put_u8(static_cast<std::uint8_t>(m.kind));
+void checkpoint_record(snapshot::Archive& ar, RunRecord& r) {
+  ar.u64(r.run_id);
+  ar.str(r.scenario);
+  ar.u64(r.seed);
+  ar.u64(r.rounds);
+  ar.u32(r.metrics_crc);
+  ar.u32(r.checkpoint_crc);
+  core::RunSummary& s = r.summary;
+  ar.u64(s.rounds);
+  ar.u64(s.total_alerts);
+  ar.u64(s.total_migrations);
+  ar.u64(s.total_reroutes);
+  ar.f64(s.total_migration_cost);
+  ar.f64(s.total_migration_seconds);
+  ar.f64(s.total_downtime_seconds);
+  ar.u64(s.total_search_space);
+  ar.f64(s.first_stddev);
+  ar.f64(s.last_stddev);
+  ar.f64(s.mean_link_peak);
+  ar.u64(s.rounds_with_failures);
+  ar.u64(s.peak_orphaned_vms);
+  ar.u64(s.total_recovery_migrations);
+  ar.u64(s.total_protocol_drops);
+  ar.u64(s.total_protocol_retries);
+  std::uint64_t metrics = r.metrics.size();
+  ar.count(metrics, 10);  // name length prefix + f64 + kind
+  r.metrics.resize(metrics);
+  for (MetricSample& m : r.metrics) {
+    ar.str(m.name);
+    ar.f64(m.value);
+    ar.u8(m.kind);
+    if (m.kind > MetricKind::kGauge) {
+      throw snapshot::SnapshotError("fleet manifest: unknown metric kind " +
+                                    std::to_string(static_cast<unsigned>(m.kind)));
+    }
+  }
+  if (ar.loading()) {
+    r.completed = true;
+    r.from_manifest = true;
   }
 }
 
-RunRecord get_record(snapshot::Reader& rd) {
-  RunRecord r;
-  r.run_id = rd.get_u64();
-  r.scenario = rd.get_str();
-  r.seed = rd.get_u64();
-  r.rounds = rd.get_u64();
-  r.metrics_crc = rd.get_u32();
-  r.checkpoint_crc = rd.get_u32();
-  core::RunSummary& s = r.summary;
-  s.rounds = rd.get_u64();
-  s.total_alerts = rd.get_u64();
-  s.total_migrations = rd.get_u64();
-  s.total_reroutes = rd.get_u64();
-  s.total_migration_cost = rd.get_f64();
-  s.total_migration_seconds = rd.get_f64();
-  s.total_downtime_seconds = rd.get_f64();
-  s.total_search_space = rd.get_u64();
-  s.first_stddev = rd.get_f64();
-  s.last_stddev = rd.get_f64();
-  s.mean_link_peak = rd.get_f64();
-  s.rounds_with_failures = rd.get_u64();
-  s.peak_orphaned_vms = rd.get_u64();
-  s.total_recovery_migrations = rd.get_u64();
-  s.total_protocol_drops = rd.get_u64();
-  s.total_protocol_retries = rd.get_u64();
-  const std::uint64_t n = rd.counted(10);  // name length prefix + f64 + kind
-  r.metrics.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    MetricSample m;
-    m.name = rd.get_str();
-    m.value = rd.get_f64();
-    const std::uint8_t kind = rd.get_u8();
-    if (kind > static_cast<std::uint8_t>(MetricKind::kGauge)) {
-      throw snapshot::SnapshotError("fleet manifest: unknown metric kind " +
-                                    std::to_string(kind));
-    }
-    m.kind = static_cast<MetricKind>(kind);
-    r.metrics.push_back(std::move(m));
-  }
-  r.completed = true;
-  r.from_manifest = true;
-  return r;
+void checkpoint_manifest(snapshot::Archive& ar, Manifest& m) {
+  ar.begin_section("FMAN", kManifestVersion);
+  ar.u64(m.grid_fingerprint);
+  ar.u64(m.run_count);
+  std::uint64_t records = m.completed.size();
+  ar.count(records, 8 * 4);
+  m.completed.resize(records);
+  for (RunRecord& r : m.completed) checkpoint_record(ar, r);
+  ar.end_section();
 }
 
 }  // namespace
@@ -290,29 +267,18 @@ Manifest load_manifest(const std::string& path) {
   if (!in) throw snapshot::SnapshotError("cannot open fleet manifest: " + path);
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
-  snapshot::Reader reader(std::move(bytes));
-  reader.expect_section("FMAN", kManifestVersion);
+  snapshot::Archive archive(std::move(bytes));
   Manifest m;
-  m.grid_fingerprint = reader.get_u64();
-  m.run_count = reader.get_u64();
-  const std::uint64_t n = reader.counted(8 * 4);
-  m.completed.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) m.completed.push_back(get_record(reader));
-  reader.leave_section();
-  if (!reader.at_end()) {
+  checkpoint_manifest(archive, m);
+  if (!archive.at_end()) {
     throw snapshot::SnapshotError("trailing bytes after fleet manifest: " + path);
   }
   return m;
 }
 
-void save_manifest(const std::string& path, const Manifest& manifest) {
-  snapshot::Writer writer;
-  writer.begin_section("FMAN", kManifestVersion);
-  writer.put_u64(manifest.grid_fingerprint);
-  writer.put_u64(manifest.run_count);
-  writer.put_u64(manifest.completed.size());
-  for (const RunRecord& r : manifest.completed) put_record(writer, r);
-  writer.end_section();
+void save_manifest(const std::string& path, Manifest& manifest) {
+  snapshot::Archive archive;
+  checkpoint_manifest(archive, manifest);
 
   // Atomic publish: a sweep killed mid-write leaves the previous manifest
   // intact, never a torn one — that is what makes --resume trustworthy.
@@ -320,7 +286,7 @@ void save_manifest(const std::string& path, const Manifest& manifest) {
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw snapshot::SnapshotError("cannot write fleet manifest: " + tmp);
-    const auto& bytes = writer.buffer();
+    const auto& bytes = archive.buffer();
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
     if (!out) throw snapshot::SnapshotError("short write on fleet manifest: " + tmp);

@@ -192,6 +192,8 @@ struct Manifest {
 };
 
 [[nodiscard]] Manifest load_manifest(const std::string& path);
-void save_manifest(const std::string& path, const Manifest& manifest);
+/// Takes a mutable manifest because one checkpoint walk both writes and
+/// reads its fields (snapshot::Archive); saving leaves it unchanged.
+void save_manifest(const std::string& path, Manifest& manifest);
 
 }  // namespace sheriff::fleet

@@ -374,23 +374,21 @@ std::size_t FairShareSolver::arena_bytes() const noexcept {
          bytes(sort_b_);
 }
 
-void FairShareSolver::save_state(snapshot::Writer& writer) const {
-  writer.put_u64(stats_.solves);
-  writer.put_u64(stats_.full_rebuilds);
-  writer.put_u64(stats_.dirty_flows);
-  writer.put_u64(stats_.affected_flows);
-  writer.put_u64(stats_.reused_flows);
+void FairShareSolver::Stats::checkpoint(snapshot::Archive& ar) {
+  ar.u64(solves);
+  ar.u64(full_rebuilds);
+  ar.u64(dirty_flows);
+  ar.u64(affected_flows);
+  ar.u64(reused_flows);
 }
 
-void FairShareSolver::load_state(snapshot::Reader& reader) {
-  stats_.solves = reader.get_u64();
-  stats_.full_rebuilds = reader.get_u64();
-  stats_.dirty_flows = reader.get_u64();
-  stats_.affected_flows = reader.get_u64();
-  stats_.reused_flows = reader.get_u64();
-  // The memo resumes cold; the next solve() rebuilds it from the paths.
-  memo_ = PathMemo{};
-  next_memo_ = PathMemo{};
+void FairShareSolver::checkpoint(snapshot::Archive& ar) {
+  stats_.checkpoint(ar);
+  if (ar.loading()) {
+    // The memo resumes cold; the next solve() rebuilds it from the paths.
+    memo_ = PathMemo{};
+    next_memo_ = PathMemo{};
+  }
 }
 
 void FairShareSolver::publish_metrics(obs::MetricRegistry& registry) const {

@@ -73,6 +73,10 @@ class FairShareSolver {
     std::size_t dirty_flows = 0;
     std::size_t affected_flows = 0;
     std::size_t reused_flows = 0;
+
+    /// The five counters in declaration order (FAIR v3, and the auditor's
+    /// copy of the previous round's stats in OBSR).
+    void checkpoint(snapshot::Archive& ar);
   };
 
   /// Cumulative wall time split of solve(): `build` covers link-id
@@ -112,11 +116,10 @@ class FairShareSolver {
   /// `fair_share.*`.
   void publish_metrics(obs::MetricRegistry& registry) const;
 
-  /// Checkpoint hooks. Only the cumulative Stats are serialized (FAIR v3):
+  /// Checkpoint hook. Only the cumulative Stats are serialized (FAIR v3):
   /// the next solve() depends on the flow table alone, so the link-id memo
   /// and every per-solve array resume cold (DESIGN.md §10).
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   /// Node paths and their link ids, flat in flow order: slot f spans

@@ -45,7 +45,7 @@ class SwitchQueues {
   /// QCN feedback Fb = −(q − q_eq + w·(q − q_prev)); negative = congested.
   [[nodiscard]] double feedback(topo::NodeId sw) const;
   /// Switches signalling congestion as of the last update() or
-  /// load_state() (live switches with a backlog and Fb below the
+  /// checkpoint load (live switches with a backlog and Fb below the
   /// threshold), in ascending id.
   [[nodiscard]] const std::vector<topo::NodeId>& congested_switches() const noexcept {
     return congested_;
@@ -61,10 +61,10 @@ class SwitchQueues {
   /// every switch's queue length into a fixed-bucket depth histogram.
   void publish_metrics(obs::MetricRegistry& registry) const;
 
-  /// Checkpoint hooks: the two backlog vectors (current + previous tick).
-  /// The congested set is derived state: load_state() recomputes it.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  /// Checkpoint hook: the two backlog vectors (current + previous tick),
+  /// each sized by the topology. The congested set is derived state: a
+  /// load recomputes it.
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   /// Rebuilds congested_ and congested_flag_ from the backlog state.

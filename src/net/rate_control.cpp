@@ -66,29 +66,23 @@ double QcnRateController::limit(FlowId flow) const {
   return it != state_.end() ? it->second.limit_gbps : std::numeric_limits<double>::infinity();
 }
 
-void QcnRateController::save_state(snapshot::Writer& writer) const {
+void QcnRateController::checkpoint(snapshot::Archive& ar) {
   std::vector<FlowId> ids;
-  ids.reserve(state_.size());
-  for (const auto& [id, st] : state_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  writer.put_u64(ids.size());
-  for (FlowId id : ids) {
-    const FlowState& st = state_.at(id);
-    writer.put_u32(id);
-    writer.put_f64(st.limit_gbps);
-    writer.put_f64(st.target_gbps);
+  if (ar.saving()) {
+    ids.reserve(state_.size());
+    for (const auto& [id, st] : state_) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+  } else {
+    state_.clear();
   }
-}
-
-void QcnRateController::load_state(snapshot::Reader& reader) {
-  state_.clear();
-  const std::uint64_t entries = reader.counted(20);
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    const FlowId id = reader.get_u32();
-    FlowState st;
-    st.limit_gbps = reader.get_f64();
-    st.target_gbps = reader.get_f64();
-    state_.emplace(id, st);
+  std::uint64_t entries = ids.size();
+  ar.count(entries, 20);
+  ids.resize(entries);
+  for (FlowId& id : ids) {
+    ar.u32(id);
+    FlowState& st = state_[id];
+    ar.f64(st.limit_gbps);
+    ar.f64(st.target_gbps);
   }
 }
 

@@ -36,11 +36,10 @@ class QcnRateController {
   [[nodiscard]] double limit(FlowId flow) const;
   [[nodiscard]] std::size_t tracked_flows() const noexcept { return state_.size(); }
 
-  /// Checkpoint hooks. Entries are written sorted by FlowId so the archive
+  /// Checkpoint hook. Entries are written sorted by FlowId so the archive
   /// is independent of unordered_map iteration order; lookups only ever go
   /// through find(), so rebuilt bucket order cannot change behavior.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   struct FlowState {

@@ -287,34 +287,16 @@ void InvariantAuditor::check_solver_bookkeeping(const RoundInputs& in) {
   have_solver_stats_ = true;
 }
 
-void InvariantAuditor::save_state(snapshot::Writer& writer) const {
-  writer.put_u64(violations_);
-  writer.put_u64(rounds_audited_);
-  writer.put_u64(messages_.size());
-  for (const std::string& m : messages_) writer.put_str(m);
-  writer.put_bool(model_probed_);
-  writer.put_bool(have_solver_stats_);
-  writer.put_u64(last_solver_stats_.solves);
-  writer.put_u64(last_solver_stats_.full_rebuilds);
-  writer.put_u64(last_solver_stats_.dirty_flows);
-  writer.put_u64(last_solver_stats_.affected_flows);
-  writer.put_u64(last_solver_stats_.reused_flows);
-}
-
-void InvariantAuditor::load_state(snapshot::Reader& reader) {
-  violations_ = reader.get_u64();
-  rounds_audited_ = reader.get_u64();
-  const std::uint64_t message_count = reader.counted(8);
-  messages_.clear();
-  messages_.reserve(message_count);
-  for (std::uint64_t i = 0; i < message_count; ++i) messages_.push_back(reader.get_str());
-  model_probed_ = reader.get_bool();
-  have_solver_stats_ = reader.get_bool();
-  last_solver_stats_.solves = reader.get_u64();
-  last_solver_stats_.full_rebuilds = reader.get_u64();
-  last_solver_stats_.dirty_flows = reader.get_u64();
-  last_solver_stats_.affected_flows = reader.get_u64();
-  last_solver_stats_.reused_flows = reader.get_u64();
+void InvariantAuditor::checkpoint(snapshot::Archive& ar) {
+  ar.u64(violations_);
+  ar.u64(rounds_audited_);
+  std::uint64_t message_count = messages_.size();
+  ar.count(message_count, 8);
+  messages_.resize(message_count);
+  for (std::string& m : messages_) ar.str(m);
+  ar.boolean(model_probed_);
+  ar.boolean(have_solver_stats_);
+  last_solver_stats_.checkpoint(ar);
 }
 
 }  // namespace sheriff::obs

@@ -112,11 +112,10 @@ class InvariantAuditor {
   [[nodiscard]] std::size_t rounds_audited() const noexcept { return rounds_audited_; }
   [[nodiscard]] const std::vector<std::string>& messages() const noexcept { return messages_; }
 
-  /// Checkpoint hooks: tallies, retained messages, the one-time model
+  /// Checkpoint hook: tallies, retained messages, the one-time model
   /// probe flag, and the previous round's solver-stats snapshot (check 6
   /// audits per-round *deltas*, so the baseline must survive a resume).
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   void report(int check_id, double magnitude, const std::string& message);

@@ -33,6 +33,12 @@ class ObservationHub {
   [[nodiscard]] InvariantAuditor* auditor() noexcept { return auditor_.get(); }
   [[nodiscard]] const InvariantAuditor* auditor() const noexcept { return auditor_.get(); }
 
+  /// Checkpoint hook, the payload of the engine's OBSR section: the
+  /// registry (counters, gauges, histograms, each kind in name order),
+  /// the trace rings and the auditor's tallies. Loading creates each
+  /// metric by name; the auditor must be present on both sides.
+  void checkpoint(snapshot::Archive& ar);
+
  private:
   EventTrace trace_;
   MetricRegistry registry_;

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "snapshot/fwd.hpp"
+
 namespace sheriff::obs {
 
 enum class EventType : std::uint8_t {
@@ -119,39 +121,17 @@ class EventTrace {
     }
   }
 
-  // --- checkpoint state access ----------------------------------------------
-  // Raw per-ring views + the sequence counter, so the engine's checkpoint
-  // code can serialize the trace byte-exactly (ring contents, overwrite
-  // cursor, drop tallies, next seq) without this header depending on the
-  // archive. Call from serial code only.
-
-  /// Total rings, including the trailing engine ring.
-  [[nodiscard]] std::size_t ring_count() const noexcept { return rings_.size(); }
-
-  struct RingView {
-    const std::vector<TraceRecord>& slots;
-    std::size_t head;
-    std::uint64_t emitted;
-    std::uint64_t dropped;
-  };
-  [[nodiscard]] RingView ring_view(std::size_t index) const {
-    const Ring& r = rings_[index];
-    return {r.slots, r.head, r.emitted, r.dropped};
-  }
-  void restore_ring(std::size_t index, std::vector<TraceRecord> slots, std::size_t head,
-                    std::uint64_t emitted, std::uint64_t dropped) {
-    Ring& r = rings_[index];
-    r.slots = std::move(slots);
-    r.head = head;
-    r.emitted = emitted;
-    r.dropped = dropped;
-  }
-
   /// The sequence number the next emit() will take.
   [[nodiscard]] std::uint64_t next_seq() const noexcept {
     return seq_.load(std::memory_order_relaxed);
   }
-  void set_next_seq(std::uint64_t seq) noexcept { seq_.store(seq, std::memory_order_relaxed); }
+
+  /// Checkpoint hook (part of OBSR): every ring byte-exactly — contents,
+  /// overwrite cursor, emit and drop tallies — then the next sequence
+  /// number and the round stamp. A load rejects a ring larger than this
+  /// trace's capacity and an overwrite cursor outside the ring. Call from
+  /// serial code only.
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   struct Ring {

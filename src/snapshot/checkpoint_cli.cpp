@@ -1,11 +1,7 @@
 #include "snapshot/checkpoint_cli.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <string_view>
-
-#include "core/engine.hpp"
-#include "snapshot/checkpoint.hpp"
 
 namespace sheriff::snapshot {
 
@@ -72,27 +68,6 @@ CheckpointCli parse_checkpoint_cli(int& argc, char** argv) {
 
 std::string checkpoint_path(const CheckpointCli& cli, std::size_t round) {
   return cli.checkpoint_prefix + ".round" + std::to_string(round) + ".snap";
-}
-
-std::vector<core::RoundMetrics> run_with_checkpoints(core::DistributedEngine& engine,
-                                                     std::size_t total_rounds,
-                                                     const CheckpointCli& cli) {
-  if (!cli.resume_path.empty()) {
-    core::Checkpoint::load(engine, cli.resume_path);
-    std::fprintf(stderr, "[checkpoint] resumed from %s at round %zu\n", cli.resume_path.c_str(),
-                 engine.rounds_run());
-  }
-  std::vector<core::RoundMetrics> out;
-  while (engine.rounds_run() < total_rounds) {
-    out.push_back(engine.run_round());
-    if (cli.checkpoint_every != 0 && engine.rounds_run() % cli.checkpoint_every == 0 &&
-        engine.rounds_run() < total_rounds) {
-      const std::string path = checkpoint_path(cli, engine.rounds_run());
-      core::Checkpoint::save(engine, path);
-      std::fprintf(stderr, "[checkpoint] saved %s\n", path.c_str());
-    }
-  }
-  return out;
 }
 
 }  // namespace sheriff::snapshot

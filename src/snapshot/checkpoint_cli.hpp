@@ -1,23 +1,14 @@
 #pragma once
-// Shared --checkpoint-every / --resume plumbing for the examples and the
-// benches: one flag parser plus a run loop that drops periodic checkpoints
-// and can pick a run back up from one. Kept out of bench_support so the
-// examples can use it without linking the benchmark harness.
+// Shared --checkpoint-every / --resume flag parsing for the examples: the
+// flags, and the file a periodic save for a round lands at.
 
 #include <cstddef>
 #include <string>
-#include <vector>
-
-#include "core/metrics.hpp"
-
-namespace sheriff::core {
-class DistributedEngine;
-}
 
 namespace sheriff::snapshot {
 
 /// Parsed checkpoint flags. Defaults mean "feature off": no periodic
-/// saves, no resume — the run loop then degenerates to engine.run().
+/// saves, no resume.
 struct CheckpointCli {
   std::size_t checkpoint_every = 0;  ///< save every N rounds (0 = never)
   std::string checkpoint_prefix = "checkpoint";  ///< files: <prefix>.round<N>.snap
@@ -32,14 +23,5 @@ CheckpointCli parse_checkpoint_cli(int& argc, char** argv);
 
 /// The path a periodic save for `round` lands at.
 [[nodiscard]] std::string checkpoint_path(const CheckpointCli& cli, std::size_t round);
-
-/// Runs `engine` until it has completed `total_rounds` rounds, honoring
-/// the flags: resume first (if requested), then save every
-/// `checkpoint_every` completed rounds. Returns the metrics of the rounds
-/// actually executed *by this process* (a resumed run returns only the
-/// post-resume tail, matching what the process computed).
-std::vector<core::RoundMetrics> run_with_checkpoints(core::DistributedEngine& engine,
-                                                     std::size_t total_rounds,
-                                                     const CheckpointCli& cli);
 
 }  // namespace sheriff::snapshot

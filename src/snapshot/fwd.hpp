@@ -1,9 +1,8 @@
 #pragma once
-// Forward declarations of the snapshot archive types, so subsystem headers
-// can declare save_state()/load_state() hooks without pulling the full
-// archive implementation into every translation unit.
+// Forward declaration of the snapshot archive, so subsystem headers can
+// declare checkpoint() hooks without pulling the full archive
+// implementation into every translation unit.
 
 namespace sheriff::snapshot {
-class Writer;
-class Reader;
+class Archive;
 }  // namespace sheriff::snapshot

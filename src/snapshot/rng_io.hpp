@@ -1,6 +1,6 @@
 #pragma once
-// Archive helpers for common::Pcg32 state — every subsystem that owns a
-// generator (trace dynamics, the lossy channel, ...) serializes it the
+// Archive layout of common::Pcg32 state — every subsystem that owns a
+// generator (trace dynamics, the lossy channel, ...) checkpoints it the
 // same way: raw state + increment + the Box–Muller cache.
 
 #include "common/rng.hpp"
@@ -8,21 +8,17 @@
 
 namespace sheriff::snapshot {
 
-inline void put_rng(Writer& writer, const common::Pcg32& rng) {
-  const common::Pcg32::State s = rng.state();
-  writer.put_u64(s.state);
-  writer.put_u64(s.inc);
-  writer.put_bool(s.has_cached_normal);
-  writer.put_f64(s.cached_normal);
+inline void checkpoint_rng(Archive& ar, common::Pcg32::State& s) {
+  ar.u64(s.state);
+  ar.u64(s.inc);
+  ar.boolean(s.has_cached_normal);
+  ar.f64(s.cached_normal);
 }
 
-inline void get_rng(Reader& reader, common::Pcg32& rng) {
-  common::Pcg32::State s;
-  s.state = reader.get_u64();
-  s.inc = reader.get_u64();
-  s.has_cached_normal = reader.get_bool();
-  s.cached_normal = reader.get_f64();
-  rng.restore(s);
+inline void checkpoint_rng(Archive& ar, common::Pcg32& rng) {
+  common::Pcg32::State s = rng.state();
+  checkpoint_rng(ar, s);
+  if (ar.loading()) rng.restore(s);
 }
 
 }  // namespace sheriff::snapshot

@@ -69,11 +69,10 @@ class ArimaModel {
   [[nodiscard]] std::vector<double> one_step_predictions(std::span<const double> series,
                                                          std::size_t start) const;
 
-  /// Checkpoint hooks: the fitted coefficients (order_ stays with the
+  /// Checkpoint hook: the fitted coefficients (order_ stays with the
   /// constructor). Forecasting is a pure function of these + the history,
   /// so a restored model forecasts bit-identically.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   /// CSS of params = [c, phi..., theta...] on differenced series `w`.

@@ -101,20 +101,12 @@ double HoltWintersModel::predict_next(std::span<const double> history) const {
 }
 
 
-void HoltWintersModel::save_state(snapshot::Writer& writer) const {
-  writer.put_f64(options_.level_gain);
-  writer.put_f64(options_.trend_gain);
-  writer.put_f64(options_.season_gain);
-  writer.put_f64(training_mse_);
-  writer.put_bool(fitted_);
-}
-
-void HoltWintersModel::load_state(snapshot::Reader& reader) {
-  options_.level_gain = reader.get_f64();
-  options_.trend_gain = reader.get_f64();
-  options_.season_gain = reader.get_f64();
-  training_mse_ = reader.get_f64();
-  fitted_ = reader.get_bool();
+void HoltWintersModel::checkpoint(snapshot::Archive& ar) {
+  ar.f64(options_.level_gain);
+  ar.f64(options_.trend_gain);
+  ar.f64(options_.season_gain);
+  ar.f64(training_mse_);
+  ar.boolean(fitted_);
 }
 
 }  // namespace sheriff::ts

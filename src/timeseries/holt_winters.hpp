@@ -38,11 +38,10 @@ class HoltWintersModel {
                                              std::size_t horizon) const;
   [[nodiscard]] double predict_next(std::span<const double> history) const;
 
-  /// Checkpoint hooks: the (possibly grid-tuned) gains + fit flag. The
+  /// Checkpoint hook: the (possibly grid-tuned) gains + fit flag. The
   /// forecast recursion re-runs over the caller's history, so no smoothing
   /// state needs to survive.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   struct State {

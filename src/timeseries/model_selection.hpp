@@ -31,11 +31,10 @@ class Forecaster {
   [[nodiscard]] virtual std::size_t min_history() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Checkpoint hooks: fitted parameters only. load_state assumes the
-  /// target was constructed with the same shape (order, layer sizes,
-  /// period); the selector round-trips candidates positionally.
-  virtual void save_state(snapshot::Writer& writer) const = 0;
-  virtual void load_state(snapshot::Reader& reader) = 0;
+  /// Checkpoint hook: fitted parameters only. A load assumes the target
+  /// was constructed with the same shape (order, layer sizes, period);
+  /// the selector round-trips candidates positionally.
+  virtual void checkpoint(snapshot::Archive& ar) = 0;
 };
 
 /// Adapters over the concrete models.
@@ -85,12 +84,11 @@ class DynamicModelSelector {
     return selection_counts_;
   }
 
-  /// Checkpoint hooks: per-candidate fitted parameters + the sliding error
+  /// Checkpoint hook: per-candidate fitted parameters + the sliding error
   /// windows and pending predictions that drive best_model(). Candidates
   /// are matched positionally — the target selector must have been built
   /// with the same add_model() sequence.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   struct Candidate {

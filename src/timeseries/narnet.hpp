@@ -49,10 +49,9 @@ class NarNet {
   [[nodiscard]] std::vector<double> one_step_predictions(std::span<const double> series,
                                                          std::size_t start) const;
 
-  /// Checkpoint hooks: trained weights + input normalization (options stay
+  /// Checkpoint hook: trained weights + input normalization (options stay
   /// with the constructor). Inference is pure, so restores are exact.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   struct Weights {

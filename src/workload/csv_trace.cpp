@@ -85,13 +85,10 @@ double ReplayTraceGenerator::next() {
   return value;
 }
 
-void ReplayTraceGenerator::save_state(snapshot::Writer& writer) const {
-  writer.put_u64(position_);
-}
-
-void ReplayTraceGenerator::load_state(snapshot::Reader& reader) {
-  const std::uint64_t position = reader.get_u64();
-  SHERIFF_REQUIRE(position < samples_.size(), "replay position beyond the recorded trace");
+void ReplayTraceGenerator::checkpoint(snapshot::Archive& ar) {
+  std::uint64_t position = position_;
+  ar.u64(position);
+  ar.check(position < samples_.size(), "replay position beyond the recorded trace");
   position_ = static_cast<std::size_t>(position);
 }
 

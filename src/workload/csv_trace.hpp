@@ -28,8 +28,7 @@ class ReplayTraceGenerator final : public TraceGenerator {
  public:
   explicit ReplayTraceGenerator(std::vector<double> samples, bool loop = true);
   double next() override;
-  void save_state(snapshot::Writer& writer) const override;
-  void load_state(snapshot::Reader& reader) override;
+  void checkpoint(snapshot::Archive& ar) override;
 
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
 

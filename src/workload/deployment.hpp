@@ -91,15 +91,14 @@ class Deployment {
   /// Mutable access for the engine (updates profiles after prediction).
   VirtualMachine& vm_mutable(VmId id);
 
-  /// Checkpoint hooks. Everything the constructor derives deterministically
+  /// Checkpoint hook. Everything the constructor derives deterministically
   /// from (topology, options, seed) — VM capacities/values, dependencies,
-  /// attractor set, generator options — is NOT serialized; load_state
+  /// attractor set, generator options — is NOT serialized; a load
   /// assumes a freshly constructed deployment with identical inputs and
   /// restores only the mutable state: placement (including the
   /// history-dependent per-host VM ordering, which downstream iteration
   /// depends on bit-for-bit), profiles, and trace-generator streams.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  void checkpoint(snapshot::Archive& ar);
 
  private:
   struct VmDynamics {

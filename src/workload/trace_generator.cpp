@@ -35,16 +35,10 @@ double SeasonalTraceGenerator::next() {
   return std::clamp(value, options_.floor, options_.ceiling);
 }
 
-void SeasonalTraceGenerator::save_state(snapshot::Writer& writer) const {
-  snapshot::put_rng(writer, rng_);
-  writer.put_f64(ar_state_);
-  writer.put_u64(t_);
-}
-
-void SeasonalTraceGenerator::load_state(snapshot::Reader& reader) {
-  snapshot::get_rng(reader, rng_);
-  ar_state_ = reader.get_f64();
-  t_ = reader.get_u64();
+void SeasonalTraceGenerator::checkpoint(snapshot::Archive& ar) {
+  snapshot::checkpoint_rng(ar, rng_);
+  ar.f64(ar_state_);
+  ar.u64(t_);
 }
 
 WeeklyTrafficGenerator::WeeklyTrafficGenerator(Options options, std::uint64_t seed)
@@ -67,16 +61,10 @@ double WeeklyTrafficGenerator::next() {
   return std::max(value, 0.0);
 }
 
-void WeeklyTrafficGenerator::save_state(snapshot::Writer& writer) const {
-  snapshot::put_rng(writer, rng_);
-  writer.put_f64(ar_state_);
-  writer.put_u64(t_);
-}
-
-void WeeklyTrafficGenerator::load_state(snapshot::Reader& reader) {
-  snapshot::get_rng(reader, rng_);
-  ar_state_ = reader.get_f64();
-  t_ = reader.get_u64();
+void WeeklyTrafficGenerator::checkpoint(snapshot::Archive& ar) {
+  snapshot::checkpoint_rng(ar, rng_);
+  ar.f64(ar_state_);
+  ar.u64(t_);
 }
 
 std::unique_ptr<TraceGenerator> make_cpu_trace(std::uint64_t seed) {

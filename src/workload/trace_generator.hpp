@@ -30,11 +30,10 @@ class TraceGenerator {
   virtual double next() = 0;
   /// Convenience: the next n samples.
   [[nodiscard]] std::vector<double> generate(std::size_t n);
-  /// Checkpoint hooks: mutable stream state only (RNG position, AR state,
-  /// sample clock). Options stay with the constructor — load_state assumes
+  /// Checkpoint hook: mutable stream state only (RNG position, AR state,
+  /// sample clock). Options stay with the constructor — a load assumes
   /// the target was built with the same options and seed.
-  virtual void save_state(snapshot::Writer& writer) const = 0;
-  virtual void load_state(snapshot::Reader& reader) = 0;
+  virtual void checkpoint(snapshot::Archive& ar) = 0;
 };
 
 struct SeasonalTraceOptions {
@@ -55,8 +54,7 @@ class SeasonalTraceGenerator : public TraceGenerator {
  public:
   SeasonalTraceGenerator(SeasonalTraceOptions options, std::uint64_t seed);
   double next() override;
-  void save_state(snapshot::Writer& writer) const override;
-  void load_state(snapshot::Reader& reader) override;
+  void checkpoint(snapshot::Archive& ar) override;
 
  private:
   SeasonalTraceOptions options_;
@@ -79,8 +77,7 @@ class WeeklyTrafficGenerator : public TraceGenerator {
   };
   WeeklyTrafficGenerator(Options options, std::uint64_t seed);
   double next() override;
-  void save_state(snapshot::Writer& writer) const override;
-  void load_state(snapshot::Reader& reader) override;
+  void checkpoint(snapshot::Archive& ar) override;
 
  private:
   Options options_;

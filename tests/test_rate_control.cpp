@@ -360,15 +360,15 @@ TEST(CongestedFlag, SaveLoadRoundTripKeepsTheSet) {
   for (int tick = 0; tick < 3; ++tick) saved.update(forced_shares(t, rng), flows);
   ASSERT_FALSE(saved.congested_switches().empty());
 
-  snap::Writer writer;
-  writer.begin_section("QUEU", 1);
-  saved.save_state(writer);
-  writer.end_section();
-  snap::Reader reader(writer.buffer());
-  reader.expect_section("QUEU", 1);
+  snap::Archive out;
+  out.begin_section("QUEU", 1);
+  saved.checkpoint(out);
+  out.end_section();
+  snap::Archive in(out.buffer());
+  in.begin_section("QUEU", 1);
   net::SwitchQueues restored(t);
-  restored.load_state(reader);
-  reader.leave_section();
+  restored.checkpoint(in);
+  in.end_section();
 
   EXPECT_EQ(restored.congested_switches(), saved.congested_switches());
   for (const auto& node : t.nodes()) {

@@ -5,8 +5,8 @@
 // tables), k-median local search (the oracle scan and the engine's fast
 // solver), the knapsack, ARIMA/NARNET fitting, the Eq. (1)
 // migration decision kernel (surface build / per-candidate eval /
-// bound-pruned sweep), a cold distance-row build, and an engine's
-// checkpoint round trip.
+// bound-pruned sweep), a cold distance-row build, an engine's checkpoint
+// round trip, and the checkpoint CRC-32 (with its byte-at-a-time oracle).
 
 #include <benchmark/benchmark.h>
 
@@ -29,9 +29,11 @@
 #include "net/queueing.hpp"
 #include "net/rate_control.hpp"
 #include "net/routing.hpp"
+#include "oracles/crc32.hpp"
 #include "oracles/fair_share.hpp"
 #include "oracles/kmedian.hpp"
 #include "oracles/shortest_paths.hpp"
+#include "snapshot/archive.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "timeseries/arima.hpp"
 #include "timeseries/holt_winters.hpp"
@@ -528,6 +530,24 @@ void BM_EngineRestore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineRestore)->Unit(benchmark::kMillisecond);
+
+// CRC-32 over 1 MiB of random bytes, the checksum every checkpoint section,
+// fleet manifest and perfbench results digest goes through: the archive's
+// slicing-by-8 loop (bytewise = 0) and the byte-at-a-time reference
+// (bytewise = 1).
+void BM_Crc32(benchmark::State& state) {
+  const bool bytewise = state.range(0) != 0;
+  std::vector<std::uint8_t> bytes(std::size_t{1} << 20);
+  common::Pcg32 rng(7, 1);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u32());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytewise ? oracle::crc32_bytewise(bytes.data(), bytes.size())
+                                      : snapshot::detail::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->ArgName("bytewise")->Arg(0)->Arg(1);
 
 void BM_FatTreeBuild(benchmark::State& state) {
   topo::FatTreeOptions options;

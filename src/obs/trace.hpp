@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/require.hpp"
 #include "snapshot/fwd.hpp"
 
 namespace sheriff::obs {
@@ -61,9 +62,11 @@ class EventTrace {
   /// rack's shim (fault application, takeover recomputation, audits).
   static constexpr std::uint32_t kEngine = static_cast<std::uint32_t>(-1);
 
+  /// Throws common::RequirementError on a zero `capacity_per_shim`.
   explicit EventTrace(std::size_t shim_count, std::size_t capacity_per_shim = 4096)
-      : capacity_(capacity_per_shim > 0 ? capacity_per_shim : 1),
-        rings_(shim_count + 1) {}
+      : capacity_(capacity_per_shim), rings_(shim_count + 1) {
+    SHERIFF_REQUIRE(capacity_per_shim >= 1, "capacity_per_shim must be at least 1");
+  }
 
   /// Stamped onto subsequent records; call at the top of each round, while
   /// no emitter is running.

@@ -13,6 +13,12 @@
 // exactly via their IEEE-754 bit pattern (NaNs and signed zeros included),
 // which is what makes save/resume runs bit-identical.
 //
+// The section CRC is CRC-32 (IEEE 802.3, reflected) computed eight bytes
+// per step by a portable slicing-by-8 table loop (detail::crc32). It is
+// the same function as the byte-at-a-time CRC, not a new checksum, so
+// every archive, fleet manifest and results digest keeps its bytes; the
+// tests check it against the byte loop (oracle::crc32_bytewise).
+//
 // One Archive both saves and loads. Built empty it saves; built over a
 // byte buffer it loads. Every checkpointed type lists its fields once, in
 // one `checkpoint(snapshot::Archive&)`:
@@ -58,21 +64,44 @@ class SnapshotError : public std::runtime_error {
 
 namespace detail {
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over a byte range.
-inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFU;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFU] ^ (crc >> 8U);
+/// Slicing-by-8 tables: kCrc32Tables[0] is the classic byte table of the
+/// reflected polynomial 0xEDB88320, and kCrc32Tables[k][b] is the CRC
+/// register after byte b is followed by k zero bytes.
+inline constexpr auto kCrc32Tables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8U) ^ t[0][t[k - 1][i] & 0xFFU];
+  }
+  return t;
+}();
+
+/// Bytes p[0..3] as a little-endian u32, whatever the host's byte order
+/// (compilers fuse the four loads into one).
+inline std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8U |
+         static_cast<std::uint32_t>(p[2]) << 16U | static_cast<std::uint32_t>(p[3]) << 24U;
+}
+
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320, initial value and final
+/// xor 0xFFFFFFFF) over a byte range, eight bytes per step (slicing-by-8);
+/// the tail runs through the byte table. The value is the byte-at-a-time
+/// CRC's, bit for bit, on every host.
+inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
+  const auto& t = kCrc32Tables;
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFU] ^ t[6][(lo >> 8U) & 0xFFU] ^ t[5][(lo >> 16U) & 0xFFU] ^
+          t[4][lo >> 24U] ^ t[3][hi & 0xFFU] ^ t[2][(hi >> 8U) & 0xFFU] ^
+          t[1][(hi >> 16U) & 0xFFU] ^ t[0][hi >> 24U];
+  }
+  for (; size > 0; ++data, --size) crc = t[0][(crc ^ *data) & 0xFFU] ^ (crc >> 8U);
   return crc ^ 0xFFFFFFFFU;
 }
 

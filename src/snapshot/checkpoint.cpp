@@ -1,7 +1,9 @@
 #include "snapshot/checkpoint.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "core/engine.hpp"
 #include "snapshot/archive.hpp"
@@ -37,12 +39,18 @@ void Checkpoint::save(DistributedEngine& engine, const std::string& path) {
 }
 
 void Checkpoint::load(DistributedEngine& engine, const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw snapshot::SnapshotError("cannot open checkpoint file: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0, std::ios::beg);
+  // Sized by the file system, not by seeking to the end: a directory opens
+  // too, and its end offset (-1, or a hash cursor near 2^63 on ext4) is no
+  // size to allocate.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {
+    throw snapshot::SnapshotError("cannot size checkpoint file " + path + ": " + error.message());
+  }
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), size);
+  if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
   if (!in) throw snapshot::SnapshotError("short read from checkpoint file: " + path);
   deserialize(engine, std::move(bytes));
 }

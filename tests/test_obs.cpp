@@ -67,9 +67,10 @@ TEST(EventTrace, RingWrapsOverwritingOldest) {
   }
 }
 
-TEST(EventTrace, ZeroCapacityClampsToOne) {
-  obs::EventTrace trace(1, 0);
-  EXPECT_EQ(trace.capacity_per_shim(), 1u);
+TEST(EventTrace, ZeroCapacityIsRejected) {
+  EXPECT_THROW(obs::EventTrace(1, 0), sc::RequirementError);
+  // The smallest ring keeps the newest record.
+  obs::EventTrace trace(1, 1);
   trace.emit(0, obs::EventType::kAlertRaised, 1);
   trace.emit(0, obs::EventType::kAlertRaised, 2);
   const auto records = trace.snapshot();

@@ -19,6 +19,7 @@
 #include "core/predictor.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/trace.hpp"
+#include "oracles/crc32.hpp"
 #include "snapshot/archive.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "timeseries/arima.hpp"
@@ -205,6 +206,37 @@ TEST(SnapshotArchive, LeftoverPayloadBytesAreAnError) {
   in.u64(first);
   EXPECT_EQ(first, 1U);
   EXPECT_THROW(in.end_section(), snap::SnapshotError);
+}
+
+// --- CRC-32 ------------------------------------------------------------------
+
+TEST(SnapshotCrc, KnownAnswers) {
+  const std::string_view check = "123456789";
+  const auto* digits = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(snap::detail::crc32(digits, check.size()), 0xCBF43926U);
+  EXPECT_EQ(sheriff::oracle::crc32_bytewise(digits, check.size()), 0xCBF43926U);
+  EXPECT_EQ(snap::detail::crc32(digits, 0), 0U);
+  EXPECT_EQ(snap::detail::crc32(nullptr, 0), 0U);
+}
+
+// The slicing-by-8 loop against the byte loop: every length across the
+// 8-byte steps and the byte tail, at every alignment, and one large range.
+TEST(SnapshotCrc, SlicingBy8MatchesTheByteLoop) {
+  constexpr std::size_t kMaxLength = 1100;
+  sc::Pcg32 rng(0xC5C32, 1);
+  std::vector<std::uint8_t> bytes(kMaxLength + 7);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u32());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      ASSERT_EQ(snap::detail::crc32(bytes.data() + offset, length),
+                sheriff::oracle::crc32_bytewise(bytes.data() + offset, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  std::vector<std::uint8_t> mebibyte(std::size_t{1} << 20);
+  for (std::uint8_t& b : mebibyte) b = static_cast<std::uint8_t>(rng.next_u32());
+  EXPECT_EQ(snap::detail::crc32(mebibyte.data(), mebibyte.size()),
+            sheriff::oracle::crc32_bytewise(mebibyte.data(), mebibyte.size()));
 }
 
 // --- RNG state round-trip (satellite: common::Rng) ---------------------------
@@ -701,6 +733,21 @@ TEST(SnapshotEngine, TruncatedAndCorruptCheckpointsFailLoudly) {
     EXPECT_THROW(core::Checkpoint::deserialize(target, std::move(corrupt)),
                  snap::SnapshotError);
   }
+}
+
+TEST(SnapshotEngine, LoadingADirectoryOrAMissingFileThrowsSnapshotError) {
+  const topo::Topology topology = small_fat_tree();
+  core::DistributedEngine target(topology, parity_deployment(), core::EngineConfig{});
+  const std::string directory = ::testing::TempDir();
+  try {
+    core::Checkpoint::load(target, directory);
+    FAIL() << "loaded a directory";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(directory), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(core::Checkpoint::load(target, directory + "/no-such-checkpoint.snap"),
+               snap::SnapshotError);
+  EXPECT_EQ(target.rounds_run(), 0U);
 }
 
 // Archive mutation fuzz: no mutated checkpoint — random byte flips,

@@ -89,13 +89,11 @@ BENCHMARK(BM_DijkstraFatTree)->Arg(8)->Arg(16)->Arg(24);
 // FLOWREROUTE's query: route a cross-pod flow around a switch its
 // unblocked route transits. Second arg: 0 = cold (a fresh router per query,
 // built with the timer paused, so every query runs the hop-level BFS, the
-// repair and the ECMP walk), 1 = warm (the root's level array is cached;
-// flow ids past the router's 2^20-flow path-cache range keep the resolved
-// path uncached, so every query still repairs and walks). Third arg: the
-// blocked switch, 0 = the route's core (no vertex loses its level), 1 = the
-// route's aggregation switch in the source's pod (its cores and every other
-// pod's matching aggregation switch are re-leveled: the largest repair on a
-// Fat-Tree).
+// repair and the ECMP walk), 1 = warm (the root's level array is cached, so
+// every query repairs and walks). Third arg: the blocked switch, 0 = the
+// route's core (no vertex loses its level), 1 = the route's aggregation
+// switch in the source's pod (its cores and every other pod's matching
+// aggregation switch are re-leveled: the largest repair on a Fat-Tree).
 void BM_RouterBlockedRoute(benchmark::State& state) {
   topo::FatTreeOptions options;
   options.pods = static_cast<int>(state.range(0));
@@ -111,7 +109,7 @@ void BM_RouterBlockedRoute(benchmark::State& state) {
   std::vector<Probe> probes;
   for (std::uint32_t i = 0; i < 64; ++i) {
     Probe p;
-    p.flow.id = (1u << 20) + i;
+    p.flow.id = i;
     p.flow.src_host = hosts[(i * 7) % (hosts.size() / 2)];
     p.flow.dst_host = hosts[hosts.size() - 1 - (i * 5) % (hosts.size() / 2)];
     router->route(p.flow);
@@ -134,7 +132,6 @@ void BM_RouterBlockedRoute(benchmark::State& state) {
   const auto& stats = router->cache_stats();
   state.counters["tree_hits"] = static_cast<double>(stats.tree_hits);
   state.counters["repairs"] = static_cast<double>(stats.repairs);
-  state.counters["path_hits"] = static_cast<double>(stats.path_hits);
 }
 BENCHMARK(BM_RouterBlockedRoute)
     ->ArgNames({"k", "warm", "agg"})
@@ -179,8 +176,7 @@ void BM_MaxMinFairShare(benchmark::State& state) {
 BENCHMARK(BM_MaxMinFairShare)->Arg(128)->Arg(512)->Arg(2048);
 
 // One per-round canonical solve on an engine's own flow table (demands,
-// paths and QCN rate limits after its first round), with the solver's
-// path memo warm as in a round without reroutes:
+// routes and QCN rate limits after its first round):
 //   k=24 — ft24_regional's Sec. VI-B fabric and deployment: 4 hosts per
 //          rack, 1 Gbps ToR–agg links, 3 VMs per host, ~1.7k flows;
 //   k=32 — ft32_core_hotspot's table: 2 hosts per rack, 1 Gbps agg–core

@@ -21,11 +21,14 @@
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "fault/fault_plan.hpp"
+#include "snapshot/archive.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/checkpoint_cli.hpp"
 #include "topology/fat_tree.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int drill_main(int argc, char** argv) {
   using namespace sheriff;
   constexpr std::string_view kUsage =
       "[rounds 1..100000] [metrics.csv] [--checkpoint-every N] [--checkpoint-prefix P] "
@@ -120,4 +123,17 @@ int main(int argc, char** argv) {
     std::cout << "wrote per-round metrics to " << argv[2] << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+// A checkpoint that cannot be read or written is reported, not thrown
+// past main: the drill prints the reason and exits 1.
+int main(int argc, char** argv) {
+  try {
+    return drill_main(argc, argv);
+  } catch (const sheriff::snapshot::SnapshotError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 1;
+  }
 }

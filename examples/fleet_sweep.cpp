@@ -26,12 +26,15 @@
 #include <string>
 
 #include "fleet/fleet.hpp"
+#include "snapshot/archive.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
 
 using namespace sheriff;
 
-int main(int argc, char** argv) {
+namespace {
+
+int sweep_main(int argc, char** argv) {
   std::string topo_name = "fat_tree";
   std::string mode_name = "sheriff";
   std::size_t seeds = 8;
@@ -124,4 +127,17 @@ int main(int argc, char** argv) {
   show("link peak    ", "engine.max_link_utilization");
   if (!options.jsonl_path.empty()) std::cout << "jsonl: " << options.jsonl_path << "\n";
   return 0;
+}
+
+}  // namespace
+
+// A manifest or JSONL file that cannot be read or written is reported,
+// not thrown past main: the sweep prints the reason and exits 1.
+int main(int argc, char** argv) {
+  try {
+    return sweep_main(argc, argv);
+  } catch (const snapshot::SnapshotError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -171,9 +171,7 @@ void DistributedEngine::recompute_takeovers() {
     // live shim adopts the rack. No live neighbor means the rack runs
     // unmanaged until a shim recovers.
     takeover_[r] = topo::kInvalidRack;
-    auto neighbors = topo_->neighbor_racks(r);
-    std::sort(neighbors.begin(), neighbors.end());
-    for (topo::RackId n : neighbors) {
+    for (topo::RackId n : topo_->neighbor_racks(r)) {  // ascending
       if (!injector_->shim_down(n)) {
         takeover_[r] = n;
         break;
@@ -214,14 +212,9 @@ void DistributedEngine::apply_fault_events(RoundMetrics& metrics) {
     // re-routes them over the surviving fabric (or counts them as
     // unroutable).
     const topo::LivenessMask& mask = injector_->liveness();
+    const auto usable = [&](topo::LinkId l) { return mask.link_usable(*topo_, l); };
     for (net::Flow& flow : flows_) {
-      if (!flow.routed()) continue;
-      bool live = true;
-      for (std::size_t i = 0; live && i + 1 < flow.path.size(); ++i) {
-        const topo::LinkId l = topo_->link_between(flow.path[i], flow.path[i + 1]);
-        live = mask.link_usable(*topo_, l);
-      }
-      if (!live) flow.path.clear();
+      if (!std::ranges::all_of(flow.links, usable)) flow.unroute();
     }
   }
   if (report.fabric_changed || report.shims_changed) recompute_takeovers();
@@ -297,7 +290,7 @@ void DistributedEngine::advance_workload(RoundMetrics& metrics) {
     if (flow.src_host != src || flow.dst_host != dst) {
       flow.src_host = src;
       flow.dst_host = dst;
-      flow.path.clear();
+      flow.unroute();
     }
     const double trf = deployment_.vm(flow_owner_[f]).profile[wl::Feature::kTraffic];
     flow.demand_gbps = config_.flow_demand_scale_gbps * trf;
@@ -790,11 +783,14 @@ void DistributedEngine::checkpoint(snapshot::Archive& ar) {
     ar.u8(flow.dscp);
     ar.u32v(flow.path);
     if (ar.loading()) {
-      // Paths index per-node tables and resolve to links hop by hop.
+      // Paths index per-node tables; each checked hop rebuilds the link id
+      // the router wrote next to it (links are not serialized).
+      flow.links.clear();
       for (std::size_t i = 0; i < flow.path.size(); ++i) {
         ar.check(flow.path[i] < topo_->node_count() &&
                      (i == 0 || topo_->adjacent(flow.path[i - 1], flow.path[i])),
                  "checkpoint flow path is not a path of this topology");
+        if (i > 0) flow.links.push_back(topo_->link_between(flow.path[i - 1], flow.path[i]));
       }
     }
     ar.f64(flow.allocated_gbps);

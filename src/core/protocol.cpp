@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/require.hpp"
-#include "migration/live_migration.hpp"
 
 namespace sheriff::core {
 
@@ -209,21 +208,11 @@ ProtocolResult DistributedMigrationProtocol::run(std::vector<MigrationDemand> de
           ++result.conflicts;
           continue;
         }
-        mig::LiveMigrationParams timing;
-        const auto& vm = deployment_->vm(rq.vm);
-        timing.memory_gb = 0.25 * static_cast<double>(vm.capacity);
-        timing.dirty_rate_gbps = 0.1 + 0.4 * vm.profile[wl::Feature::kCpu];
-        timing.bandwidth_gbps =
-            std::max(0.05, cost_model_->path_bottleneck_bandwidth(rq.vm, rq.dest));
-        const topo::NodeId from = vm.host;
+        const mig::LiveMigrationParams timing =
+            live_migration_params(*deployment_, *cost_model_, rq.vm, rq.dest);
+        const topo::NodeId from = deployment_->vm(rq.vm).host;
         deployment_->move_vm(rq.vm, rq.dest);
-        const auto timeline = mig::simulate_live_migration(timing);
-        result.plan.moves.push_back({rq.vm, from, rq.dest, rq.cost,
-                                     timeline.total_seconds(),
-                                     timeline.t3_downtime_seconds});
-        result.plan.total_cost += rq.cost;
-        result.plan.total_duration_seconds += timeline.total_seconds();
-        result.plan.total_downtime_seconds += timeline.t3_downtime_seconds;
+        result.plan.add_move(rq.vm, from, rq.dest, rq.cost, timing);
         placed[rq.vm] = true;
         progress = true;
       }

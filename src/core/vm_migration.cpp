@@ -5,7 +5,6 @@
 
 #include "common/require.hpp"
 #include "graph/matching.hpp"
-#include "migration/live_migration.hpp"
 
 namespace sheriff::core {
 
@@ -18,6 +17,26 @@ void MigrationPlan::merge(const MigrationPlan& other) {
   total_duration_seconds += other.total_duration_seconds;
   total_downtime_seconds += other.total_downtime_seconds;
   unplaced.insert(unplaced.end(), other.unplaced.begin(), other.unplaced.end());
+}
+
+void MigrationPlan::add_move(wl::VmId vm, topo::NodeId from, topo::NodeId to, double cost,
+                             const mig::LiveMigrationParams& timing) {
+  const auto timeline = mig::simulate_live_migration(timing);
+  moves.push_back({vm, from, to, cost, timeline.total_seconds(), timeline.t3_downtime_seconds});
+  total_cost += cost;
+  total_duration_seconds += timeline.total_seconds();
+  total_downtime_seconds += timeline.t3_downtime_seconds;
+}
+
+mig::LiveMigrationParams live_migration_params(const wl::Deployment& deployment,
+                                               const mig::MigrationCostModel& cost_model,
+                                               wl::VmId vm, topo::NodeId dest) {
+  mig::LiveMigrationParams timing;
+  const auto& machine = deployment.vm(vm);
+  timing.memory_gb = 0.25 * static_cast<double>(machine.capacity);
+  timing.dirty_rate_gbps = 0.1 + 0.4 * machine.profile[wl::Feature::kCpu];
+  timing.bandwidth_gbps = std::max(0.05, cost_model.path_bottleneck_bandwidth(vm, dest));
+  return timing;
 }
 
 VmMigrationScheduler::VmMigrationScheduler(wl::Deployment& deployment,
@@ -56,25 +75,14 @@ MigrationPlan VmMigrationScheduler::migrate(std::vector<wl::VmId> candidates,
     for (const auto& proposal : proposals) {
       matched.push_back(proposal.vm);
       const topo::NodeId from = deployment_->vm(proposal.vm).host;
-      // Six-stage live-migration timeline for this move, sized from the VM
-      // and the bandwidth its transfer path can actually get (must be
-      // computed before the ACK relocates the VM).
-      mig::LiveMigrationParams timing;
-      const auto& vm = deployment_->vm(proposal.vm);
-      timing.memory_gb = 0.25 * static_cast<double>(vm.capacity);
-      timing.dirty_rate_gbps = 0.1 + 0.4 * vm.profile[wl::Feature::kCpu];
-      timing.bandwidth_gbps =
-          std::max(0.05, cost_model_->path_bottleneck_bandwidth(proposal.vm, proposal.dest));
+      // Sized before the ACK relocates the VM.
+      const mig::LiveMigrationParams timing =
+          live_migration_params(*deployment_, *cost_model_, proposal.vm, proposal.dest);
       ++plan.requests;
       const auto outcome = broker_->request(
           proposal.vm, proposal.dest, deployment_->topology().node(proposal.dest).rack);
       if (outcome == mig::RequestOutcome::kAck) {
-        const auto timeline = mig::simulate_live_migration(timing);
-        plan.moves.push_back({proposal.vm, from, proposal.dest, proposal.cost,
-                              timeline.total_seconds(), timeline.t3_downtime_seconds});
-        plan.total_cost += proposal.cost;
-        plan.total_duration_seconds += timeline.total_seconds();
-        plan.total_downtime_seconds += timeline.t3_downtime_seconds;
+        plan.add_move(proposal.vm, from, proposal.dest, proposal.cost, timing);
         progress = true;
         // Remove from remaining.
         remaining.erase(std::find(remaining.begin(), remaining.end(), proposal.vm));

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "migration/cost_model.hpp"
+#include "migration/live_migration.hpp"
 #include "migration/request.hpp"
 #include "topology/entities.hpp"
 #include "workload/deployment.hpp"
@@ -34,7 +35,18 @@ struct MigrationPlan {
   std::vector<wl::VmId> unplaced;  ///< VMs that found no feasible destination
 
   void merge(const MigrationPlan& other);
+  /// Appends an applied move whose live migration runs with `timing`, and
+  /// adds its cost, duration and downtime to the totals.
+  void add_move(wl::VmId vm, topo::NodeId from, topo::NodeId to, double cost,
+                const mig::LiveMigrationParams& timing);
 };
+
+/// The six-stage live-migration inputs for moving `vm` to `dest`, sized
+/// from the VM and the bandwidth its transfer path can actually get. The
+/// path starts at the VM's host, so call this before the VM moves.
+mig::LiveMigrationParams live_migration_params(const wl::Deployment& deployment,
+                                               const mig::MigrationCostModel& cost_model,
+                                               wl::VmId vm, topo::NodeId dest);
 
 /// One (vm → destination) pairing produced by a matching pass.
 struct ProposedMove {

@@ -55,19 +55,23 @@ struct LevelItem {
 
 /// Visits vertices in ascending level: the `seeds` at their own levels, and
 /// whatever `visit(level, v, next)` appends to `next` at level + 1. Levels
-/// fit a byte, so a counting sort orders the seeds in linear time.
+/// fit a byte, so a counting sort orders the seeds in linear time. The
+/// buffers are per thread and reused, like hop_levels_without's own.
 template <typename Visit>
 void sweep_by_level(std::span<const LevelItem> seeds, Visit&& visit) {
   constexpr std::size_t kLevels = std::size_t{kUnreachedLevel} + 1;
   std::array<std::uint32_t, kLevels + 1> begin{};  // level l's seeds: [begin[l], begin[l + 1])
   for (const LevelItem& s : seeds) ++begin[s.level + 1U];
   std::partial_sum(begin.begin(), begin.end(), begin.begin());
-  std::vector<Vertex> sorted(seeds.size());
+  thread_local std::vector<Vertex> sorted;
+  thread_local std::vector<Vertex> frontier;
+  thread_local std::vector<Vertex> next;
+  sorted.resize(seeds.size());
+  frontier.clear();
+  next.clear();
   std::array<std::uint32_t, kLevels + 1> fill = begin;
   for (const LevelItem& s : seeds) sorted[fill[s.level]++] = s.vertex;
 
-  std::vector<Vertex> frontier;
-  std::vector<Vertex> next;
   for (std::size_t level = 0; level < kLevels; ++level) {
     frontier.insert(frontier.end(), sorted.begin() + begin[level],
                     sorted.begin() + begin[level + 1]);
@@ -101,9 +105,15 @@ void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
   // vertices read as unreached in `levels`, so that test is one compare
   // per neighbor. Only a tight child of a blocked or affected vertex can be
   // affected, and each is queued once: its parents all sit one level lower,
-  // so their status is final by the time the sweep reaches it.
-  std::vector<bool> queued(n, false);
-  std::vector<LevelItem> seeds;
+  // so their status is final by the time the sweep reaches it. The scratch
+  // is per thread and reused: FLOWREROUTE repairs once per probe, and
+  // concurrent callers never share it.
+  thread_local std::vector<bool> queued;
+  thread_local std::vector<LevelItem> seeds;
+  thread_local std::vector<Vertex> affected;
+  queued.assign(n, false);
+  seeds.clear();
+  affected.clear();
   for (const Vertex b : blocked) {
     if (base[b] == kUnreachedLevel) continue;
     for (const Vertex w : g.neighbors(b)) {
@@ -112,7 +122,6 @@ void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
       seeds.push_back({base[w], w});
     }
   }
-  std::vector<Vertex> affected;
   sweep_by_level(seeds, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
     if (levels[v] == kUnreachedLevel) return;  // blocked
     for (const Vertex u : g.neighbors(v)) {

@@ -77,7 +77,9 @@ void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& le
 /// with a bucket BFS seeded at each one's best unaffected, unblocked
 /// neighbor. Cost is the level copy plus the degrees of the vertices it
 /// visits; the worst case is O(n + m), like the BFS. Throws (as the BFS
-/// would) when a repaired level would not fit a HopLevel.
+/// would) when a repaired level would not fit a HopLevel. Its scratch is
+/// per thread and reused, so repairs on one thread stop allocating once
+/// the buffers have grown.
 void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
                         std::span<const Vertex> blocked, std::vector<HopLevel>& levels);
 

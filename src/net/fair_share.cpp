@@ -76,76 +76,40 @@ const FairShareResult& FairShareSolver::solve(std::span<Flow> flows,
 void FairShareSolver::build_incidence(std::span<const Flow> flows,
                                       const topo::LivenessMask* liveness) {
   const std::size_t n = flows.size();
-  const std::size_t memo_flows = memo_.offset.empty() ? 0 : memo_.offset.size() - 1;
-  // Size the flat arrays once: the memo holds every path node, and the
-  // incidence has fewer entries than that.
-  next_memo_.offset.resize(n + 1);
-  std::uint32_t node_total = 0;
-  for (std::size_t f = 0; f < n; ++f) {
-    next_memo_.offset[f] = node_total;
-    node_total += static_cast<std::uint32_t>(flows[f].path.size());
-  }
-  next_memo_.offset[n] = node_total;
-  next_memo_.nodes.resize(node_total);
-  next_memo_.links.resize(node_total);
   flow_link_offset_.resize(n + 1);
-  flow_links_.resize(node_total);
+  flow_links_.clear();
   participants_.clear();
   demand_.resize(n);
   std::fill(link_flow_count_.begin(), link_flow_count_.end(), 0);
   std::iota(link_parent_.begin(), link_parent_.end(), topo::LinkId{0});
   std::fill(link_comp_.begin(), link_comp_.end(), kNoComp);
   result_.link_offered_gbps.assign(link_state_.size(), 0.0);
+  const auto usable = [&](topo::LinkId l) { return liveness->link_usable(*topo_, l); };
 
-  std::uint32_t edges = 0;
   for (std::size_t f = 0; f < n; ++f) {
     const Flow& flow = flows[f];
-    flow_link_offset_[f] = edges;
+    flow_link_offset_[f] = static_cast<std::uint32_t>(flow_links_.size());
 
-    // Link ids through the memo: link_between runs only when the path
-    // differs from the one this flow position had at the last solve.
-    const std::vector<topo::NodeId>& path = flow.path;
-    const std::uint32_t at = next_memo_.offset[f];
-    const std::size_t hops = path.size() >= 2 ? path.size() - 1 : 0;
-    topo::NodeId* nodes = next_memo_.nodes.data() + at;
-    topo::LinkId* links = next_memo_.links.data() + at;
-    bool hit = f < memo_flows && memo_.offset[f + 1] - memo_.offset[f] == path.size();
-    const topo::NodeId* memo_nodes = memo_.nodes.data() + (hit ? memo_.offset[f] : 0);
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      nodes[i] = path[i];
-      hit = hit && memo_nodes[i] == path[i];
-    }
-    if (hit) {
-      std::copy_n(memo_.links.begin() + memo_.offset[f], hops, links);
-    } else {
-      for (std::size_t i = 0; i < hops; ++i) links[i] = topo_->link_between(path[i], path[i + 1]);
-    }
-
-    // Participation: routed, positive effective demand, every link usable.
+    // Participation: routed (has links), positive effective demand, every
+    // link usable.
+    const std::span<const topo::LinkId> links = flow.links;
     const double demand = flow.effective_demand();
     demand_[f] = demand;
-    if (!flow.routed() || !(demand > 0.0)) continue;
-    if (liveness != nullptr &&
-        !std::all_of(links, links + hops,
-                     [&](topo::LinkId l) { return liveness->link_usable(*topo_, l); })) {
-      continue;
-    }
+    if (links.empty() || !(demand > 0.0)) continue;
+    if (liveness != nullptr && !std::ranges::all_of(links, usable)) continue;
 
     participants_.push_back(static_cast<std::uint32_t>(f));
-    std::copy_n(links, hops, flow_links_.begin() + edges);
-    edges += static_cast<std::uint32_t>(hops);
-    for (std::size_t i = 0; i < hops; ++i) {
-      ++link_flow_count_[links[i]];
-      result_.link_offered_gbps[links[i]] += demand;
+    flow_links_.insert(flow_links_.end(), links.begin(), links.end());
+    for (const topo::LinkId l : links) {
+      ++link_flow_count_[l];
+      result_.link_offered_gbps[l] += demand;
     }
     // Union the flow's links: a flow glues every link it crosses into one
     // component of the sharing graph.
     const topo::LinkId root = find_link_root(links[0]);
-    for (std::size_t i = 1; i < hops; ++i) link_parent_[find_link_root(links[i])] = root;
+    for (const topo::LinkId l : links.subspan(1)) link_parent_[find_link_root(l)] = root;
   }
-  flow_link_offset_[n] = edges;
-  flow_links_.resize(edges);
-  std::swap(memo_, next_memo_);
+  flow_link_offset_[n] = static_cast<std::uint32_t>(flow_links_.size());
 }
 
 topo::LinkId FairShareSolver::find_link_root(topo::LinkId l) noexcept {
@@ -361,17 +325,15 @@ void FairShareSolver::fill_component(std::uint32_t c) {
 std::size_t FairShareSolver::arena_bytes() const noexcept {
   // Logical sizes only (live element counts, not vector capacities): after
   // a solve the value is a pure function of the flow table, so the gauge is
-  // identical across a checkpoint resume. The memo's spare buffer holds no
-  // live data and is not counted.
+  // identical across a checkpoint resume.
   const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
-  return bytes(link_state_) + bytes(memo_.offset) + bytes(memo_.nodes) + bytes(memo_.links) +
-         bytes(participants_) + bytes(flow_link_offset_) + bytes(flow_links_) + bytes(demand_) +
-         bytes(flow_comp_) + bytes(link_flow_count_) + bytes(link_parent_) + bytes(link_comp_) +
-         bytes(link_flow_offset_) + bytes(active_links_) +
-         bytes(link_flows_) + bytes(comp_flow_offset_) + bytes(comp_order_) +
-         bytes(comp_link_offset_) + bytes(comp_links_) + bytes(comp_heap_base_) +
-         bytes(cursor_) + bytes(frozen_) + bytes(heap_level_) + bytes(heap_link_) + bytes(sort_a_) +
-         bytes(sort_b_);
+  return bytes(link_state_) + bytes(participants_) + bytes(flow_link_offset_) +
+         bytes(flow_links_) + bytes(demand_) + bytes(flow_comp_) + bytes(link_flow_count_) +
+         bytes(link_parent_) + bytes(link_comp_) + bytes(link_flow_offset_) +
+         bytes(active_links_) + bytes(link_flows_) + bytes(comp_flow_offset_) +
+         bytes(comp_order_) + bytes(comp_link_offset_) + bytes(comp_links_) +
+         bytes(comp_heap_base_) + bytes(cursor_) + bytes(frozen_) + bytes(heap_level_) +
+         bytes(heap_link_) + bytes(sort_a_) + bytes(sort_b_);
 }
 
 void FairShareSolver::Stats::checkpoint(snapshot::Archive& ar) {
@@ -382,14 +344,7 @@ void FairShareSolver::Stats::checkpoint(snapshot::Archive& ar) {
   ar.u64(reused_flows);
 }
 
-void FairShareSolver::checkpoint(snapshot::Archive& ar) {
-  stats_.checkpoint(ar);
-  if (ar.loading()) {
-    // The memo resumes cold; the next solve() rebuilds it from the paths.
-    memo_ = PathMemo{};
-    next_memo_ = PathMemo{};
-  }
-}
+void FairShareSolver::checkpoint(snapshot::Archive& ar) { stats_.checkpoint(ar); }
 
 void FairShareSolver::publish_metrics(obs::MetricRegistry& registry) const {
   registry.gauge("fair_share.solves").set(static_cast<double>(stats_.solves));

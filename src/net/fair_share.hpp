@@ -5,19 +5,19 @@
 // per-flow achieved rate.
 //
 // FairShareSolver is the one implementation. Every solve is canonical:
-// one pass over the flow table in ascending flow order resolves link ids
-// (through a path-keyed memo), builds a flat CSR incidence of the
-// participating flows and labels the connected components of the
-// flow–link sharing graph (union–find over links). Each component is then
-// water-filled by an event-driven kernel that processes links in
-// saturation order (no per-level fabric re-scan), one component after
-// another in ascending order. The fill stays split by component although
-// it is serial: each component's event heap fixes the tie order of its
-// link events, so the split is part of the result. See DESIGN.md §7 for
-// the equivalence argument and §13 for the flat layout and the kernel's
-// determinism contract. The from-scratch progressive-filling reference it
-// is checked against lives in the test oracles
-// (tests/oracles/fair_share.hpp).
+// one pass over the flow table in ascending flow order reads each flow's
+// link ids (written by the router with its path), builds a flat CSR
+// incidence of the participating flows and labels the connected
+// components of the flow–link sharing graph (union–find over links).
+// Each component is then water-filled by an event-driven kernel that
+// processes links in saturation order (no per-level fabric re-scan), one
+// component after another in ascending order. The fill stays split by
+// component although it is serial: each component's event heap fixes the
+// tie order of its link events, so the split is part of the result. See
+// DESIGN.md §7 for the equivalence argument and §13 for the flat layout
+// and the kernel's determinism contract. The from-scratch
+// progressive-filling reference it is checked against lives in the test
+// oracles (tests/oracles/fair_share.hpp).
 
 #include <cstdint>
 #include <span>
@@ -48,10 +48,10 @@ struct FairShareResult {
 /// table. Each call solves from the table and the liveness mask alone, so
 /// the allocation is a pure function of them — independent of earlier
 /// calls and of whether the solver was just restored from a checkpoint.
-/// Unrouted flows get rate zero. With a liveness mask, flows whose path
-/// crosses a dead link/node are also rated zero (the engine re-routes
-/// them on fault events; this is the safety net for the same round the
-/// fault hits).
+/// Flows without links (unrouted) get rate zero. With a liveness mask,
+/// flows whose links cross a dead link/node are also rated zero (the
+/// engine re-routes them on fault events; this is the safety net for the
+/// same round the fault hits).
 ///
 /// The allocation matches the oracle's from-scratch max_min_fair_share on
 /// the same inputs to floating-point noise (the differential tests bound
@@ -79,11 +79,11 @@ class FairShareSolver {
     void checkpoint(snapshot::Archive& ar);
   };
 
-  /// Cumulative wall time split of solve(): `build` covers link-id
-  /// resolution, participation, the incidence, component labelling and
-  /// the reverse CSR; `fill` covers the demand sort, the water-filling
-  /// kernel and the final load accumulation. Not serialized — a resumed
-  /// run restarts the clocks, like core::PhaseProfile.
+  /// Cumulative wall time split of solve(): `build` covers participation,
+  /// the incidence, component labelling and the reverse CSR; `fill`
+  /// covers the demand sort, the water-filling kernel and the final load
+  /// accumulation. Not serialized — a resumed run restarts the clocks,
+  /// like core::PhaseProfile.
   struct Timings {
     std::uint64_t build_ns = 0;
     std::uint64_t fill_ns = 0;
@@ -117,22 +117,13 @@ class FairShareSolver {
   void publish_metrics(obs::MetricRegistry& registry) const;
 
   /// Checkpoint hook. Only the cumulative Stats are serialized (FAIR v3):
-  /// the next solve() depends on the flow table alone, so the link-id memo
-  /// and every per-solve array resume cold (DESIGN.md §10).
+  /// they are all a solve carries to the next, which depends on the flow
+  /// table alone, so every per-solve array resumes cold (DESIGN.md §10).
   void checkpoint(snapshot::Archive& ar);
 
  private:
-  /// Node paths and their link ids, flat in flow order: slot f spans
-  /// [offset[f], offset[f + 1]) of `nodes`, and links[offset[f] + i] joins
-  /// nodes i and i + 1 (the slot's last link entry is unused).
-  struct PathMemo {
-    std::vector<std::uint32_t> offset;
-    std::vector<topo::NodeId> nodes;
-    std::vector<topo::LinkId> links;
-  };
-
-  /// The ascending-flow pass: link ids through the memo, participation,
-  /// incidence, per-link active counts and offered sums, link union–find.
+  /// The ascending-flow pass: participation, incidence, per-link active
+  /// counts and offered sums, link union–find.
   void build_incidence(std::span<const Flow> flows, const topo::LivenessMask* liveness);
   /// Component ids (numbered by their lowest flow id), the component→flow
   /// and component→link CSRs, and the canonical link→flow CSR.
@@ -164,12 +155,6 @@ class FairShareSolver {
   Stats stats_;
   Timings timings_;
   std::vector<LinkState> link_state_;
-
-  // The only state carried between solves (never serialized): the last
-  // solve's paths keyed by flow position, and the spare buffer the next
-  // solve writes into before the two swap.
-  PathMemo memo_;
-  PathMemo next_memo_;
 
   // Per-solve flat state, rebuilt by every solve.
   std::vector<std::uint32_t> participants_;      ///< ascending flow ids

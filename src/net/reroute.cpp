@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/require.hpp"
 
@@ -35,15 +34,20 @@ RerouteReport FlowRerouter::reroute_around(std::span<Flow> flows, topo::NodeId h
   const auto quota = static_cast<std::size_t>(
       std::ceil(fraction * static_cast<double>(candidates.size())));
 
+  // The old route is copied aside into two buffers every candidate reuses,
+  // so the flow keeps its own capacity and a probe allocates nothing.
   const topo::NodeId blocked[] = {hot_switch};
+  std::vector<topo::NodeId> saved_path;
+  std::vector<topo::LinkId> saved_links;
   for (std::size_t i = 0; i < candidates.size() && report.rerouted < quota; ++i) {
     Flow& flow = flows[candidates[i]];
-    // Set the old path aside (route() starts from an empty path anyway).
-    std::vector<topo::NodeId> saved_path = std::move(flow.path);
+    saved_path.assign(flow.path.begin(), flow.path.end());
+    saved_links.assign(flow.links.begin(), flow.links.end());
     if (router_->route(flow, blocked)) {
       ++report.rerouted;
-    } else {
-      flow.path = std::move(saved_path);  // no alternative: keep the old path
+    } else {  // no alternative: keep the old route
+      flow.path.assign(saved_path.begin(), saved_path.end());
+      flow.links.assign(saved_links.begin(), saved_links.end());
     }
   }
   return report;

@@ -19,24 +19,6 @@ std::uint32_t mix(std::uint32_t x) noexcept {
   return x;
 }
 
-/// Flow ids above this skip the path cache (keeps the id-indexed table
-/// dense; engine flow tables are far below it).
-constexpr std::size_t kMaxPathCacheFlows = 1u << 20;
-/// Blocked-query results retained per flow (FIFO): reroute probes cycle
-/// through at most a handful of hot switches per flow.
-constexpr std::size_t kMaxBlockedEntriesPerFlow = 4;
-
-/// `blocked` in ascending order, the form the path cache keys on: the caller's
-/// span itself when it already is sorted (every 0- or 1-node FLOWREROUTE
-/// probe), else a sorted copy held in `storage`.
-std::span<const topo::NodeId> sorted_blocked(std::span<const topo::NodeId> blocked,
-                                             std::vector<topo::NodeId>& storage) {
-  if (std::is_sorted(blocked.begin(), blocked.end())) return blocked;
-  storage.assign(blocked.begin(), blocked.end());
-  std::sort(storage.begin(), storage.end());
-  return storage;
-}
-
 }  // namespace
 
 bool Flow::transits(topo::NodeId node) const noexcept {
@@ -61,12 +43,11 @@ bool Router::refresh_liveness() {
 }
 
 void Router::rebuild() {
-  // The only place the caches drop entries: no route() runs concurrently
-  // with a liveness change.
+  // The only place the level table drops entries: no route() runs
+  // concurrently with a liveness change.
   const auto built = [](const std::vector<graph::HopLevel>& levels) { return !levels.empty(); };
-  if (!path_cache_.empty() || std::ranges::any_of(root_levels_, built)) ++cache_stats_.evictions;
+  if (std::ranges::any_of(root_levels_, built)) ++cache_stats_.evictions;
   root_levels_.assign(topo_->node_count(), {});
-  path_cache_.clear();
   if (liveness_ == nullptr || liveness_->all_up()) {
     hops_ = graph::HopGraph(topo_->wired_graph(topo::EdgeWeight::kHops));
     component_.clear();
@@ -143,9 +124,11 @@ bool Router::walk_ecmp(std::span<const graph::HopLevel> levels, topo::NodeId roo
                        Flow& flow) const {
   const graph::HopLevel dst_level = levels[flow.dst_host];
   if (dst_level == graph::kUnreachedLevel) return false;
-  // Root to destination is dst_level + 1 nodes; filled back to front.
+  // Root to destination is dst_level + 1 nodes; filled back to front, each
+  // step's link with it.
   const std::size_t length = dst_level + 1U + (root != flow.src_host ? 1U : 0U);
   flow.path.resize(length);
+  flow.links.resize(length - 1);
   flow.path[length - 1] = flow.dst_host;
   topo::NodeId cur = flow.dst_host;
   std::size_t walked = 1;  // nodes on the path so far, destination included
@@ -154,57 +137,31 @@ bool Router::walk_ecmp(std::span<const graph::HopLevel> levels, topo::NodeId roo
     const std::size_t parents = graph::tight_parent_count(hops_, levels, cur);
     SHERIFF_REQUIRE(parents > 0, "broken shortest path tree");
     salt = mix(salt + static_cast<std::uint32_t>(walked));
-    cur = graph::tight_parent(hops_, levels, cur, salt % parents);
+    const topo::NodeId parent = graph::tight_parent(hops_, levels, cur, salt % parents);
     ++walked;
     SHERIFF_REQUIRE(walked <= dst_level + 1U, "routing loop detected");
-    flow.path[length - walked] = cur;
+    flow.path[length - walked] = parent;
+    flow.links[length - walked] = topo_->link_between(parent, cur);
+    cur = parent;
   }
-  flow.path.front() = flow.src_host;
+  if (root != flow.src_host) {
+    flow.path.front() = flow.src_host;
+    flow.links.front() = topo_->link_between(flow.src_host, root);
+  }
   return true;
 }
 
 bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   SHERIFF_REQUIRE(flow.src_host < topo_->node_count() && flow.dst_host < topo_->node_count(),
                   "flow endpoints out of range");
-  flow.path.clear();
+  flow.unroute();
   if (flow.src_host == flow.dst_host) return false;
   if (!reachable(flow.src_host, flow.dst_host)) return false;
   for (topo::NodeId b : blocked) {
     SHERIFF_REQUIRE(b != flow.src_host && b != flow.dst_host, "cannot block a flow endpoint");
   }
-  std::vector<topo::NodeId> key_storage;
-  const std::span<const topo::NodeId> key = sorted_blocked(blocked, key_storage);
-
-  // Resolved-path cache: the ECMP walk is a pure function of (flow id,
-  // src, dst, blocked set) on a fixed live fabric, so a repeat query —
-  // including the blocked probes FLOWREROUTE re-issues round over round,
-  // and probes that found no path under the blocks — can return the
-  // stored outcome outright. A hit is indistinguishable from a recompute.
-  const bool path_cacheable = flow.id < kMaxPathCacheFlows;
-  if (path_cacheable) {
+  {
     std::scoped_lock lock(cache_mutex_);
-    if (flow.id < path_cache_.size()) {
-      const FlowPathSlot& slot = path_cache_[flow.id];
-      const PathEntry* found = nullptr;
-      if (key.empty()) {
-        if (slot.plain.src == flow.src_host && slot.plain.dst == flow.dst_host) {
-          found = &slot.plain;
-        }
-      } else {
-        for (const PathEntry& entry : slot.blocked) {
-          if (entry.src == flow.src_host && entry.dst == flow.dst_host &&
-              std::ranges::equal(entry.blocked, key)) {
-            found = &entry;
-            break;
-          }
-        }
-      }
-      if (found != nullptr) {
-        ++cache_stats_.path_hits;
-        flow.path = found->path;
-        return found->ok;
-      }
-    }
     ++cache_stats_.path_misses;
   }
 
@@ -213,51 +170,26 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   // of one per querying host (see walk_ecmp).
   const auto leaf = hops_.neighbors(flow.src_host);
   const topo::NodeId root = leaf.size() == 1 ? leaf[0] : flow.src_host;
-  bool ok;
-  if (root != flow.src_host && std::find(key.begin(), key.end(), root) != key.end()) {
-    ok = false;  // the source's only egress is blocked: no path exists
-  } else if (flow.dst_host == root) {
+  if (root != flow.src_host && std::ranges::find(blocked, root) != blocked.end()) {
+    return false;  // the source's only egress is blocked: no path exists
+  }
+  if (flow.dst_host == root) {
     flow.path.assign({flow.src_host, root});
-    ok = true;
-  } else if (key.empty()) {
-    ok = walk_ecmp(levels_for(root), root, flow);
-  } else {
-    // Blocked probe: repair the root's unblocked levels into a local
-    // array. The walk reads nothing but levels, and BFS levels are unique,
-    // so the path equals the one a fresh BFS under the blocks would give.
-    std::vector<graph::HopLevel> repaired;
-    graph::hop_levels_without(hops_, levels_for(root), key, repaired);
-    {
-      std::scoped_lock lock(cache_mutex_);
-      ++cache_stats_.repairs;
-    }
-    ok = walk_ecmp(repaired, root, flow);
+    flow.links.assign(1, topo_->link_between(flow.src_host, root));
+    return true;
   }
-
-  if (path_cacheable) {
+  if (blocked.empty()) return walk_ecmp(levels_for(root), root, flow);
+  // Blocked probe: repair the root's unblocked levels into a per-thread
+  // array, reused so a probe does not allocate. The walk reads nothing but
+  // levels, and BFS levels are unique, so the path equals the one a fresh
+  // BFS under the blocks would give.
+  thread_local std::vector<graph::HopLevel> repaired;
+  graph::hop_levels_without(hops_, levels_for(root), blocked, repaired);
+  {
     std::scoped_lock lock(cache_mutex_);
-    if (path_cache_.size() <= flow.id) path_cache_.resize(flow.id + 1);
-    FlowPathSlot& slot = path_cache_[flow.id];
-    PathEntry* entry;
-    if (key.empty()) {
-      entry = &slot.plain;
-    } else {
-      // Small FIFO per flow: reroutes probe at most a few hot switches. A
-      // full FIFO recycles its oldest entry's buffers for the new one.
-      if (slot.blocked.size() >= kMaxBlockedEntriesPerFlow) {
-        std::rotate(slot.blocked.begin(), slot.blocked.begin() + 1, slot.blocked.end());
-        entry = &slot.blocked.back();
-      } else {
-        entry = &slot.blocked.emplace_back();
-      }
-      entry->blocked.assign(key.begin(), key.end());
-    }
-    entry->src = flow.src_host;
-    entry->dst = flow.dst_host;
-    entry->ok = ok;
-    entry->path = flow.path;
+    ++cache_stats_.repairs;
   }
-  return ok;
+  return walk_ecmp(repaired, root, flow);
 }
 
 std::size_t Router::route_all(std::span<Flow> flows) const {

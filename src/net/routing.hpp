@@ -17,24 +17,14 @@
 // rare, routing queries are not), giving O(1) reachability checks while
 // the fabric is degraded.
 //
-// Caching: routing queries repeat heavily — route_all shares sources
-// across flows, FLOWREROUTE blocks the same hot switch for many flows, and
-// migrations re-route a handful of flows per round on an unchanged fabric.
-// The router therefore keeps (a) one flat table of unblocked level arrays,
-// one per root, filled on a root's first query, and (b) a resolved-path
-// cache keyed on the flow id, its endpoints, AND the sorted blocked set
-// (the ECMP walk is a pure function of those on a fixed live fabric) —
-// blocked reroute probes are the queries that actually repeat round over
-// round, and failed probes (no path under the blocks) are cached too.
-// A blocked query runs no search of its own: it repairs its root's
-// unblocked levels into a local array (graph::hop_levels_without),
-// re-leveling only the vertices whose every shortest path crosses a
-// blocked node, and is not cached as a tree. Both caches are dropped
-// whenever the liveness version moves, so every entry is implicitly keyed
-// on the liveness epoch; nothing else ever drops a level array, so one a
-// concurrent route() is walking stays put. A hit or a repair is
-// indistinguishable from a fresh BFS (Routing.MatchesDijkstraOracleOnEveryFabric
-// checks cold and warm queries against a Dijkstra oracle).
+// Caching: one flat table of unblocked level arrays, one per root, filled
+// on a root's first query and dropped only when the liveness version
+// moves, so an array a concurrent route() walks stays put. Every query
+// walks its root's levels and writes the flow's node path and link ids;
+// no resolved path is kept. A blocked query repairs its root's levels into
+// a per-thread array (graph::hop_levels_without) instead of searching. A
+// cached or repaired array routes exactly as a fresh BFS would
+// (Routing.MatchesDijkstraOracleOnEveryFabric).
 
 #include <cstdint>
 #include <mutex>
@@ -52,14 +42,17 @@ class MetricRegistry;
 
 namespace sheriff::net {
 
-/// Cumulative cache counters, published as `router.*` gauges.
+/// Cumulative level-table counters, published as `router.*` gauges.
 struct RouterCacheStats {
   std::size_t tree_hits = 0;    ///< queries whose root's unblocked levels were cached
   std::size_t tree_misses = 0;  ///< full hop-level BFS runs (a root's first query per epoch)
   std::size_t repairs = 0;      ///< blocked queries answered by repairing the root's levels
+  /// No resolved path is cached: `path_hits` stays 0 and `path_misses`
+  /// counts every query past the endpoint and reachability checks. Kept
+  /// for perfbench's `net.router.path_hit_ratio`.
   std::size_t path_hits = 0;
   std::size_t path_misses = 0;
-  std::size_t evictions = 0;  ///< wholesale cache clears (liveness changes)
+  std::size_t evictions = 0;  ///< wholesale level-table clears (liveness changes)
 };
 
 class Router {
@@ -80,9 +73,10 @@ class Router {
   [[nodiscard]] bool reachable(topo::NodeId a, topo::NodeId b) const;
   [[nodiscard]] bool node_live(topo::NodeId node) const;
 
-  /// Routes `flow` (fills flow.path). `blocked` nodes are excluded — pass
-  /// the hot switches when rerouting (FLOWREROUTE). Returns false when no
-  /// path exists under the blocks (path left empty).
+  /// Routes `flow`: fills flow.path and flow.links. `blocked` nodes (any
+  /// order) are excluded — pass the hot switches when rerouting
+  /// (FLOWREROUTE). Returns false when no path exists under the blocks
+  /// (path and links left empty).
   bool route(Flow& flow, std::span<const topo::NodeId> blocked = {}) const;
 
   /// Routes every flow in place; returns the number successfully routed.
@@ -102,9 +96,10 @@ class Router {
   /// BFS on the root's first query. The view stays valid until the next
   /// liveness change.
   std::span<const graph::HopLevel> levels_for(topo::NodeId root) const;
-  /// Fills flow.path by walking back from the destination to `root`,
-  /// hashing over each step's tight parents (ECMP); see routing.cpp.
-  /// Returns false (path untouched) when the destination is unreached.
+  /// Fills flow.path and flow.links by walking back from the destination
+  /// to `root`, hashing over each step's tight parents (ECMP); see
+  /// routing.cpp. Returns false (route untouched) when the destination is
+  /// unreached.
   bool walk_ecmp(std::span<const graph::HopLevel> levels, topo::NodeId root, Flow& flow) const;
 
   const topo::Topology* topo_;
@@ -113,27 +108,12 @@ class Router {
   graph::HopGraph hops_;  ///< the live hop graph
   std::vector<std::uint32_t> component_;  ///< live-graph component label per node
 
-  // --- caches (logically const; guarded for concurrent route() calls) ------
-  struct PathEntry {
-    topo::NodeId src = topo::kInvalidNode;
-    topo::NodeId dst = topo::kInvalidNode;
-    bool ok = false;
-    std::vector<topo::NodeId> blocked;  ///< sorted blocked set of the query
-    std::vector<topo::NodeId> path;
-  };
-  /// Per-flow path-cache slot: the unblocked walk plus a small FIFO of
-  /// blocked-query results (reroute probes repeat the same few hot
-  /// switches; failed probes are cached as ok=false entries).
-  struct FlowPathSlot {
-    PathEntry plain;
-    std::vector<PathEntry> blocked;
-  };
+  // --- level table (logically const; guarded for concurrent route() calls) --
   mutable std::mutex cache_mutex_;
   /// Unblocked levels per root, indexed by NodeId (empty = not built yet).
   /// rebuild() sizes the table to the node count, so a filled array never
   /// moves while another route() reads it.
   mutable std::vector<std::vector<graph::HopLevel>> root_levels_;
-  mutable std::vector<FlowPathSlot> path_cache_;  ///< indexed by FlowId
   mutable RouterCacheStats cache_stats_;
 };
 

@@ -53,10 +53,11 @@ void InvariantAuditor::audit_round(const RoundInputs& in) {
   audit_management(in);
 }
 
-// Checks 1 + 2: per-flow rate bounds and per-link conservation. One pass
-// resolves every routed flow's links, bounds its rate, and accumulates the
-// per-link load, which is then compared against capacity and against the
-// solver's reported link loads.
+// Checks 1 + 2: per-flow rate bounds and link ids, and per-link
+// conservation. One pass resolves every routed flow's links from its node
+// path, checks them against the flow's link ids, bounds its rate, and
+// accumulates the per-link load, which is then compared against capacity
+// and against the solver's reported link loads.
 void InvariantAuditor::check_flow_rates(const RoundInputs& in) {
   const topo::Topology& topo = in.deployment->topology();
   const double eps = options_.rate_epsilon;
@@ -83,16 +84,29 @@ void InvariantAuditor::check_flow_rates(const RoundInputs& in) {
       if (rate > eps) {
         report(1, rate, "unrouted flow " + std::to_string(f) + " carries a nonzero rate");
       }
+      if (!flow.links.empty()) {
+        report(1, static_cast<double>(flow.links.size()),
+               "unrouted flow " + std::to_string(f) + " keeps link ids");
+      }
       continue;
     }
+    // Links are derived from the node path here, independently of the
+    // link ids the router, rerouter or checkpoint load wrote, and the two
+    // must agree.
+    bool links_match = flow.links.size() + 1 == flow.path.size();
     for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
       const topo::LinkId l = topo.link_between(flow.path[i], flow.path[i + 1]);
+      links_match = links_match && flow.links[i] == l;
       const double cap = topo.link(l).capacity_gbps;
       if (rate > cap * (1.0 + 1e-9) + eps) {
         report(1, rate - cap, "flow " + std::to_string(f) + " rate exceeds capacity of link " +
                                   std::to_string(l));
       }
       link_load_scratch_[l] += rate;
+    }
+    if (!links_match) {
+      report(1, static_cast<double>(flow.links.size()),
+             "flow " + std::to_string(f) + " link ids differ from its node path");
     }
   }
 

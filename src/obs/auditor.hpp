@@ -11,7 +11,8 @@
 // Invariant catalogue (check ids; see the matching check_* function in
 // auditor.cpp):
 //   1 flow-rate bounds      — 0 <= rate <= effective demand, and <= the
-//                             capacity of every traversed link
+//                             capacity of every traversed link; a flow's
+//                             link ids are the links of its node path
 //   2 link conservation     — per link: sum of crossing flows' rates <=
 //                             capacity, and == the reported link load
 //   3 placement consistency — every VM on exactly one live host slot,

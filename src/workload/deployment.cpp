@@ -145,11 +145,6 @@ const VirtualMachine& Deployment::vm(VmId id) const {
   return vms_[id];
 }
 
-VirtualMachine& Deployment::vm_mutable(VmId id) {
-  SHERIFF_REQUIRE(id < vms_.size(), "VM id out of range");
-  return vms_[id];
-}
-
 std::span<const VmId> Deployment::vms_on_host(topo::NodeId host) const {
   SHERIFF_REQUIRE(host < host_vms_.size(), "host id out of range");
   return host_vms_[host];

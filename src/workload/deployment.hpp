@@ -88,9 +88,6 @@ class Deployment {
   /// Mean of host_load_percent over all hosts.
   [[nodiscard]] double workload_mean() const;
 
-  /// Mutable access for the engine (updates profiles after prediction).
-  VirtualMachine& vm_mutable(VmId id);
-
   /// Checkpoint hook. Everything the constructor derives deterministically
   /// from (topology, options, seed) — VM capacities/values, dependencies,
   /// attractor set, generator options — is NOT serialized; a load

@@ -3,13 +3,13 @@
 // FairShareSolver through random perturbation sequences (demand changes,
 // rate-limit toggles, link/switch liveness flips, reroutes, endpoint
 // migrations, flow-table growth) and check after every step that it
-// matches the reference on every flow rate and link load to 1e-9. Only
-// the solver's path-keyed link memo survives between solves (DESIGN.md
-// §7), so a memo entry served for a changed path shows up as a wrong rate
-// here. The same 50-seed sweep runs on both reference fabrics (Fat-Tree
-// and BCube); liveness flips inside the sequence cover the faulted
-// regime. Second, the flow tables real engine runs produce, pristine and
-// faulted, solved both ways after every round.
+// matches the reference on every flow rate and link load to 1e-9. The
+// solver reads each flow's link ids while the reference resolves the node
+// path, so a writer that leaves the two out of step (a reroute, a
+// teardown) shows up as a wrong rate here. The same 50-seed sweep runs on
+// both reference fabrics (Fat-Tree and BCube); liveness flips inside the
+// sequence cover the faulted regime. Second, the flow tables real engine
+// runs produce, pristine and faulted, solved both ways after every round.
 
 #include <gtest/gtest.h>
 
@@ -169,7 +169,7 @@ void run_differential(const topo::Topology& t, topo::NodeKind flip_kind, int see
       case 6: {  // endpoint migration + teardown, re-routed next step
         auto& f = flows[rng.next_below(static_cast<std::uint32_t>(flows.size()))];
         f.src_host = rng.pick(hosts);
-        f.path.clear();
+        f.unroute();
         break;
       }
       default: {  // no-op round: nothing changed, nothing may move

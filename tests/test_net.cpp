@@ -51,22 +51,56 @@ net::Flow make_flow(net::FlowId id, topo::NodeId src, topo::NodeId dst, double d
   return f;
 }
 
+/// A routed flow's link ids are the links of its node path, in order; an
+/// unrouted flow (a failed query) has neither nodes nor links.
+void expect_links_follow_path(const topo::Topology& t, const net::Flow& flow,
+                              const std::string& label) {
+  if (!flow.routed()) {
+    EXPECT_TRUE(flow.path.empty()) << label;
+    EXPECT_TRUE(flow.links.empty()) << label;
+    return;
+  }
+  ASSERT_EQ(flow.links.size() + 1, flow.path.size()) << label;
+  for (std::size_t i = 0; i < flow.links.size(); ++i) {
+    EXPECT_EQ(flow.links[i], t.link_between(flow.path[i], flow.path[i + 1]))
+        << label << " hop " << i;
+  }
+}
+
 }  // namespace
 
+// A cross-pod route is a path of the fabric with its links; routing it
+// again returns the same route, and a probe blocking the core it transits
+// (the path midpoint) detours around that switch.
 TEST(Routing, PathEndpointsAndAdjacency) {
   const auto t = small_fat_tree();
   const net::Router router(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   auto flow = make_flow(1, hosts.front(), hosts.back(), 1.0);
   ASSERT_TRUE(router.route(flow));
-  ASSERT_GE(flow.path.size(), 2u);
+  ASSERT_GE(flow.path.size(), 3u);
   EXPECT_EQ(flow.path.front(), hosts.front());
   EXPECT_EQ(flow.path.back(), hosts.back());
   for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
     EXPECT_TRUE(t.adjacent(flow.path[i], flow.path[i + 1]));
   }
+  expect_links_follow_path(t, flow, "first route");
+
+  const net::Flow first = flow;
+  ASSERT_TRUE(router.route(flow));
+  EXPECT_EQ(flow.path, first.path);
+  EXPECT_EQ(flow.links, first.links);
+
+  const std::vector<topo::NodeId> blocked{first.path[first.path.size() / 2]};
+  ASSERT_TRUE(router.route(flow, blocked));
+  EXPECT_EQ(std::ranges::find(flow.path, blocked[0]), flow.path.end());
+  EXPECT_EQ(flow.path.front(), hosts.front());
+  EXPECT_EQ(flow.path.back(), hosts.back());
+  expect_links_follow_path(t, flow, "detour");
 }
 
+// An intra-rack route is host — ToR — host. Blocking the ToR, the source's
+// only egress, leaves no path: the probe fails with path and links empty.
 TEST(Routing, IntraRackPathIsTwoHops) {
   const auto t = small_fat_tree();
   const net::Router router(t);
@@ -75,6 +109,12 @@ TEST(Routing, IntraRackPathIsTwoHops) {
   ASSERT_TRUE(router.route(flow));
   EXPECT_EQ(flow.path.size(), 3u);  // host — ToR — host
   EXPECT_EQ(flow.path[1], rack.tor);
+  expect_links_follow_path(t, flow, "intra-rack");
+
+  const std::vector<topo::NodeId> wall{rack.tor};
+  EXPECT_FALSE(router.route(flow, wall));
+  EXPECT_FALSE(flow.routed());
+  expect_links_follow_path(t, flow, "egress blocked");
 }
 
 TEST(Routing, EcmpSpreadsAcrossCores) {
@@ -102,67 +142,6 @@ TEST(Routing, SelfFlowRejected) {
   auto flow = make_flow(3, t.rack(0).hosts[0], t.rack(0).hosts[0], 1.0);
   EXPECT_FALSE(router.route(flow));
   EXPECT_FALSE(flow.routed());
-}
-
-// Steady state on a static topology: re-routing the same flow table must
-// be served from the resolved-path cache, returning identical paths.
-TEST(Routing, PathCacheHitsOnSteadyStateQueries) {
-  const auto t = small_fat_tree();
-  const net::Router router(t);
-  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
-  std::vector<net::Flow> flows;
-  for (net::FlowId id = 0; id < 16; ++id) {
-    flows.push_back(make_flow(id, hosts[id % hosts.size()],
-                              hosts[(id * 7 + 3) % hosts.size()], 0.5));
-  }
-  router.route_all(flows);
-  const std::size_t misses_after_warmup = router.cache_stats().path_misses;
-  EXPECT_EQ(router.cache_stats().path_hits, 0u);
-
-  std::vector<std::vector<topo::NodeId>> first_paths;
-  for (const auto& f : flows) first_paths.push_back(f.path);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    router.route_all(flows);
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      EXPECT_EQ(flows[i].path, first_paths[i]) << "flow " << i;
-    }
-  }
-  EXPECT_EQ(router.cache_stats().path_misses, misses_after_warmup);
-  EXPECT_GT(router.cache_stats().path_hits, 0u);
-}
-
-// Blocked reroute probes are the queries that repeat round over round:
-// both successful probes and probes that found no path must be cached,
-// keyed on the sorted blocked set.
-TEST(Routing, PathCacheServesBlockedProbes) {
-  const auto t = small_fat_tree();
-  const net::Router router(t);
-  const topo::NodeId src = t.rack(0).hosts[0];
-  const topo::NodeId dst = t.rack(t.rack_count() - 1).hosts[0];
-  auto flow = make_flow(9, src, dst, 1.0);
-  ASSERT_TRUE(router.route(flow));
-  ASSERT_GE(flow.path.size(), 3u);
-
-  // Block the core the flow transits (the path midpoint on a cross-pod
-  // route): the probe must detour around it, and the repeat must be a
-  // cache hit returning the identical detour.
-  const std::vector<topo::NodeId> blocked{flow.path[flow.path.size() / 2]};
-  ASSERT_TRUE(router.route(flow, blocked));
-  const auto detour = flow.path;
-  EXPECT_EQ(std::find(detour.begin(), detour.end(), blocked[0]), detour.end());
-  const std::size_t hits_before = router.cache_stats().path_hits;
-  ASSERT_TRUE(router.route(flow, blocked));
-  EXPECT_EQ(flow.path, detour);
-  EXPECT_EQ(router.cache_stats().path_hits, hits_before + 1);
-
-  // A probe with every egress blocked fails — and the failure itself is
-  // cached, so the repeat doesn't recompute a doomed search.
-  auto local = make_flow(10, t.rack(0).hosts[0], t.rack(0).hosts[1], 1.0);
-  const std::vector<topo::NodeId> wall{t.rack(0).tor};
-  EXPECT_FALSE(router.route(local, wall));
-  const std::size_t hits_mid = router.cache_stats().path_hits;
-  EXPECT_FALSE(router.route(local, wall));
-  EXPECT_EQ(router.cache_stats().path_hits, hits_mid + 1);
 }
 
 // --- Router vs a Dijkstra parent-list oracle -------------------------------
@@ -210,9 +189,9 @@ bool oracle_route(const graph::Graph& live_hops, net::Flow& flow,
 }
 
 /// Routes `pairs` under every blocked set through a fresh router and the
-/// oracle, twice each (the first pass runs cold, the repeat hits the level
-/// and path caches), and checks shortest_path_count against the oracle
-/// tree's path_count.
+/// oracle, twice each (the first pass runs cold, the repeat reads cached
+/// levels), checks every route's link ids against its node path, and
+/// checks shortest_path_count against the oracle tree's path_count.
 void expect_router_matches_oracle(const topo::Topology& t, const topo::LivenessMask* mask,
                                   std::uint64_t seed, const std::string& label) {
   net::Router router(t);
@@ -232,8 +211,8 @@ void expect_router_matches_oracle(const topo::Topology& t, const topo::LivenessM
   std::vector<std::pair<topo::NodeId, topo::NodeId>> pairs;
   for (int i = 0; i < 120; ++i) pairs.emplace_back(pick(hosts), pick(hosts));
 
-  // Blocked sets of 0, 1 and 2 switches; the pair is listed descending so
-  // the router's sorted-key path runs too.
+  // Blocked sets of 0, 1 and 2 switches; the pair is listed descending, so
+  // an unsorted set runs too.
   const topo::NodeId a = pick(switches);
   topo::NodeId b = pick(switches);
   while (b == a) b = pick(switches);
@@ -251,6 +230,8 @@ void expect_router_matches_oracle(const topo::Topology& t, const topo::LivenessM
         ASSERT_EQ(got_ok, want_ok) << label << " pass " << pass << " set " << s << " flow " << i;
         ASSERT_EQ(got.path, want.path)
             << label << " pass " << pass << " set " << s << " flow " << i;
+        expect_links_follow_path(t, got, label + " pass " + std::to_string(pass) + " set " +
+                                             std::to_string(s) + " flow " + std::to_string(i));
       }
     }
   }
@@ -320,12 +301,17 @@ TEST(Routing, MatchesDijkstraOracleOnEveryFabric) {
 // distances for every root with every single vertex blocked, and for
 // seeded sets of 2–4 vertices drawn to hold the root, hosts, vertices the
 // root cannot reach, and duplicates. Equal levels give equal tight parents,
-// so this also pins every ECMP choice a repaired walk makes.
+// so this also pins every ECMP choice a repaired walk makes. A router on the
+// same fabric then answers every single-vertex block for a few host pairs,
+// cold and warm, with link ids that follow each route's node path.
 
 namespace {
 
-void expect_repair_matches_dijkstra(const topo::Topology& t, const graph::Graph& live,
+void expect_repair_matches_dijkstra(const topo::Topology& t, const topo::LivenessMask* faults,
                                     std::uint64_t seed, const std::string& label) {
+  const graph::Graph live = faults == nullptr
+                                ? t.wired_graph(topo::EdgeWeight::kHops)
+                                : t.wired_graph(topo::EdgeWeight::kHops, *faults);
   const graph::HopGraph hops(live);
   const std::size_t n = live.vertex_count();
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
@@ -373,6 +359,20 @@ void expect_repair_matches_dijkstra(const topo::Topology& t, const graph::Graph&
       check(root, blocked);
     }
   }
+
+  net::Router router(t);
+  router.apply_liveness(faults);
+  for (net::FlowId id = 0; id < 6; ++id) {
+    const topo::NodeId src = pick(hosts);
+    const topo::NodeId dst = pick(hosts);
+    for (graph::Vertex b = 0; b < n; ++b) {
+      if (b == src || b == dst) continue;
+      net::Flow flow = make_flow(id, src, dst, 1.0);
+      (void)router.route(flow, std::vector<topo::NodeId>{b});
+      expect_links_follow_path(t, flow, label + " flow " + std::to_string(id) + " blocked " +
+                                            std::to_string(b));
+    }
+  }
 }
 
 }  // namespace
@@ -381,21 +381,19 @@ TEST(HopLevelRepair, MatchesMaskedDijkstraOnEveryFabric) {
   std::uint64_t seed = 1;
   for (const auto& [name, t] : oracle_fabrics()) {
     const topo::LivenessMask faulted = seeded_faults(t, seed);
-    expect_repair_matches_dijkstra(t, t.wired_graph(topo::EdgeWeight::kHops), seed,
-                                   name + " pristine");
-    expect_repair_matches_dijkstra(t, t.wired_graph(topo::EdgeWeight::kHops, faulted), seed,
-                                   name + " faulted");
+    expect_repair_matches_dijkstra(t, nullptr, seed, name + " pristine");
+    expect_repair_matches_dijkstra(t, &faulted, seed, name + " faulted");
     ++seed;
   }
 }
 
-// One Router serves concurrent route() calls (its caches are guarded for
-// concurrent callers). Eight threads send the same probes — unblocked, and
-// blocked at the source pod's aggregation switch (the largest repair on a
-// Fat-Tree), at a core, at both, and at the source's ToR (no path) —
-// through one fresh router in different orders, twice, so roots are built,
-// repaired and path-cached under contention. Every answer must equal a
-// serial router's.
+// One Router serves concurrent route() calls (its level table is guarded
+// for concurrent callers). Eight threads send the same probes — unblocked,
+// and blocked at the source pod's aggregation switch (the largest repair on
+// a Fat-Tree), at a core, at both, and at the source's ToR (no path) —
+// through one fresh router in different orders, twice, so roots are built
+// and repaired under contention. Every answer, links included, must equal
+// a serial router's.
 TEST(Routing, ConcurrentQueriesMatchSerial) {
   topo::FatTreeOptions ft8;
   ft8.pods = 8;
@@ -442,7 +440,9 @@ TEST(Routing, ConcurrentQueriesMatchSerial) {
         const Probe& p = probes[(w * 37 + i) % probes.size()];
         net::Flow flow = p.flow;
         const bool ok = shared.route(flow, p.blocked);
-        if (ok != p.ok || flow.path != p.flow.path) ++mismatches[w];
+        if (ok != p.ok || flow.path != p.flow.path || flow.links != p.flow.links) {
+          ++mismatches[w];
+        }
       }
     });
   }
@@ -717,7 +717,10 @@ TEST(Reroute, MovesFlowsOffHotSwitch) {
   const auto report = rerouter.reroute_around(flows, hot, 1.0);
   EXPECT_GT(report.candidates, 0u);
   EXPECT_EQ(report.rerouted, report.candidates);  // alt paths exist in a fat tree
-  for (const auto& f : flows) EXPECT_FALSE(f.transits(hot));
+  for (const auto& f : flows) {
+    EXPECT_FALSE(f.transits(hot));
+    expect_links_follow_path(t, f, "flow " + std::to_string(f.id));
+  }
 }
 
 TEST(Reroute, RespectsDelaySensitiveFlows) {
@@ -732,4 +735,29 @@ TEST(Reroute, RespectsDelaySensitiveFlows) {
   const auto report = rerouter.reroute_around(flows, mid, 1.0);
   EXPECT_EQ(report.candidates, 0u);
   EXPECT_EQ(report.rerouted, 0u);
+}
+
+// Every flow out of a single-homed host transits its ToR, so a probe
+// blocking that ToR fails. Each candidate keeps its own old path and links:
+// the larger cross-pod flow is probed first, the intra-rack one after it
+// reuses the saved buffers.
+TEST(Reroute, FailedProbeKeepsTheOldPathAndLinks) {
+  const auto t = small_fat_tree();
+  const net::Router router(t);
+  const net::FlowRerouter rerouter(router);
+  const auto& rack = t.rack(0);
+  std::vector<net::Flow> flows{make_flow(0, rack.hosts[0], rack.hosts[1], 1.0),
+                               make_flow(1, rack.hosts[0], t.rack(t.rack_count() - 1).hosts[0],
+                                         2.0)};
+  router.route_all(flows);
+  const std::vector<net::Flow> before = flows;
+
+  const auto report = rerouter.reroute_around(flows, rack.tor, 1.0);
+  EXPECT_EQ(report.candidates, 2u);
+  EXPECT_EQ(report.rerouted, 0u);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    EXPECT_EQ(flows[f].path, before[f].path) << "flow " << f;
+    EXPECT_EQ(flows[f].links, before[f].links) << "flow " << f;
+    expect_links_follow_path(t, flows[f], "flow " + std::to_string(f));
+  }
 }

@@ -9,6 +9,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
@@ -459,6 +460,25 @@ TEST(AuditorDetects, InflatedFlowRate) {
   EXPECT_GE(auditor.violation_count(), 3u);
   ASSERT_FALSE(auditor.messages().empty());
   EXPECT_NE(auditor.messages().front().find("[check 1]"), std::string::npos);
+}
+
+// Check 1 derives links from each node path and holds the flow's link ids
+// to them: a route missing its last link id, one naming another link, and
+// an unrouted flow that kept its link ids are each reported.
+TEST(AuditorDetects, FlowLinksThatDifferFromThePath) {
+  AuditFixture fx(fat_tree());
+  fx.flows[0].links.pop_back();
+  std::swap(fx.flows[1].links.front(), fx.flows[1].links.back());
+  net::Flow stale = fx.flows[2];
+  stale.path.clear();
+  fx.flows.push_back(stale);
+  fx.shares.flow_rate.push_back(0.0);
+  obs::InvariantAuditor auditor;
+  auditor.audit_network(fx.inputs());
+  EXPECT_EQ(auditor.violation_count(), 3u);
+  for (const std::string& message : auditor.messages()) {
+    EXPECT_NE(message.find("[check 1]"), std::string::npos) << message;
+  }
 }
 
 TEST(AuditorDetects, NegativeFlowRate) {

@@ -593,6 +593,30 @@ TEST(SnapshotEngine, BCubeFaultedResumesByteIdentical) {
   expect_resume_equivalence(small_bcube(), parity_deployment(), opt);
 }
 
+// FLOW stores node paths only. The load rebuilds each flow's link ids,
+// which must be the ones the saved engine's router wrote — here with a
+// link down at the save, so some flows run on detours.
+TEST(SnapshotEngine, RestoredFlowsCarryTheSavedLinks) {
+  const topo::Topology topology = small_fat_tree();
+  const fault::FaultPlan plan = parity_fault_plan(topology, 10);
+  const core::EngineConfig config = parity_config(&plan, core::PredictorKind::kHolt);
+  core::DistributedEngine saved(topology, parity_deployment(), config);
+  for (std::size_t r = 0; r < 10; ++r) (void)saved.run_round();
+  core::DistributedEngine restored(topology, parity_deployment(), config);
+  core::Checkpoint::deserialize(restored, core::Checkpoint::serialize(saved));
+
+  ASSERT_EQ(restored.flows().size(), saved.flows().size());
+  std::size_t routed = 0;
+  for (std::size_t f = 0; f < saved.flows().size(); ++f) {
+    const net::Flow& want = saved.flows()[f];
+    const net::Flow& got = restored.flows()[f];
+    EXPECT_EQ(got.path, want.path) << "flow " << f;
+    EXPECT_EQ(got.links, want.links) << "flow " << f;
+    routed += want.routed() ? 1 : 0;
+  }
+  EXPECT_GT(routed, 0u);
+}
+
 TEST(SnapshotEngine, EnsemblePredictorResumesAcrossTheFirstFit) {
   // H=30: the save lands before the ensemble's first fit (min_fit 48), so
   // the resumed run must fit from restored histories mid-flight and still

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "cli_args.hpp"
 #include "common/stats.hpp"
 #include "fleet/fleet.hpp"
 
@@ -46,6 +47,8 @@ int main(int argc, char** argv) {
       out_path = arg;
     }
   }
+  std::ofstream os(out_path);
+  examples::require_writable(argv[0], os, out_path);
 
   bench::print_figure_header(
       "Fleet", "concurrent multi-scenario sweep: 1 worker vs 8 workers",
@@ -106,7 +109,6 @@ int main(int argc, char** argv) {
               << common::quantile(seconds, 0.95) << " s\n";
   }
 
-  std::ofstream os(out_path);
   os << "{\n  \"schema\": \"sheriff.bench_fleet.v1\",\n"
      << "  \"cores\": " << cores << ",\n"
      << "  \"workers\": 8,\n"
@@ -121,6 +123,7 @@ int main(int argc, char** argv) {
      << "  \"wide_seconds\": " << wide.seconds << ",\n"
      << "  \"speedup\": " << speedup << ",\n"
      << "  \"deterministic\": " << (deterministic ? "true" : "false") << "\n}\n";
+  examples::require_writable(argv[0], os, out_path);
   std::cout << "\nwrote " << out_path << "\n";
   return deterministic ? 0 : 1;
 }

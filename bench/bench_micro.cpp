@@ -88,12 +88,13 @@ BENCHMARK(BM_DijkstraFatTree)->Arg(8)->Arg(16)->Arg(24);
 
 // FLOWREROUTE's query: route a cross-pod flow around a switch its
 // unblocked route transits. Second arg: 0 = cold (a fresh router per query,
-// built with the timer paused, so every query runs the hop-level BFS, the
-// repair and the ECMP walk), 1 = warm (the root's level array is cached, so
-// every query repairs and walks). Third arg: the blocked switch, 0 = the
-// route's core (no vertex loses its level), 1 = the route's aggregation
-// switch in the source's pod (its cores and every other pod's matching
-// aggregation switch are re-leveled: the largest repair on a Fat-Tree).
+// built with the timer paused, so every query runs the hop-level BFS, grows
+// the router's repair scratch, repairs and walks), 1 = warm (the root's
+// level array is cached and the scratch grown, so every query repairs and
+// walks). Third arg: the blocked switch, 0 = the route's core (no vertex
+// loses its level), 1 = the route's aggregation switch in the source's pod
+// (its cores and every other pod's matching aggregation switch are
+// re-leveled: the largest repair on a Fat-Tree).
 void BM_RouterBlockedRoute(benchmark::State& state) {
   topo::FatTreeOptions options;
   options.pods = static_cast<int>(state.range(0));
@@ -155,7 +156,7 @@ void BM_MaxMinFairShare(benchmark::State& state) {
   topo::FatTreeOptions options;
   options.pods = 8;
   const auto t = topo::build_fat_tree(options);
-  const net::Router router(t);
+  net::Router router(t);
   common::Pcg32 rng(3);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   std::vector<net::Flow> flows;
@@ -337,7 +338,7 @@ void BM_QcnControllerUpdate(benchmark::State& state) {
   options.pods = 8;
   options.tor_agg_gbps = 1.0;
   const auto t = topo::build_fat_tree(options);
-  const net::Router router(t);
+  net::Router router(t);
   common::Pcg32 rng(9);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   std::vector<net::Flow> flows;
@@ -384,7 +385,7 @@ struct CostKernelScenario {
         }()),
         deployment(topo, bench::bench_deployment_options(2015)),
         hosts(topo.nodes_of_kind(topo::NodeKind::kHost)) {
-    const net::Router router(topo);
+    net::Router router(topo);
     common::Pcg32 rng(7);
     for (net::FlowId id = 0; id < net::FlowId{1024}; ++id) {
       net::Flow f;

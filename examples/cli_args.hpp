@@ -1,7 +1,8 @@
 #pragma once
 // Strict positional arguments for the examples: an argument is accepted
 // only if all of it parses as a base-10 integer inside the example's
-// range. Anything else prints the usage line and exits with status 2.
+// range. Anything else prints the usage line and exits with status 2. An
+// output file that cannot be written is reported and exits with status 1.
 
 #include <charconv>
 #include <cstdlib>
@@ -16,6 +17,17 @@ namespace sheriff::examples {
                                      std::string_view usage) {
   std::cerr << program << ": " << problem << "\nusage: " << program << ' ' << usage << '\n';
   std::exit(2);
+}
+
+/// Flushes `out`, the stream of output file `path`; when the stream has
+/// failed, prints `<program>: cannot write <path>` to stderr and exits 1.
+/// Call it right after opening the file, before the run, and again after
+/// writing it.
+inline void require_writable(const char* program, std::ostream& out, std::string_view path) {
+  if (!out.flush()) {
+    std::cerr << program << ": cannot write " << path << '\n';
+    std::exit(1);
+  }
 }
 
 /// argv[index] as an integer in [lo, hi], or `fallback` when it is absent.

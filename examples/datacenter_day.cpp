@@ -24,6 +24,11 @@ int main(int argc, char** argv) {
   const int pods = examples::positional(argc, argv, 1, 8, 2, 32, kUsage);
   const int rounds = examples::positional(argc, argv, 2, 288, 1, 100000, kUsage);
   if (pods % 2 != 0) examples::usage_error(argv[0], "a Fat-Tree needs an even pod count", kUsage);
+  std::ofstream csv;
+  if (argc > 3) {
+    csv.open(argv[3]);
+    examples::require_writable(argv[0], csv, argv[3]);
+  }
 
   topo::FatTreeOptions topo_options;
   topo_options.pods = pods;
@@ -87,8 +92,8 @@ int main(int argc, char** argv) {
             << " ms total downtime), " << reroutes << " flow reroutes\n";
 
   if (argc > 3) {
-    std::ofstream csv(argv[3]);
     core::write_metrics_csv(csv, all_metrics);
+    examples::require_writable(argv[0], csv, argv[3]);
     std::cout << "wrote per-round metrics to " << argv[3] << "\n";
   }
   return 0;

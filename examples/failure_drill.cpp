@@ -40,6 +40,11 @@ int drill_main(int argc, char** argv) {
     examples::usage_error(argv[0], e.what(), kUsage);
   }
   const int rounds = examples::positional(argc, argv, 1, 24, 1, 100000, kUsage);
+  std::ofstream csv;
+  if (argc > 2) {
+    csv.open(argv[2]);
+    examples::require_writable(argv[0], csv, argv[2]);
+  }
 
   topo::FatTreeOptions topo_options;
   topo_options.pods = 4;
@@ -118,8 +123,8 @@ int drill_main(int argc, char** argv) {
             << " at the end of the run (its own shim once the ToR rebooted).\n";
 
   if (argc > 2) {
-    std::ofstream csv(argv[2]);
     core::write_metrics_csv(csv, all_metrics);
+    examples::require_writable(argv[0], csv, argv[2]);
     std::cout << "wrote per-round metrics to " << argv[2] << "\n";
   }
   return 0;

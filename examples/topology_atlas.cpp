@@ -7,7 +7,9 @@
 
 #include <fstream>
 #include <iostream>
+#include <vector>
 
+#include "cli_args.hpp"
 #include "common/table.hpp"
 #include "net/routing.hpp"
 #include "topology/bcube.hpp"
@@ -18,6 +20,25 @@
 int main(int argc, char** argv) {
   using namespace sheriff;
   const std::string dot_dir = argc > 1 ? argv[1] : "";
+  // The small fabrics to draw, with their DOT files opened before the tour.
+  std::vector<topo::Topology> drawn;
+  std::vector<std::string> dot_paths;
+  std::vector<std::ofstream> dot_files;
+  if (!dot_dir.empty()) {
+    topo::FatTreeOptions small_ft;
+    small_ft.pods = 4;
+    small_ft.hosts_per_rack = 2;
+    topo::BCubeOptions small_bc;
+    small_bc.ports = 4;
+    small_bc.levels = 1;
+    drawn.push_back(topo::build_fat_tree(small_ft));
+    drawn.push_back(topo::build_bcube(small_bc));
+    for (const topo::Topology& t : drawn) {
+      dot_paths.push_back(dot_dir + "/" + t.name() + ".dot");
+      dot_files.emplace_back(dot_paths.back());
+      examples::require_writable(argv[0], dot_files.back(), dot_paths.back());
+    }
+  }
 
   std::cout << "== Fat-Tree family ==\n";
   common::Table ft({"pods", "racks", "hosts", "ToR", "agg", "core", "links",
@@ -27,7 +48,7 @@ int main(int argc, char** argv) {
     options.pods = k;
     options.hosts_per_rack = 2;
     const auto t = topo::build_fat_tree(options);
-    const net::Router router(t);
+    net::Router router(t);
     const auto src = t.rack(0).hosts[0];
     const auto dst = t.rack(t.rack_count() - 1).hosts[0];
     ft.begin_row()
@@ -84,21 +105,12 @@ int main(int argc, char** argv) {
   tt.print(std::cout);
 
   if (!dot_dir.empty()) {
-    topo::FatTreeOptions small_ft;
-    small_ft.pods = 4;
-    small_ft.hosts_per_rack = 2;
-    topo::BCubeOptions small_bc;
-    small_bc.ports = 4;
-    small_bc.levels = 1;
-    const auto write = [&](const topo::Topology& t) {
-      const std::string path = dot_dir + "/" + t.name() + ".dot";
-      std::ofstream os(path);
-      topo::write_dot(os, t);
-      std::cout << "wrote " << path << "\n";
-    };
     std::cout << '\n';
-    write(topo::build_fat_tree(small_ft));
-    write(topo::build_bcube(small_bc));
+    for (std::size_t i = 0; i < drawn.size(); ++i) {
+      topo::write_dot(dot_files[i], drawn[i]);
+      examples::require_writable(argv[0], dot_files[i], dot_paths[i]);
+      std::cout << "wrote " << dot_paths[i] << "\n";
+    }
     std::cout << "render with: dot -Tsvg <file> -o out.svg (or neato)\n";
   } else {
     std::cout << "\n(pass an output directory to also write GraphViz DOT files)\n";

@@ -25,6 +25,11 @@ int main(int argc, char** argv) {
   using namespace sheriff;
   const int rounds = examples::positional(argc, argv, 1, 20, 1, 100000,
                                           "[rounds 1..100000] [trace.jsonl]");
+  std::ofstream trace_file;
+  if (argc > 2) {
+    trace_file.open(argv[2]);
+    examples::require_writable(argv[0], trace_file, argv[2]);
+  }
 
   topo::FatTreeOptions topo_options;
   topo_options.pods = 4;
@@ -69,8 +74,8 @@ int main(int argc, char** argv) {
   std::cout << "\nJSONL round trip: " << records.size() << " records out, " << reparsed.size()
             << " parsed back, " << (reparsed == records ? "identical" : "MISMATCH") << "\n";
   if (argc > 2) {
-    std::ofstream out(argv[2]);
-    obs::write_trace_jsonl(records, out);
+    obs::write_trace_jsonl(records, trace_file);
+    examples::require_writable(argv[0], trace_file, argv[2]);
     std::cout << "trace written to " << argv[2] << "\n";
   }
 

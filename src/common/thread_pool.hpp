@@ -2,8 +2,8 @@
 // Work-queue thread pool plus a parallel_for helper.
 //
 // The fleet runner (src/fleet/) executes independent engine runs on this
-// pool, and the benches use parallel_for to sweep topology sizes. The
-// engine itself runs every round on the calling thread (DESIGN.md §11).
+// pool. The engine itself runs every round on the calling thread
+// (DESIGN.md §11, §12).
 //
 // Reentrancy (DESIGN.md §12): a parallel_for issued *from a worker thread
 // of the same pool* runs its iterations inline on that worker instead of

@@ -54,9 +54,9 @@ EngineConfig checked_config(const EngineConfig& config) {
                   "sheriff.switch_capacity_units must be at least 1");
   SHERIFF_REQUIRE(sheriff.tor_capacity_units >= 1,
                   "sheriff.tor_capacity_units must be at least 1");
-  // FLOWREROUTE moves ceil(fraction × candidates) flows. The rerouter
-  // refuses a fraction outside (0, 1] only when the first reroute claim
-  // commits, which a run may reach late or never. NaN fails both compares.
+  // FLOWREROUTE moves ceil(fraction × candidates) flows.
+  // net::reroute_around refuses a fraction outside (0, 1] only when the
+  // first reroute claim commits, which a run may reach late or never. NaN fails both compares.
   SHERIFF_REQUIRE(sheriff.reroute_fraction > 0.0 && sheriff.reroute_fraction <= 1.0,
                   "sheriff.reroute_fraction must be in (0, 1]");
   // Zero matching rounds silently turns VMMIGRATION off in the message-
@@ -86,7 +86,6 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
       config_(checked_config(config)),
       deployment_(topo, deployment_options),
       router_(topo),
-      rerouter_(router_),
       queues_(topo),
       solver_(topo),
       cost_model_(topo, deployment_, config.sheriff.cost) {
@@ -617,7 +616,7 @@ std::vector<MigrationDemand> DistributedEngine::commit_proposals(
       }
       switch_claimed[hot] = true;
       ++shard_stats_.reroute_commits;
-      metrics.reroutes += shims_[s].apply_reroute(hot, rerouter_, flows_).rerouted;
+      metrics.reroutes += shims_[s].apply_reroute(hot, router_, flows_).rerouted;
     }
     shard_stats_.vm_claims += proposal.migration_set.size();
     std::vector<wl::VmId> migration_set;
@@ -695,7 +694,7 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics, const Migrati
   router_.publish_metrics(registry);
   queues_.publish_metrics(registry);
   if (injector_ != nullptr) injector_->publish_metrics(registry);
-  for (const ShimController& shim : shims_) shim.publish_metrics(registry);
+  for (ShimController& shim : shims_) shim.publish_metrics(registry);
 
   if (hub_->auditor() != nullptr) {
     std::vector<obs::AuditedMove> moves;

@@ -39,7 +39,6 @@
 #include "net/queueing.hpp"
 #include "net/flow_stats.hpp"
 #include "net/rate_control.hpp"
-#include "net/reroute.hpp"
 #include "net/routing.hpp"
 #include "obs/hub.hpp"
 #include "topology/topology.hpp"
@@ -244,10 +243,10 @@ class DistributedEngine {
   /// the *same* (topology, deployment options, config) —
   /// constructor-derived structure (VM population, dependency graph, flow
   /// table shape, shims) is validated via a fingerprint, not serialized.
-  /// Caches resume cold: the router's level arrays and paths and the
-  /// per-round cost surface are rebuilt on demand and never change
-  /// results. The distance rows belong to the topology, so a restore into
-  /// an engine on the same topology finds them warm.
+  /// Caches resume cold: the router's level arrays and the per-round cost
+  /// surface are rebuilt on demand and never change results. The distance
+  /// rows belong to the topology, so a restore into an engine on the same
+  /// topology finds them warm.
   /// The fault injector is restored by replaying its plan up to the saved
   /// round (trace-detached), which reproduces the LivenessMask bit for bit
   /// including its version counter. After a load, run_round() continues
@@ -304,7 +303,6 @@ class DistributedEngine {
   EngineConfig config_;
   wl::Deployment deployment_;
   net::Router router_;
-  net::FlowRerouter rerouter_;
   net::SwitchQueues queues_;
   net::FairShareSolver solver_;
   net::QcnRateController rate_controller_;

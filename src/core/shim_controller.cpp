@@ -58,7 +58,7 @@ double ShimController::predicted_host_load_percent(
 
 ShimCollectResult ShimController::collect(const wl::Deployment& deployment,
                                           std::span<const wl::WorkloadProfile> predicted,
-                                          const Observation& observation) const {
+                                          const Observation& observation) {
   SHERIFF_REQUIRE(predicted.size() == deployment.vm_count(),
                   "predicted profiles must cover every VM");
   ShimCollectResult out;
@@ -223,10 +223,9 @@ ShimProposal ShimController::propose(const ShimCollectResult& collected,
   return result;
 }
 
-net::RerouteReport ShimController::apply_reroute(topo::NodeId hot_switch,
-                                                 const net::FlowRerouter& rerouter,
-                                                 std::span<net::Flow> flows) const {
-  const auto report = rerouter.reroute_around(flows, hot_switch, config_.reroute_fraction);
+net::RerouteReport ShimController::apply_reroute(topo::NodeId hot_switch, net::Router& router,
+                                                 std::span<net::Flow> flows) {
+  const auto report = net::reroute_around(router, flows, hot_switch, config_.reroute_fraction);
   if (trace_ != nullptr && report.rerouted > 0) {
     trace_->emit(rack_, obs::EventType::kRerouteChosen, hot_switch, 0,
                  static_cast<double>(report.rerouted));
@@ -235,7 +234,7 @@ net::RerouteReport ShimController::apply_reroute(topo::NodeId hot_switch,
   return report;
 }
 
-void ShimController::publish_metrics(obs::MetricRegistry& registry) const {
+void ShimController::publish_metrics(obs::MetricRegistry& registry) {
   registry.counter("shim.alerts_raised").add(pending_alerts_);
   registry.counter("shim.reroutes_chosen").add(pending_reroutes_);
   pending_alerts_ = 0;

@@ -2,9 +2,11 @@
 // ShimController: the per-rack delegated manager (Sec. II-B). Each round it
 // runs in two phases:
 //
-//   collect() — read-only: inspect the predicted profiles of the rack's
-//   VMs, the rack's ToR uplink state, and the congestion feedback from
-//   outer switches, producing the round's Alert set (the input of Alg. 1).
+//   collect() — inspect the predicted profiles of the rack's VMs, the
+//   rack's ToR uplink state, and the congestion feedback from outer
+//   switches, producing the round's Alert set (the input of Alg. 1). It
+//   changes nothing shared: it only traces into the shim's own ring and
+//   adds to its pending tallies.
 //
 //   propose() — Alg. 1 proper, without side effects: partition alerts by
 //   type, build the candidate sets F, select VMs with PRIORITY (Alg. 2),
@@ -69,7 +71,7 @@ class ShimController {
   /// Adds the alerts/reroutes recorded since the last call to the shared
   /// `shim.*` counters and resets the pending tallies. Called serially by
   /// the engine at the round boundary.
-  void publish_metrics(obs::MetricRegistry& registry) const;
+  void publish_metrics(obs::MetricRegistry& registry);
 
   /// Destination hosts of the shim's dominating region: the rack's own
   /// hosts plus every host in a one-hop neighbor rack.
@@ -97,7 +99,7 @@ class ShimController {
   /// Phase 1 (see file comment). `predicted` is indexed by VmId.
   [[nodiscard]] ShimCollectResult collect(const wl::Deployment& deployment,
                                           std::span<const wl::WorkloadProfile> predicted,
-                                          const Observation& observation) const;
+                                          const Observation& observation);
 
   /// Alg. 1's alert dispatch against an immutable view of the round state:
   /// builds the candidate sets F, runs PRIORITY (Alg. 2), and returns the
@@ -117,8 +119,8 @@ class ShimController {
   /// Commits one reroute claim from propose(): moves conflicting flows off
   /// `hot_switch`, traces the decision, and tallies it. Serial phase only
   /// (mutates the shared flow table) — the engine orders these by shim id.
-  net::RerouteReport apply_reroute(topo::NodeId hot_switch, const net::FlowRerouter& rerouter,
-                                   std::span<net::Flow> flows) const;
+  net::RerouteReport apply_reroute(topo::NodeId hot_switch, net::Router& router,
+                                   std::span<net::Flow> flows);
 
   /// Migration receivers within the region: underloaded hosts first, the
   /// whole region as fallback.
@@ -144,10 +146,9 @@ class ShimController {
   const topo::LivenessMask* liveness_ = nullptr;
   SheriffConfig config_;
   obs::EventTrace* trace_ = nullptr;
-  // Round tallies for publish_metrics. Mutable because collect() and
-  // apply_reroute() are logically const.
-  mutable std::size_t pending_alerts_ = 0;
-  mutable std::size_t pending_reroutes_ = 0;
+  // Round tallies for publish_metrics.
+  std::size_t pending_alerts_ = 0;
+  std::size_t pending_reroutes_ = 0;
 };
 
 }  // namespace sheriff::core

@@ -98,7 +98,7 @@ MigrationPlan VmMigrationScheduler::migrate(std::vector<wl::VmId> candidates,
 }
 
 std::vector<ProposedMove> propose_matching(const wl::Deployment& deployment,
-                                           const mig::MigrationCostModel& cost_model,
+                                           mig::MigrationCostModel& cost_model,
                                            const std::vector<wl::VmId>& candidates,
                                            const std::vector<topo::NodeId>& targets,
                                            std::size_t* search_space) {

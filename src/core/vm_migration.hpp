@@ -60,7 +60,7 @@ struct ProposedMove {
 /// Hungarian algorithm. Examined pairs are added to *search_space. The
 /// deployment is only read.
 std::vector<ProposedMove> propose_matching(const wl::Deployment& deployment,
-                                           const mig::MigrationCostModel& cost_model,
+                                           mig::MigrationCostModel& cost_model,
                                            const std::vector<wl::VmId>& candidates,
                                            const std::vector<topo::NodeId>& targets,
                                            std::size_t* search_space);

@@ -2,9 +2,9 @@
 // LossyChannel: the unreliable transport under the distributed
 // REQUEST/ACK protocol. Every deliver() is an independent Bernoulli trial
 // from an explicitly seeded Pcg32 — deterministic per (seed, call
-// sequence), so lossy runs replay exactly. The protocol calls it only
-// from serial code (mailbox delivery, commit), which keeps the draw order
-// stable regardless of thread count.
+// sequence), so lossy runs replay exactly. The protocol draws in a fixed
+// order (mailbox delivery, then commit), so the draw sequence is a
+// function of the run.
 
 #include <cstddef>
 #include <cstdint>

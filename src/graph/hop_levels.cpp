@@ -47,25 +47,20 @@ void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& le
 
 namespace {
 
-/// A vertex queued at a hop level.
-struct LevelItem {
-  HopLevel level;
-  Vertex vertex;
-};
+using LevelItem = HopRepairScratch::LevelItem;
 
 /// Visits vertices in ascending level: the `seeds` at their own levels, and
 /// whatever `visit(level, v, next)` appends to `next` at level + 1. Levels
-/// fit a byte, so a counting sort orders the seeds in linear time. The
-/// buffers are per thread and reused, like hop_levels_without's own.
+/// fit a byte, so a counting sort orders the seeds in linear time.
 template <typename Visit>
-void sweep_by_level(std::span<const LevelItem> seeds, Visit&& visit) {
+void sweep_by_level(std::span<const LevelItem> seeds, HopRepairScratch& scratch, Visit&& visit) {
   constexpr std::size_t kLevels = std::size_t{kUnreachedLevel} + 1;
   std::array<std::uint32_t, kLevels + 1> begin{};  // level l's seeds: [begin[l], begin[l + 1])
   for (const LevelItem& s : seeds) ++begin[s.level + 1U];
   std::partial_sum(begin.begin(), begin.end(), begin.begin());
-  thread_local std::vector<Vertex> sorted;
-  thread_local std::vector<Vertex> frontier;
-  thread_local std::vector<Vertex> next;
+  std::vector<Vertex>& sorted = scratch.sorted;
+  std::vector<Vertex>& frontier = scratch.frontier;
+  std::vector<Vertex>& next = scratch.next;
   sorted.resize(seeds.size());
   frontier.clear();
   next.clear();
@@ -85,7 +80,8 @@ void sweep_by_level(std::span<const LevelItem> seeds, Visit&& visit) {
 }  // namespace
 
 void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
-                        std::span<const Vertex> blocked, std::vector<HopLevel>& levels) {
+                        std::span<const Vertex> blocked, std::vector<HopLevel>& levels,
+                        HopRepairScratch& scratch) {
   const std::size_t n = g.vertex_count();
   SHERIFF_REQUIRE(base.size() == n, "base levels do not match the graph");
   levels.assign(base.begin(), base.end());
@@ -105,12 +101,10 @@ void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
   // vertices read as unreached in `levels`, so that test is one compare
   // per neighbor. Only a tight child of a blocked or affected vertex can be
   // affected, and each is queued once: its parents all sit one level lower,
-  // so their status is final by the time the sweep reaches it. The scratch
-  // is per thread and reused: FLOWREROUTE repairs once per probe, and
-  // concurrent callers never share it.
-  thread_local std::vector<bool> queued;
-  thread_local std::vector<LevelItem> seeds;
-  thread_local std::vector<Vertex> affected;
+  // so their status is final by the time the sweep reaches it.
+  std::vector<bool>& queued = scratch.queued;
+  std::vector<LevelItem>& seeds = scratch.seeds;
+  std::vector<Vertex>& affected = scratch.affected;
   queued.assign(n, false);
   seeds.clear();
   affected.clear();
@@ -122,7 +116,7 @@ void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
       seeds.push_back({base[w], w});
     }
   }
-  sweep_by_level(seeds, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
+  sweep_by_level(seeds, scratch, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
     if (levels[v] == kUnreachedLevel) return;  // blocked
     for (const Vertex u : g.neighbors(v)) {
       if (base[u] + 1 == level && levels[u] != kUnreachedLevel) return;  // a live tight parent
@@ -150,7 +144,7 @@ void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
     if (best <= kUnreachedLevel) seeds.push_back({static_cast<HopLevel>(best), v});
   }
   for (const Vertex b : blocked) levels[b] = 0;
-  sweep_by_level(seeds, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
+  sweep_by_level(seeds, scratch, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
     if (levels[v] != kUnreachedLevel) return;  // already leveled, no higher
     SHERIFF_REQUIRE(level < kUnreachedLevel, "hop level overflows HopLevel");
     levels[v] = level;

@@ -63,6 +63,24 @@ class HopGraph {
 /// (resized to the vertex count).
 void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& levels);
 
+/// hop_levels_without's working buffers. Every call overwrites them before
+/// reading them, so one scratch serves any sequence of repairs on any
+/// graph, and once its buffers have grown a repair allocates nothing.
+struct HopRepairScratch {
+  /// A vertex queued at a hop level.
+  struct LevelItem {
+    HopLevel level;
+    Vertex vertex;
+  };
+  std::vector<bool> queued;
+  std::vector<LevelItem> seeds;
+  std::vector<Vertex> affected;
+  // The level-ordered sweep's sorted seeds and frontiers.
+  std::vector<Vertex> sorted;
+  std::vector<Vertex> frontier;
+  std::vector<Vertex> next;
+};
+
 /// The hop levels of `g` with the `blocked` vertices removed, repaired
 /// from `base` = hop_levels_into(g, root) instead of a fresh BFS: `levels`
 /// (resized to the vertex count) equals the BFS of g minus `blocked` from
@@ -77,11 +95,10 @@ void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& le
 /// with a bucket BFS seeded at each one's best unaffected, unblocked
 /// neighbor. Cost is the level copy plus the degrees of the vertices it
 /// visits; the worst case is O(n + m), like the BFS. Throws (as the BFS
-/// would) when a repaired level would not fit a HopLevel. Its scratch is
-/// per thread and reused, so repairs on one thread stop allocating once
-/// the buffers have grown.
+/// would) when a repaired level would not fit a HopLevel.
 void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
-                        std::span<const Vertex> blocked, std::vector<HopLevel>& levels);
+                        std::span<const Vertex> blocked, std::vector<HopLevel>& levels,
+                        HopRepairScratch& scratch);
 
 /// Number of tight parents of `v`: its neighbors one level closer to the
 /// root. Zero for the root and for unreached vertices.

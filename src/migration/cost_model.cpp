@@ -70,15 +70,11 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
 void MigrationCostModel::set_bandwidth_state(const net::FairShareResult* shares) {
   surface_.build(shares, params_.management_reserve_fraction, params_.request_gbps,
                  params_.bandwidth_threshold_gbps);
-  surface_builds_.fetch_add(1, std::memory_order_relaxed);
+  ++surface_builds_;
 }
 
 CostModelStats MigrationCostModel::stats() const noexcept {
-  CostModelStats out;
-  out.evaluated = evaluated_.load(std::memory_order_relaxed);
-  out.pruned = pruned_.load(std::memory_order_relaxed);
-  out.surface_builds = surface_builds_.load(std::memory_order_relaxed);
-  return out;
+  return {evaluated_, pruned_, surface_builds_};
 }
 
 double MigrationCostModel::host_distance(topo::NodeId from, topo::NodeId to) const {
@@ -166,8 +162,8 @@ void MigrationCostModel::transmission_cost(const wl::VirtualMachine& vm,
   breakdown.feasible = true;
 }
 
-CostBreakdown MigrationCostModel::cost(wl::VmId vm_id, topo::NodeId destination) const {
-  evaluated_.fetch_add(1, std::memory_order_relaxed);
+CostBreakdown MigrationCostModel::cost(wl::VmId vm_id, topo::NodeId destination) {
+  ++evaluated_;
   const wl::VirtualMachine& vm = deployment_->vm(vm_id);
   SHERIFF_REQUIRE(topo_->node(destination).kind == topo::NodeKind::kHost,
                   "migration destination must be a host");
@@ -179,8 +175,8 @@ CostBreakdown MigrationCostModel::cost(wl::VmId vm_id, topo::NodeId destination)
 }
 
 double MigrationCostModel::total_cost_with_base(wl::VmId vm_id, topo::NodeId destination,
-                                                double base) const {
-  evaluated_.fetch_add(1, std::memory_order_relaxed);
+                                                double base) {
+  ++evaluated_;
   CostBreakdown breakdown;
   transmission_cost(deployment_->vm(vm_id), destination, breakdown);
   // total() folds (computing + dependency) + transmission left-to-right
@@ -231,7 +227,7 @@ double MigrationCostModel::path_bottleneck_bandwidth(wl::VmId vm,
   return bottleneck;
 }
 
-double MigrationCostModel::total_cost(wl::VmId vm, topo::NodeId destination) const {
+double MigrationCostModel::total_cost(wl::VmId vm, topo::NodeId destination) {
   const CostBreakdown breakdown = cost(vm, destination);
   return breakdown.feasible ? breakdown.total() : std::numeric_limits<double>::infinity();
 }

@@ -22,7 +22,6 @@
 // snapshotted once per round into a CostSurface. The engine, the figure
 // benches and the tests all price moves with this one model.
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -79,8 +78,9 @@ struct CostModelStats {
 /// per candidate destination; and a single-homed node — every Fat-Tree
 /// host, not a BCube server — reaches the fabric only through its one
 /// link, so its distances and paths are its peer's row plus that leaf
-/// link. Concurrent cost()/total_cost() calls are safe (rows are immutable
-/// once published; a lost publication race discards the duplicate).
+/// link. A model belongs to one engine and is used from one thread; the
+/// queries that count evaluations (cost(), total_cost(),
+/// total_cost_with_base(), note_pruned()) are therefore not const.
 class MigrationCostModel {
  public:
   MigrationCostModel(const topo::Topology& topo, const wl::Deployment& deployment,
@@ -98,10 +98,10 @@ class MigrationCostModel {
   [[nodiscard]] CostModelStats stats() const noexcept;
 
   /// Cost of migrating `vm` from its current host to `destination`.
-  [[nodiscard]] CostBreakdown cost(wl::VmId vm, topo::NodeId destination) const;
+  [[nodiscard]] CostBreakdown cost(wl::VmId vm, topo::NodeId destination);
 
   /// Total cost convenience: +inf when infeasible.
-  [[nodiscard]] double total_cost(wl::VmId vm, topo::NodeId destination) const;
+  [[nodiscard]] double total_cost(wl::VmId vm, topo::NodeId destination);
 
   /// Admissible lower bound on total_cost(vm, destination): the exact
   /// computing + dependency base (identical FP expression to cost()) plus
@@ -124,7 +124,7 @@ class MigrationCostModel {
   /// without re-walking the dependency set. Counts as one full evaluation
   /// in the stats (it is one).
   [[nodiscard]] double total_cost_with_base(wl::VmId vm, topo::NodeId destination,
-                                            double base) const;
+                                            double base);
 
   /// True when every source→destination path is provably below B_t (or the
   /// destination is the VM's own host): total_cost is certainly +inf, so
@@ -133,7 +133,7 @@ class MigrationCostModel {
 
   /// Accounting hook for the matching layer: one candidate skipped by the
   /// bound (would have been evaluated by the exhaustive sweep).
-  void note_pruned() const noexcept { pruned_.fetch_add(1, std::memory_order_relaxed); }
+  void note_pruned() noexcept { ++pruned_; }
 
   [[nodiscard]] const CostParams& params() const noexcept { return params_; }
 
@@ -169,10 +169,10 @@ class MigrationCostModel {
   std::vector<topo::LinkId> leaf_link_;     ///< the leaf link (valid iff single_homed_)
   std::vector<topo::NodeId> leaf_tor_;      ///< the leaf peer (valid iff single_homed_)
   std::vector<double> leaf_distance_;       ///< the leaf link's D(e) (valid iff single_homed_)
-  // Evaluation counters (relaxed: monotone totals, read at serial points).
-  mutable std::atomic<std::uint64_t> evaluated_{0};
-  mutable std::atomic<std::uint64_t> pruned_{0};
-  mutable std::atomic<std::uint64_t> surface_builds_{0};
+  // Evaluation counters (monotone totals).
+  std::uint64_t evaluated_ = 0;
+  std::uint64_t pruned_ = 0;
+  std::uint64_t surface_builds_ = 0;
 };
 
 }  // namespace sheriff::mig

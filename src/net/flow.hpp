@@ -5,7 +5,7 @@
 //
 // A route is a node path plus the link ids joining consecutive nodes.
 // Router::route writes both during its walk, and every other writer
-// (unroute, FlowRerouter's restore, the FLOW checkpoint load) keeps them
+// (unroute, reroute_around's restore, the FLOW checkpoint load) keeps them
 // in step, so readers — the fair-share solve, the fault teardown — take
 // link ids as given instead of resolving hops.
 

@@ -7,8 +7,8 @@
 
 namespace sheriff::net {
 
-RerouteReport FlowRerouter::reroute_around(std::span<Flow> flows, topo::NodeId hot_switch,
-                                           double fraction) const {
+RerouteReport reroute_around(Router& router, std::span<Flow> flows, topo::NodeId hot_switch,
+                             double fraction) {
   SHERIFF_REQUIRE(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0, 1]");
   RerouteReport report;
 
@@ -43,7 +43,7 @@ RerouteReport FlowRerouter::reroute_around(std::span<Flow> flows, topo::NodeId h
     Flow& flow = flows[candidates[i]];
     saved_path.assign(flow.path.begin(), flow.path.end());
     saved_links.assign(flow.links.begin(), flow.links.end());
-    if (router_->route(flow, blocked)) {
+    if (router.route(flow, blocked)) {
       ++report.rerouted;
     } else {  // no alternative: keep the old route
       flow.path.assign(saved_path.begin(), saved_path.end());

@@ -17,18 +17,11 @@ struct RerouteReport {
   std::size_t rerouted = 0;    ///< successfully moved off the hot switch
 };
 
-class FlowRerouter {
- public:
-  explicit FlowRerouter(const Router& router) : router_(&router) {}
-
-  /// Reroutes up to ceil(fraction * candidates) flows that transit
-  /// `hot_switch`, preferring the largest-demand flows (moving elephants
-  /// relieves the most load). Delay-sensitive flows are left alone.
-  RerouteReport reroute_around(std::span<Flow> flows, topo::NodeId hot_switch,
-                               double fraction = 0.5) const;
-
- private:
-  const Router* router_;
-};
+/// Reroutes up to ceil(fraction * candidates) flows that transit
+/// `hot_switch` through `router`, preferring the largest-demand flows
+/// (moving elephants relieves the most load). Delay-sensitive flows are
+/// left alone, and a flow with no path around the switch keeps its route.
+RerouteReport reroute_around(Router& router, std::span<Flow> flows, topo::NodeId hot_switch,
+                             double fraction);
 
 }  // namespace sheriff::net

@@ -43,8 +43,6 @@ bool Router::refresh_liveness() {
 }
 
 void Router::rebuild() {
-  // The only place the level table drops entries: no route() runs
-  // concurrently with a liveness change.
   const auto built = [](const std::vector<graph::HopLevel>& levels) { return !levels.empty(); };
   if (std::ranges::any_of(root_levels_, built)) ++cache_stats_.evictions;
   root_levels_.assign(topo_->node_count(), {});
@@ -88,23 +86,18 @@ bool Router::reachable(topo::NodeId a, topo::NodeId b) const {
   return component_[a] == component_[b];
 }
 
-std::span<const graph::HopLevel> Router::levels_for(topo::NodeId root) const {
-  {
-    std::scoped_lock lock(cache_mutex_);
-    if (!root_levels_[root].empty()) {
-      ++cache_stats_.tree_hits;
-      return root_levels_[root];
-    }
-    ++cache_stats_.tree_misses;
+std::span<const graph::HopLevel> Router::levels_for(topo::NodeId root) {
+  std::vector<graph::HopLevel>& levels = root_levels_[root];
+  if (!levels.empty()) {
+    ++cache_stats_.tree_hits;
+    return levels;
   }
-  // BFS outside the lock. Two threads may race on one root; both arrays are
-  // identical, and the first one published is kept.
+  ++cache_stats_.tree_misses;
+  // Built aside and moved in, so a BFS that throws leaves the slot unbuilt.
   std::vector<graph::HopLevel> fresh;
   graph::hop_levels_into(hops_, root, fresh);
-  std::scoped_lock lock(cache_mutex_);
-  std::vector<graph::HopLevel>& slot = root_levels_[root];
-  if (slot.empty()) slot = std::move(fresh);
-  return slot;
+  levels = std::move(fresh);
+  return levels;
 }
 
 // The ECMP walk goes back from the destination, hashing over the tight
@@ -151,7 +144,7 @@ bool Router::walk_ecmp(std::span<const graph::HopLevel> levels, topo::NodeId roo
   return true;
 }
 
-bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
+bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) {
   SHERIFF_REQUIRE(flow.src_host < topo_->node_count() && flow.dst_host < topo_->node_count(),
                   "flow endpoints out of range");
   flow.unroute();
@@ -160,10 +153,7 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   for (topo::NodeId b : blocked) {
     SHERIFF_REQUIRE(b != flow.src_host && b != flow.dst_host, "cannot block a flow endpoint");
   }
-  {
-    std::scoped_lock lock(cache_mutex_);
-    ++cache_stats_.path_misses;
-  }
+  ++cache_stats_.path_misses;
 
   // Single-homed sources (every fat-tree host) are rooted at their sole
   // neighbor, so the level table holds one array per source rack instead
@@ -179,20 +169,15 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
     return true;
   }
   if (blocked.empty()) return walk_ecmp(levels_for(root), root, flow);
-  // Blocked probe: repair the root's unblocked levels into a per-thread
-  // array, reused so a probe does not allocate. The walk reads nothing but
-  // levels, and BFS levels are unique, so the path equals the one a fresh
-  // BFS under the blocks would give.
-  thread_local std::vector<graph::HopLevel> repaired;
-  graph::hop_levels_without(hops_, levels_for(root), blocked, repaired);
-  {
-    std::scoped_lock lock(cache_mutex_);
-    ++cache_stats_.repairs;
-  }
-  return walk_ecmp(repaired, root, flow);
+  // Blocked probe: repair the root's unblocked levels. The walk reads
+  // nothing but levels, and BFS levels are unique, so the path equals the
+  // one a fresh BFS under the blocks would give.
+  graph::hop_levels_without(hops_, levels_for(root), blocked, repaired_, repair_scratch_);
+  ++cache_stats_.repairs;
+  return walk_ecmp(repaired_, root, flow);
 }
 
-std::size_t Router::route_all(std::span<Flow> flows) const {
+std::size_t Router::route_all(std::span<Flow> flows) {
   std::size_t routed = 0;
   for (Flow& f : flows) {
     if (route(f)) ++routed;
@@ -200,7 +185,9 @@ std::size_t Router::route_all(std::span<Flow> flows) const {
   return routed;
 }
 
-std::size_t Router::shortest_path_count(topo::NodeId src, topo::NodeId dst) const {
+std::size_t Router::shortest_path_count(topo::NodeId src, topo::NodeId dst) {
+  SHERIFF_REQUIRE(src < topo_->node_count() && dst < topo_->node_count(),
+                  "endpoints out of range");
   return graph::hop_path_count(hops_, levels_for(src), dst);
 }
 

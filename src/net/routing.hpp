@@ -19,15 +19,17 @@
 //
 // Caching: one flat table of unblocked level arrays, one per root, filled
 // on a root's first query and dropped only when the liveness version
-// moves, so an array a concurrent route() walks stays put. Every query
-// walks its root's levels and writes the flow's node path and link ids;
-// no resolved path is kept. A blocked query repairs its root's levels into
-// a per-thread array (graph::hop_levels_without) instead of searching. A
-// cached or repaired array routes exactly as a fresh BFS would
+// moves. Every query walks its root's levels and writes the flow's node
+// path and link ids; no resolved path is kept. A blocked query repairs its
+// root's levels (graph::hop_levels_without) into an array the router
+// reuses, beside the repair's scratch, instead of searching. A cached or
+// repaired array routes exactly as a fresh BFS would
 // (Routing.MatchesDijkstraOracleOnEveryFabric).
+//
+// A router belongs to one engine and is used from one thread: queries
+// fill its level table and overwrite its repair buffers.
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -77,13 +79,13 @@ class Router {
   /// order) are excluded — pass the hot switches when rerouting
   /// (FLOWREROUTE). Returns false when no path exists under the blocks
   /// (path and links left empty).
-  bool route(Flow& flow, std::span<const topo::NodeId> blocked = {}) const;
+  bool route(Flow& flow, std::span<const topo::NodeId> blocked = {});
 
   /// Routes every flow in place; returns the number successfully routed.
-  std::size_t route_all(std::span<Flow> flows) const;
+  std::size_t route_all(std::span<Flow> flows);
 
   /// Number of distinct shortest paths between two hosts (diagnostics).
-  [[nodiscard]] std::size_t shortest_path_count(topo::NodeId src, topo::NodeId dst) const;
+  [[nodiscard]] std::size_t shortest_path_count(topo::NodeId src, topo::NodeId dst);
 
   [[nodiscard]] const RouterCacheStats& cache_stats() const noexcept { return cache_stats_; }
 
@@ -95,7 +97,7 @@ class Router {
   /// The unblocked hop levels out of `root`: its table entry, built by a
   /// BFS on the root's first query. The view stays valid until the next
   /// liveness change.
-  std::span<const graph::HopLevel> levels_for(topo::NodeId root) const;
+  std::span<const graph::HopLevel> levels_for(topo::NodeId root);
   /// Fills flow.path and flow.links by walking back from the destination
   /// to `root`, hashing over each step's tight parents (ECMP); see
   /// routing.cpp. Returns false (route untouched) when the destination is
@@ -108,13 +110,13 @@ class Router {
   graph::HopGraph hops_;  ///< the live hop graph
   std::vector<std::uint32_t> component_;  ///< live-graph component label per node
 
-  // --- level table (logically const; guarded for concurrent route() calls) --
-  mutable std::mutex cache_mutex_;
   /// Unblocked levels per root, indexed by NodeId (empty = not built yet).
-  /// rebuild() sizes the table to the node count, so a filled array never
-  /// moves while another route() reads it.
-  mutable std::vector<std::vector<graph::HopLevel>> root_levels_;
-  mutable RouterCacheStats cache_stats_;
+  std::vector<std::vector<graph::HopLevel>> root_levels_;
+  RouterCacheStats cache_stats_;
+  /// A blocked query's repaired levels and the repair's buffers, reused by
+  /// every blocked query so that a warm one allocates nothing.
+  std::vector<graph::HopLevel> repaired_;
+  graph::HopRepairScratch repair_scratch_;
 };
 
 }  // namespace sheriff::net

@@ -6,9 +6,8 @@
 // the catalogue.
 //
 // Lookup returns stable references (metrics live in deques), so hot call
-// sites resolve a metric once and keep the pointer. Counters are relaxed
-// atomics, safe to bump from any thread, while gauges and histograms are
-// written from serial round-boundary code only.
+// sites resolve a metric once and keep the pointer. A registry belongs to
+// one engine's hub and is written from that engine's thread only.
 //
 // Header-only on purpose: sheriff_net and sheriff_fault publish into the
 // registry without linking the sheriff_obs library (which sits *above*
@@ -16,7 +15,6 @@
 // their types).
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -26,20 +24,18 @@
 
 namespace sheriff::obs {
 
-/// Monotonically increasing count; safe to add() from any thread.
+/// Monotonically increasing count.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) noexcept { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+  void reset() noexcept { value_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
-/// Last-write-wins sample; written from serial code.
+/// Last-write-wins sample.
 class Gauge {
  public:
   void set(double v) noexcept { value_ = v; }

@@ -44,9 +44,7 @@ void EventTrace::checkpoint(snapshot::Archive& ar) {
     ar.u64(ring.emitted);
     ar.u64(ring.dropped);
   }
-  std::uint64_t seq = next_seq();
-  ar.u64(seq);
-  seq_.store(seq, std::memory_order_relaxed);
+  ar.u64(seq_);
   ar.u32(round_);
 }
 

@@ -8,16 +8,13 @@
 //
 // Each shim id owns one ring, and the engine emits from one thread, so
 // `seq` follows the round's phase order and a merged snapshot is ordered
-// totally by it. The counter is a relaxed atomic: emits into different
-// shims' rings from different threads stay safe without a lock, though
-// their relative `seq` order then follows the schedule.
+// totally by it.
 //
 // Rings are bounded: when a shim's ring is full the oldest record is
 // overwritten and `dropped()` counts it. Tracing therefore has a hard
 // memory ceiling no matter how long the run is.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -68,13 +65,11 @@ class EventTrace {
     SHERIFF_REQUIRE(capacity_per_shim >= 1, "capacity_per_shim must be at least 1");
   }
 
-  /// Stamped onto subsequent records; call at the top of each round, while
-  /// no emitter is running.
+  /// Stamped onto subsequent records; call at the top of each round.
   void set_round(std::uint32_t round) noexcept { round_ = round; }
   [[nodiscard]] std::uint32_t round() const noexcept { return round_; }
 
   /// Appends one record to `shim`'s ring (kEngine for engine-level events).
-  /// Safe to call concurrently for *different* shims.
   void emit(std::uint32_t shim, EventType type, std::uint32_t a = 0, std::uint32_t b = 0,
             double value = 0.0) {
     Ring& ring = rings_[shim == kEngine ? rings_.size() - 1 : shim];
@@ -85,7 +80,7 @@ class EventTrace {
     record.a = a;
     record.b = b;
     record.value = value;
-    record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+    record.seq = seq_++;
     append(ring, record);
   }
 
@@ -106,7 +101,6 @@ class EventTrace {
   }
 
   /// All retained records merged across rings, sorted by sequence number.
-  /// Call from serial code only (between rounds or after a run).
   [[nodiscard]] std::vector<TraceRecord> snapshot() const {
     std::vector<TraceRecord> out;
     for (const Ring& r : rings_) out.insert(out.end(), r.slots.begin(), r.slots.end());
@@ -125,15 +119,12 @@ class EventTrace {
   }
 
   /// The sequence number the next emit() will take.
-  [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return seq_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t next_seq() const noexcept { return seq_; }
 
   /// Checkpoint hook (part of OBSR): every ring byte-exactly — contents,
   /// overwrite cursor, emit and drop tallies — then the next sequence
   /// number and the round stamp. A load rejects a ring larger than this
-  /// trace's capacity and an overwrite cursor outside the ring. Call from
-  /// serial code only.
+  /// trace's capacity and an overwrite cursor outside the ring.
   void checkpoint(snapshot::Archive& ar);
 
  private:
@@ -157,7 +148,7 @@ class EventTrace {
 
   std::size_t capacity_;
   std::vector<Ring> rings_;  ///< one per shim + one engine ring (last)
-  std::atomic<std::uint64_t> seq_{0};
+  std::uint64_t seq_ = 0;
   std::uint32_t round_ = 0;
 };
 

@@ -65,7 +65,7 @@ mig::CostBreakdown reference_cost(const topo::Topology& t, const wl::Deployment&
 }
 
 std::vector<core::ProposedMove> exhaustive_matching(const wl::Deployment& deployment,
-                                                    const mig::MigrationCostModel& model,
+                                                    mig::MigrationCostModel& model,
                                                     const std::vector<wl::VmId>& candidates,
                                                     const std::vector<topo::NodeId>& targets,
                                                     std::size_t& evaluations) {

@@ -29,7 +29,7 @@ mig::CostBreakdown reference_cost(const topo::Topology& t, const wl::Deployment&
 /// min(|candidates|, |open|) candidates priced by total_cost, then one
 /// assignment solve. `evaluations` grows by the pairs it priced.
 std::vector<core::ProposedMove> exhaustive_matching(const wl::Deployment& deployment,
-                                                    const mig::MigrationCostModel& model,
+                                                    mig::MigrationCostModel& model,
                                                     const std::vector<wl::VmId>& candidates,
                                                     const std::vector<topo::NodeId>& targets,
                                                     std::size_t& evaluations);

@@ -72,7 +72,7 @@ wl::DeploymentOptions surface_deployment() {
 /// manage phase hands the cost model each round.
 net::FairShareResult loaded_shares(const topo::Topology& topology,
                                    std::vector<net::Flow>& flows, std::uint64_t seed) {
-  const net::Router router(topology);
+  net::Router router(topology);
   sc::Pcg32 rng(seed);
   const auto hosts = topology.nodes_of_kind(topo::NodeKind::kHost);
   for (net::FlowId id = 0; id < net::FlowId{512}; ++id) {

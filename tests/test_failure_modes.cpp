@@ -111,8 +111,7 @@ TEST(FailureModes, DependencyCliqueBlocksColocation) {
 TEST(FailureModes, RerouteWithNoAlternativePathKeepsOldRoute) {
   // Intra-rack flow: host — ToR — host has no ToR-free alternative.
   const auto& t = test_topology();
-  const net::Router router(t);
-  const net::FlowRerouter rerouter(router);
+  net::Router router(t);
   net::Flow flow;
   flow.id = 0;
   flow.src_host = t.rack(0).hosts[0];
@@ -121,7 +120,7 @@ TEST(FailureModes, RerouteWithNoAlternativePathKeepsOldRoute) {
   std::vector<net::Flow> flows{flow};
   router.route_all(flows);
   const auto old_path = flows[0].path;
-  const auto report = rerouter.reroute_around(flows, t.rack(0).tor, 1.0);
+  const auto report = net::reroute_around(router, flows, t.rack(0).tor, 1.0);
   EXPECT_EQ(report.candidates, 1u);
   EXPECT_EQ(report.rerouted, 0u);
   EXPECT_EQ(flows[0].path, old_path);  // untouched, not broken

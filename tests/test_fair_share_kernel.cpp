@@ -63,7 +63,7 @@ net::Flow make_flow(net::FlowId id, topo::NodeId src, topo::NodeId dst, double d
 /// the flow–link sharing graph. `per_rack` flows between the rack's two
 /// hosts (alternating direction — both directions ride the same undirected
 /// links, so they stay one component).
-std::vector<net::Flow> intra_rack_flows(const topo::Topology& t, const net::Router& router,
+std::vector<net::Flow> intra_rack_flows(const topo::Topology& t, net::Router& router,
                                         std::size_t per_rack) {
   std::vector<net::Flow> flows;
   for (topo::RackId r = 0; r < t.rack_count(); ++r) {
@@ -186,7 +186,7 @@ TEST(FairShareKernel, LinkEventTieOrderIsPinned) {
       0xa95a492cU, 0x914da5b2U, 0xab116f32U, 0x02a274d0U, 0x143e793cU, 0xf9340c9aU,
       0xd1b1f0e6U, 0x0bfc6a95U, 0xba6fa339U, 0x5d02c067U, 0xc5d32d04U, 0x2c99ba21U};
   const auto t = agg_core_bottleneck_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   for (std::uint64_t seed = 1; seed <= kPinned.size(); ++seed) {
     sc::Pcg32 rng(seed);

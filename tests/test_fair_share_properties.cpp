@@ -45,7 +45,7 @@ net::Flow make_flow(net::FlowId id, topo::NodeId src, topo::NodeId dst, double d
 }
 
 std::vector<net::Flow> fuzzed_flows(sc::Pcg32& rng, const topo::Topology& t,
-                                    const net::Router& router) {
+                                    net::Router& router) {
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   std::vector<net::Flow> flows;
   const std::size_t n_flows = 16 + rng.next_below(64);
@@ -102,7 +102,7 @@ class FairShareBothSolvers : public ::testing::TestWithParam<int> {};
 TEST_P(FairShareBothSolvers, InvariantsHoldOnFuzzedFlowSets) {
   sc::Pcg32 rng(static_cast<std::uint64_t>(GetParam()) * 97 + 13);
   const auto t = small_fat_tree(rng.bernoulli(0.5) ? 1.0 : 10.0);
-  const net::Router router(t);
+  net::Router router(t);
   auto flows = fuzzed_flows(rng, t, router);
 
   auto reference_flows = flows;

@@ -177,9 +177,11 @@ TEST(KnapsackProperties, ZeroBudgetSelectsNothing) {
 // loop: a level times the shared weight is the heap distance, the derived
 // parent lists equal the heap's parent lists — ORDER included, since the
 // router's salt-indexed ECMP walk depends on parent order, not just
-// membership — and the level DP counts the same shortest paths.
+// membership — and the level DP counts the same shortest paths. One repair
+// scratch serves every graph, so nothing may carry over between repairs.
 
 TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
+  graph::HopRepairScratch scratch;
   for (int seed = 0; seed < kSeeds; ++seed) {
     sc::Pcg32 rng(static_cast<std::uint64_t>(seed), 3);
     const std::size_t n = 6 + rng.next_below(40);
@@ -211,7 +213,7 @@ TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
       const auto heap = oracle::dijkstra(g, source, use_mask ? blocked_mask : std::vector<bool>{});
       // Unblocked: the BFS levels. Blocked: those levels repaired.
       std::vector<graph::HopLevel> levels = base;
-      if (use_mask) graph::hop_levels_without(hops, base, blocked_list, levels);
+      if (use_mask) graph::hop_levels_without(hops, base, blocked_list, levels, scratch);
       ASSERT_EQ(levels.size(), n);
       for (graph::Vertex v = 0; v < n; ++v) {
         const double distance = levels[v] == graph::kUnreachedLevel
@@ -235,7 +237,8 @@ TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
 // removed the walk to vertex 2 goes the long way round, 298 hops, past
 // what a HopLevel holds. The repair must refuse it as the BFS of the ring
 // without vertex 1 does. Removing vertex 200 instead leaves a longest level
-// of 199, which both fit and agree on.
+// of 199, which both fit and agree on, with the scratch the refused repair
+// left behind.
 TEST(DijkstraProperties, RepairedLevelsThatOverflowAreRefused) {
   constexpr graph::Vertex kRing = 300;
   const auto ring_without = [&](graph::Vertex gone) {
@@ -253,13 +256,15 @@ TEST(DijkstraProperties, RepairedLevelsThatOverflowAreRefused) {
 
   std::vector<graph::HopLevel> bfs;
   std::vector<graph::HopLevel> repaired;
+  graph::HopRepairScratch scratch;
   const std::vector<graph::Vertex> near{1};
   EXPECT_THROW(graph::hop_levels_into(ring_without(1), 0, bfs), sc::RequirementError);
-  EXPECT_THROW(graph::hop_levels_without(ring, base, near, repaired), sc::RequirementError);
+  EXPECT_THROW(graph::hop_levels_without(ring, base, near, repaired, scratch),
+               sc::RequirementError);
 
   const std::vector<graph::Vertex> far{200};
   graph::hop_levels_into(ring_without(200), 0, bfs);  // 200 is isolated: unreached
-  graph::hop_levels_without(ring, base, far, repaired);
+  graph::hop_levels_without(ring, base, far, repaired, scratch);
   EXPECT_EQ(repaired, bfs);
   EXPECT_EQ(repaired[199], 199);
 }

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/require.hpp"
@@ -74,7 +73,7 @@ void expect_links_follow_path(const topo::Topology& t, const net::Flow& flow,
 // (the path midpoint) detours around that switch.
 TEST(Routing, PathEndpointsAndAdjacency) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   auto flow = make_flow(1, hosts.front(), hosts.back(), 1.0);
   ASSERT_TRUE(router.route(flow));
@@ -103,7 +102,7 @@ TEST(Routing, PathEndpointsAndAdjacency) {
 // only egress, leaves no path: the probe fails with path and links empty.
 TEST(Routing, IntraRackPathIsTwoHops) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   const auto& rack = t.rack(0);
   auto flow = make_flow(2, rack.hosts[0], rack.hosts[1], 1.0);
   ASSERT_TRUE(router.route(flow));
@@ -119,7 +118,7 @@ TEST(Routing, IntraRackPathIsTwoHops) {
 
 TEST(Routing, EcmpSpreadsAcrossCores) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   // Cross-pod pair: a 4-pod fat tree has 4 distinct shortest paths.
   const topo::NodeId src = t.rack(0).hosts[0];
   const topo::NodeId dst = t.rack(t.rack_count() - 1).hosts[0];
@@ -138,10 +137,21 @@ TEST(Routing, EcmpSpreadsAcrossCores) {
 
 TEST(Routing, SelfFlowRejected) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   auto flow = make_flow(3, t.rack(0).hosts[0], t.rack(0).hosts[0], 1.0);
   EXPECT_FALSE(router.route(flow));
   EXPECT_FALSE(flow.routed());
+}
+
+// Path counts check both endpoints, as route() does: an out-of-range
+// source must not index the level table.
+TEST(Routing, ShortestPathCountRejectsOutOfRangeEndpoints) {
+  const auto t = small_fat_tree();
+  net::Router router(t);
+  const topo::NodeId host = t.rack(0).hosts[0];
+  const topo::NodeId far = static_cast<topo::NodeId>(t.node_count() + 100000000);
+  EXPECT_THROW((void)router.shortest_path_count(far, host), sc::RequirementError);
+  EXPECT_THROW((void)router.shortest_path_count(host, far), sc::RequirementError);
 }
 
 // --- Router vs a Dijkstra parent-list oracle -------------------------------
@@ -308,7 +318,8 @@ TEST(Routing, MatchesDijkstraOracleOnEveryFabric) {
 namespace {
 
 void expect_repair_matches_dijkstra(const topo::Topology& t, const topo::LivenessMask* faults,
-                                    std::uint64_t seed, const std::string& label) {
+                                    std::uint64_t seed, const std::string& label,
+                                    graph::HopRepairScratch& scratch) {
   const graph::Graph live = faults == nullptr
                                 ? t.wired_graph(topo::EdgeWeight::kHops)
                                 : t.wired_graph(topo::EdgeWeight::kHops, *faults);
@@ -327,7 +338,7 @@ void expect_repair_matches_dijkstra(const topo::Topology& t, const topo::Livenes
     for (const graph::Vertex b : blocked) mask[b] = true;
     oracle::dijkstra_into(live, root, mask, heap);
     for (const graph::Vertex b : blocked) mask[b] = false;
-    graph::hop_levels_without(hops, base, blocked, repaired);
+    graph::hop_levels_without(hops, base, blocked, repaired, scratch);
     for (graph::Vertex v = 0; v < n; ++v) {
       const double distance = repaired[v] == graph::kUnreachedLevel
                                   ? graph::kInfiniteDistance
@@ -379,22 +390,24 @@ void expect_repair_matches_dijkstra(const topo::Topology& t, const topo::Livenes
 
 TEST(HopLevelRepair, MatchesMaskedDijkstraOnEveryFabric) {
   std::uint64_t seed = 1;
+  graph::HopRepairScratch scratch;  // one for every repair on every fabric
   for (const auto& [name, t] : oracle_fabrics()) {
     const topo::LivenessMask faulted = seeded_faults(t, seed);
-    expect_repair_matches_dijkstra(t, nullptr, seed, name + " pristine");
-    expect_repair_matches_dijkstra(t, &faulted, seed, name + " faulted");
+    expect_repair_matches_dijkstra(t, nullptr, seed, name + " pristine", scratch);
+    expect_repair_matches_dijkstra(t, &faulted, seed, name + " faulted", scratch);
     ++seed;
   }
 }
 
-// One Router serves concurrent route() calls (its level table is guarded
-// for concurrent callers). Eight threads send the same probes — unblocked,
-// and blocked at the source pod's aggregation switch (the largest repair on
-// a Fat-Tree), at a core, at both, and at the source's ToR (no path) —
-// through one fresh router in different orders, twice, so roots are built
-// and repaired under contention. Every answer, links included, must equal
-// a serial router's.
-TEST(Routing, ConcurrentQueriesMatchSerial) {
+// One Router answers the same probes — unblocked, and blocked at the
+// source pod's aggregation switch (the largest repair on a Fat-Tree), at a
+// core, at both, and at the source's ToR (no path) — in eight orders
+// interleaved query by query, each order twice over, so roots are built
+// between repairs and every repair reuses the buffers the previous query
+// left. Every answer, links included, must equal a fresh serial router's:
+// neither the level table nor the repair buffers carry anything from one
+// query to the next.
+TEST(Routing, InterleavedQueriesMatchSerial) {
   topo::FatTreeOptions ft8;
   ft8.pods = 8;
   const auto t = topo::build_fat_tree(ft8);
@@ -406,7 +419,7 @@ TEST(Routing, ConcurrentQueriesMatchSerial) {
   };
   std::vector<Probe> probes;
   {
-    const net::Router plain(t);
+    net::Router plain(t);
     sc::Pcg32 rng(7, 3);
     const auto pick = [&] {
       return hosts[rng.next_below(static_cast<std::uint32_t>(hosts.size()))];
@@ -426,34 +439,30 @@ TEST(Routing, ConcurrentQueriesMatchSerial) {
     }
   }
   {
-    const net::Router serial(t);
+    net::Router serial(t);
     for (Probe& p : probes) p.ok = serial.route(p.flow, p.blocked);
   }
 
-  const net::Router shared(t);
-  constexpr std::size_t kThreads = 8;
-  std::vector<std::size_t> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
-      for (std::size_t i = 0; i < 2 * probes.size(); ++i) {
-        const Probe& p = probes[(w * 37 + i) % probes.size()];
-        net::Flow flow = p.flow;
-        const bool ok = shared.route(flow, p.blocked);
-        if (ok != p.ok || flow.path != p.flow.path || flow.links != p.flow.links) {
-          ++mismatches[w];
-        }
+  net::Router router(t);
+  constexpr std::size_t kOrders = 8;
+  std::vector<std::size_t> mismatches(kOrders, 0);
+  for (std::size_t i = 0; i < 2 * probes.size(); ++i) {
+    for (std::size_t w = 0; w < kOrders; ++w) {
+      const Probe& p = probes[(w * 37 + i) % probes.size()];
+      net::Flow flow = p.flow;
+      const bool ok = router.route(flow, p.blocked);
+      if (ok != p.ok || flow.path != p.flow.path || flow.links != p.flow.links) {
+        ++mismatches[w];
       }
-    });
+    }
   }
-  for (std::thread& thread : threads) thread.join();
-  for (std::size_t w = 0; w < kThreads; ++w) EXPECT_EQ(mismatches[w], 0u) << "thread " << w;
-  EXPECT_GT(shared.cache_stats().repairs, 0u);
+  for (std::size_t w = 0; w < kOrders; ++w) EXPECT_EQ(mismatches[w], 0u) << "order " << w;
+  EXPECT_GT(router.cache_stats().repairs, 0u);
 }
 
 TEST(FairShare, SingleFlowGetsMinOfDemandAndBottleneck) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 5.0)};
   router.route_all(flows);
@@ -465,7 +474,7 @@ TEST(FairShare, SingleFlowGetsMinOfDemandAndBottleneck) {
 
 TEST(FairShare, DemandBelowCapacityIsGrantedFully) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.25)};
   router.route_all(flows);
@@ -475,7 +484,7 @@ TEST(FairShare, DemandBelowCapacityIsGrantedFully) {
 
 TEST(FairShare, TwoFlowsShareABottleneckEqually) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   // Both flows originate at the same host: its 1 Gbps uplink is shared.
   const topo::NodeId src = t.rack(0).hosts[0];
   std::vector<net::Flow> flows{make_flow(0, src, t.rack(1).hosts[0], 5.0),
@@ -488,7 +497,7 @@ TEST(FairShare, TwoFlowsShareABottleneckEqually) {
 
 TEST(FairShare, NoLinkExceedsCapacity) {
   const auto t = small_fat_tree(1.0);  // narrow ToR uplinks to force contention
-  const net::Router router(t);
+  net::Router router(t);
   sc::Pcg32 rng(5);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   std::vector<net::Flow> flows;
@@ -512,7 +521,7 @@ TEST(FairShare, NoLinkExceedsCapacity) {
 
 TEST(FairShare, UnsatisfiedFlowHasSaturatedLink) {
   const auto t = small_fat_tree(1.0);
-  const net::Router router(t);
+  net::Router router(t);
   const topo::NodeId src = t.rack(0).hosts[0];
   std::vector<net::Flow> flows{make_flow(0, src, t.rack(1).hosts[0], 3.0),
                                make_flow(1, src, t.rack(1).hosts[1], 3.0),
@@ -537,7 +546,7 @@ TEST(FairShare, UnsatisfiedFlowHasSaturatedLink) {
 
 TEST(FairShare, AvailableBandwidthRejectsOutOfRangeLink) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.5)};
   router.route_all(flows);
@@ -563,7 +572,7 @@ TEST(FlowStats, JainIndexExtremes) {
 
 TEST(FlowStats, QosOnUncongestedFabricIsPerfect) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.2),
       make_flow(1, t.rack(2).hosts[0], t.rack(3).hosts[0], 0.3)};
@@ -579,7 +588,7 @@ TEST(FlowStats, QosOnUncongestedFabricIsPerfect) {
 
 TEST(FlowStats, QosDegradesUnderOverload) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   const topo::NodeId src = t.rack(0).hosts[0];  // one 1 Gbps uplink, 3 Gbps wanted
   std::vector<net::Flow> flows{make_flow(0, src, t.rack(1).hosts[0], 1.0),
                                make_flow(1, src, t.rack(2).hosts[0], 1.0),
@@ -595,7 +604,7 @@ TEST(FlowStats, QosDegradesUnderOverload) {
 
 TEST(FlowStats, RateLimitedDemandCounts) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   std::vector<net::Flow> flows{make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.8)};
   flows[0].rate_limit_gbps = 0.4;
   router.route_all(flows);
@@ -611,7 +620,7 @@ class FairShareProperties : public ::testing::TestWithParam<int> {};
 TEST_P(FairShareProperties, InvariantsHoldOnRandomWorkloads) {
   sc::Pcg32 rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
   const auto t = small_fat_tree(rng.bernoulli(0.5) ? 1.0 : 10.0);
-  const net::Router router(t);
+  net::Router router(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   std::vector<net::Flow> flows;
   const std::size_t n_flows = 20 + rng.next_below(80);
@@ -649,7 +658,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FairShareProperties, ::testing::Range(1, 13));
 
 TEST(Queueing, CongestionBuildsAndDrains) {
   const auto t = small_fat_tree(1.0);
-  const net::Router router(t);
+  net::Router router(t);
   // Two hosts of rack 0 blast one host of rack 1: the shared downlink and
   // uplinks overload, so offered exceeds serviced somewhere.
   std::vector<net::Flow> flows{
@@ -680,7 +689,7 @@ TEST(Queueing, CongestionBuildsAndDrains) {
 
 TEST(Queueing, IdleNetworkNeverCongests) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   std::vector<net::Flow> flows{
       make_flow(0, t.rack(0).hosts[0], t.rack(1).hosts[0], 0.1)};
   router.route_all(flows);
@@ -697,8 +706,7 @@ TEST(Queueing, IdleNetworkNeverCongests) {
 
 TEST(Reroute, MovesFlowsOffHotSwitch) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
-  const net::FlowRerouter rerouter(router);
+  net::Router router(t);
   const topo::NodeId src = t.rack(0).hosts[0];
   const topo::NodeId dst = t.rack(t.rack_count() - 1).hosts[0];
   std::vector<net::Flow> flows;
@@ -714,7 +722,7 @@ TEST(Reroute, MovesFlowsOffHotSwitch) {
   }
   ASSERT_NE(hot, topo::kInvalidNode);
 
-  const auto report = rerouter.reroute_around(flows, hot, 1.0);
+  const auto report = net::reroute_around(router, flows, hot, 1.0);
   EXPECT_GT(report.candidates, 0u);
   EXPECT_EQ(report.rerouted, report.candidates);  // alt paths exist in a fat tree
   for (const auto& f : flows) {
@@ -725,14 +733,13 @@ TEST(Reroute, MovesFlowsOffHotSwitch) {
 
 TEST(Reroute, RespectsDelaySensitiveFlows) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
-  const net::FlowRerouter rerouter(router);
+  net::Router router(t);
   auto flow = make_flow(0, t.rack(0).hosts[0], t.rack(t.rack_count() - 1).hosts[0], 1.0);
   flow.delay_sensitive = true;
   std::vector<net::Flow> flows{flow};
   router.route_all(flows);
   topo::NodeId mid = flows[0].path[flows[0].path.size() / 2];
-  const auto report = rerouter.reroute_around(flows, mid, 1.0);
+  const auto report = net::reroute_around(router, flows, mid, 1.0);
   EXPECT_EQ(report.candidates, 0u);
   EXPECT_EQ(report.rerouted, 0u);
 }
@@ -743,8 +750,7 @@ TEST(Reroute, RespectsDelaySensitiveFlows) {
 // reuses the saved buffers.
 TEST(Reroute, FailedProbeKeepsTheOldPathAndLinks) {
   const auto t = small_fat_tree();
-  const net::Router router(t);
-  const net::FlowRerouter rerouter(router);
+  net::Router router(t);
   const auto& rack = t.rack(0);
   std::vector<net::Flow> flows{make_flow(0, rack.hosts[0], rack.hosts[1], 1.0),
                                make_flow(1, rack.hosts[0], t.rack(t.rack_count() - 1).hosts[0],
@@ -752,7 +758,7 @@ TEST(Reroute, FailedProbeKeepsTheOldPathAndLinks) {
   router.route_all(flows);
   const std::vector<net::Flow> before = flows;
 
-  const auto report = rerouter.reroute_around(flows, rack.tor, 1.0);
+  const auto report = net::reroute_around(router, flows, rack.tor, 1.0);
   EXPECT_EQ(report.candidates, 2u);
   EXPECT_EQ(report.rerouted, 0u);
   for (std::size_t f = 0; f < flows.size(); ++f) {

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/require.hpp"
@@ -90,29 +89,6 @@ TEST(EventTrace, ClearResetsRingsButNotRound) {
   EXPECT_EQ(trace.round(), 3u);
 }
 
-TEST(EventTrace, ConcurrentEmittersOnDistinctShimsGetUniqueSeq) {
-  constexpr std::size_t kShims = 8;
-  constexpr std::size_t kPerShim = 500;
-  obs::EventTrace trace(kShims, kPerShim);
-  std::vector<std::thread> threads;
-  threads.reserve(kShims);
-  for (std::uint32_t s = 0; s < kShims; ++s) {
-    threads.emplace_back([&trace, s] {
-      for (std::size_t i = 0; i < kPerShim; ++i) {
-        trace.emit(s, obs::EventType::kProtocolMsgSent, s, 0, static_cast<double>(i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(trace.total_emitted(), kShims * kPerShim);
-  EXPECT_EQ(trace.total_dropped(), 0u);
-  const auto records = trace.snapshot();
-  ASSERT_EQ(records.size(), kShims * kPerShim);
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_LT(records[i - 1].seq, records[i].seq);  // unique & sorted
-  }
-}
-
 TEST(EventTrace, ToStringCoversAllTypesDistinctly) {
   std::vector<std::string> names;
   for (std::size_t i = 0; i < obs::kEventTypeCount; ++i) {
@@ -142,6 +118,9 @@ TEST(MetricRegistry, FindOrCreateReturnsStableReferences) {
   EXPECT_EQ(registry.find_gauge("nope"), nullptr);
   EXPECT_EQ(registry.find_histogram("nope"), nullptr);
   EXPECT_EQ(registry.size(), 2u);
+
+  c1.reset();
+  EXPECT_EQ(registry.counter("engine.migrations").value(), 0u);
 }
 
 TEST(MetricRegistry, HistogramBucketsBoundariesAndOverflow) {
@@ -183,21 +162,6 @@ TEST(MetricRegistry, SnapshotIsNameSortedAndFlattensHistograms) {
   EXPECT_EQ(snap[3].first, "c.hist.sum");
   EXPECT_DOUBLE_EQ(snap[3].second, 3.5);
   EXPECT_TRUE(std::is_sorted(snap.begin(), snap.end()));
-}
-
-TEST(MetricRegistry, CountersAreSafeUnderParallelAdds) {
-  obs::MetricRegistry registry;
-  obs::Counter& c = registry.counter("parallel.adds");
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&c] {
-      for (int i = 0; i < 10000; ++i) c.add();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c.value(), 40000u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 // --- timing (obs::Stopwatch replaced common::Stopwatch) --------------------

@@ -68,7 +68,7 @@ TEST(FlowEffectiveDemand, HonorsLimit) {
 
 TEST(QcnRateController, CutsUnderCongestionAndRecoversAfter) {
   const auto t = narrow_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   auto flows = incast_flows(t, 1.5);
   router.route_all(std::span<net::Flow>(flows));
 
@@ -105,7 +105,7 @@ TEST(QcnRateController, CutsUnderCongestionAndRecoversAfter) {
 
 TEST(QcnRateController, LimitsReduceQueueBacklog) {
   const auto t = narrow_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
 
   const auto run = [&](bool enable_control) {
     auto flows = incast_flows(t, 1.5);
@@ -133,7 +133,7 @@ TEST(QcnRateController, LimitsReduceQueueBacklog) {
 
 TEST(QcnRateController, NeverBelowFloor) {
   const auto t = narrow_fat_tree();
-  const net::Router router(t);
+  net::Router router(t);
   auto flows = incast_flows(t, 2.0);
   router.route_all(std::span<net::Flow>(flows));
   net::QcnConfig qconfig;
@@ -186,7 +186,7 @@ namespace {
 /// stay unrouted.
 std::vector<net::Flow> seeded_flows(const topo::Topology& t, std::size_t count,
                                     sc::Pcg32& rng) {
-  const net::Router router(t);
+  net::Router router(t);
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   std::vector<net::Flow> flows(count);
   for (std::size_t i = 0; i < count; ++i) {

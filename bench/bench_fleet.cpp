@@ -19,6 +19,7 @@
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -34,15 +35,16 @@ using namespace sheriff;
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::string_view kUsage = "[output.json] [--seeds N] [--rounds-cap N]";
   std::string out_path = "BENCH_fleet.json";
   std::size_t seed_count = 8;
   std::size_t rounds_cap = 0;  // 0 = the scenarios' native round counts
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seeds" && i + 1 < argc) {
-      seed_count = static_cast<std::size_t>(std::stoul(argv[++i]));
+      seed_count = examples::positional<std::size_t>(argc, argv, ++i, 8, 1, 1000, kUsage);
     } else if (arg == "--rounds-cap" && i + 1 < argc) {
-      rounds_cap = static_cast<std::size_t>(std::stoul(argv[++i]));
+      rounds_cap = examples::positional<std::size_t>(argc, argv, ++i, 0, 0, 100000, kUsage);
     } else if (!arg.starts_with("--")) {
       out_path = arg;
     }

@@ -88,13 +88,13 @@ BENCHMARK(BM_DijkstraFatTree)->Arg(8)->Arg(16)->Arg(24);
 
 // FLOWREROUTE's query: route a cross-pod flow around a switch its
 // unblocked route transits. Second arg: 0 = cold (a fresh router per query,
-// built with the timer paused, so every query runs the hop-level BFS, grows
-// the router's repair scratch, repairs and walks), 1 = warm (the root's
-// level array is cached and the scratch grown, so every query repairs and
-// walks). Third arg: the blocked switch, 0 = the route's core (no vertex
-// loses its level), 1 = the route's aggregation switch in the source's pod
-// (its cores and every other pod's matching aggregation switch are
-// re-leveled: the largest repair on a Fat-Tree).
+// built with the timer paused; the levels it reads are the fabric's,
+// published by the setup's routes, so every query grows the router's
+// repair scratch, repairs and walks), 1 = warm (the scratch is grown, so
+// every query repairs and walks). Third arg: the blocked switch, 0 = the
+// route's core (no vertex loses its level), 1 = the route's aggregation
+// switch in the source's pod (its cores and every other pod's matching
+// aggregation switch are re-leveled: the largest repair on a Fat-Tree).
 void BM_RouterBlockedRoute(benchmark::State& state) {
   topo::FatTreeOptions options;
   options.pods = static_cast<int>(state.range(0));

@@ -691,7 +691,6 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics, const Migrati
     published_cost_stats_ = cost;
   }
   solver_.publish_metrics(registry);
-  router_.publish_metrics(registry);
   queues_.publish_metrics(registry);
   if (injector_ != nullptr) injector_->publish_metrics(registry);
   for (ShimController& shim : shims_) shim.publish_metrics(registry);
@@ -870,10 +869,11 @@ void DistributedEngine::checkpoint(snapshot::Archive& ar) {
   if (ar.loading()) {
     // Delta-published k-median counters: re-baseline against the fresh
     // planner/manager so the next publish adds only post-resume activity.
-    // (The fresh planner's construction rebuild makes
-    // kmedian.planner_rebuilds the one registry counter that may run +1
-    // ahead after a resume.)
+    // The planner first catches up with the replayed mask, as the saved
+    // run's had by the end of its last round, so the resumed run's first
+    // refresh() rebuilds only when the uninterrupted run's would.
     if (kmedian_manager_ != nullptr) {
+      kmedian_planner_->refresh();
       published_kmedian_stats_ = kmedian_manager_->stats();
       published_planner_rebuilds_ = kmedian_planner_->rebuilds();
     }

@@ -243,10 +243,11 @@ class DistributedEngine {
   /// the *same* (topology, deployment options, config) —
   /// constructor-derived structure (VM population, dependency graph, flow
   /// table shape, shims) is validated via a fingerprint, not serialized.
-  /// Caches resume cold: the router's level arrays and the per-round cost
-  /// surface are rebuilt on demand and never change results. The distance
-  /// rows belong to the topology, so a restore into an engine on the same
-  /// topology finds them warm.
+  /// The per-round cost surface resumes cold and is rebuilt on demand
+  /// without changing results. The routing tables and distance rows belong
+  /// to the topology, so a restore into an engine on the same topology
+  /// finds them warm. No cache counter reaches the registry, so a resumed
+  /// observed run writes the checkpoint bytes of one that never stopped.
   /// The fault injector is restored by replaying its plan up to the saved
   /// round (trace-detached), which reproduces the LivenessMask bit for bit
   /// including its version counter. After a load, run_round() continues

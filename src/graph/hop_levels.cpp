@@ -3,26 +3,39 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <tuple>
 
 #include "common/require.hpp"
 
 namespace sheriff::graph {
 
-HopGraph::HopGraph(const Graph& g) {
-  const std::size_t n = g.vertex_count();
-  offsets_.reserve(n + 1);
-  offsets_.push_back(0);
-  targets_.reserve(2 * g.edge_count());
-  for (Vertex v = 0; v < n; ++v) {
-    const std::size_t row = targets_.size();
-    for (const Edge& e : g.neighbors(v)) targets_.push_back(e.to);
-    std::sort(targets_.begin() + static_cast<std::ptrdiff_t>(row), targets_.end());
-    targets_.erase(std::unique(targets_.begin() + static_cast<std::ptrdiff_t>(row), targets_.end()),
-                   targets_.end());
-    SHERIFF_REQUIRE(targets_.size() <= std::numeric_limits<std::uint32_t>::max(),
-                    "hop graph too large for 32-bit row offsets");
-    offsets_.push_back(static_cast<std::uint32_t>(targets_.size()));
+HopGraph::HopGraph(std::size_t vertex_count, std::span<const HopEdge> edges)
+    : offsets_(vertex_count + 1, 0), edge_count_(edges.size()) {
+  SHERIFF_REQUIRE(edges.size() <= std::numeric_limits<std::uint32_t>::max() / 2,
+                  "hop graph too large for 32-bit row offsets");
+  std::vector<std::tuple<Vertex, Vertex, EdgeId>> entries;  // (row, neighbor, id)
+  entries.reserve(2 * edges.size());
+  for (EdgeId id = 0; id < edges.size(); ++id) {
+    const HopEdge& e = edges[id];
+    SHERIFF_REQUIRE(e.a < vertex_count && e.b < vertex_count, "hop edge endpoint out of range");
+    entries.emplace_back(e.a, e.b, id);
+    entries.emplace_back(e.b, e.a, id);
   }
+  // Sorted, the first entry per neighbor keeps a parallel set's lowest id.
+  std::ranges::sort(entries);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto [from, to, id] = entries[i];
+    if (i > 0 && std::get<0>(entries[i - 1]) == from && std::get<1>(entries[i - 1]) == to) continue;
+    steps_.push_back({to, id});
+    ++offsets_[from + 1];
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+}
+
+EdgeId HopGraph::edge_between(Vertex u, Vertex v) const {
+  const auto r = row(u);
+  const auto it = std::ranges::lower_bound(r, v, {}, &HopStep::vertex);
+  return it != r.end() && it->vertex == v ? it->edge : kNoEdge;
 }
 
 void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& levels) {
@@ -36,11 +49,11 @@ void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& le
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Vertex u = queue[head];
     const int next = levels[u] + 1;
-    for (const Vertex v : g.neighbors(u)) {
-      if (levels[v] != kUnreachedLevel) continue;
+    for (const HopStep& s : g.row(u)) {
+      if (levels[s.vertex] != kUnreachedLevel) continue;
       SHERIFF_REQUIRE(next < kUnreachedLevel, "hop level overflows HopLevel");
-      levels[v] = static_cast<HopLevel>(next);
-      queue.push_back(v);
+      levels[s.vertex] = static_cast<HopLevel>(next);
+      queue.push_back(s.vertex);
     }
   }
 }
@@ -48,6 +61,11 @@ void hop_levels_into(const HopGraph& g, Vertex source, std::vector<HopLevel>& le
 namespace {
 
 using LevelItem = HopRepairScratch::LevelItem;
+
+/// True when the cut's edge mask keeps `edge`.
+bool kept(std::span<const std::uint8_t> removed_edges, EdgeId edge) {
+  return removed_edges.empty() || removed_edges[edge] == 0;
+}
 
 /// Visits vertices in ascending level: the `seeds` at their own levels, and
 /// whatever `visit(level, v, next)` appends to `next` at level + 1. Levels
@@ -79,14 +97,15 @@ void sweep_by_level(std::span<const LevelItem> seeds, HopRepairScratch& scratch,
 
 }  // namespace
 
-void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
-                        std::span<const Vertex> blocked, std::vector<HopLevel>& levels,
-                        HopRepairScratch& scratch) {
+void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base, const HopCut& cut,
+                        std::vector<HopLevel>& levels, HopRepairScratch& scratch) {
   const std::size_t n = g.vertex_count();
   SHERIFF_REQUIRE(base.size() == n, "base levels do not match the graph");
+  SHERIFF_REQUIRE(cut.removed_edges.empty() || cut.removed_edges.size() == g.edge_count(),
+                  "removed-edge mask does not match the graph");
   levels.assign(base.begin(), base.end());
   bool root_blocked = false;
-  for (const Vertex b : blocked) {
+  for (const Vertex b : cut.blocked) {
     SHERIFF_REQUIRE(b < n, "blocked vertex out of range");
     root_blocked = root_blocked || base[b] == 0;
     levels[b] = kUnreachedLevel;
@@ -97,87 +116,105 @@ void hop_levels_without(const HopGraph& g, std::span<const HopLevel> base,
   }
 
   // Affected vertices, in ascending base level: a vertex is affected when
-  // no tight parent is both unblocked and unaffected. Blocked and affected
-  // vertices read as unreached in `levels`, so that test is one compare
-  // per neighbor. Only a tight child of a blocked or affected vertex can be
-  // affected, and each is queued once: its parents all sit one level lower,
-  // so their status is final by the time the sweep reaches it.
+  // no tight parent is unblocked, unaffected and joined to it by a kept
+  // edge. Blocked and affected vertices read as unreached in `levels`, so
+  // that test is one compare per neighbor. Only a removed edge's endpoint
+  // or a tight child of a blocked or affected vertex can be affected, and
+  // each is queued once: its parents all sit one level lower, so their
+  // status is final by the time the sweep reaches it.
   std::vector<bool>& queued = scratch.queued;
   std::vector<LevelItem>& seeds = scratch.seeds;
   std::vector<Vertex>& affected = scratch.affected;
   queued.assign(n, false);
   seeds.clear();
   affected.clear();
-  for (const Vertex b : blocked) {
+  const auto seed = [&](Vertex v) {
+    if (queued[v]) return;
+    queued[v] = true;
+    seeds.push_back({base[v], v});
+  };
+  for (const Vertex b : cut.blocked) {
     if (base[b] == kUnreachedLevel) continue;
-    for (const Vertex w : g.neighbors(b)) {
-      if (base[w] != base[b] + 1 || queued[w]) continue;
-      queued[w] = true;
-      seeds.push_back({base[w], w});
+    for (const HopStep& s : g.row(b)) {
+      if (base[s.vertex] == base[b] + 1) seed(s.vertex);
     }
+  }
+  for (const Vertex v : cut.removed_ends) {
+    SHERIFF_REQUIRE(v < n, "removed edge endpoint out of range");
+    if (base[v] != 0 && base[v] != kUnreachedLevel) seed(v);  // the root keeps level 0
   }
   sweep_by_level(seeds, scratch, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
     if (levels[v] == kUnreachedLevel) return;  // blocked
-    for (const Vertex u : g.neighbors(v)) {
-      if (base[u] + 1 == level && levels[u] != kUnreachedLevel) return;  // a live tight parent
+    for (const HopStep& s : g.row(v)) {
+      if (base[s.vertex] + 1 == level && levels[s.vertex] != kUnreachedLevel &&
+          kept(cut.removed_edges, s.edge)) {
+        return;  // a live tight parent
+      }
     }
     levels[v] = kUnreachedLevel;
     affected.push_back(v);
-    for (const Vertex w : g.neighbors(v)) {
-      if (base[w] != level + 1 || queued[w]) continue;
-      queued[w] = true;
-      next.push_back(w);
+    for (const HopStep& s : g.row(v)) {
+      if (base[s.vertex] != level + 1 || queued[s.vertex]) continue;
+      queued[s.vertex] = true;
+      next.push_back(s.vertex);
     }
   });
   if (affected.empty()) return;
 
-  // Re-level the affected vertices by a BFS over them, each seeded at its
-  // best unaffected, unblocked neighbor. Blocked vertices are parked at
-  // level 0 meanwhile (any level keeps them out of the search, which only
-  // enters unreached vertices) and reset afterwards.
+  // Re-level the affected vertices by a BFS over them and the kept edges,
+  // each seeded at its best unaffected, unblocked neighbor. Blocked
+  // vertices are parked at level 0 meanwhile (any level keeps them out of
+  // the search, which only enters unreached vertices) and reset afterwards.
   seeds.clear();
   for (const Vertex v : affected) {
     int best = kUnreachedLevel + 1;  // no unaffected, unblocked neighbor
-    for (const Vertex u : g.neighbors(v)) {
-      if (levels[u] != kUnreachedLevel) best = std::min(best, levels[u] + 1);
+    for (const HopStep& s : g.row(v)) {
+      if (levels[s.vertex] != kUnreachedLevel && kept(cut.removed_edges, s.edge)) {
+        best = std::min(best, levels[s.vertex] + 1);
+      }
     }
     if (best <= kUnreachedLevel) seeds.push_back({static_cast<HopLevel>(best), v});
   }
-  for (const Vertex b : blocked) levels[b] = 0;
+  for (const Vertex b : cut.blocked) levels[b] = 0;
   sweep_by_level(seeds, scratch, [&](HopLevel level, Vertex v, std::vector<Vertex>& next) {
     if (levels[v] != kUnreachedLevel) return;  // already leveled, no higher
     SHERIFF_REQUIRE(level < kUnreachedLevel, "hop level overflows HopLevel");
     levels[v] = level;
-    for (const Vertex u : g.neighbors(v)) {
-      if (levels[u] == kUnreachedLevel) next.push_back(u);
+    for (const HopStep& s : g.row(v)) {
+      if (levels[s.vertex] == kUnreachedLevel && kept(cut.removed_edges, s.edge)) {
+        next.push_back(s.vertex);
+      }
     }
   });
-  for (const Vertex b : blocked) levels[b] = kUnreachedLevel;
+  for (const Vertex b : cut.blocked) levels[b] = kUnreachedLevel;
 }
 
-std::size_t tight_parent_count(const HopGraph& g, std::span<const HopLevel> levels, Vertex v) {
+std::size_t tight_parent_count(const HopGraph& g, std::span<const HopLevel> levels, Vertex v,
+                               std::span<const std::uint8_t> removed_edges) {
   const HopLevel level = levels[v];
   if (level == 0 || level == kUnreachedLevel) return 0;
   std::size_t count = 0;
-  for (const Vertex u : g.neighbors(v)) count += levels[u] + 1 == level ? 1 : 0;
+  for (const HopStep& s : g.row(v)) {
+    count += levels[s.vertex] + 1 == level && kept(removed_edges, s.edge) ? 1 : 0;
+  }
   return count;
 }
 
-Vertex tight_parent(const HopGraph& g, std::span<const HopLevel> levels, Vertex v,
-                    std::size_t index) {
+HopStep tight_parent(const HopGraph& g, std::span<const HopLevel> levels, Vertex v,
+                     std::size_t index, std::span<const std::uint8_t> removed_edges) {
   const HopLevel level = levels[v];
   SHERIFF_REQUIRE(level != 0 && level != kUnreachedLevel, "vertex has no tight parents");
-  for (const Vertex u : g.neighbors(v)) {
-    if (levels[u] + 1 != level) continue;
-    if (index == 0) return u;
+  for (const HopStep& s : g.row(v)) {
+    if (levels[s.vertex] + 1 != level || !kept(removed_edges, s.edge)) continue;
+    if (index == 0) return s;
     --index;
   }
-  common::fail_requirement("index < tight_parent_count(g, levels, v)",
+  common::fail_requirement("index < tight_parent_count(g, levels, v, removed_edges)",
                            "tight parent index out of range", __FILE__, __LINE__);
 }
 
 std::size_t hop_path_count(const HopGraph& g, std::span<const HopLevel> levels, Vertex target,
-                           std::size_t cap) {
+                           std::span<const std::uint8_t> removed_edges, std::size_t cap) {
   if (target >= levels.size() || levels[target] == kUnreachedLevel) return 0;
   // Counts settle level by level: the root's is 1, and every other
   // vertex's is the capped sum of its tight parents' counts.
@@ -190,8 +227,10 @@ std::size_t hop_path_count(const HopGraph& g, std::span<const HopLevel> levels, 
         continue;
       }
       std::size_t total = 0;
-      for (const Vertex u : g.neighbors(v)) {
-        if (levels[u] + 1 == level) total = std::min(cap, total + count[u]);
+      for (const HopStep& s : g.row(v)) {
+        if (levels[s.vertex] + 1 == level && kept(removed_edges, s.edge)) {
+          total = std::min(cap, total + count[s.vertex]);
+        }
       }
       count[v] = total;
     }

@@ -1,7 +1,7 @@
 #pragma once
 // Metric registry: named counters, gauges, and fixed-bucket histograms
 // that the engine and its subsystems publish into each round. Names follow
-// the `subsystem.metric` convention (e.g. "router.tree_hits",
+// the `subsystem.metric` convention (e.g. "shim.alerts_raised",
 // "fair_share.components", "engine.migrations") — see DESIGN.md §8 for
 // the catalogue.
 //

@@ -25,10 +25,16 @@ std::vector<NodeId> DistanceRow::path_to(NodeId target) const {
 DistanceRows::DistanceRows(const Topology& topo)
     : topo_(&topo),
       graph_(topo.wired_graph(EdgeWeight::kDistance)),
-      slots_(topo.node_count()) {}
+      slots_(topo.node_count()),
+      level_slots_(topo.node_count()) {
+  std::vector<graph::HopEdge> ends;
+  for (const Link& l : topo.links()) ends.push_back({l.a, l.b});
+  hops_ = graph::HopGraph(topo.node_count(), ends);
+}
 
 DistanceRows::~DistanceRows() {
   for (auto& slot : slots_) delete slot.load(std::memory_order_acquire);
+  for (auto& slot : level_slots_) delete slot.load(std::memory_order_acquire);
 }
 
 std::size_t DistanceRows::built_rows() const noexcept {
@@ -55,7 +61,7 @@ const DistanceRow& DistanceRows::publish(NodeId root) const {
   row->distance = std::move(paths.distance);
   row->parent = std::move(paths.parent);
   // Rack memo: the root→ToR link sequence along path_to, so the cost
-  // surface runs link_between once per (root, rack) instead of once per
+  // surface resolves links once per (root, rack) instead of once per
   // (candidate, hop).
   const std::size_t racks = topo_->rack_count();
   row->rack_link_offset.assign(racks + 1, 0);
@@ -67,19 +73,22 @@ const DistanceRow& DistanceRows::publish(NodeId root) const {
     const auto path = row->path_to(tor);
     if (path.empty()) continue;  // unreachable
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      row->rack_link.push_back(topo_->link_between(path[i], path[i + 1]));
+      row->rack_link.push_back(hops_.edge_between(path[i], path[i + 1]));
     }
     row->rack_reachable[r] = 1;
   }
   row->rack_link_offset[racks] = static_cast<std::uint32_t>(row->rack_link.size());
   row->rack_link.shrink_to_fit();
 
-  DistanceRow* expected = nullptr;
-  if (slots_[root].compare_exchange_strong(expected, row.get(), std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-    return *row.release();
-  }
-  return *expected;  // a concurrent build won; ours is discarded
+  return publish_once(slots_[root], std::move(row));
+}
+
+const DistanceRows::Levels& DistanceRows::publish_levels(NodeId root,
+                                                         std::size_t* bfs_runs) const {
+  auto levels = std::make_unique<Levels>();
+  graph::hop_levels_into(hops_, root, *levels);
+  if (bfs_runs != nullptr) ++*bfs_runs;
+  return publish_once(level_slots_[root], std::move(levels));
 }
 
 }  // namespace sheriff::topo

@@ -1,25 +1,42 @@
 #pragma once
-// Wired-distance rows of one fabric (DESIGN.md §14): per root node, the
-// shortest distance-weighted path lengths D to every node, the one path
-// P(v_i, v_p) that Eq. (1) prices, and the root→ToR link sequences the
-// cost surface replays. The rows are a pure function of the immutable
-// pristine fabric, so one set per Topology (Topology::distance_rows())
-// serves every engine, cost model and k-median planner built over it:
-// checkpoint restores, bisects, fleet runs and bench repeats find them
-// built.
+// The routing and distance tables of one fabric (DESIGN.md §7, §14), a pure
+// function of the immutable pristine fabric, so one set per Topology
+// (Topology::distance_rows()) serves every engine, router, cost model and
+// k-median planner built over it: checkpoint restores, bisects, fleet runs
+// and bench repeats find them built. Per root node it publishes lazily
+// - a wired-distance row: the shortest distance-weighted path lengths D to
+//   every node, the one path P(v_i, v_p) that Eq. (1) prices, and the
+//   root→ToR link sequences the cost surface replays;
+// - the BFS hop levels the routers walk over the set's hop CSR, which also
+//   answers Topology::link_between.
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/require.hpp"
 #include "graph/graph.hpp"
+#include "graph/hop_levels.hpp"
 #include "topology/entities.hpp"
 
 namespace sheriff::topo {
 
 class Topology;
+
+/// The one publish path of the fabric's tables: stores `built` in the empty
+/// `slot` and returns it, or returns what a concurrent build stored first
+/// (ours is then freed; tables are deterministic, so both are identical).
+template <typename T>
+const T& publish_once(std::atomic<T*>& slot, std::unique_ptr<T> built) {
+  T* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, built.get(), std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *built.release();
+  }
+  return *expected;
+}
 
 /// One root's row, stored flat: a distance and one parent per node
 /// (12 bytes), plus a CSR of root→ToR link ids indexed by rack.
@@ -49,14 +66,14 @@ struct DistanceRow {
   }
 };
 
-/// The row set: one lazily built, immutable DistanceRow per root node.
-/// row() is safe from any number of threads. Each slot is published once
-/// by CAS; a losing concurrent build is discarded (rows are deterministic,
-/// so the winner's copy is identical).
+/// The table set: per root node, one lazily built, immutable DistanceRow
+/// and one hop-level array, each published once by publish_once, beside
+/// the hop CSR built with the set. Every accessor is thread-safe.
 class DistanceRows {
  public:
   /// Binds to `topo`, which must outlive the set and stay unchanged while
-  /// it lives. Builds the distance graph only; rows come on demand.
+  /// it lives. Builds the distance graph and the hop CSR; the per-root
+  /// tables come on demand.
   explicit DistanceRows(const Topology& topo);
   ~DistanceRows();
 
@@ -71,20 +88,38 @@ class DistanceRows {
     return built != nullptr ? *built : publish(root);
   }
 
+  /// The wired graph as a hop CSR: vertex ids are NodeIds and edge ids are
+  /// LinkIds (Topology::add_link refuses parallel links, so each neighbor
+  /// entry is the one link to that neighbor).
+  [[nodiscard]] const graph::HopGraph& hop_graph() const noexcept { return hops_; }
+
+  /// The BFS hop levels out of `root` on the pristine wired graph, built on
+  /// first use. Adds 1 to `*bfs_runs` (when given) if this call ran the BFS.
+  [[nodiscard]] std::span<const graph::HopLevel> hop_levels(NodeId root,
+                                                            std::size_t* bfs_runs = nullptr) const {
+    SHERIFF_REQUIRE(root < level_slots_.size(), "hop level root out of range");
+    const Levels* built = level_slots_[root].load(std::memory_order_acquire);
+    return built != nullptr ? *built : publish_levels(root, bfs_runs);
+  }
+
   /// Builds every ToR-rooted row not yet built — what the first engine on
   /// a fabric does at construction.
   void build_tor_rows() const;
 
-  /// Rows published so far.
+  /// Distance rows published so far.
   [[nodiscard]] std::size_t built_rows() const noexcept;
 
  private:
-  /// Builds `root`'s row and publishes it.
+  using Levels = std::vector<graph::HopLevel>;
+  /// Build `root`'s row or levels and publish them.
   [[nodiscard]] const DistanceRow& publish(NodeId root) const;
+  [[nodiscard]] const Levels& publish_levels(NodeId root, std::size_t* bfs_runs) const;
 
   const Topology* topo_;
   graph::Graph graph_;
+  graph::HopGraph hops_;
   mutable std::vector<std::atomic<DistanceRow*>> slots_;
+  mutable std::vector<std::atomic<Levels*>> level_slots_;
 };
 
 }  // namespace sheriff::topo

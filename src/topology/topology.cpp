@@ -41,14 +41,7 @@ const DistanceRows& Topology::RowSlot::get(const Topology& topo) const {
   if (const DistanceRows* rows = rows_.load(std::memory_order_acquire); rows != nullptr) {
     return *rows;
   }
-  // Published once by CAS, like the rows inside; a losing build is freed.
-  auto built = std::make_unique<DistanceRows>(topo);
-  DistanceRows* expected = nullptr;
-  if (rows_.compare_exchange_strong(expected, built.get(), std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
-    return *built.release();
-  }
-  return *expected;
+  return publish_once(rows_, std::make_unique<DistanceRows>(topo));  // as the tables inside are
 }
 
 const DistanceRows& Topology::distance_rows() const { return distance_rows_.get(*this); }
@@ -77,6 +70,11 @@ LinkId Topology::add_link(NodeId a, NodeId b, double capacity_gbps, double dista
   SHERIFF_REQUIRE(a != b, "link cannot be a self-loop");
   SHERIFF_REQUIRE(capacity_gbps > 0.0, "link capacity must be positive");
   SHERIFF_REQUIRE(distance_m >= 0.0, "link distance must be non-negative");
+  const NodeId fewer = incident_[a].size() <= incident_[b].size() ? a : b;
+  const NodeId other = fewer == a ? b : a;
+  for (const LinkId id : incident_[fewer]) {
+    SHERIFF_REQUIRE(peer(id, fewer) != other, "parallel link: a link already joins these nodes");
+  }
   Link link;
   link.id = static_cast<LinkId>(links_.size());
   link.a = a;
@@ -157,18 +155,15 @@ NodeId Topology::peer(LinkId link_id, NodeId node) const {
 }
 
 LinkId Topology::link_between(NodeId a, NodeId b) const {
-  for (LinkId id : links_of(a)) {
-    if (peer(id, a) == b) return id;
-  }
-  SHERIFF_REQUIRE(false, "no link between the given nodes");
-  return 0;  // unreachable
+  SHERIFF_REQUIRE(a < nodes_.size() && b < nodes_.size(), "node id out of range");
+  const LinkId id = distance_rows().hop_graph().edge_between(a, b);
+  SHERIFF_REQUIRE(id != graph::kNoEdge, "no link between the given nodes");
+  return id;
 }
 
 bool Topology::adjacent(NodeId a, NodeId b) const {
-  for (LinkId id : links_of(a)) {
-    if (peer(id, a) == b) return true;
-  }
-  return false;
+  SHERIFF_REQUIRE(a < nodes_.size(), "node id out of range");
+  return b < nodes_.size() && distance_rows().hop_graph().edge_between(a, b) != graph::kNoEdge;
 }
 
 std::vector<NodeId> Topology::nodes_of_kind(NodeKind kind) const {

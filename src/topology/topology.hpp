@@ -1,7 +1,9 @@
 #pragma once
 // The wired network graph G_r = (V ∪ S, E_r) of Sec. II-C, with rack
 // bookkeeping. Builders (fat_tree.hpp, bcube.hpp) populate an instance;
-// the router, the migration cost model, and the shims all query it.
+// the router, the migration cost model, and the shims all query it. G_r is
+// a simple graph: at most one link joins two nodes. Its routing and
+// distance tables (distance_rows()) belong to it, not to their readers.
 
 #include <atomic>
 #include <span>
@@ -28,9 +30,11 @@ class Topology {
   Topology() = default;
 
   // --- construction (used by the builders) -------------------------------
-  // Every mutator drops the distance-row set (see distance_rows()).
+  // Every mutator drops the table set (see distance_rows()).
   NodeId add_node(NodeKind kind, RackId rack = kInvalidRack, std::int32_t pod = -1,
                   std::int32_t level = -1);
+  /// Fails (RequirementError) on a self-loop or when a link already joins
+  /// a and b.
   LinkId add_link(NodeId a, NodeId b, double capacity_gbps, double distance_m);
   RackId add_rack();
   void set_node_position(NodeId node, double x, double y);
@@ -55,7 +59,8 @@ class Topology {
   [[nodiscard]] std::span<const LinkId> links_of(NodeId node) const;
   /// The other endpoint of `link` relative to `node`.
   [[nodiscard]] NodeId peer(LinkId link, NodeId node) const;
-  /// The link joining a and b, or fails if absent.
+  /// The link joining a and b, or fails if absent. Both this and adjacent()
+  /// binary-search a's row of the shared hop CSR (distance_rows()).
   [[nodiscard]] LinkId link_between(NodeId a, NodeId b) const;
   [[nodiscard]] bool adjacent(NodeId a, NodeId b) const;
 
@@ -81,10 +86,11 @@ class Topology {
   /// every rack has a ToR. Throws RequirementError with details if not.
   void validate() const;
 
-  /// The fabric's wired-distance rows (topology/distance_rows.hpp), built
-  /// lazily and shared by every engine, cost model and planner on this
-  /// topology. Thread-safe. A mutator drops the set (invalidating every
-  /// row reference taken from it); a copy or a move starts without one.
+  /// The fabric's routing and distance tables (topology/distance_rows.hpp):
+  /// the hop CSR, each root's hop levels and wired-distance row, built
+  /// lazily and shared by every engine, router, cost model and planner on
+  /// this topology. Thread-safe. A mutator drops the set (invalidating
+  /// every reference taken from it); a copy or a move starts without one.
   [[nodiscard]] const DistanceRows& distance_rows() const;
 
  private:

@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
@@ -177,8 +180,21 @@ TEST(KnapsackProperties, ZeroBudgetSelectsNothing) {
 // loop: a level times the shared weight is the heap distance, the derived
 // parent lists equal the heap's parent lists — ORDER included, since the
 // router's salt-indexed ECMP walk depends on parent order, not just
-// membership — and the level DP counts the same shortest paths. One repair
-// scratch serves every graph, so nothing may carry over between repairs.
+// membership — and the level DP counts the same shortest paths. The same
+// holds for levels repaired under a cut of vertices, of edges, or of both,
+// against the heap loop on the graph without them. One repair scratch
+// serves every graph, so nothing may carry over between repairs.
+
+namespace {
+
+/// `edges` as a graph::Graph with every edge weighing `w`.
+graph::Graph weighted(std::size_t n, const std::vector<graph::HopEdge>& edges, double w) {
+  graph::Graph g(n);
+  for (const graph::HopEdge& e : edges) g.add_edge(e.a, e.b, w);
+  return g;
+}
+
+}  // namespace
 
 TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
   graph::HopRepairScratch scratch;
@@ -186,68 +202,117 @@ TEST(DijkstraProperties, UniformFastPathMatchesHeapLoopBitwise) {
     sc::Pcg32 rng(static_cast<std::uint64_t>(seed), 3);
     const std::size_t n = 6 + rng.next_below(40);
     const double w = (seed % 2 == 0) ? 1.0 : 0.25;
-    graph::Graph g(n);
     // Random connected-ish multigraph: a spine plus random extra edges
     // (parallel edges allowed, as in the paper's rack multigraph T).
-    for (graph::Vertex v = 1; v < n; ++v) g.add_edge(rng.next_below(v), v, w);
+    std::vector<graph::HopEdge> edges;
+    for (graph::Vertex v = 1; v < n; ++v) edges.push_back({rng.next_below(v), v});
     const std::size_t extra = rng.next_below(static_cast<std::uint32_t>(2 * n));
     for (std::size_t i = 0; i < extra; ++i) {
       const graph::Vertex u = rng.next_below(static_cast<std::uint32_t>(n));
       const graph::Vertex v = rng.next_below(static_cast<std::uint32_t>(n));
-      if (u != v) g.add_edge(u, v, w);
+      if (u != v) edges.push_back({u, v});
     }
-    const graph::HopGraph hops(g);
+    const graph::HopGraph hops(n, edges);
 
-    // A random blocked mask exercises the FLOWREROUTE path shape too.
+    // A random blocked set exercises the FLOWREROUTE shape, and a random
+    // set of removed neighbor pairs — every parallel copy of each — the
+    // fault shape.
     std::vector<bool> blocked_mask(n, false);
     std::vector<graph::Vertex> blocked_list;
     for (graph::Vertex v = 1; v < n; ++v) {
       blocked_mask[v] = rng.next_below(10) == 0;
       if (blocked_mask[v]) blocked_list.push_back(v);
     }
+    std::vector<std::vector<bool>> pair_cut(n, std::vector<bool>(n, false));
+    for (const graph::HopEdge& e : edges) {
+      if (rng.next_below(8) == 0) pair_cut[e.a][e.b] = pair_cut[e.b][e.a] = true;
+    }
+    std::vector<std::uint8_t> removed(edges.size(), 0);
+    std::vector<graph::Vertex> removed_ends;
+    std::vector<graph::HopEdge> kept;
+    for (graph::EdgeId id = 0; id < edges.size(); ++id) {
+      if (!pair_cut[edges[id].a][edges[id].b]) {
+        kept.push_back(edges[id]);
+        continue;
+      }
+      removed[id] = 1;
+      removed_ends.push_back(edges[id].a);
+      removed_ends.push_back(edges[id].b);
+    }
+    const graph::Graph whole = weighted(n, edges, w);
+    const graph::Graph cut_graph = weighted(n, kept, w);
 
     const graph::Vertex source = rng.next_below(static_cast<std::uint32_t>(n));
     std::vector<graph::HopLevel> base;
     graph::hop_levels_into(hops, source, base);
-    for (const bool use_mask : {false, true}) {
-      const auto heap = oracle::dijkstra(g, source, use_mask ? blocked_mask : std::vector<bool>{});
-      // Unblocked: the BFS levels. Blocked: those levels repaired.
-      std::vector<graph::HopLevel> levels = base;
-      if (use_mask) graph::hop_levels_without(hops, base, blocked_list, levels, scratch);
-      ASSERT_EQ(levels.size(), n);
-      for (graph::Vertex v = 0; v < n; ++v) {
-        const double distance = levels[v] == graph::kUnreachedLevel
-                                    ? graph::kInfiniteDistance
-                                    : static_cast<double>(levels[v]) * w;
-        EXPECT_EQ(distance, heap.distance[v]) << "seed " << seed << " v " << v;
-        std::vector<graph::Vertex> parents;
-        const std::size_t count = graph::tight_parent_count(hops, levels, v);
-        for (std::size_t i = 0; i < count; ++i) {
-          parents.push_back(graph::tight_parent(hops, levels, v, i));
+    for (const bool block : {false, true}) {
+      for (const bool cut_edges : {false, true}) {
+        const auto heap = oracle::dijkstra(cut_edges ? cut_graph : whole, source,
+                                           block ? blocked_mask : std::vector<bool>{});
+        const graph::HopCut cut{block ? std::span<const graph::Vertex>(blocked_list)
+                                      : std::span<const graph::Vertex>(),
+                                cut_edges ? std::span<const std::uint8_t>(removed)
+                                          : std::span<const std::uint8_t>(),
+                                cut_edges ? std::span<const graph::Vertex>(removed_ends)
+                                          : std::span<const graph::Vertex>()};
+        // Uncut: the BFS levels. Cut: those levels repaired.
+        std::vector<graph::HopLevel> levels = base;
+        if (block || cut_edges) graph::hop_levels_without(hops, base, cut, levels, scratch);
+        ASSERT_EQ(levels.size(), n);
+        for (graph::Vertex v = 0; v < n; ++v) {
+          const std::string label = "seed " + std::to_string(seed) + " block " +
+                                    std::to_string(block) + " cut " + std::to_string(cut_edges) +
+                                    " v " + std::to_string(v);
+          const double distance = levels[v] == graph::kUnreachedLevel
+                                      ? graph::kInfiniteDistance
+                                      : static_cast<double>(levels[v]) * w;
+          EXPECT_EQ(distance, heap.distance[v]) << label;
+          std::vector<graph::Vertex> parents;
+          const std::size_t count = graph::tight_parent_count(hops, levels, v, cut.removed_edges);
+          for (std::size_t i = 0; i < count; ++i) {
+            const graph::HopStep parent = graph::tight_parent(hops, levels, v, i, cut.removed_edges);
+            EXPECT_EQ(hops.edge_between(v, parent.vertex), parent.edge) << label;
+            parents.push_back(parent.vertex);
+          }
+          EXPECT_EQ(parents, heap.parents[v]) << label;
+          EXPECT_EQ(graph::hop_path_count(hops, levels, v, cut.removed_edges), heap.path_count(v))
+              << label;
         }
-        EXPECT_EQ(parents, heap.parents[v]) << "seed " << seed << " v " << v;
-        EXPECT_EQ(graph::hop_path_count(hops, levels, v), heap.path_count(v))
-            << "seed " << seed << " v " << v;
       }
     }
   }
 }
 
+// A HopGraph keeps one entry per neighbor, sorted, with the lowest id of a
+// parallel pair beside it; edge_between finds it from either end.
+TEST(HopGraph, RowsAreSortedAndKeepTheLowestParallelId) {
+  const std::vector<graph::HopEdge> edges{{2, 0}, {0, 1}, {1, 2}, {0, 2}, {3, 0}};
+  const graph::HopGraph g(4, edges);
+  EXPECT_EQ(g.edge_count(), 5u);
+  std::vector<std::pair<graph::Vertex, graph::EdgeId>> row;
+  for (const graph::HopStep& s : g.row(0)) row.emplace_back(s.vertex, s.edge);
+  EXPECT_EQ(row, (std::vector<std::pair<graph::Vertex, graph::EdgeId>>{{1, 1}, {2, 0}, {3, 4}}));
+  EXPECT_EQ(g.edge_between(2, 0), 0u);
+  EXPECT_EQ(g.edge_between(2, 1), 2u);
+  EXPECT_EQ(g.edge_between(3, 1), graph::kNoEdge);
+  EXPECT_THROW(graph::HopGraph(3, edges), sc::RequirementError);  // endpoint 3 out of range
+}
+
 // A ring of 300 keeps every BFS level at or under 150, but with vertex 1
 // removed the walk to vertex 2 goes the long way round, 298 hops, past
 // what a HopLevel holds. The repair must refuse it as the BFS of the ring
-// without vertex 1 does. Removing vertex 200 instead leaves a longest level
-// of 199, which both fit and agree on, with the scratch the refused repair
-// left behind.
+// without vertex 1 does, and so must a repair that removes the edge 1–2
+// instead. Removing vertex 200 instead leaves a longest level of 199, which
+// both fit and agree on, with the scratch the refused repair left behind.
 TEST(DijkstraProperties, RepairedLevelsThatOverflowAreRefused) {
   constexpr graph::Vertex kRing = 300;
   const auto ring_without = [&](graph::Vertex gone) {
-    graph::Graph g(kRing);
+    std::vector<graph::HopEdge> edges;
     for (graph::Vertex v = 0; v < kRing; ++v) {
       const graph::Vertex w = (v + 1) % kRing;
-      if (v != gone && w != gone) g.add_edge(v, w, 1.0);
+      if (v != gone && w != gone) edges.push_back({v, w});
     }
-    return graph::HopGraph(g);
+    return graph::HopGraph(kRing, edges);
   };
   const graph::HopGraph ring = ring_without(kRing);  // nothing removed
   std::vector<graph::HopLevel> base;
@@ -259,12 +324,17 @@ TEST(DijkstraProperties, RepairedLevelsThatOverflowAreRefused) {
   graph::HopRepairScratch scratch;
   const std::vector<graph::Vertex> near{1};
   EXPECT_THROW(graph::hop_levels_into(ring_without(1), 0, bfs), sc::RequirementError);
-  EXPECT_THROW(graph::hop_levels_without(ring, base, near, repaired, scratch),
+  EXPECT_THROW(graph::hop_levels_without(ring, base, {near, {}, {}}, repaired, scratch),
+               sc::RequirementError);
+  std::vector<std::uint8_t> edge_one_two(ring.edge_count(), 0);
+  edge_one_two[1] = 1;  // edge 1 joins vertices 1 and 2
+  const std::vector<graph::Vertex> ends{1, 2};
+  EXPECT_THROW(graph::hop_levels_without(ring, base, {{}, edge_one_two, ends}, repaired, scratch),
                sc::RequirementError);
 
   const std::vector<graph::Vertex> far{200};
   graph::hop_levels_into(ring_without(200), 0, bfs);  // 200 is isolated: unreached
-  graph::hop_levels_without(ring, base, far, repaired, scratch);
+  graph::hop_levels_without(ring, base, {far, {}, {}}, repaired, scratch);
   EXPECT_EQ(repaired, bfs);
   EXPECT_EQ(repaired[199], 199);
 }

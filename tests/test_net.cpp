@@ -155,8 +155,8 @@ TEST(Routing, ShortestPathCountRejectsOutOfRangeEndpoints) {
 }
 
 // --- Router vs a Dijkstra parent-list oracle -------------------------------
-// The router keeps BFS hop levels and derives each ECMP step's parents from
-// them. Its routes must equal an independent reference: a heap-loop
+// The router reads the fabric's BFS hop levels and derives each ECMP step's
+// parents from them. Its routes must equal an independent reference: a heap-loop
 // oracle::dijkstra tree rooted at the source, with explicit parent lists,
 // walked by the same salt-indexed ECMP walk (written out below). Derived
 // parents taken in any order but ascending change the salt's picks and
@@ -199,8 +199,8 @@ bool oracle_route(const graph::Graph& live_hops, net::Flow& flow,
 }
 
 /// Routes `pairs` under every blocked set through a fresh router and the
-/// oracle, twice each (the first pass runs cold, the repeat reads cached
-/// levels), checks every route's link ids against its node path, and
+/// oracle, twice each (the first pass publishes levels, the repeat reads
+/// them), checks every route's link ids against its node path, and
 /// checks shortest_path_count against the oracle tree's path_count.
 void expect_router_matches_oracle(const topo::Topology& t, const topo::LivenessMask* mask,
                                   std::uint64_t seed, const std::string& label) {
@@ -305,15 +305,17 @@ TEST(Routing, MatchesDijkstraOracleOnEveryFabric) {
 }
 
 // --- Hop-level repair vs the masked heap Dijkstra ---------------------------
-// A blocked query repairs the root's unblocked levels instead of running a
-// BFS under the blocks. On the oracle fabrics, pristine and with the same
-// faults, the repaired levels must equal the masked heap Dijkstra's
-// distances for every root with every single vertex blocked, and for
-// seeded sets of 2–4 vertices drawn to hold the root, hosts, vertices the
-// root cannot reach, and duplicates. Equal levels give equal tight parents,
-// so this also pins every ECMP choice a repaired walk makes. A router on the
-// same fabric then answers every single-vertex block for a few host pairs,
-// cold and warm, with link ids that follow each route's node path.
+// A faulted or blocked query repairs the root's pristine levels, read from
+// the fabric's published tables, instead of running a BFS of the live
+// graph. On the oracle fabrics, pristine and with the seeded faults in the
+// cut as the router puts them there (every unusable link, with both
+// endpoints), the repaired levels must equal the masked heap Dijkstra's
+// distances on the live graph for every root with every single vertex
+// blocked, and for seeded sets of 2–4 vertices drawn to hold the root,
+// hosts, vertices the root cannot reach, and duplicates. Equal levels give
+// equal tight parents, so this also pins every ECMP choice a repaired walk
+// makes. A router on the same fabric then answers every single-vertex block
+// for a few host pairs, with link ids that follow each route's node path.
 
 namespace {
 
@@ -323,14 +325,24 @@ void expect_repair_matches_dijkstra(const topo::Topology& t, const topo::Livenes
   const graph::Graph live = faults == nullptr
                                 ? t.wired_graph(topo::EdgeWeight::kHops)
                                 : t.wired_graph(topo::EdgeWeight::kHops, *faults);
-  const graph::HopGraph hops(live);
+  const graph::HopGraph& hops = t.distance_rows().hop_graph();
+  std::vector<std::uint8_t> removed;
+  std::vector<graph::Vertex> removed_ends;
+  if (faults != nullptr) {
+    removed.assign(t.link_count(), 0);
+    for (const topo::Link& l : t.links()) {
+      if (faults->link_usable(t, l.id)) continue;
+      removed[l.id] = 1;
+      removed_ends.push_back(l.a);
+      removed_ends.push_back(l.b);
+    }
+  }
   const std::size_t n = live.vertex_count();
   const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
   sc::Pcg32 rng(seed, 17);
   const auto pick = [&](const std::vector<graph::Vertex>& from) {
     return from[rng.next_below(static_cast<std::uint32_t>(from.size()))];
   };
-  std::vector<graph::HopLevel> base;
   std::vector<graph::HopLevel> repaired;
   std::vector<bool> mask(n, false);
   oracle::ShortestPathTree heap;
@@ -338,7 +350,8 @@ void expect_repair_matches_dijkstra(const topo::Topology& t, const topo::Livenes
     for (const graph::Vertex b : blocked) mask[b] = true;
     oracle::dijkstra_into(live, root, mask, heap);
     for (const graph::Vertex b : blocked) mask[b] = false;
-    graph::hop_levels_without(hops, base, blocked, repaired, scratch);
+    graph::hop_levels_without(hops, t.distance_rows().hop_levels(root),
+                              {blocked, removed, removed_ends}, repaired, scratch);
     for (graph::Vertex v = 0; v < n; ++v) {
       const double distance = repaired[v] == graph::kUnreachedLevel
                                   ? graph::kInfiniteDistance
@@ -349,11 +362,11 @@ void expect_repair_matches_dijkstra(const topo::Topology& t, const topo::Livenes
     }
   };
   for (graph::Vertex root = 0; root < n; ++root) {
-    graph::hop_levels_into(hops, root, base);
     for (graph::Vertex b = 0; b < n; ++b) check(root, {b});
     std::vector<graph::Vertex> unreached;
+    oracle::dijkstra_into(live, root, {}, heap);
     for (graph::Vertex v = 0; v < n; ++v) {
-      if (base[v] == graph::kUnreachedLevel) unreached.push_back(v);
+      if (heap.distance[v] == graph::kInfiniteDistance) unreached.push_back(v);
     }
     for (int draw = 0; draw < 6; ++draw) {
       std::vector<graph::Vertex> blocked;
@@ -402,11 +415,11 @@ TEST(HopLevelRepair, MatchesMaskedDijkstraOnEveryFabric) {
 // One Router answers the same probes — unblocked, and blocked at the
 // source pod's aggregation switch (the largest repair on a Fat-Tree), at a
 // core, at both, and at the source's ToR (no path) — in eight orders
-// interleaved query by query, each order twice over, so roots are built
-// between repairs and every repair reuses the buffers the previous query
-// left. Every answer, links included, must equal a fresh serial router's:
-// neither the level table nor the repair buffers carry anything from one
-// query to the next.
+// interleaved query by query, each order twice over, on a copy of the
+// fabric whose tables start empty, so roots are published between repairs
+// and every repair reuses the buffers the previous query left. Every
+// answer, links included, must equal a serial router's on the original:
+// the repair buffers carry nothing from one query to the next.
 TEST(Routing, InterleavedQueriesMatchSerial) {
   topo::FatTreeOptions ft8;
   ft8.pods = 8;
@@ -443,7 +456,8 @@ TEST(Routing, InterleavedQueriesMatchSerial) {
     for (Probe& p : probes) p.ok = serial.route(p.flow, p.blocked);
   }
 
-  net::Router router(t);
+  const topo::Topology fresh = t;
+  net::Router router(fresh);
   constexpr std::size_t kOrders = 8;
   std::vector<std::size_t> mismatches(kOrders, 0);
   for (std::size_t i = 0; i < 2 * probes.size(); ++i) {
@@ -458,6 +472,44 @@ TEST(Routing, InterleavedQueriesMatchSerial) {
   }
   for (std::size_t w = 0; w < kOrders; ++w) EXPECT_EQ(mismatches[w], 0u) << "order " << w;
   EXPECT_GT(router.cache_stats().repairs, 0u);
+}
+
+// The hop levels belong to the fabric: a second router on the same
+// Topology finds every root published by the first and runs no BFS of its
+// own, yet routes every flow, links included, as the first did. A copy of
+// the fabric starts without tables, so a router on it publishes its own.
+TEST(Routing, RoutersOnOneFabricShareLevels) {
+  topo::FatTreeOptions ft8;
+  ft8.pods = 8;
+  const auto t = topo::build_fat_tree(ft8);
+  const auto hosts = t.nodes_of_kind(topo::NodeKind::kHost);
+  std::vector<net::Flow> flows;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    flows.push_back(make_flow(static_cast<net::FlowId>(i), hosts[i],
+                              hosts[(i * 7 + 1) % hosts.size()], 1.0));
+  }
+  std::vector<net::Flow> first_flows = flows;
+  net::Router first(t);
+  const std::size_t routed = first.route_all(first_flows);
+  EXPECT_GT(routed, 0u);
+  EXPECT_GT(first.cache_stats().tree_misses, 0u);
+
+  std::vector<net::Flow> second_flows = flows;
+  net::Router second(t);
+  EXPECT_EQ(second.route_all(second_flows), routed);
+  EXPECT_EQ(second.cache_stats().tree_misses, 0u);
+  EXPECT_EQ(second.cache_stats().tree_hits,
+            first.cache_stats().tree_hits + first.cache_stats().tree_misses);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    EXPECT_EQ(second_flows[f].path, first_flows[f].path) << "flow " << f;
+    EXPECT_EQ(second_flows[f].links, first_flows[f].links) << "flow " << f;
+  }
+
+  const topo::Topology copy = t;
+  std::vector<net::Flow> copy_flows = flows;
+  net::Router third(copy);
+  EXPECT_EQ(third.route_all(copy_flows), routed);
+  EXPECT_EQ(third.cache_stats().tree_misses, first.cache_stats().tree_misses);
 }
 
 TEST(FairShare, SingleFlowGetsMinOfDemandAndBottleneck) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -591,6 +592,50 @@ TEST(SnapshotEngine, BCubeFaultedResumesByteIdentical) {
   ParityOptions opt;
   opt.faulted = true;
   expect_resume_equivalence(small_bcube(), parity_deployment(), opt);
+}
+
+// An observed, audited run resumed at any round writes the checkpoint of
+// the run that never stopped, byte for byte: OBSR's registry, trace rings
+// and auditor tallies included. Sheriff, centralized and k-median modes,
+// each pristine and faulted (8 link flaps, rack 1's ToR out over rounds
+// 4–9, 20% message loss), saved before, inside and after the outage.
+TEST(SnapshotEngine, ObservedRunsResumeByteIdentically) {
+  const topo::Topology topology = small_fat_tree();
+  fault::FaultOptions options;
+  options.seed = 5;
+  options.message_drop_probability = 0.2;
+  fault::FaultPlan faults = fault::FaultPlan::random_link_flaps(topology, options, 8, 1, 16);
+  const fault::FaultPlan outage = fault::FaultPlan::tor_outage(topology, 1, 4, 9);
+  for (const fault::FaultEvent& e : outage.events()) faults.add(e);
+  constexpr std::size_t kRounds = 20;
+  const std::vector<std::size_t> saves{2, 3, 5, 7, 8, 10, 13};
+  for (const core::ManagerMode mode :
+       {core::ManagerMode::kSheriff, core::ManagerMode::kCentralized, core::ManagerMode::kKMedian}) {
+    for (const bool faulted : {false, true}) {
+      core::EngineConfig config;
+      config.mode = mode;
+      config.observe = true;
+      config.audit = true;
+      config.fault_plan = faulted ? &faults : nullptr;
+      core::DistributedEngine continuous(topology, parity_deployment(), config);
+      std::vector<std::vector<std::uint8_t>> saved;
+      while (continuous.rounds_run() < kRounds) {
+        (void)continuous.run_round();
+        if (std::ranges::find(saves, continuous.rounds_run()) != saves.end()) {
+          saved.push_back(core::Checkpoint::serialize(continuous));
+        }
+      }
+      const std::vector<std::uint8_t> want = core::Checkpoint::serialize(continuous);
+      for (std::size_t i = 0; i < saves.size(); ++i) {
+        core::DistributedEngine resumed(topology, parity_deployment(), config);
+        core::Checkpoint::deserialize(resumed, saved[i]);
+        while (resumed.rounds_run() < kRounds) (void)resumed.run_round();
+        EXPECT_TRUE(core::Checkpoint::serialize(resumed) == want)
+            << "mode " << static_cast<int>(mode) << (faulted ? " faulted" : " pristine")
+            << ", resumed from round " << saves[i];
+      }
+    }
+  }
 }
 
 // FLOW stores node paths only. The load rebuilds each flow's link ids,

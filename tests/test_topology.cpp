@@ -208,6 +208,25 @@ TEST(Topology, LinkBetweenAndPeer) {
   EXPECT_THROW((void)t.link_between(rack.hosts[0], rack.hosts[1]), sc::RequirementError);
 }
 
+// G_r is a simple graph: the hop CSR keeps one link per neighbor, so a
+// second link between two nodes (either way round) is refused, and the
+// first stays the one link_between returns.
+TEST(Topology, AddLinkRejectsAParallelLink) {
+  topo::Topology t;
+  const topo::NodeId a = t.add_node(topo::NodeKind::kTorSwitch);
+  const topo::NodeId b = t.add_node(topo::NodeKind::kAggSwitch);
+  const topo::NodeId c = t.add_node(topo::NodeKind::kAggSwitch);
+  const topo::LinkId ab = t.add_link(a, b, 10.0, 1.0);
+  EXPECT_THROW((void)t.add_link(a, b, 10.0, 1.0), sc::RequirementError);
+  EXPECT_THROW((void)t.add_link(b, a, 40.0, 2.0), sc::RequirementError);
+  EXPECT_THROW((void)t.add_link(a, a, 10.0, 1.0), sc::RequirementError);
+  const topo::LinkId ac = t.add_link(a, c, 10.0, 1.0);
+  EXPECT_EQ(t.link_count(), 2u);
+  EXPECT_EQ(t.link_between(b, a), ab);
+  EXPECT_EQ(t.link_between(c, a), ac);
+  EXPECT_FALSE(t.adjacent(b, c));
+}
+
 TEST(DotExport, ContainsNodesEdgesAndClusters) {
   topo::FatTreeOptions options;
   options.pods = 2;
